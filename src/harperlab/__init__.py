@@ -14,9 +14,9 @@ from .rotation import (AlgebraElement, NeumannExpansion, PhaseGrid, RotationRep,
                        monomial, neumann_inverse, rho_images, sigma_images,
                        trace_tau)
 from .spectrum import (BandSet, ChambersData, ChambersError, DualityReport,
-                       GapRecord, GapTrack, band_edges, chambers, dual_check,
-                       gap_label, gaps, harper_matrix, hausdorff_intervals, ids,
-                       label_to_index, track_gap)
+                       GapRecord, GapTrack, band_edges, chambers, corner_bands,
+                       dual_check, gap_label, gaps, harper_matrix,
+                       hausdorff_intervals, ids, label_to_index, track_gap)
 from .lyapunov import (CriticalPoint, GradientRecord, HessianRecord,
                        LyapunovValue, critical_scan, gradient, hessian,
                        log_potential, lyapunov_thouless, lyapunov_trace,

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .rationals import RationalFrequency
 from .numbertheory import farey
-from .spectrum import (GAP_CSV_HEADER, GapRecord, band_edges, chambers, gaps,
+from .spectrum import (GAP_CSV_HEADER, GapRecord, _fmt, _gap_tuples, corner_bands,
                        label_to_index, track_gap)
 
 FORMAT_VERSION = "1"
@@ -51,19 +51,13 @@ def butterfly_fractions(order: int):
     return [RationalFrequency(f.numerator, f.denominator) for f in fracs]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _row_payload(args):
     """Worker body: everything serializable, exceptions recorded not raised."""
     p, q, beta, min_width = args
     freq = RationalFrequency(p, q)
     try:
-        bands = band_edges(chambers(freq, beta, verify=False))
-        recs = gaps(freq, beta, min_width=min_width, band_set=bands)
-        gap_tuples = [(g.j, g.lo, g.hi, g.label[0], g.label[1], g.is_open) for g in recs]
-        return (p, q, tuple(map(tuple, bands.bands)), tuple(gap_tuples), None)
+        bands = corner_bands(freq, beta)
+        return (p, q, bands.bands, tuple(_gap_tuples(bands, min_width)), None)
     except Exception as exc:  # per-fraction failures must not abort the batch
         return (p, q, (), (), f"{type(exc).__name__}: {exc}")
 
@@ -102,11 +96,12 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
                       max_completions: int | None = None) -> ButterflyDataset:
     """Band and gap rows for every reduced fraction up to the order.
 
-    With a checkpoint path, completed rows are flushed atomically every
+    With a checkpoint path, completed rows are appended to a journal every
     `checkpoint_every` completions and reused on restart provided the
-    configuration digest matches.  `max_completions` stops the batch early
-    after that many fresh rows (an interruption hook for resume tests and
-    budgeted runs).
+    journal's configuration digest matches.  `max_completions` stops the
+    batch early after that many fresh rows (an interruption hook for resume
+    tests and budgeted runs).  The dataset is complete when every fraction
+    has a row and no row is an error.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -114,50 +109,78 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
         raise ValueError("coupling must be positive")
     freqs = butterfly_fractions(order)
     digest = _config_digest(order, beta, min_width)
-    done: dict = {}
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        with open(checkpoint_path) as fh:
-            state = json.load(fh)
-        if state.get("config") == digest:
-            for payload in state.get("payloads", []):
-                p, q, bands, gap_tuples, error = payload
-                key = (p, q)
-                done[key] = (p, q,
-                             tuple(tuple(b) for b in bands),
-                             tuple(tuple(g) for g in gap_tuples),
-                             error)
+    done = _resume_journal(checkpoint_path, digest) if checkpoint_path else {}
     todo = [f for f in freqs if (f.p, f.q) not in done]
     if max_completions is not None:
         todo = todo[:max_completions]
     jobs = [(f.p, f.q, beta, min_width) for f in todo]
-    fresh = 0
+    pending = []
 
     def note(payload):
-        nonlocal fresh
         done[(payload[0], payload[1])] = payload
-        fresh += 1
-        if checkpoint_path and (fresh % checkpoint_every == 0):
-            _flush_checkpoint(checkpoint_path, digest, done)
+        if checkpoint_path:
+            pending.append(payload)
+            if len(pending) == checkpoint_every:
+                _flush_checkpoint(checkpoint_path, pending)
+                pending.clear()
 
     if workers <= 1:
         for job in jobs:
             note(_row_payload(job))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for payload in pool.map(_row_payload, jobs):
+            for payload in pool.map(_row_payload, jobs, chunksize=16):
                 note(payload)
-    if checkpoint_path:
-        _flush_checkpoint(checkpoint_path, digest, done)
+    if pending:
+        _flush_checkpoint(checkpoint_path, pending)
     rows = tuple(_payload_to_row(done[(f.p, f.q)], float(beta))
                  for f in freqs if (f.p, f.q) in done)
-    complete = len(rows) == len(freqs)
+    complete = len(rows) == len(freqs) and not any(row.error for row in rows)
     return ButterflyDataset(float(beta), order, rows, min_width,
                             provenance={"config": digest, "complete": complete})
 
 
-def _flush_checkpoint(path, digest, done):
-    ordered = [done[k] for k in sorted(done)]
-    _atomic_write(path, json.dumps({"config": digest, "payloads": ordered}))
+def _journal_header(digest):
+    return json.dumps({"config": digest}) + "\n"
+
+
+def _resume_journal(path, digest):
+    """Payloads journalled under this configuration, keyed by (p, q).
+
+    The journal is a header line with the configuration digest and then one
+    JSON payload per line.  A missing file or another header starts it
+    afresh; a torn last line (an interrupted append) is dropped, and the
+    journal is rewritten without it so later appends start on a new line.
+    """
+    lines = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            lines = fh.readlines()
+    clean = bool(lines) and lines[0] == _journal_header(digest)
+    done = {}
+    for line in lines[1:] if clean else ():
+        if not line.endswith("\n"):
+            clean = False
+            break
+        payload = json.loads(line)
+        done[(payload[0], payload[1])] = payload
+    if not clean:
+        _flush_checkpoint(path, [done[k] for k in sorted(done)], header=_journal_header(digest))
+    return done
+
+
+def _flush_checkpoint(path, payloads, header=None):
+    """The journal's one write site: append one line per payload.
+
+    With a header the journal starts afresh instead, replaced atomically by
+    the header followed by the payloads.
+    """
+    text = "".join(json.dumps(p) + "\n" for p in payloads)
+    if header is None:
+        with open(path, "a") as fh:
+            fh.write(text)
+    else:
+        _atomic_write(path, header + text)
 
 
 def serialize_dataset(dataset: ButterflyDataset) -> str:
@@ -182,7 +205,12 @@ def parse_dataset(text: str) -> ButterflyDataset:
     beta = float(meta["beta"])
     min_width = float(meta["min_width"])
     per_freq: dict = {}
+    errors: dict = {}
     for ln in lines[2:]:
+        if ln.startswith("# error,"):
+            _, p, q, error = ln.split(",", 3)
+            errors[RationalFrequency(int(p), int(q))] = error
+            continue
         if ln.startswith("#"):
             continue
         p, q, b, lo, hi, num, den, m, n, width = ln.split(",")
@@ -197,7 +225,7 @@ def parse_dataset(text: str) -> ButterflyDataset:
     rows = []
     for freq in butterfly_fractions(order):
         recs = tuple(per_freq.get(freq, ()))
-        rows.append(FractionRow(freq, (), recs))
+        rows.append(FractionRow(freq, (), recs, errors.get(freq)))
     return ButterflyDataset(beta, order, tuple(rows), min_width,
                             provenance={"config": meta.get("config", "")})
 

@@ -34,6 +34,10 @@ COMMANDS = ("spectrum", "gaps", "ids", "label", "lyapunov", "gradient",
             "count-components", "selftest")
 
 
+# `butterfly` wrote its dataset, but some fractions are error rows
+EXIT_PARTIAL = 3
+
+
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
@@ -384,6 +388,10 @@ def _dispatch(args, parser) -> int:
                                checkpoint_path=args.checkpoint)
         with open(_out_path(args.out), "w") as fh:
             fh.write(serialize_dataset(ds))
+        failed = sum(1 for row in ds.rows if row.error)
+        if failed:
+            print(f"{failed} of {len(ds.rows)} fractions failed", file=sys.stderr)
+            return EXIT_PARTIAL
         return 0
 
     if cmd == "render":

@@ -104,10 +104,15 @@ def component_count(dataset, hall: int) -> ComponentCount:
     overlap, a linear-interpolation model of adjacency in the full fractal;
     the prediction for the untruncated picture is the cumulative totient
     Phi(2 hall).  Observed counts can only be at most the prediction and
-    grow with the truncation order.
+    grow with the truncation order.  A dataset with error rows is refused:
+    a missing row splits the chains it would have joined.
     """
     if hall < 1:
         raise ValueError("component counting applies to positive Hall numbers")
+    failed = [str(row.freq) for row in dataset.rows if row.error]
+    if failed:
+        raise ValueError(f"{len(failed)} error rows (first {failed[0]}) would split "
+                         f"gap components; recompute the dataset")
     predicted = phi_cumulative(2 * hall)
     rows = [row for row in dataset.rows if row.freq.q >= 2]
     rows.sort(key=lambda r: Fraction(r.freq.p, r.freq.q))

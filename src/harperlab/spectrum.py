@@ -13,7 +13,7 @@ half-space, and gap labels solve a congruence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +29,12 @@ class ChambersError(RuntimeError):
 
 
 def harper_matrix(freq: RationalFrequency, beta: float, theta1: float, theta2: float) -> np.ndarray:
-    """The q x q Harper matrix at fixed phases; beta = 0 is allowed here."""
+    """The q x q Harper matrix at fixed phases; beta = 0 is allowed here.
+
+    The gauge puts the whole hopping phase q theta2 on the closing bond
+    (q-1, 0) and leaves every other bond at beta, so the matrix is real
+    wherever cos(q theta2) = +-1.
+    """
     q = freq.q
     j = np.arange(q)
     diag = 2.0 * np.cos(theta1 + TWO_PI * ((j * freq.p) % q) / q)
@@ -38,7 +43,8 @@ def harper_matrix(freq: RationalFrequency, beta: float, theta1: float, theta2: f
     if q == 1:
         h[0, 0] += 2.0 * beta * np.cos(theta2)
     else:
-        hop = beta * np.exp(1j * theta2)
+        hop = np.full(q, beta, dtype=complex)
+        hop[0] = beta * np.exp(1j * q * theta2)
         h[j, (j - 1) % q] += hop
         h[(j - 1) % q, j] += np.conj(hop)
     return h
@@ -146,15 +152,9 @@ def chambers(freq: RationalFrequency, beta: float, verify: bool = True,
         # would poison the coupling derivatives, so fail loudly
         raise ChambersError(f"near-degenerate center-phase spectrum at {freq}, "
                             f"beta={beta}")
-    # coupling derivative of H is the hopping part alone
-    j = np.arange(q)
-    dh = np.zeros((q, q), dtype=complex)
-    if q == 1:
-        dh[0, 0] = 2.0 * np.cos(t_star)
-    else:
-        hop = np.exp(1j * t_star)
-        dh[j, (j - 1) % q] += hop
-        dh[(j - 1) % q, j] += np.conj(hop)
+    # H is affine in beta, so its coupling derivative is the hopping part
+    # alone, in the same gauge as h0
+    dh = harper_matrix(freq, 1.0, t_star, t_star) - harper_matrix(freq, 0.0, t_star, t_star)
     w = vecs.conj().T @ dh @ vecs
     dlam = np.diag(w).real.copy()
     d2lam = np.zeros(q)
@@ -233,24 +233,25 @@ class BandSet:
         return best
 
 
-def band_edges(ch: ChambersData) -> BandSet:
-    """Band set from the two corner matrices.
+def corner_bands(freq: RationalFrequency, beta: float) -> BandSet:
+    """Band set from the two corner matrices, with no determinant data.
 
     Solutions of P(E) = +-(|c1| + |c2|) are exactly the eigenvalues of H at
     the corner phases where both cosines are +-1, so the 2q edges come from
-    two Hermitian eigensolves; sorting and pairing them yields the bands.
-    A touching gap appears as a degenerate corner eigenvalue and therefore
-    has width at roundoff scale, with no root-finding involved.
+    two eigensolves; sorting and pairing them yields the bands.  In the
+    gauge of `harper_matrix` both corners are real symmetric: every bond is
+    +beta, except the closing bond at theta2 = pi/q, which is -beta.  A
+    touching gap appears as a degenerate corner eigenvalue and therefore
+    has width at roundoff scale, with no root finding and no
+    near-degeneracy guard, so exponentially thin bands pass.
     """
-    freq, beta = ch.freq, ch.beta
+    if beta < 0:
+        raise ValueError(f"coupling must be nonnegative, got {beta}")
     q = freq.q
-    e_hi = np.linalg.eigvalsh(harper_matrix(freq, beta, 0.0, 0.0))
-    e_lo = np.linalg.eigvalsh(harper_matrix(freq, beta, np.pi / q, np.pi / q))
-    edges = np.sort(np.concatenate([e_hi, e_lo]))
-    bands = []
-    for i in range(q):
-        lo, hi = float(edges[2 * i]), float(edges[2 * i + 1])
-        bands.append((lo, hi))
+    e_hi = np.linalg.eigvalsh(harper_matrix(freq, beta, 0.0, 0.0).real)
+    e_lo = np.linalg.eigvalsh(harper_matrix(freq, beta, np.pi / q, np.pi / q).real)
+    edges = np.sort(np.concatenate([e_hi, e_lo])).tolist()
+    bands = list(zip(edges[0::2], edges[1::2]))
     for i in range(q - 1):
         if bands[i][1] > bands[i + 1][0] + 1e-9:
             raise ChambersError(f"band pairing failed at {freq}, beta={beta}")
@@ -262,7 +263,12 @@ def band_edges(ch: ChambersData) -> BandSet:
             welded[-1][1] = mid
             welded.append([mid, hi])
         bands = [tuple(x) for x in welded]
-    return BandSet(freq, beta, tuple(bands), ch)
+    return BandSet(freq, beta, tuple(bands))
+
+
+def band_edges(ch: ChambersData) -> BandSet:
+    """`corner_bands` at the data's coupling, carrying `ch` for the in-band IDS."""
+    return replace(corner_bands(ch.freq, ch.beta), chambers=ch)
 
 
 def _band_measure(ch: ChambersData, E: float, n_psi: int = 2048) -> float:
@@ -372,21 +378,24 @@ def gaps(freq: RationalFrequency, beta: float, min_width: float = 1e-9,
     if beta < 0:
         raise ValueError("coupling must be nonnegative")
     if band_set is None:
-        band_set = band_edges(chambers(freq, beta, verify=False))
-    q = freq.q
+        band_set = corner_bands(freq, beta)
+    return [GapRecord(freq, float(beta), j, lo, hi, Fraction(j, freq.q), (m, n), n, is_open)
+            for j, lo, hi, m, n, is_open in _gap_tuples(band_set, min_width)]
+
+
+def _gap_tuples(band_set: BandSet, min_width: float):
+    """(j, lo, hi, m, n, is_open) per gap that `gaps` reports, as plain tuples."""
+    if band_set.beta == 0.0:
+        return []
+    freq, q = band_set.freq, band_set.q
     out = []
-    if beta == 0.0:
-        return out
-    intervals = band_set.gap_intervals()
-    for j in range(1, q):
-        lo, hi = intervals[j - 1]
+    for j, (lo, hi) in enumerate(band_set.gap_intervals(), start=1):
         width = hi - lo
         central = (q % 2 == 0 and j == q // 2)
         if width <= min_width and not central:
             continue
         m, n = gap_label(j, freq)
-        out.append(GapRecord(freq, float(beta), j, float(lo), float(hi),
-                             Fraction(j, q), (m, n), n, width > min_width))
+        out.append((j, float(lo), float(hi), m, n, width > min_width))
     return out
 
 
@@ -421,10 +430,10 @@ def dual_check(freq: RationalFrequency, beta: float) -> DualityReport:
     """Compare the band set at beta against beta times the set at 1/beta."""
     if beta <= 0:
         raise ValueError("coupling must be positive")
-    bands = band_edges(chambers(freq, beta, verify=False))
+    bands = corner_bands(freq, beta)
     if beta == 1.0:
         return DualityReport(freq, beta, 0.0)
-    dual = band_edges(chambers(freq, 1.0 / beta, verify=False))
+    dual = corner_bands(freq, 1.0 / beta)
     scaled = [(beta * lo, beta * hi) for lo, hi in dual.bands]
     return DualityReport(freq, float(beta), hausdorff_intervals(bands.bands, scaled))
 
@@ -465,8 +474,7 @@ def track_gap(label, freq: RationalFrequency, beta_grid, min_width: float = 1e-9
     j = label_to_index(label, freq)
     widths = []
     for beta in grid:
-        bands = band_edges(chambers(freq, beta, verify=False))
-        lo, hi = bands.gap_intervals()[j - 1]
+        lo, hi = corner_bands(freq, beta).gap_intervals()[j - 1]
         widths.append(max(hi - lo, 0.0))
     return GapTrack(freq, tuple(label), j, tuple(grid), tuple(widths),
                     tuple(w > min_width for w in widths))

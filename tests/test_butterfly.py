@@ -1,12 +1,28 @@
+import json
+
 import numpy as np
 import pytest
 
-from harperlab import (RationalFrequency, butterfly_fractions, compute_butterfly,
-                       hall_color, parse_dataset, persistence_sweep,
-                       phi_cumulative, render, serialize_dataset, track_gap)
+import harperlab.butterfly as butterfly_module
+from harperlab import (ChambersError, RationalFrequency, butterfly_fractions,
+                       component_count, compute_butterfly, hall_color,
+                       parse_dataset, persistence_sweep, phi_cumulative, render,
+                       serialize_dataset, track_gap)
 from conftest import oracle_band_sweep
 
 F = RationalFrequency
+
+
+def fail_one_fraction(monkeypatch, p, q):
+    """Make the in-process row worker fail at p/q only."""
+    real = butterfly_module.corner_bands
+
+    def flaky(freq, beta):
+        if (freq.p, freq.q) == (p, q):
+            raise ChambersError("synthetic")
+        return real(freq, beta)
+
+    monkeypatch.setattr(butterfly_module, "corner_bands", flaky)
 
 
 def test_fraction_enumeration_order_and_count():
@@ -51,11 +67,45 @@ def test_checkpoint_resume_byte_identical(tmp_path):
     assert serialize_dataset(resumed) == full
 
 
+def journal_lines(path):
+    return [json.loads(ln) for ln in path.read_text().splitlines()]
+
+
+def test_checkpoint_resume_after_torn_line(tmp_path):
+    ck = tmp_path / "state.jsonl"
+    full = serialize_dataset(compute_butterfly(6, 0.7))
+    compute_butterfly(6, 0.7, checkpoint_path=str(ck), checkpoint_every=2,
+                      max_completions=5)
+    text = ck.read_text()
+    ck.write_text(text[:-20])  # an append interrupted mid-line
+    assert not ck.read_text().endswith("\n")
+    resumed = compute_butterfly(6, 0.7, checkpoint_path=str(ck), checkpoint_every=2)
+    assert resumed.provenance["complete"]
+    assert serialize_dataset(resumed) == full
+    assert len(journal_lines(ck)) == 1 + len(resumed.rows)
+
+
+def test_journal_holds_header_and_one_line_per_row(tmp_path):
+    ck = tmp_path / "state.jsonl"
+    ds = compute_butterfly(6, 0.7, checkpoint_path=str(ck), checkpoint_every=3)
+    head, *payloads = journal_lines(ck)
+    assert head == {"config": ds.provenance["config"]}
+    assert sorted((p[0], p[1]) for p in payloads) == sorted((r.freq.p, r.freq.q)
+                                                            for r in ds.rows)
+    # a finished journal is reused as is: nothing recomputed, nothing appended
+    before = ck.read_bytes()
+    again = compute_butterfly(6, 0.7, checkpoint_path=str(ck), max_completions=0)
+    assert again.provenance["complete"] and ck.read_bytes() == before
+
+
 def test_checkpoint_config_mismatch_is_ignored(tmp_path):
     ck = tmp_path / "state.json"
     compute_butterfly(4, 0.7, checkpoint_path=str(ck))
     ds = compute_butterfly(4, 0.9, checkpoint_path=str(ck))  # different coupling
     assert ds.provenance["complete"]
+    # the journal was started afresh under the new configuration
+    assert journal_lines(ck)[0] == {"config": ds.provenance["config"]}
+    assert len(journal_lines(ck)) == 1 + len(ds.rows)
     fresh = serialize_dataset(compute_butterfly(4, 0.9))
     assert serialize_dataset(ds) == fresh
 
@@ -157,4 +207,27 @@ def test_error_rows_serialize_as_comments():
                               provenance=ds.provenance)
     text = serialize_dataset(broken)
     assert any(ln.startswith("# error,") for ln in text.splitlines())
-    parse_dataset(text)  # error comments are skipped on re-read
+    back = parse_dataset(text)  # error comments come back as error rows
+    assert [r.error for r in back.rows] == [None, None, "ValueError: synthetic", None, None]
+
+
+def test_error_rows_mark_incomplete_and_block_component_counts(monkeypatch):
+    fail_one_fraction(monkeypatch, 2, 5)
+    ds = compute_butterfly(5, 1.0)
+    assert len(ds.rows) == phi_cumulative(5) + 1
+    assert not ds.provenance["complete"]
+    back = parse_dataset(serialize_dataset(ds))
+    assert {(r.freq.p, r.freq.q): r.error for r in back.rows if r.error} == {
+        (2, 5): "ChambersError: synthetic"}
+    with pytest.raises(ValueError, match="error rows"):
+        component_count(back, 1)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
+def test_order_80_has_no_error_rows(beta):
+    # thin bands (2/43 at beta = 1, widths near 5e-11) once failed as error rows
+    ds = compute_butterfly(80, beta, workers=2)
+    assert len(ds.rows) == phi_cumulative(80) + 1
+    assert [r.freq for r in ds.rows if r.error] == []
+    assert ds.provenance["complete"]
+    assert all(len(r.bands) == r.freq.q for r in ds.rows)

@@ -133,6 +133,18 @@ def test_butterfly_render_count_components(tmp_path, capsys):
     assert doc["predicted"] == 2 and doc["observed"] <= 2
 
 
+def test_butterfly_partial_failure_exit_status(tmp_path, capsys, monkeypatch):
+    from test_butterfly import fail_one_fraction
+    from harperlab.cli import EXIT_PARTIAL
+    fail_one_fraction(monkeypatch, 2, 5)
+    ds_file = tmp_path / "fly.csv"
+    code, _, err = run(["butterfly", "--qmax", "5", "--beta", "1.0", "--workers", "1",
+                        "--out", str(ds_file)], capsys)
+    assert code == EXIT_PARTIAL and code not in (0, 1, 2)
+    assert err == "1 of 11 fractions failed\n"
+    assert "# error,2,5,ChambersError: synthetic" in ds_file.read_text().splitlines()
+
+
 def test_identical_config_identical_bytes(tmp_path, capsys):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for f in (f1, f2):

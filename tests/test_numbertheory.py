@@ -170,6 +170,15 @@ def test_component_count_monotone_in_order():
             last[k] = obs
 
 
+def test_component_counts_at_order_60_match_prediction():
+    # error rows used to break Farey-neighbour chains: 20 and 24 components
+    ds = compute_butterfly(60, 1.0, workers=2)
+    for hall, predicted in ((1, 2), (2, 6)):
+        cc = component_count(ds, hall)
+        assert cc.predicted == predicted
+        assert cc.observed == predicted
+
+
 def test_component_count_rejects_nonpositive_hall():
     ds = compute_butterfly(4, 1.0)
     with pytest.raises(ValueError):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harperlab import (ChambersError, RationalFrequency, band_edges, chambers,
-                       dual_check, gap_label, gaps, hausdorff_intervals, ids,
-                       track_gap)
+                       corner_bands, dual_check, gap_label, gaps,
+                       hausdorff_intervals, ids, track_gap)
 from conftest import (interval_union_distance, oracle_band_sweep,
-                      oracle_gap_label, oracle_ids_counting)
+                      oracle_gap_label, oracle_harper, oracle_ids_counting)
 
 
 def F(p, q):
@@ -54,6 +54,37 @@ def test_band_edges_against_dense_sweep():
         for (lo, hi), (olo, ohi) in zip(bands.bands, oracle):
             assert abs(lo - olo) <= 1e-8
             assert abs(hi - ohi) <= 1e-8
+
+
+@pytest.mark.parametrize("p, q", [(73, 144), (307, 610)])
+@pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
+def test_thin_band_fractions(p, q, beta):
+    """Bands and gaps down to roundoff width, where the center-phase
+    near-degeneracy guard of `chambers` fires (all but 73/144 at 0.3)."""
+    bands = corner_bands(F(p, q), beta)
+    widths = [hi - lo for lo, hi in bands.bands]
+    assert min(widths) < 1e-6  # the data does contain thin bands
+    edges = [x for iv in bands.bands for x in iv]
+    assert len(bands.bands) == q and edges == sorted(edges)
+    # independent complex assembly in the uniform gauge, both corners
+    oracle = np.sort(np.concatenate([np.linalg.eigvalsh(oracle_harper(p, q, beta, t, t))
+                                     for t in (0.0, np.pi / q)]))
+    assert np.max(np.abs(np.array(edges) - oracle)) <= 1e-12
+    recs = gaps(F(p, q), beta)
+    assert recs and [g.j for g in recs] == sorted({g.j for g in recs})
+    assert all(g.label[0] * q + g.label[1] * p == g.j and g.lo <= g.hi for g in recs)
+
+
+def test_corner_bands_rejects_negative_coupling():
+    with pytest.raises(ValueError):
+        corner_bands(F(1, 3), -0.5)
+
+
+def test_band_edges_wraps_corner_bands_and_keeps_chambers():
+    ch = chambers(F(5, 8), 0.7, verify=False)
+    wrapped = band_edges(ch)
+    assert wrapped.bands == corner_bands(F(5, 8), 0.7).bands
+    assert wrapped.chambers is ch
 
 
 def test_band_edges_free_case_single_band():
