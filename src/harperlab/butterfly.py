@@ -18,7 +18,7 @@ from fractions import Fraction
 from .rationals import RationalFrequency
 from .numbertheory import farey
 from .spectrum import (GAP_CSV_HEADER, GapRecord, _fmt, _gap_tuples, corner_bands,
-                       label_to_index, track_gap)
+                       gap_label, track_gap)
 
 FORMAT_VERSION = "1"
 
@@ -349,29 +349,21 @@ class PersistenceReport:
 
 def persistence_sweep(freqs, beta_grid, max_hall: int = 3,
                       min_width: float = 1e-9) -> PersistenceReport:
-    """Track every label with 0 < |n| <= max_hall across the coupling grid.
+    """Track every gap whose `gap_label` has |n| <= max_hall across the coupling grid.
 
-    The even-q central label (the permanently touching gap) is excluded from
-    closure flagging; everything else must stay open at every coupling.
+    Each gap is tracked once, under its own label, so the even-q central gap
+    (the permanently touching one) appears once, as n = +q/2, and is
+    excluded from closure flagging; everything else must stay open at every
+    coupling.
     """
     freqs = list(freqs)
     grid = tuple(float(b) for b in beta_grid)
     tracks = []
     flags = []
     for freq in freqs:
-        labels = []
-        for n in range(-max_hall, max_hall + 1):
-            if n == 0:
+        for label, j in sorted((gap_label(j, freq), j) for j in range(1, freq.q)):
+            if abs(label[1]) > max_hall:
                 continue
-            j = (n * freq.p) % freq.q
-            if not 1 <= j <= freq.q - 1:
-                continue
-            m = (j - n * freq.p) // freq.q
-            if abs(n) > freq.q / 2:
-                continue
-            labels.append((m, n))
-        for label in sorted(set(labels)):
-            j = label_to_index(label, freq)
             central = freq.q % 2 == 0 and j == freq.q // 2
             track = track_gap(label, freq, grid, min_width=min_width)
             tracks.append(track)

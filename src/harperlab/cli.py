@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .rationals import RationalFrequency, convergents, named_continued_fraction
 from .rotation import build_rep, build_uv, hamiltonian, lam_phase, max_norm, monomial, sigma_images, rho_images
-from .spectrum import (GAP_CSV_HEADER, band_edges, chambers, dual_check,
+from .spectrum import (GAP_CSV_HEADER, _fmt, band_edges, chambers, dual_check,
                        gap_label, gaps, ids, track_gap)
 from .lyapunov import (critical_scan, gradient, hessian, lyapunov_thouless,
                        lyapunov_trace, lyapunov_transfer)
@@ -36,10 +36,6 @@ COMMANDS = ("spectrum", "gaps", "ids", "label", "lyapunov", "gradient",
 
 # `butterfly` wrote its dataset, but some fractions are error rows
 EXIT_PARTIAL = 3
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,10 +20,8 @@ import numpy as np
 
 from .rationals import RationalFrequency, pi_fraction_trig
 from .rotation import PhaseGrid
-from .spectrum import band_edges, chambers
+from .spectrum import band_edges, chambers, harper_matrix
 from .lyapunov import gradient
-
-TWO_PI = 2.0 * np.pi
 
 SIGN_CONVENTION = "resolvent (h-z)^-1; trace normalized; w(p;qe) = exp(-i pi a p qe) u^p v^qe"
 
@@ -103,22 +101,16 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float, window: in
     t1, t2 = grid.nodes()
     j = np.arange(q)
     omega_pow = np.exp(2j * np.pi * ((np.outer(j, np.arange(q)) * freq.p) % q) / q)  # [j, m]
+    # harper_matrix carries the hopping phase on the closing bond; the
+    # clock/shift gauge of the traces is R[k, j] = R'[k, j] exp(i (k - j) theta2)
+    gauge = np.exp(1j * (j[:, None] - j[None, :]) * t2[:, None, None])  # [b, k, j]
 
     # traces T[m, s, a, b] = (1/q) tr(R Omega^m Sigma^s) on the grid
     traces = np.zeros((q, q, n1, n2), dtype=complex)
-    h = np.zeros((n2, q, q), dtype=complex)
-    base_diag = 2.0 * np.cos(t1[:, None] + TWO_PI * ((j * freq.p) % q) / q)  # [a, j]
-    hop_row = beta * np.exp(1j * t2)  # [b]
     for a in range(n1):
-        h[:] = 0.0
-        h[:, j, j] = base_diag[a]
-        if q == 1:
-            h[:, 0, 0] += 2.0 * beta * np.cos(t2)
-        else:
-            h[:, j, (j - 1) % q] += hop_row[:, None]
-            h[:, (j - 1) % q, j] += np.conj(hop_row)[:, None]
+        h = harper_matrix(freq, beta, t1[a], t2)
         h[:, j, j] -= z
-        R = np.linalg.inv(h)  # [b, q, q]
+        R = np.linalg.inv(h) * gauge  # [b, q, q]
         for s in range(q):
             diag_s = R[:, (j - s) % q, j]  # [b, k]
             traces[:, s, a, :] = (diag_s @ omega_pow).T / q  # [m, b]

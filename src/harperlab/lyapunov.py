@@ -25,11 +25,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .rationals import RationalFrequency
-from .spectrum import BandSet, ChambersData, band_edges, chambers, ids
+from .rationals import TWO_PI, RationalFrequency
+from .spectrum import BandSet, ChambersData, band_edges, chambers, harper_matrix, ids
 from ._torus import averages
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z, grid_size: int | Non
         raise ValueError(f"z={z} is within {min_distance} of the spectrum")
     if grid_size is None:
         if float(np.imag(z)) == 0.0:
-            m = abs(float(ch.P(float(np.real(z))))) - ch.amplitude
+            m = abs(ch.P(float(np.real(z)))) - ch.amplitude
             m = max(m, 1e-15)
             strip = min(np.arccosh(1.0 + m / 2.0),
                         np.arccosh(1.0 + m / max(abs(ch.c2), 1e-300)))
@@ -207,20 +205,9 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z, grid_size: int | Non
     q = freq.q
     n = grid_size
     t = TWO_PI * np.arange(n) / (n * q)  # fundamental domain suffices
-    j = np.arange(q)
-    diags = 2.0 * np.cos(t[:, None] + TWO_PI * ((j * freq.p) % q) / q)
     total = 0.0
-    h = np.zeros((n, q, q), dtype=complex)
-    for b in t:
-        h[:] = 0.0
-        h[:, j, j] = diags
-        if q == 1:
-            h[:, 0, 0] += 2.0 * beta * np.cos(b)
-        else:
-            hop = beta * np.exp(1j * b)
-            h[:, j, (j - 1) % q] += hop
-            h[:, (j - 1) % q, j] += np.conj(hop)
-        lam = np.linalg.eigvalsh(h)
+    for a in t:
+        lam = np.linalg.eigvalsh(harper_matrix(freq, beta, a, t))
         total += float(np.sum(np.log(np.abs(lam - z)))) / q
     return LyapunovValue(float(beta), z, total / (n * n), "trace")
 
@@ -232,7 +219,7 @@ def log_potential(ch: ChambersData, z: float) -> float:
     collapses to a single analytic integral once the first cosine is
     averaged in closed form.
     """
-    vals = averages(float(ch.P(z)), ch.c1, ch.c2, ("log",))
+    vals = averages(ch.P(z), ch.c1, ch.c2, ("log",))
     return vals["log"] / ch.q
 
 
@@ -257,10 +244,11 @@ def gradient(freq: RationalFrequency, beta: float, z: float,
     if bands.distance(z) < edge_distance:
         raise ValueError(f"z={z} is within {edge_distance} of a band edge")
     q = freq.q
-    av = averages(float(ch.P(z)), ch.c1, ch.c2, ("m1", "n1"))
-    g0 = float(ch.dP(z)) * av["m1"] / q
+    P, dP, dbP = ch.jet(z, 1)
+    av = averages(P, ch.c1, ch.c2, ("m1", "n1"))
+    g0 = dP * av["m1"] / q
     dc2 = -2.0 * q * beta ** (q - 1)
-    two_g1 = (ch.dbeta_P(z) * av["m1"] + dc2 * av["n1"]) / q
+    two_g1 = (dbP * av["m1"] + dc2 * av["n1"]) / q
     return GradientRecord(float(beta), float(z), float(g0), float(0.5 * two_g1))
 
 
@@ -279,9 +267,8 @@ def hessian(freq: RationalFrequency, beta: float, z: float,
     if bands.distance(z) < edge_distance:
         raise ValueError(f"z={z} is within {edge_distance} of a band edge")
     q = freq.q
-    av = averages(float(ch.P(z)), ch.c1, ch.c2, ("m1", "m2", "n1", "n2", "k2"))
-    dP, d2P = float(ch.dP(z)), float(ch.d2P(z))
-    dbP, dbdP, d2bP = ch.dbeta_P(z), ch.dbeta_dP(z), ch.d2beta_P(z)
+    P, dP, d2P, dbP, dbdP, d2bP = ch.jet(z)
+    av = averages(P, ch.c1, ch.c2, ("m1", "m2", "n1", "n2", "k2"))
     dc2 = -2.0 * q * beta ** (q - 1)
     d2c2 = -2.0 * q * (q - 1) * beta ** (q - 2)
     d2z = (d2P * av["m1"] - dP * dP * av["m2"]) / q
@@ -324,7 +311,7 @@ def critical_scan(freq: RationalFrequency, beta: float, gap,
         raise ValueError(f"gap {gap.label} at {freq} is closed")
     width = hi - lo
     eps = width * 1e-9
-    f = lambda E: float(ch.dP(E))
+    f = ch.dP
     a, b = lo + eps, hi - eps
     fa, fb = f(a), f(b)
     if fa * fb > 0:  # should not happen: P' has exactly one simple zero here

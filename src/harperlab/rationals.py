@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True, order=True)
 class RationalFrequency:

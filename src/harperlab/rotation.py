@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rationals import RationalFrequency, pi_fraction_trig
-
-TWO_PI = 2.0 * np.pi
+from .rationals import TWO_PI, RationalFrequency, pi_fraction_trig
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ polynomial plus two pure cosines,
 
     det(E - H(t1, t2)) = P(E) + c1 cos(q t1) + c2 cos(q t2),
 
-with c1 = -2 and c2 = -2 beta^q in the clock/shift gauge.  Everything here
-rides on that decomposition: band edges are eigenvalues of the two corner
-matrices (cosines = +-1), the IDS inside a band is the torus measure of a
+with c1 = -2 and c2 = -2 beta^q.  P is the trace of the transfer product
+prod_n [[E - V_n, -beta^2], [1, 0]] over the potentials V_n at the center
+phase, where both cosines vanish (Chambers' relation); its value and its
+partials in E and beta come from one forward-mode pass of that three-term
+recurrence.  Band edges are eigenvalues of the two corner matrices
+(cosines = +-1), the IDS inside a band is the torus measure of a
 half-space, and gap labels solve a congruence.
 """
 
@@ -18,53 +21,61 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rationals import RationalFrequency
-
-
-TWO_PI = 2.0 * np.pi
+from .rationals import TWO_PI, RationalFrequency
 
 
 class ChambersError(RuntimeError):
     """Raised when the determinant fails its phase-independence check."""
 
 
-def harper_matrix(freq: RationalFrequency, beta: float, theta1: float, theta2: float) -> np.ndarray:
-    """The q x q Harper matrix at fixed phases; beta = 0 is allowed here.
+def _potential(freq: RationalFrequency, theta1) -> np.ndarray:
+    """Harper diagonal 2 cos(theta1 + 2 pi j p / q), shape theta1.shape + (q,)."""
+    q = freq.q
+    return 2.0 * np.cos(np.asarray(theta1, dtype=float)[..., None]
+                        + TWO_PI * ((np.arange(q) * freq.p) % q) / q)
 
-    The gauge puts the whole hopping phase q theta2 on the closing bond
-    (q-1, 0) and leaves every other bond at beta, so the matrix is real
-    wherever cos(q theta2) = +-1.
+
+def harper_matrix(freq: RationalFrequency, beta: float, theta1, theta2) -> np.ndarray:
+    """The q x q Harper matrix at phases (theta1, theta2); beta = 0 is allowed here.
+
+    The phases broadcast against each other and the result has shape
+    broadcast(theta1, theta2).shape + (q, q), so one call assembles a whole
+    phase sample for a batched eigensolve or inverse.  The gauge puts the
+    whole hopping phase q theta2 on the closing bond (q-1, 0) and leaves
+    every other bond at beta, so the matrix is real wherever
+    cos(q theta2) = +-1.
     """
     q = freq.q
+    theta2 = np.asarray(theta2, dtype=float)
+    diag = _potential(freq, theta1)  # before broadcasting: one cosine per phase given
+    h = np.zeros(np.broadcast_shapes(diag.shape[:-1], theta2.shape) + (q, q), dtype=complex)
     j = np.arange(q)
-    diag = 2.0 * np.cos(theta1 + TWO_PI * ((j * freq.p) % q) / q)
-    h = np.zeros((q, q), dtype=complex)
-    h[j, j] = diag
+    h[..., j, j] = diag
     if q == 1:
-        h[0, 0] += 2.0 * beta * np.cos(theta2)
+        h[..., 0, 0] += 2.0 * beta * np.cos(theta2)
     else:
-        hop = np.full(q, beta, dtype=complex)
-        hop[0] = beta * np.exp(1j * q * theta2)
-        h[j, (j - 1) % q] += hop
-        h[(j - 1) % q, j] += np.conj(hop)
+        h[..., j[1:], j[:-1]] = beta
+        h[..., j[:-1], j[1:]] = beta
+        closing = beta * np.exp(1j * q * theta2)
+        h[..., 0, q - 1] += closing
+        h[..., q - 1, 0] += np.conj(closing)
     return h
 
 
 @dataclass(frozen=True)
 class ChambersData:
-    """Phase-independent polynomial data of det(E - H).
+    """Phase-independent data of det(E - H): center potentials and cosine amplitudes.
 
-    P is stored through its roots (the center-phase eigenvalues), which keeps
-    every evaluation near the spectrum well conditioned; `dlam`/`d2lam` are
-    the first and second coupling derivatives of those roots, so coupling
-    derivatives of P are available in closed form.
+    P(E) is the trace of prod_n [[E - V_n, -beta^2], [1, 0]] over
+    `potential`, the Harper diagonal V_n at the center phase
+    t1 = pi/(2q), where cos(q t1) = 0 (Chambers' relation).  `jet` gives P
+    and its partials in (E, beta) from one pass of that recurrence, O(q)
+    per call and without any eigensolve.
     """
 
     freq: RationalFrequency
     beta: float
-    lam: np.ndarray = field(repr=False)
-    dlam: np.ndarray = field(repr=False)
-    d2lam: np.ndarray = field(repr=False)
+    potential: tuple = field(repr=False)
     c1: float
     c2: float
 
@@ -78,93 +89,95 @@ class ChambersData:
         return abs(self.c1) + abs(self.c2)
 
     @property
+    def lam(self) -> np.ndarray:
+        """Zeros of P, one per band: the center-phase eigenvalues (for reporting)."""
+        t = np.pi / (2.0 * self.q)
+        return np.linalg.eigvalsh(harper_matrix(self.freq, self.beta, t, t))
+
+    @property
     def poly(self) -> np.ndarray:
         """Monic coefficients of P, highest degree first (for reporting)."""
         return np.poly(self.lam)
 
+    def jet(self, E, order: int = 2):
+        """P and its partials up to total order 0, 1 or 2 at E (a float or an array).
+
+        Returns (P,), (P, P', dP/dbeta) or
+        (P, P', P'', dP/dbeta, dP'/dbeta, d2P/dbeta2).  Both columns of the
+        running product obey x_n = (E - V_n) x_{n-1} - s x_{n-2} with
+        s = beta^2, from (x_0, x_{-1}) = (1, 0) and (0, 1); the trace is the
+        first column's last entry plus the second column's last but one.
+        The partials in (E, s) ride along by forward-mode differentiation,
+        each order only when requested, and the chain rule to beta is
+        applied at the end.  A value outside the float64 range raises
+        ArithmeticError.
+        """
+        E = np.asarray(E, dtype=float) if np.ndim(E) else float(E)
+        s = self.beta * self.beta
+        u, up, v, vp = 1.0, 0.0, 0.0, 1.0
+        ue = us = upe = ups = ve = vs = vpe = vps = 0.0
+        uee = ues = uss = upee = upes = upss = 0.0
+        vee = ves = vss = vpee = vpes = vpss = 0.0
+        for w in self.potential:
+            a = E - w
+            if order:  # higher partials first: each reads the old lower ones
+                if order == 2:
+                    uee, ues, uss, upee, upes, upss = (
+                        2.0 * ue + a * uee - s * upee, us + a * ues - upe - s * upes,
+                        a * uss - 2.0 * ups - s * upss, uee, ues, uss)
+                    vee, ves, vss, vpee, vpes, vpss = (
+                        2.0 * ve + a * vee - s * vpee, vs + a * ves - vpe - s * vpes,
+                        a * vss - 2.0 * vps - s * vpss, vee, ves, vss)
+                ue, us, upe, ups = u + a * ue - s * upe, a * us - up - s * ups, ue, us
+                ve, vs, vpe, vps = v + a * ve - s * vpe, a * vs - vp - s * vps, ve, vs
+            u, up = a * u - s * up, u
+            v, vp = a * v - s * vp, v
+        P, Pe, Ps, b2 = u + vp, ue + vpe, us + vps, 2.0 * self.beta
+        if order == 0:
+            out = (P,)
+        elif order == 1:
+            out = (P, Pe, b2 * Ps)
+        else:
+            out = (P, Pe, uee + vpee, b2 * Ps, b2 * (ues + vpes),
+                   2.0 * Ps + 4.0 * s * (uss + vpss))
+        if not np.all(np.isfinite(out)):
+            raise ArithmeticError(f"P or its derivatives leave the float64 range at "
+                                  f"q={self.q}, E={E}")
+        return out
+
     def P(self, E):
-        E = np.asarray(E, dtype=float)
-        return np.prod(E[..., None] - self.lam, axis=-1)
+        return self.jet(E, 0)[0]
 
     def dP(self, E):
-        """P'(E), stable both near and away from the roots."""
-        E = np.asarray(E, dtype=float)
-        diffs = E[..., None] - self.lam
-        q = self.q
-        out = np.zeros_like(E, dtype=float)
-        # sum of products over all roots but one
-        for i in range(q):
-            out = out + np.prod(np.delete(diffs, i, axis=-1), axis=-1)
-        return out
+        return self.jet(E, 1)[1]
 
     def d2P(self, E):
-        E = float(E)
-        r = 1.0 / (E - self.lam)
-        s1 = np.sum(r)
-        s2 = np.sum(r * r)
-        return self.P(E) * (s1 * s1 - s2)
+        return self.jet(E)[2]
 
     def dbeta_P(self, E):
-        """d/dbeta P(E) via the coupling derivatives of the roots."""
-        E = float(E)
-        diffs = E - self.lam
-        out = 0.0
-        for i in range(self.q):
-            out -= self.dlam[i] * np.prod(np.delete(diffs, i))
-        return out
+        return self.jet(E, 1)[2]
 
     def dbeta_dP(self, E):
-        """d/dbeta P'(E)."""
-        E = float(E)
-        r = 1.0 / (E - self.lam)
-        Pz = self.P(E)
-        t1 = -np.sum(self.dlam * r)
-        t1p = np.sum(self.dlam * r * r)
-        return self.dP(E) * t1 + Pz * t1p
+        return self.jet(E)[4]
 
     def d2beta_P(self, E):
-        E = float(E)
-        r = 1.0 / (E - self.lam)
-        Pz = self.P(E)
-        t1 = -np.sum(self.dlam * r)
-        return Pz * (-np.sum(self.d2lam * r) + t1 * t1 - np.sum(self.dlam ** 2 * r * r))
+        return self.jet(E)[5]
 
 
 def chambers(freq: RationalFrequency, beta: float, verify: bool = True,
              tol: float = 1e-10) -> ChambersData:
     """Determinant decomposition at coupling beta >= 0.
 
-    The polynomial roots come from the matrix at center phases
-    (cos(q theta) = 0 for both angles); the cosine amplitudes are the exact
-    path sums c1 = -2 and c2 = -2 beta^q.  With verify=True the claimed
-    phase independence is checked on a 5 x 5 phase sample.
+    Stores the q center potentials that define P and the exact cosine
+    amplitudes c1 = -2 and c2 = -2 beta^q; no eigensolve runs.  With
+    verify=True, det(-H) minus both cosines is compared with P(0) on a
+    5 x 5 phase sample.
     """
-    if freq.q < 1:
-        raise ValueError("need q >= 1")
     if beta < 0:
         raise ValueError(f"coupling must be nonnegative, got {beta}")
     q = freq.q
-    t_star = np.pi / (2.0 * q)
-    h0 = harper_matrix(freq, beta, t_star, t_star)
-    lam, vecs = np.linalg.eigh(h0)
-    if q > 1 and float(np.min(np.diff(lam))) < 1e-10:
-        # center-phase energies sit in distinct band interiors; a collision
-        # would poison the coupling derivatives, so fail loudly
-        raise ChambersError(f"near-degenerate center-phase spectrum at {freq}, "
-                            f"beta={beta}")
-    # H is affine in beta, so its coupling derivative is the hopping part
-    # alone, in the same gauge as h0
-    dh = harper_matrix(freq, 1.0, t_star, t_star) - harper_matrix(freq, 0.0, t_star, t_star)
-    w = vecs.conj().T @ dh @ vecs
-    dlam = np.diag(w).real.copy()
-    d2lam = np.zeros(q)
-    for i in range(q):
-        gaps_i = lam[i] - lam
-        gaps_i[i] = np.inf
-        d2lam[i] = 2.0 * np.sum(np.abs(w[i, :]) ** 2 / gaps_i)
-    c1 = -2.0
-    c2 = -2.0 * beta ** q
-    data = ChambersData(freq, float(beta), lam, dlam, d2lam, c1, c2)
+    data = ChambersData(freq, float(beta), tuple(_potential(freq, np.pi / (2.0 * q)).tolist()),
+                        -2.0, -2.0 * beta ** q)
     if verify:
         _verify_phase_independence(data, tol)
     return data
@@ -172,17 +185,12 @@ def chambers(freq: RationalFrequency, beta: float, verify: bool = True,
 
 def _verify_phase_independence(ch: ChambersData, tol: float):
     q = ch.q
-    base = None
-    worst = 0.0
-    scale = max(1.0, float(np.max(np.abs(ch.lam))) ** q)
-    for a in np.linspace(0.13, TWO_PI / q, 5):
-        for b in np.linspace(0.31, TWO_PI / q, 5):
-            lam_ab = np.linalg.eigvalsh(harper_matrix(ch.freq, ch.beta, a, b))
-            det0 = np.prod(-lam_ab)  # det(0 - H)
-            resid = det0 - ch.c1 * np.cos(q * a) - ch.c2 * np.cos(q * b)
-            if base is None:
-                base = resid
-            worst = max(worst, abs(resid - base))
+    a, b = np.meshgrid(np.linspace(0.13, TWO_PI / q, 5), np.linspace(0.31, TWO_PI / q, 5),
+                       indexing="ij")
+    lam = np.linalg.eigvalsh(harper_matrix(ch.freq, ch.beta, a, b))
+    resid = np.prod(-lam, axis=-1) - ch.c1 * np.cos(q * a) - ch.c2 * np.cos(q * b)
+    worst = float(np.max(np.abs(resid - ch.P(0.0))))
+    scale = max(1.0, float(np.max(np.abs(lam))) ** q)
     if worst > tol * scale:
         raise ChambersError(
             f"phase-independence residual {worst:.3e} exceeds {tol:.1e} x scale "
@@ -242,8 +250,8 @@ def corner_bands(freq: RationalFrequency, beta: float) -> BandSet:
     gauge of `harper_matrix` both corners are real symmetric: every bond is
     +beta, except the closing bond at theta2 = pi/q, which is -beta.  A
     touching gap appears as a degenerate corner eigenvalue and therefore
-    has width at roundoff scale, with no root finding and no
-    near-degeneracy guard, so exponentially thin bands pass.
+    has width at roundoff scale, with no root finding, so exponentially
+    thin bands pass.
     """
     if beta < 0:
         raise ValueError(f"coupling must be nonnegative, got {beta}")
@@ -363,8 +371,8 @@ class GapRecord:
 GAP_CSV_HEADER = "p,q,beta,gap_lo,gap_hi,ids_num,ids_den,m,n,width"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt(x) -> str:
+    return f"{float(x):.17g}"
 
 
 def gaps(freq: RationalFrequency, beta: float, min_width: float = 1e-9,

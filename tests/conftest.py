@@ -6,6 +6,7 @@ reduced phase domain, brute-force congruence search, rational arithmetic,
 and moment expansions.
 """
 
+import mpmath as mp
 import numpy as np
 from hypothesis import settings
 
@@ -27,6 +28,35 @@ def oracle_harper(p, q, beta, t1, t2):
     h[j, (j - 1) % q] += hop
     h[(j - 1) % q, j] += np.conj(hop)
     return h
+
+
+def oracle_center_jet(p, q, beta, energy, partials=True, dps=50):
+    """P and its partials from a dps-digit determinant at the center phase.
+
+    det(E - H) at t1 = t2 = pi/(2q), in the uniform gauge, is P(E) because
+    both cosines vanish there.  The partials come from mp.diff in the order
+    (P, dP/dE, d2P/dE2, dP/dbeta, d2P/dE dbeta, d2P/dbeta2); with
+    partials=False only (P,) is returned.  Values are mpf.
+    """
+    with mp.workdps(dps):
+        t = mp.pi / (2 * q)
+        diag = [2 * mp.cos(t + 2 * mp.pi * ((j * p) % q) / q) for j in range(q)]
+        hop = mp.expj(t)
+
+        def det(e, b):
+            m = mp.zeros(q, q)
+            for j in range(q):
+                m[j, j] = e - diag[j]
+                m[j, (j - 1) % q] -= b * hop
+                m[(j - 1) % q, j] -= b * mp.conj(hop)
+            return mp.re(mp.det(m))
+
+        e0, b0 = mp.mpf(energy), mp.mpf(beta)
+        if not partials:
+            return (det(e0, b0),)
+        in_e = list(mp.diffs(lambda e: det(e, b0), e0, 2))
+        in_b = list(mp.diffs(lambda b: det(e0, b), b0, 2))
+        return (in_e[0], in_e[1], in_e[2], in_b[1], mp.diff(det, (e0, b0), (1, 1)), in_b[2])
 
 
 def oracle_band_sweep(p, q, beta, n=32):

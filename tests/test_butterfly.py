@@ -182,6 +182,14 @@ def test_persistence_sweep_excludes_central_touching():
     assert all(not any(t.open_flags) for t in report.tracks)
 
 
+def test_persistence_sweep_tracks_each_gap_once():
+    # the central gap of 1/2 is one gap: tracked once, under its +q/2 label
+    report = persistence_sweep([F(1, 2)], [0.4, 0.8], max_hall=1)
+    assert [t.label for t in report.tracks] == [(0, 1)]
+    report = persistence_sweep([F(5, 8)], [0.5], max_hall=4)
+    assert sorted(t.j for t in report.tracks) == list(range(1, 8))
+
+
 def test_single_point_sweep_matches_track():
     report = persistence_sweep([F(2, 5)], [0.6], max_hall=1)
     for t in report.tracks:

@@ -198,6 +198,14 @@ def test_validation_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def test_gradient_beyond_float_range_exits_two(capsys):
+    # |P(5)| at 377/610, beta = 1 exceeds float64: refused, never printed as NaN
+    code, out, err = run(["gradient", "--alpha", "377/610", "--beta", "1", "--z", "5"], capsys)
+    assert code == 2
+    assert "error:" in err and "q=610" in err
+    assert "NaN" not in out
+
+
 def test_domain_errors_exit_two(capsys):
     code, _, err = run(["gradient", "--alpha", "1/3", "--beta", "0.5", "--z", "0.1"], capsys)
     assert code == 2

@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from harperlab import (ChambersError, RationalFrequency, band_edges, chambers,
-                       corner_bands, dual_check, gap_label, gaps,
-                       hausdorff_intervals, ids, track_gap)
-from conftest import (interval_union_distance, oracle_band_sweep,
+                       corner_bands, critical_scan, dual_check, gap_label, gaps,
+                       gradient, harper_matrix, hausdorff_intervals, ids,
+                       log_potential, track_gap)
+from harperlab.spectrum import _verify_phase_independence
+from conftest import (interval_union_distance, oracle_band_sweep, oracle_center_jet,
                       oracle_gap_label, oracle_harper, oracle_ids_counting)
 
 
@@ -59,8 +63,8 @@ def test_band_edges_against_dense_sweep():
 @pytest.mark.parametrize("p, q", [(73, 144), (307, 610)])
 @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0])
 def test_thin_band_fractions(p, q, beta):
-    """Bands and gaps down to roundoff width, where the center-phase
-    near-degeneracy guard of `chambers` fires (all but 73/144 at 0.3)."""
+    """Bands and gaps down to roundoff width, from the two corner
+    eigensolves alone: band widths below 1e-6 and gaps near 1e-15."""
     bands = corner_bands(F(p, q), beta)
     widths = [hi - lo for lo, hi in bands.bands]
     assert min(widths) < 1e-6  # the data does contain thin bands
@@ -73,6 +77,90 @@ def test_thin_band_fractions(p, q, beta):
     recs = gaps(F(p, q), beta)
     assert recs and [g.j for g in recs] == sorted({g.j for g in recs})
     assert all(g.label[0] * q + g.label[1] * p == g.j and g.lo <= g.hi for g in recs)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_thin_band_fraction_chambers_and_critical_point(beta):
+    freq = F(73, 144)
+    ch = chambers(freq, beta)  # verify=True: det(-H) minus the cosines against P(0)
+    g = max((g for g in gaps(freq, beta) if g.is_open), key=lambda g: g.width)
+    cp = critical_scan(freq, beta, g, ch=ch)
+    assert g.lo < cp.s_star < g.hi
+
+
+def test_chambers_without_verify_runs_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve called")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    ch = chambers(F(21, 34), 0.8, verify=False)
+    assert len(ch.potential) == 34 and len(ch.jet(0.3)) == 6
+    assert ch.P(0.3) == ch.jet(0.3, 0)[0] and ch.dP(0.3) == ch.jet(0.3, 1)[1]
+
+
+def test_verify_compares_the_determinant_with_the_continuant():
+    ch = chambers(F(5, 8), 0.7)
+    shifted = replace(ch, potential=(ch.potential[0] + 1e-6,) + ch.potential[1:])
+    with pytest.raises(ChambersError):
+        _verify_phase_independence(shifted, 1e-10)
+
+
+def test_jet_matches_the_eigenvalue_product():
+    # P is monic with the center-phase eigenvalues as roots
+    for (p, q, beta) in ((1, 2, 0.5), (3, 7, 0.9), (8, 13, 1.0)):
+        ch = chambers(F(p, q), beta, verify=False)
+        for e in (-4.1, 0.37, 2.9):
+            prod = float(np.prod(e - ch.lam))
+            assert abs(ch.P(e) - prod) <= 1e-12 * max(1.0, abs(prod))
+
+
+# errors relative to |P| that the earlier root-product form of P (center-phase
+# eigenvalues with perturbative coupling derivatives) met at the points below,
+# in the order of `jet`; its worst was at 21/34, beta = 1, for every entry
+JET_ORACLE_BOUNDS = (2.5e-13, 2e-11, 5e-9, 2e-11, 7e-9, 9e-9)
+
+
+def test_jet_against_mpmath_determinant():
+    """P and its five partials at nine gap midpoints against a 50-digit
+    determinant of the center-phase matrix differentiated by mp.diff; the
+    widest or the narrowest open gap of each fraction, all partials up to
+    q = 34, P alone at q = 55."""
+    points = [((3, 7), 0.5, max), ((5, 8), 1.0, min), ((8, 13), 0.3, max),
+              ((8, 13), 1.0, min), ((13, 21), 0.5, min), ((13, 21), 1.0, max),
+              ((21, 34), 1.0, min), ((34, 55), 0.5, min), ((34, 55), 1.0, max)]
+    worst = np.zeros(6)
+    for (p, q), beta, pick in points:
+        g = pick((g for g in gaps(F(p, q), beta) if g.is_open), key=lambda g: g.width)
+        ref = oracle_center_jet(p, q, beta, g.midpoint, partials=q <= 34)
+        got = chambers(F(p, q), beta, verify=False).jet(g.midpoint)
+        errs = [float(abs(mpmath.mpf(x) - r) / abs(ref[0])) for x, r in zip(got, ref)]
+        worst[:len(errs)] = np.maximum(worst[:len(errs)], errs)
+    assert np.all(worst <= JET_ORACLE_BOUNDS), f"errors relative to |P|: {worst}"
+
+
+def test_P_outside_the_float_range_is_refused():
+    freq, beta = F(377, 610), 1.0
+    ch = chambers(freq, beta, verify=False)
+    for call in (lambda: ch.P(5.0), lambda: ch.dP(5.0), lambda: ch.jet(5.0),
+                 lambda: log_potential(ch, 5.0), lambda: gradient(freq, beta, 5.0)):
+        with pytest.raises(ArithmeticError, match=r"q=610, E=5\.0"):
+            call()
+
+
+def test_harper_matrix_broadcasts_over_phases():
+    freq, beta = F(3, 7), 0.6
+    a = np.array([0.1, 0.7, 2.0])
+    b = np.array([[0.3], [1.1]])
+    batch = harper_matrix(freq, beta, a, b)
+    assert batch.shape == (2, 3, 7, 7)
+    for i in range(2):
+        for k in range(3):
+            single = harper_matrix(freq, beta, a[k], b[i, 0])
+            assert np.array_equal(batch[i, k], single)
+            # same spectrum as the independent uniform-gauge assembly
+            assert np.allclose(np.linalg.eigvalsh(single),
+                               np.linalg.eigvalsh(oracle_harper(3, 7, beta, a[k], b[i, 0])),
+                               atol=1e-13)
 
 
 def test_corner_bands_rejects_negative_coupling():
