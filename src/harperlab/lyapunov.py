@@ -128,20 +128,19 @@ def _long_product(alpha: float, beta: float, energy, n_theta: int, n_steps: int)
     return float(np.mean(total)) / n_steps
 
 
+def _graded_nodes(bands: BandSet, subdiv: int) -> list:
+    """subdiv+1 nodes per band, cosine-graded toward the edges."""
+    shape = (1.0 - np.cos(np.pi * np.arange(subdiv + 1) / subdiv)) / 2.0
+    return [lo + (hi - lo) * shape for lo, hi in bands.bands]
+
+
 @lru_cache(maxsize=256)
 def _ids_model(freq: RationalFrequency, beta: float, subdiv: int):
-    """Nodes and IDS values per band, cosine-graded toward the edges."""
-    ch = chambers(freq, beta, verify=False)
-    bands = band_edges(ch)
-    nodes_all, vals_all = [], []
-    kk = np.arange(subdiv + 1)
-    shape = (1.0 - np.cos(np.pi * kk / subdiv)) / 2.0
-    for lo, hi in bands.bands:
-        nodes = lo + (hi - lo) * shape
-        vals = np.array([ids(bands, x) for x in nodes])
-        nodes_all.append(nodes)
-        vals_all.append(vals)
-    return tuple(map(tuple, nodes_all)), tuple(map(tuple, vals_all))
+    """Nodes and IDS values per band, from one array-valued `ids` call per band."""
+    bands = band_edges(chambers(freq, beta, verify=False))
+    nodes_all = _graded_nodes(bands, subdiv)
+    return (tuple(map(tuple, nodes_all)),
+            tuple(tuple(ids(bands, nodes)) for nodes in nodes_all))
 
 
 def lyapunov_thouless(bands: BandSet, energy, ids_fn=None, subdiv: int = 64) -> LyapunovValue:
@@ -149,19 +148,15 @@ def lyapunov_thouless(bands: BandSet, energy, ids_fn=None, subdiv: int = 64) -> 
 
     The IDS is sampled on subdiv+1 graded nodes per band and treated as
     piecewise linear; each panel integrates log|E - E'| in closed form, so
-    the singularity at E' = E costs nothing.
+    the singularity at E' = E costs nothing.  A given ids_fn is called once
+    per node with a float.
     """
     if ids_fn is None and bands.chambers is not None:
         nodes_all, vals_all = _ids_model(bands.freq, bands.beta, subdiv)
     else:
-        fn = ids_fn if ids_fn is not None else (lambda x: ids(bands, x))
-        kk = np.arange(subdiv + 1)
-        shape = (1.0 - np.cos(np.pi * kk / subdiv)) / 2.0
-        nodes_all, vals_all = [], []
-        for lo, hi in bands.bands:
-            nodes = lo + (hi - lo) * shape
-            nodes_all.append(nodes)
-            vals_all.append([fn(x) for x in nodes])
+        nodes_all = _graded_nodes(bands, subdiv)
+        vals_all = [ids(bands, nodes) if ids_fn is None else [ids_fn(x) for x in nodes]
+                    for nodes in nodes_all]
     E = complex(energy)
     total = 0.0
     for nodes, vals in zip(nodes_all, vals_all):
@@ -184,9 +179,17 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z, grid_size: int | Non
                    min_distance: float = 1e-8) -> LyapunovValue:
     """tau(log|h - z|) by dense eigensolves over the phase torus.
 
-    The spectrum is 2 pi / q periodic in each phase, so the grid lives on
-    the fundamental domain.  Its size adapts to the analyticity strip of
-    the integrand, which shrinks as z approaches the spectrum.
+    The spectrum is 2 pi / q periodic in each phase, so the n x n grid
+    t_k = 2 pi k / (n q) lives on the fundamental domain.  Its size n adapts
+    to the analyticity strip of the integrand, which shrinks as z
+    approaches the spectrum.  The spectrum is also even in each phase
+    separately: complex conjugation maps H(t1, t2) to H(t1, -t2), and the
+    reflection j -> -j maps t1 to -t1.  So indices k and n - k carry the
+    same eigenvalues, and only k = 0..n//2 is solved on each axis, with
+    weight 2 on interior indices and 1 on k = 0 and, for even n, k = n/2:
+    (n//2 + 1)^2 eigensolves instead of n^2.  Neither symmetry uses the
+    determinant decomposition, so this route stays independent of the
+    other two.
     """
     ch = chambers(freq, beta, verify=False)
     bands = band_edges(ch)
@@ -202,13 +205,14 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z, grid_size: int | Non
             grid_size = int(np.clip(np.ceil(40.0 / strip), 32, 512))
         else:
             grid_size = int(np.clip(np.ceil(96.0 / np.sqrt(min(dist, 1.0))), 64, 512))
-    q = freq.q
-    n = grid_size
-    t = TWO_PI * np.arange(n) / (n * q)  # fundamental domain suffices
+    q, n = freq.q, grid_size
+    k = np.arange(n // 2 + 1)
+    t = TWO_PI * k / (n * q)
+    w = np.where((k == 0) | (2 * k == n), 1.0, 2.0)  # k and n - k fold onto one node
     total = 0.0
-    for a in t:
+    for a, wa in zip(t, w):
         lam = np.linalg.eigvalsh(harper_matrix(freq, beta, a, t))
-        total += float(np.sum(np.log(np.abs(lam - z)))) / q
+        total += wa * float(np.sum(w[:, None] * np.log(np.abs(lam - z)))) / q
     return LyapunovValue(float(beta), z, total / (n * n), "trace")
 
 

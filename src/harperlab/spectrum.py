@@ -171,7 +171,8 @@ def chambers(freq: RationalFrequency, beta: float, verify: bool = True,
     Stores the q center potentials that define P and the exact cosine
     amplitudes c1 = -2 and c2 = -2 beta^q; no eigensolve runs.  With
     verify=True, det(-H) minus both cosines is compared with P(0) on a
-    5 x 5 phase sample.
+    5 x 5 phase sample, to tol times the roundoff scale of the eigenvalue
+    product.
     """
     if beta < 0:
         raise ValueError(f"coupling must be nonnegative, got {beta}")
@@ -188,12 +189,18 @@ def _verify_phase_independence(ch: ChambersData, tol: float):
     a, b = np.meshgrid(np.linspace(0.13, TWO_PI / q, 5), np.linspace(0.31, TWO_PI / q, 5),
                        indexing="ij")
     lam = np.linalg.eigvalsh(harper_matrix(ch.freq, ch.beta, a, b))
-    resid = np.prod(-lam, axis=-1) - ch.c1 * np.cos(q * a) - ch.c2 * np.cos(q * b)
-    worst = float(np.max(np.abs(resid - ch.P(0.0))))
-    scale = max(1.0, float(np.max(np.abs(lam))) ** q)
-    if worst > tol * scale:
+    det = np.prod(-lam, axis=-1)
+    worst = float(np.max(np.abs(det - ch.c1 * np.cos(q * a) - ch.c2 * np.cos(q * b)
+                                - ch.P(0.0))))
+    # first-order roundoff of the eigenvalue product at each sample: every
+    # eigenvalue is exact to about eps max|lam|, so |lam_i| is exact to
+    # eps max|lam| / |lam_i| relative; the largest sample sets the scale
+    mag = np.abs(lam)
+    scale = float(np.max(np.abs(det) * np.sum(mag.max(axis=-1, keepdims=True) / mag,
+                                              axis=-1)))
+    if not worst <= tol * scale:
         raise ChambersError(
-            f"phase-independence residual {worst:.3e} exceeds {tol:.1e} x scale "
+            f"phase-independence residual {worst:.3e} exceeds {tol:.1e} x scale {scale:.3e} "
             f"at {ch.freq}, beta={ch.beta}"
         )
 
@@ -279,46 +286,49 @@ def band_edges(ch: ChambersData) -> BandSet:
     return replace(corner_bands(ch.freq, ch.beta), chambers=ch)
 
 
-def _band_measure(ch: ChambersData, E: float, n_psi: int = 2048) -> float:
-    """Torus measure of {D > 0} at energy E, D = P + c1 x + c2 y.
+def _band_measure(ch: ChambersData, E: np.ndarray, n_psi: int = 2048) -> np.ndarray:
+    """Torus measure of {D > 0} at each energy of a 1-d array, D = P + c1 x + c2 y.
 
     With c1 = -2 the inner measure over x is an arccos; the psi average is a
     trapezoid (the integrand has only square-root kinks, which the band
     interpolation tolerance absorbs).
     """
     psi = TWO_PI * np.arange(n_psi) / n_psi
-    t = (ch.P(E) + ch.c2 * np.cos(psi)) / 2.0
-    return float(np.mean(1.0 - np.arccos(np.clip(t, -1.0, 1.0)) / np.pi))
+    t = (ch.P(E)[:, None] + ch.c2 * np.cos(psi)) / 2.0
+    return np.mean(1.0 - np.arccos(np.clip(t, -1.0, 1.0)) / np.pi, axis=-1)
 
 
-def ids(bands: BandSet, E: float) -> float:
-    """Integrated density of states at energy E.
+def ids(bands: BandSet, E):
+    """Integrated density of states at energy E, a float or an array of floats.
 
     Each band carries weight 1/q; on the j-th gap the value is exactly j/q.
     Inside a band the fraction is the phase-torus measure where the energy
     counting includes the band, computed from the determinant decomposition
-    when available and by linear interpolation otherwise.
+    when available and by linear interpolation otherwise.  Band edges carry
+    exact counting values: the bottom of band i counts i - 1 bands and its
+    top counts i, so a point where bands i and i+1 touch counts i.  An
+    array gives an array of the same shape whose entries equal the scalar
+    calls bitwise; the torus measure holds len(E) x 2048 floats at once.
     """
     q = bands.q
-    if E <= bands.bands[0][0]:
-        return 0.0
-    if E >= bands.bands[-1][1]:
-        return 1.0
-    for i, (lo, hi) in enumerate(bands.bands, start=1):
-        if E < lo:
-            return (i - 1) / q
-        if lo <= E <= hi:
-            if E == lo:  # band edges carry exact counting values
-                return (i - 1) / q
-            if E == hi:
-                return i / q
-            if bands.chambers is None:
-                frac = (E - lo) / (hi - lo) if hi > lo else 0.5
-            else:
-                s = _band_measure(bands.chambers, E)
-                frac = s if (q - i) % 2 == 0 else 1.0 - s
-            return ((i - 1) + min(max(frac, 0.0), 1.0)) / q
-    return 1.0
+    x = np.asarray(E, dtype=float)
+    edges = np.asarray(bands.bands, dtype=float)
+    k = np.minimum(np.searchsorted(edges[:, 1], x), q - 1)  # first band whose top is >= x
+    lo, hi = edges[k, 0], edges[k, 1]
+    inside = (lo < x) & (x < hi)
+    frac = np.zeros(x.shape)
+    if np.any(inside):
+        xi, ki = x[inside], k[inside]
+        if bands.chambers is None:
+            f = (xi - lo[inside]) / (hi[inside] - lo[inside])
+        else:
+            s = _band_measure(bands.chambers, xi)
+            f = np.where((q - 1 - ki) % 2 == 0, s, 1.0 - s)
+        frac[inside] = np.clip(f, 0.0, 1.0)
+    counted = k + ((x == hi) & (x > lo))
+    out = np.where(x <= edges[0, 0], 0.0,
+                   np.where(x >= edges[-1, 1], 1.0, (counted + frac) / q))
+    return float(out) if out.ndim == 0 else out
 
 
 def gap_label(j: int, freq: RationalFrequency):

@@ -6,6 +6,8 @@ reduced phase domain, brute-force congruence search, rational arithmetic,
 and moment expansions.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 from hypothesis import settings
@@ -101,6 +103,20 @@ def oracle_moment(p, q, beta, power, n=48):
             hs[i] = oracle_harper(p, q, beta, a, b)
         total += float(np.sum(np.linalg.eigvalsh(hs) ** power)) / q
     return total / (n * n)
+
+
+def oracle_trace(p, q, beta, z, n):
+    """tau(log|h - z|) summed over all n x n phases t_k = 2 pi k / (n q).
+
+    No symmetry of the grid is used: every phase pair gets its own
+    uniform-gauge eigensolve, and the terms are summed with fsum.
+    """
+    t = TWO_PI * np.arange(n) / (n * q)
+    terms = []
+    for a in t:
+        hs = np.array([oracle_harper(p, q, beta, a, b) for b in t])
+        terms.extend(np.log(np.abs(np.linalg.eigvalsh(hs) - z)).ravel().tolist())
+    return math.fsum(terms) / (n * n * q)
 
 
 def oracle_gap_label(j, p, q):

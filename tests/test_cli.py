@@ -59,6 +59,18 @@ def test_lyapunov_all_methods(capsys):
     assert abs(vals["transfer"] - vals["trace"]) <= 1e-3
 
 
+def test_lyapunov_all_methods_deep_in_gap(capsys):
+    # 21/34, beta 0.5: z sits deep in gap 13, where |P(z)| is about 9e3
+    code, out, _ = run(["lyapunov", "--alpha", "21/34", "--beta", "0.5",
+                        "--z", "-0.8142785695731551", "--method", "all"], capsys)
+    assert code == 0
+    vals = {ln.split(",")[0]: float(ln.split(",")[-1])
+            for ln in out.strip().splitlines()[2:]}
+    assert set(vals) == {"transfer", "thouless", "trace"}
+    assert max(vals.values()) - min(vals.values()) <= 1e-5
+    assert abs(vals["trace"] - vals["transfer"]) <= 1e-12
+
+
 def test_gradient_json(capsys):
     code, out, _ = run(["gradient", "--alpha", "1/3", "--beta", "0.5", "--z", "4.2"], capsys)
     assert code == 0

@@ -7,7 +7,7 @@ from harperlab import (RationalFrequency, band_edges, chambers, critical_scan,
                        gaps, gradient, hessian, log_potential,
                        lyapunov_thouless, lyapunov_trace, lyapunov_transfer,
                        PhaseGrid, build_rep, hamiltonian)
-from conftest import oracle_moment
+from conftest import oracle_moment, oracle_trace
 
 F = RationalFrequency
 
@@ -92,6 +92,22 @@ def test_trace_complex_argument():
     tr = lyapunov_trace(freq, 0.5, 0.2 + 1.5j).value
     th = lyapunov_thouless(band_edges(chambers(freq, 0.5, verify=False)), 0.2 + 1.5j).value
     assert abs(tr - th) <= 1e-3
+
+
+@pytest.mark.parametrize("p, q, beta, z, n", [
+    (5, 8, 0.5, "gap", 16),
+    (5, 8, 0.5, "gap", 17),
+    (8, 13, 0.5, 6.0, 9),
+    (3, 7, 0.5, 0.2 + 1.5j, 12),
+    (1, 1, 0.7, 5.0, 7),
+    (1, 1, 0.7, 0.3 + 0.4j, 8),
+])
+def test_trace_folded_grid_equals_full_grid(p, q, beta, z, n):
+    """The mirror-folded grid gives the full n x n phase sum to roundoff."""
+    if z == "gap":
+        z = widest_gap(F(p, q), beta).midpoint
+    got = lyapunov_trace(F(p, q), beta, z, grid_size=n).value
+    assert abs(got - oracle_trace(p, q, beta, z, n)) <= 1e-13
 
 
 def test_trace_rejects_on_spectrum():

@@ -99,10 +99,17 @@ def test_chambers_without_verify_runs_no_eigensolve(monkeypatch):
 
 
 def test_verify_compares_the_determinant_with_the_continuant():
-    ch = chambers(F(5, 8), 0.7)
-    shifted = replace(ch, potential=(ch.potential[0] + 1e-6,) + ch.potential[1:])
-    with pytest.raises(ChambersError):
-        _verify_phase_independence(shifted, 1e-10)
+    for p, q, beta in ((5, 8, 0.7), (55, 89, 1.0)):
+        ch = chambers(F(p, q), beta)
+        shifted = replace(ch, potential=(ch.potential[0] + 1e-6,) + ch.potential[1:])
+        with pytest.raises(ChambersError):
+            _verify_phase_independence(shifted, 1e-10)
+
+
+def test_verify_scale_stays_finite_at_large_q():
+    # max|lambda|^q leaves float64 here; the roundoff scale of the product does not
+    ch = chambers(F(377, 610), 1.5)
+    assert ch.q == 610
 
 
 def test_jet_matches_the_eigenvalue_product():
@@ -217,6 +224,28 @@ def test_ids_in_gap_is_exact():
     g = bands.gap_intervals()
     assert ids(bands, 0.5 * (g[0][0] + g[0][1])) == 1.0 / 3.0
     assert ids(bands, 0.5 * (g[1][0] + g[1][1])) == 2.0 / 3.0
+
+
+@pytest.mark.parametrize("p, q, beta", [(3, 8, 0.5), (21, 34, 0.5), (2, 5, 0.7)])
+def test_ids_array_equals_scalar_calls(p, q, beta):
+    """Hull exterior, every band edge (the even-q central pair touches),
+    gap midpoints, interior points and the graded nodes of each band, with
+    and without the determinant data."""
+    for bands in (band_edges(chambers(F(p, q), beta, verify=False)), corner_bands(F(p, q), beta)):
+        lo, hi = bands.hull
+        shape = (1.0 - np.cos(np.pi * np.arange(9) / 8)) / 2.0
+        xs = np.concatenate([
+            [lo - 1.0, np.nextafter(lo, -np.inf), hi, np.nextafter(hi, np.inf), hi + 1.0],
+            [x for iv in bands.bands for x in iv],
+            [0.5 * (a + b) for a, b in bands.gap_intervals()],
+            np.concatenate([a + (b - a) * shape for a, b in bands.bands]),
+        ])
+        got = ids(bands, xs)
+        assert got.shape == xs.shape
+        assert got.tobytes() == np.array([ids(bands, float(x)) for x in xs]).tobytes()
+        assert ids(bands, xs.reshape(1, -1)).tobytes() == got.tobytes()
+        if q % 2 == 0:  # the top of the lower touching band counts it
+            assert ids(bands, np.array([bands.bands[q // 2 - 1][1]]))[0] == 0.5
 
 
 def test_ids_monotone_and_matches_counting_oracle():
