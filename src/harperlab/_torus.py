@@ -13,28 +13,11 @@ gaps.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ellipk, ellipkm1
 
 
 def margin(A: float, B: float, C: float) -> float:
     """|A| - |B| - |C|; positive iff the kernel is nonsingular on the torus."""
     return abs(A) - abs(B) - abs(C)
-
-
-def average_inverse(A: float, B: float, C: float) -> float:
-    """Closed form for the torus average of 1/D via a complete elliptic integral."""
-    if margin(A, B, C) <= 0:
-        raise ValueError("average_inverse requires |A| > |B| + |C|")
-    s = 1.0 if A > 0 else -1.0
-    Aa, Ba, Ca = abs(A), abs(B), abs(C)
-    a1, a2 = Aa + Ba, Aa - Ba
-    den = (a2 + Ca) * (a1 - Ca)
-    m = 2.0 * Ca * (a1 - a2) / den
-    if m > 0.5:
-        K = ellipkm1((a1 + Ca) * (a2 - Ca) / den)
-    else:
-        K = ellipk(m)
-    return s * (2.0 / np.pi) * K / np.sqrt(den)
 
 
 def _psi_count(A: float, B: float, C: float, base: int = 256, cap: int = 1 << 22) -> int:
@@ -51,6 +34,8 @@ def _psi_count(A: float, B: float, C: float, base: int = 256, cap: int = 1 << 22
     if eps <= 0:
         raise ValueError("kernel singular on the torus")
     strip = np.log1p(eps + np.sqrt(eps * (eps + 2.0)))
+    if np.isinf(strip):  # eps^2 overflowed: |C| is negligible against the margin
+        return base
     n = int(min(max(base, 2.0 ** np.ceil(np.log2(48.0 / max(strip, 1e-12)))), cap))
     return n
 

@@ -93,22 +93,27 @@ def lyapunov_transfer(freq_or_alpha, beta: float, energy, theta_samples: int = 2
 
 
 def _monodromy_average(p: int, q: int, beta: float, energy, n_theta: int) -> float:
+    """Phase-averaged log of the larger multiplier over q; a monodromy or its
+    squared trace outside the float64 range raises ArithmeticError."""
     th = np.arange(n_theta) / n_theta
     dtype = complex if np.iscomplexobj(np.asarray(energy)) or np.iscomplex(energy) else float
     m00 = np.ones(n_theta, dtype=dtype)
     m01 = np.zeros(n_theta, dtype=dtype)
     m10 = np.zeros(n_theta, dtype=dtype)
     m11 = np.ones(n_theta, dtype=dtype)
-    for n in range(q):
-        a = energy - 2.0 * beta * np.cos(TWO_PI * (th + n * p / q))
-        m00, m01, m10, m11 = a * m00 - m10, a * m01 - m11, m00, m01
-    tr = m00 + m11
-    # eigenvalues t/2 +- sqrt(t^2/4 - 1); unit modulus pair contributes zero
-    half = np.asarray(tr, dtype=complex) / 2.0
-    disc = np.sqrt(half * half - 1.0)
-    rho = np.maximum(np.abs(half + disc), np.abs(half - disc))
-    vals = np.log(np.maximum(rho, 1.0))
-    return float(np.mean(vals)) / q
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        for n in range(q):
+            a = energy - 2.0 * beta * np.cos(TWO_PI * (th + n * p / q))
+            m00, m01, m10, m11 = a * m00 - m10, a * m01 - m11, m00, m01
+        tr = m00 + m11
+        # eigenvalues t/2 +- sqrt(t^2/4 - 1); unit modulus pair contributes zero
+        half = np.asarray(tr, dtype=complex) / 2.0
+        disc = np.sqrt(half * half - 1.0)
+        rho = np.maximum(np.abs(half + disc), np.abs(half - disc))
+        val = float(np.mean(np.log(np.maximum(rho, 1.0)))) / q
+    if not np.isfinite(val):
+        raise ArithmeticError(f"the monodromy leaves the float64 range at q={q}, E={energy}")
+    return val
 
 
 def _long_product(alpha: float, beta: float, energy, n_theta: int, n_steps: int) -> float:
@@ -143,20 +148,18 @@ def _ids_model(freq: RationalFrequency, beta: float, subdiv: int):
             tuple(tuple(ids(bands, nodes)) for nodes in nodes_all))
 
 
-def lyapunov_thouless(bands: BandSet, energy, ids_fn=None, subdiv: int = 64) -> LyapunovValue:
+def lyapunov_thouless(bands: BandSet, energy, subdiv: int = 64) -> LyapunovValue:
     """Log-potential of the density of states.
 
     The IDS is sampled on subdiv+1 graded nodes per band and treated as
     piecewise linear; each panel integrates log|E - E'| in closed form, so
-    the singularity at E' = E costs nothing.  A given ids_fn is called once
-    per node with a float.
+    the singularity at E' = E costs nothing.
     """
-    if ids_fn is None and bands.chambers is not None:
+    if bands.chambers is not None:
         nodes_all, vals_all = _ids_model(bands.freq, bands.beta, subdiv)
     else:
         nodes_all = _graded_nodes(bands, subdiv)
-        vals_all = [ids(bands, nodes) if ids_fn is None else [ids_fn(x) for x in nodes]
-                    for nodes in nodes_all]
+        vals_all = [ids(bands, nodes) for nodes in nodes_all]
     E = complex(energy)
     total = 0.0
     for nodes, vals in zip(nodes_all, vals_all):
@@ -223,14 +226,20 @@ def log_potential(ch: ChambersData, z: float) -> float:
     collapses to a single analytic integral once the first cosine is
     averaged in closed form.
     """
-    vals = averages(ch.P(z), ch.c1, ch.c2, ("log",))
-    return vals["log"] / ch.q
+    return _averages(ch, z, ch.P(z), ("log",))["log"] / ch.q
+
+
+def _averages(ch: ChambersData, z: float, P: float, kinds) -> dict:
+    """`averages` of D = P(z) + c1 x + c2 y, refused where D^2 inside it, or
+    root^3 for the second-order kernels, would overflow."""
+    power = 3 if {"m2", "n2", "k2"} & set(kinds) else 2
+    if abs(P) + ch.amplitude >= np.finfo(float).max ** (1.0 / power):
+        raise ArithmeticError(f"the torus kernels leave the float64 range at q={ch.q}, E={z}")
+    return averages(P, ch.c1, ch.c2, kinds)
 
 
 def _resolve(freq, beta, ch):
-    if ch is None:
-        ch = chambers(freq, beta, verify=False)
-    return ch, band_edges(ch)
+    return chambers(freq, beta, verify=False) if ch is None else ch
 
 
 def gradient(freq: RationalFrequency, beta: float, z: float,
@@ -242,14 +251,16 @@ def gradient(freq: RationalFrequency, beta: float, z: float,
 
     with D = P(z) + c1 x + c2 y averaged over the torus.  Both are real by
     construction; z closer than edge_distance to a band is refused since
-    no finite-difference user can see anything there.
+    no finite-difference user can see anything there.  That check costs two
+    corner eigensolves; edge_distance=0 skips it, so with `ch` supplied the
+    call runs no eigensolve.
     """
-    ch, bands = _resolve(freq, beta, ch)
-    if bands.distance(z) < edge_distance:
+    ch = _resolve(freq, beta, ch)
+    if edge_distance > 0 and band_edges(ch).distance(z) < edge_distance:
         raise ValueError(f"z={z} is within {edge_distance} of a band edge")
     q = freq.q
     P, dP, dbP = ch.jet(z, 1)
-    av = averages(P, ch.c1, ch.c2, ("m1", "n1"))
+    av = _averages(ch, z, P, ("m1", "n1"))
     g0 = dP * av["m1"] / q
     dc2 = -2.0 * q * beta ** (q - 1)
     two_g1 = (dbP * av["m1"] + dc2 * av["n1"]) / q
@@ -265,14 +276,16 @@ def hessian(freq: RationalFrequency, beta: float, z: float,
     a widening gap the ridge height L(beta, s*(beta)) is convex in the
     coupling, which makes the determinant negative there, so the full
     maximum-type structure appears only where a joint critical point of
-    both variables would sit.
+    both variables would sit.  The band-distance refusal is the one of
+    `gradient`: edge_distance=0 skips it, and with `ch` supplied the call
+    then runs no eigensolve.
     """
-    ch, bands = _resolve(freq, beta, ch)
-    if bands.distance(z) < edge_distance:
+    ch = _resolve(freq, beta, ch)
+    if edge_distance > 0 and band_edges(ch).distance(z) < edge_distance:
         raise ValueError(f"z={z} is within {edge_distance} of a band edge")
     q = freq.q
     P, dP, d2P, dbP, dbdP, d2bP = ch.jet(z)
-    av = averages(P, ch.c1, ch.c2, ("m1", "m2", "n1", "n2", "k2"))
+    av = _averages(ch, z, P, ("m1", "m2", "n1", "n2", "k2"))
     dc2 = -2.0 * q * beta ** (q - 1)
     d2c2 = -2.0 * q * (q - 1) * beta ** (q - 2)
     d2z = (d2P * av["m1"] - dP * dP * av["m2"]) / q
@@ -307,9 +320,11 @@ def critical_scan(freq: RationalFrequency, beta: float, gap,
     dL/dz = P'(z)/q <1/D> with <1/D> of constant sign throughout the gap,
     so s* is exactly the critical point of P inside the gap: g0 falls from
     +inf at the left edge to -inf at the right edge through a single root.
-    Bisection on P' is therefore bracket-safe at any gap width.
+    Bisection on P' is therefore bracket-safe at any gap width.  The
+    bracket is the gap's own (lo, hi), so no band edges are recomputed: with
+    `ch` supplied the scan runs no eigensolve.
     """
-    ch, _ = _resolve(freq, beta, ch)
+    ch = _resolve(freq, beta, ch)
     lo, hi = float(gap.lo), float(gap.hi)
     if hi - lo <= 0 or not getattr(gap, "is_open", True):
         raise ValueError(f"gap {gap.label} at {freq} is closed")

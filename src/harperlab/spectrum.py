@@ -151,18 +151,6 @@ class ChambersData:
     def dP(self, E):
         return self.jet(E, 1)[1]
 
-    def d2P(self, E):
-        return self.jet(E)[2]
-
-    def dbeta_P(self, E):
-        return self.jet(E, 1)[2]
-
-    def dbeta_dP(self, E):
-        return self.jet(E)[4]
-
-    def d2beta_P(self, E):
-        return self.jet(E)[5]
-
 
 def chambers(freq: RationalFrequency, beta: float, verify: bool = True,
              tol: float = 1e-10) -> ChambersData:

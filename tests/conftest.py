@@ -11,6 +11,7 @@ import math
 import mpmath as mp
 import numpy as np
 from hypothesis import settings
+from scipy.special import ellipk, ellipkm1
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
@@ -117,6 +118,24 @@ def oracle_trace(p, q, beta, z, n):
         hs = np.array([oracle_harper(p, q, beta, a, b) for b in t])
         terms.extend(np.log(np.abs(np.linalg.eigvalsh(hs) - z)).ravel().tolist())
     return math.fsum(terms) / (n * n * q)
+
+
+def oracle_average_inverse(A, B, C):
+    """Torus average of 1/(A + B cos(phi) + C cos(psi)) by a complete elliptic integral.
+
+    Closed form for |A| > |B| + |C|, with no quadrature: the phi-average
+    gives 1/sqrt((A + C y)^2 - B^2), and its psi-average is
+    (2/pi) K(m) / sqrt((a2 + |C|)(a1 - |C|)) with a1, a2 = |A| +- |B|.  Near
+    m = 1 the complementary parameter goes through ellipkm1.
+    """
+    if abs(A) <= abs(B) + abs(C):
+        raise ValueError("the elliptic form requires |A| > |B| + |C|")
+    Aa, Ba, Ca = abs(A), abs(B), abs(C)
+    a1, a2 = Aa + Ba, Aa - Ba
+    den = (a2 + Ca) * (a1 - Ca)
+    m = 2.0 * Ca * (a1 - a2) / den
+    K = ellipkm1((a1 + Ca) * (a2 - Ca) / den) if m > 0.5 else ellipk(m)
+    return math.copysign(1.0, A) * (2.0 / math.pi) * K / math.sqrt(den)
 
 
 def oracle_gap_label(j, p, q):

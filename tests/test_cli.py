@@ -218,6 +218,15 @@ def test_gradient_beyond_float_range_exits_two(capsys):
     assert "NaN" not in out
 
 
+def test_transfer_beyond_float_range_exits_two(capsys):
+    # the monodromy at 377/610, beta = 1, z = 4.5 leaves float64: exit 2, no NaN
+    code, out, err = run(["lyapunov", "--alpha", "377/610", "--beta", "1", "--z", "4.5",
+                          "--method", "transfer"], capsys)
+    assert code == 2
+    assert "error:" in err and "q=610, E=4.5" in err
+    assert "nan" not in out.lower()
+
+
 def test_domain_errors_exit_two(capsys):
     code, _, err = run(["gradient", "--alpha", "1/3", "--beta", "0.5", "--z", "0.1"], capsys)
     assert code == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from harperlab import (RationalFrequency, band_edges, chambers, critical_scan,
                        gaps, gradient, hessian, log_potential,
                        lyapunov_thouless, lyapunov_trace, lyapunov_transfer,
-                       PhaseGrid, build_rep, hamiltonian)
-from conftest import oracle_moment, oracle_trace
+                       PhaseGrid, build_rep, hamiltonian, vanishing_scan)
+from harperlab._torus import _psi_count, averages
+from conftest import oracle_average_inverse, oracle_moment, oracle_trace
 
 F = RationalFrequency
 
@@ -307,3 +309,86 @@ def test_scalar_frequency_all_methods():
         th = lyapunov_thouless(bands, z).value
         tr = lyapunov_trace(freq, 0.5, z).value
         assert abs(t - th) <= 2e-3 and abs(th - tr) <= 1e-3
+
+
+def test_scan_with_chambers_runs_no_eigensolve(monkeypatch):
+    """A supplied `ch` and edge_distance=0 leave nothing to eigensolve: the
+    bracket is the gap's own (lo, hi).  Outputs equal the unpatched run bit
+    for bit, and the default band-distance refusal still holds."""
+    freq, beta = F(55, 89), 0.5
+    ch = chambers(freq, beta, verify=False)
+    g = widest_gap(freq, beta)
+
+    def scan():
+        cp = critical_scan(freq, beta, g, ch=ch)
+        return (cp, gradient(freq, beta, cp.s_star, ch=ch, edge_distance=0.0),
+                hessian(freq, beta, cp.s_star, ch=ch, edge_distance=0.0),
+                vanishing_scan(freq, beta, g))
+
+    unpatched = repr(scan())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve called")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert repr(scan()) == unpatched
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="band edge"):
+        gradient(freq, beta, g.lo + 1e-8, ch=ch)
+
+
+def test_transfer_beyond_float_range_is_refused():
+    # the squared monodromy trace at 377/610, beta = 1, E = 4.5 overflows float64
+    with pytest.raises(ArithmeticError, match=r"q=610, E=4\.5"):
+        lyapunov_transfer(F(377, 610), 1.0, 4.5)
+
+
+def test_torus_kernels_beyond_float_range_are_refused():
+    """|P| is 3e215 at hull top + 0.5 and 3.6e140 at the midpoint of gap 233
+    (377/610, beta = 1): D^2 overflows for the log kernel at the first,
+    root^3 for the second-order kernels at the second, where the
+    first-order ones still fit."""
+    freq, beta = F(377, 610), 1.0
+    ch = chambers(freq, beta, verify=False)
+    bands = band_edges(ch)
+    top = bands.hull[1] + 0.5
+    with pytest.raises(ArithmeticError, match=f"q=610, E={top}"):
+        log_potential(ch, top)
+    z = [g for g in gaps(freq, beta, band_set=bands) if g.j == 233][0].midpoint
+    assert abs(ch.P(z)) > 1e140
+    g = gradient(freq, beta, z, ch=ch, edge_distance=0.0)
+    assert math.isfinite(g.g0) and math.isfinite(g.g1) and g.g0 != 0.0
+    with pytest.raises(ArithmeticError, match=f"q=610, E={z}"):
+        hessian(freq, beta, z, ch=ch, edge_distance=0.0)
+
+
+def test_psi_count_with_an_infinite_strip():
+    """At 377/610, beta = 0.5, |c2| = 4.7e-184, so margin/|c2| squared
+    overflows and the strip is infinite: the base node count, no warning."""
+    freq, beta = F(377, 610), 0.5
+    ch = chambers(freq, beta, verify=False)
+    g = widest_gap(freq, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cp = critical_scan(freq, beta, g, ch=ch)
+        assert _psi_count(ch.P(cp.s_star), ch.c1, ch.c2) == 256
+    assert g.lo < cp.s_star < g.hi and cp.g0_residual <= 1e-12
+
+
+# (fraction, beta, widest or narrowest open gap, bound): relative error of
+# the trapezoid m1 at the gap midpoint against the elliptic closed form.
+# Measured 0, 1.6e-16, 3.8e-12 and 3.6e-7; in the two narrow gaps (margins
+# 9.1e-7 and 2.5e-12) both sides inherit the cancellation in |P| - 2 - |c2|
+M1_ORACLE_POINTS = [((2, 5), 0.7, max, 1e-15), ((55, 89), 0.5, max, 1e-15),
+                    ((8, 13), 0.3, min, 1e-11), ((8, 13), 0.1, min, 1e-6)]
+
+
+@pytest.mark.parametrize("pq,beta,pick,bound", M1_ORACLE_POINTS)
+def test_m1_kernel_against_elliptic_closed_form(pq, beta, pick, bound):
+    freq = F(*pq)
+    ch = chambers(freq, beta, verify=False)
+    g = pick((g for g in gaps(freq, beta) if g.is_open), key=lambda g: g.width)
+    A = ch.P(g.midpoint)
+    ref = oracle_average_inverse(A, ch.c1, ch.c2)
+    got = averages(A, ch.c1, ch.c2, ("m1",))["m1"]
+    assert abs(got - ref) <= bound * abs(ref)
