@@ -7,7 +7,6 @@ worker counts and across checkpoint interruptions.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -17,10 +16,10 @@ from fractions import Fraction
 
 from .rationals import RationalFrequency
 from .numbertheory import farey
-from .spectrum import (GAP_CSV_HEADER, GapRecord, _fmt, _gap_tuples, corner_bands,
-                       gap_label, track_gap)
+from .spectrum import (GAP_CSV_HEADER, BandSet, _config_hash, _fmt, corner_bands, gap_label,
+                       gaps, track_gap)
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -52,29 +51,21 @@ def butterfly_fractions(order: int):
 
 
 def _row_payload(args):
-    """Worker body: everything serializable, exceptions recorded not raised."""
-    p, q, beta, min_width = args
-    freq = RationalFrequency(p, q)
+    """Worker body: (p, q, bands, error), exceptions recorded not raised."""
+    p, q, beta = args
     try:
-        bands = corner_bands(freq, beta)
-        return (p, q, bands.bands, tuple(_gap_tuples(bands, min_width)), None)
+        return (p, q, corner_bands(RationalFrequency(p, q), beta).bands, None)
     except Exception as exc:  # per-fraction failures must not abort the batch
-        return (p, q, (), (), f"{type(exc).__name__}: {exc}")
+        return (p, q, (), f"{type(exc).__name__}: {exc}")
 
 
-def _payload_to_row(payload, beta):
-    p, q, bands, gap_tuples, error = payload
+def _build_row(payload, beta, min_width) -> FractionRow:
+    """The one way to build a row: its gaps are derived from its bands."""
+    p, q, bands, error = payload
     freq = RationalFrequency(p, q)
-    recs = []
-    for j, lo, hi, m, n, is_open in gap_tuples:
-        recs.append(GapRecord(freq, beta, j, lo, hi, Fraction(j, q), (m, n), n, is_open))
-    return FractionRow(freq, tuple(tuple(b) for b in bands), tuple(recs), error)
-
-
-def _config_digest(order, beta, min_width):
-    text = json.dumps({"version": FORMAT_VERSION, "Q": order,
-                       "beta": _fmt(beta), "min_width": _fmt(min_width)}, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    bands = tuple(tuple(b) for b in bands)
+    return FractionRow(freq, bands, tuple(gaps(freq, beta, min_width,
+                                               band_set=BandSet(freq, beta, bands))), error)
 
 
 def _atomic_write(path, text):
@@ -108,12 +99,14 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
     if beta <= 0:
         raise ValueError("coupling must be positive")
     freqs = butterfly_fractions(order)
-    digest = _config_digest(order, beta, min_width)
+    beta = float(beta)
+    digest = _config_hash({"version": FORMAT_VERSION, "Q": order,
+                           "beta": _fmt(beta), "min_width": _fmt(min_width)})
     done = _resume_journal(checkpoint_path, digest) if checkpoint_path else {}
     todo = [f for f in freqs if (f.p, f.q) not in done]
     if max_completions is not None:
         todo = todo[:max_completions]
-    jobs = [(f.p, f.q, beta, min_width) for f in todo]
+    jobs = [(f.p, f.q, beta) for f in todo]
     pending = []
 
     def note(payload):
@@ -133,10 +126,10 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
                 note(payload)
     if pending:
         _flush_checkpoint(checkpoint_path, pending)
-    rows = tuple(_payload_to_row(done[(f.p, f.q)], float(beta))
+    rows = tuple(_build_row(done[(f.p, f.q)], beta, min_width)
                  for f in freqs if (f.p, f.q) in done)
     complete = len(rows) == len(freqs) and not any(row.error for row in rows)
-    return ButterflyDataset(float(beta), order, rows, min_width,
+    return ButterflyDataset(beta, order, rows, min_width,
                             provenance={"config": digest, "complete": complete})
 
 
@@ -184,50 +177,54 @@ def _flush_checkpoint(path, payloads, header=None):
 
 
 def serialize_dataset(dataset: ButterflyDataset) -> str:
+    """Header and gap CSV columns, then per row an error line, or a band line and its gaps."""
     head = (f"# version={FORMAT_VERSION},Q={dataset.order},beta={_fmt(dataset.beta)},"
             f"min_width={_fmt(dataset.min_width)},config={dataset.provenance.get('config', '')},"
             f"convention=farey-(0-1]-plus-zero,label_tiebreak=+q/2")
     lines = [head, GAP_CSV_HEADER]
     for row in dataset.rows:
+        p, q = row.freq.p, row.freq.q
         if row.error:
-            lines.append(f"# error,{row.freq.p},{row.freq.q},{row.error}")
+            lines.append(f"# error,{p},{q},{row.error}")
             continue
-        for g in row.gaps:
-            lines.append(g.csv_row())
+        lines.append(f"# bands,{p},{q}," + ",".join(_fmt(x) for band in row.bands for x in band))
+        lines.extend(g.csv_row() for g in row.gaps)
     return "\n".join(lines) + "\n"
 
 
 def parse_dataset(text: str) -> ButterflyDataset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].lstrip("# ")
-    meta = dict(kv.split("=", 1) for kv in head.split(","))
-    order = int(meta["Q"])
-    beta = float(meta["beta"])
-    min_width = float(meta["min_width"])
-    per_freq: dict = {}
-    errors: dict = {}
-    for ln in lines[2:]:
-        if ln.startswith("# error,"):
+    """The dataset of a file, read from its header, band and error lines (gaps are derived).
+
+    A missing header, another format version, or a fraction with neither
+    a band nor an error line (a truncated file) raises ValueError.
+    """
+    lines = text.splitlines()
+    meta = dict(kv.split("=", 1) for kv in lines[0][2:].split(",") if "=" in kv) if lines else {}
+    if not ({"Q", "beta", "min_width"} <= meta.keys() and lines[0].startswith("# version=")):
+        raise ValueError("not a butterfly dataset: no '# version=,Q=,beta=,min_width=' header")
+    if meta["version"] != FORMAT_VERSION:
+        raise ValueError(f"dataset format version {meta['version']} is not {FORMAT_VERSION} "
+                         f"and has no band lines; recompute it with `harperlab butterfly`")
+    order, beta, min_width = int(meta["Q"]), float(meta["beta"]), float(meta["min_width"])
+    payloads = {}
+    for ln in lines:
+        if ln.startswith("# bands,"):
+            _, p, q, *edges = ln.split(",")
+            if len(edges) != 2 * int(q):
+                raise ValueError(f"band line for {p}/{q} has {len(edges)} edges, not {2 * int(q)}")
+            edges = [float(x) for x in edges]
+            payloads[(int(p), int(q))] = (int(p), int(q), zip(edges[0::2], edges[1::2]), None)
+        elif ln.startswith("# error,"):
             _, p, q, error = ln.split(",", 3)
-            errors[RationalFrequency(int(p), int(q))] = error
-            continue
-        if ln.startswith("#"):
-            continue
-        p, q, b, lo, hi, num, den, m, n, width = ln.split(",")
-        freq = RationalFrequency(int(p), int(q))
-        rec = GapRecord(freq, float(b), 0, float(lo), float(hi),
-                        Fraction(int(num), int(den)), (int(m), int(n)), int(n),
-                        float(width) > min_width)
-        j = rec.ids_value.numerator * freq.q // rec.ids_value.denominator
-        rec = GapRecord(freq, float(b), j, rec.lo, rec.hi, rec.ids_value,
-                        rec.label, rec.hall, rec.is_open)
-        per_freq.setdefault(freq, []).append(rec)
+            payloads[(int(p), int(q))] = (int(p), int(q), (), error)
     rows = []
     for freq in butterfly_fractions(order):
-        recs = tuple(per_freq.get(freq, ()))
-        rows.append(FractionRow(freq, (), recs, errors.get(freq)))
+        if (freq.p, freq.q) not in payloads:
+            raise ValueError(f"dataset has no band or error line for {freq}; truncated file?")
+        rows.append(_build_row(payloads[(freq.p, freq.q)], beta, min_width))
     return ButterflyDataset(beta, order, tuple(rows), min_width,
-                            provenance={"config": meta.get("config", "")})
+                            provenance={"config": meta.get("config", ""),
+                                        "complete": not any(row.error for row in rows)})
 
 
 def hall_color(n: int, n_max: int = 6) -> str:

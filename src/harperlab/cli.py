@@ -7,7 +7,6 @@ artifact, so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -17,8 +16,8 @@ import numpy as np
 from . import __version__
 from .rationals import RationalFrequency, convergents, named_continued_fraction
 from .rotation import build_rep, build_uv, hamiltonian, lam_phase, max_norm, monomial, sigma_images, rho_images
-from .spectrum import (GAP_CSV_HEADER, _fmt, band_edges, chambers, dual_check,
-                       gap_label, gaps, ids, track_gap)
+from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, band_edges, chambers,
+                       dual_check, gap_label, gaps, ids, track_gap)
 from .lyapunov import (critical_scan, gradient, hessian, lyapunov_thouless,
                        lyapunov_trace, lyapunov_transfer)
 from .coefficients import (build_phi, coefficient_sheet, decay_rate,
@@ -34,7 +33,8 @@ COMMANDS = ("spectrum", "gaps", "ids", "label", "lyapunov", "gradient",
             "count-components", "selftest")
 
 
-# `butterfly` wrote its dataset, but some fractions are error rows
+# the artifact was written, but some fractions (`butterfly`) or gaps
+# (`critical-scan`) failed and are listed in it as errors
 EXIT_PARTIAL = 3
 
 
@@ -204,13 +204,6 @@ def _resolve_freqs(args, parser):
     return out
 
 
-def _config_hash(args) -> str:
-    payload = {k: (v if isinstance(v, (int, float, str, bool, type(None))) else str(v))
-               for k, v in sorted(vars(args).items()) if k != "out"}
-    payload["tool_version"] = __version__
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
-
-
 def _out_path(path: str) -> str:
     """Resolve an output path; HARPERLAB_OUT_DIR redirects relative paths."""
     base = os.environ.get("HARPERLAB_OUT_DIR")
@@ -228,10 +221,6 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _header(args) -> str:
-    return f"# harperlab={__version__},config_hash={_config_hash(args)}"
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -244,8 +233,12 @@ def main(argv=None) -> int:
 
 def _dispatch(args, parser) -> int:
     cmd = args.command
+    # the run's configuration: every option except where the output goes
+    run_hash = _config_hash({**{k: v for k, v in vars(args).items() if k != "out"},
+                             "tool_version": __version__})
+    header = f"# harperlab={__version__},config_hash={run_hash}"
     if cmd == "spectrum":
-        lines = [_header(args), "p,q,beta,band,lo,hi"]
+        lines = [header, "p,q,beta,band,lo,hi"]
         for freq in _resolve_freqs(args, parser):
             bands = band_edges(chambers(freq, args.beta, verify=False))
             for i, (lo, hi) in enumerate(bands.bands, start=1):
@@ -254,7 +247,7 @@ def _dispatch(args, parser) -> int:
         return 0
 
     if cmd == "gaps":
-        lines = [_header(args), GAP_CSV_HEADER]
+        lines = [header, GAP_CSV_HEADER]
         for freq in _resolve_freqs(args, parser):
             for g in gaps(freq, args.beta, min_width=args.min_width):
                 lines.append(g.csv_row())
@@ -264,7 +257,7 @@ def _dispatch(args, parser) -> int:
     if cmd == "ids":
         freq = _resolve_freqs(args, parser)[-1]
         bands = band_edges(chambers(freq, args.beta, verify=False))
-        lines = [_header(args), "E,N"]
+        lines = [header, "E,N"]
         for e in _parse_grid(args.energies):
             lines.append(f"{_fmt(e)},{_fmt(ids(bands, e))}")
         _emit(args, "\n".join(lines) + "\n")
@@ -272,7 +265,7 @@ def _dispatch(args, parser) -> int:
 
     if cmd == "label":
         freq = _resolve_freqs(args, parser)[-1]
-        lines = [_header(args), "j,ids_num,ids_den,m,n"]
+        lines = [header, "j,ids_num,ids_den,m,n"]
         indices = [args.j] if args.j is not None else list(range(1, freq.q))
         for j in indices:
             m, n = gap_label(j, freq)
@@ -294,7 +287,7 @@ def _dispatch(args, parser) -> int:
             rows.append(lyapunov_thouless(bands, zr))
         if args.method in ("trace", "all"):
             rows.append(lyapunov_trace(freq, args.beta, zr))
-        lines = [_header(args), "method,beta,z,value"]
+        lines = [header, "method,beta,z,value"]
         for r in rows:
             lines.append(f"{r.method},{_fmt(r.beta)},{r.z},{_fmt(r.value)}")
         _emit(args, "\n".join(lines) + "\n")
@@ -303,7 +296,7 @@ def _dispatch(args, parser) -> int:
     if cmd == "gradient":
         freq = _resolve_freqs(args, parser)[-1]
         g = gradient(freq, args.beta, args.z)
-        _emit(args, json.dumps({"config_hash": _config_hash(args),
+        _emit(args, json.dumps({"config_hash": run_hash,
                                 "p": freq.p, "q": freq.q, "beta": args.beta,
                                 "z": args.z, "g0": g.g0, "g1": g.g1,
                                 "dL_dbeta": 2 * g.g1}, indent=2) + "\n")
@@ -312,7 +305,7 @@ def _dispatch(args, parser) -> int:
     if cmd == "hessian":
         freq = _resolve_freqs(args, parser)[-1]
         h = hessian(freq, args.beta, args.z)
-        _emit(args, json.dumps({"config_hash": _config_hash(args),
+        _emit(args, json.dumps({"config_hash": run_hash,
                                 "p": freq.p, "q": freq.q, "beta": args.beta,
                                 "z": args.z, "d2z": h.d2z, "dzdbeta": h.dzdbeta,
                                 "d2beta": h.d2beta, "det": h.determinant},
@@ -320,28 +313,36 @@ def _dispatch(args, parser) -> int:
         return 0
 
     if cmd == "critical-scan":
-        rows = []
+        rows, errors = [], []
         for freq in _resolve_freqs(args, parser):
             ch = chambers(freq, args.beta, verify=False)
             for g in gaps(freq, args.beta, min_width=args.min_width):
                 if not g.is_open:
                     continue
-                cp = critical_scan(freq, args.beta, g, ch=ch)
-                hs = hessian(freq, args.beta, cp.s_star, ch=ch, edge_distance=0.0)
+                try:
+                    cp = critical_scan(freq, args.beta, g, ch=ch)
+                    hs = hessian(freq, args.beta, cp.s_star, ch=ch, edge_distance=0.0)
+                except (ValueError, ArithmeticError, RuntimeError) as exc:
+                    errors.append({"p": freq.p, "q": freq.q, "j": g.j,
+                                   "error": f"{type(exc).__name__}: {exc}"})
+                    continue
                 rows.append({"p": freq.p, "q": freq.q, "beta": args.beta,
                              "m": g.label[0], "n": g.label[1],
                              "s_star": cp.s_star, "g1_abs": cp.g1_abs,
                              "hessian_det": hs.determinant, "hessian_d2z": hs.d2z,
                              "hessian_d2beta": hs.d2beta,
                              "margin_ok": cp.margin_ok(args.margin_threshold)})
-        _emit(args, json.dumps({"config_hash": _config_hash(args), "rows": rows},
+        _emit(args, json.dumps({"config_hash": run_hash, "rows": rows, "errors": errors},
                                indent=2) + "\n")
+        if errors:
+            print(f"{len(errors)} of {len(rows) + len(errors)} gaps failed", file=sys.stderr)
+            return EXIT_PARTIAL
         return 0
 
     if cmd == "coeffs":
         freq = _resolve_freqs(args, parser)[-1]
         sheet = _make_sheet(freq, args.beta, args.z, args.window, args.kind)
-        _emit(args, f"{_header(args)}\n" + sheet.to_csv())
+        _emit(args, f"{header}\n" + sheet.to_csv())
         return 0
 
     if cmd == "recursion":
@@ -352,7 +353,7 @@ def _dispatch(args, parser) -> int:
             parts.append(plus.to_csv())
         if args.side in ("left", "both"):
             parts.append(minus.to_csv())
-        _emit(args, f"{_header(args)}\n" + "".join(parts))
+        _emit(args, f"{header}\n" + "".join(parts))
         return 0
 
     if cmd == "decay":
@@ -365,14 +366,14 @@ def _dispatch(args, parser) -> int:
                 rows.append({"slope": slope, "offset": k, "rho": est.rho,
                              "fit_residual": est.fit_residual,
                              "n_points": est.n_points, "all_zero": est.all_zero})
-        _emit(args, json.dumps({"config_hash": _config_hash(args),
+        _emit(args, json.dumps({"config_hash": run_hash,
                                 "kind": sheet.kind, "rows": rows}, indent=2) + "\n")
         return 0
 
     if cmd == "sigma-check":
         freq = _resolve_freqs(args, parser)[-1]
         report = sigma_check_report(freq, args.beta, args.theta1, args.theta2)
-        report["config_hash"] = _config_hash(args)
+        report["config_hash"] = run_hash
         report["pass"] = max(v for k, v in report.items()
                              if k.startswith("residual")) <= args.tol
         _emit(args, json.dumps(report, indent=2) + "\n")
@@ -393,9 +394,6 @@ def _dispatch(args, parser) -> int:
     if cmd == "render":
         with open(args.dataset) as fh:
             ds = parse_dataset(fh.read())
-        # rows parsed from CSV have no band intervals; recompute them
-        from .butterfly import compute_butterfly as _cb
-        ds = _cb(ds.order, ds.beta, min_width=ds.min_width)
         render(ds, _out_path(args.out), size=(args.width, args.height),
                fmt=args.format, gap_fill=not args.no_gap_fill)
         return 0
@@ -403,14 +401,14 @@ def _dispatch(args, parser) -> int:
     if cmd == "track":
         freq = _resolve_freqs(args, parser)[-1]
         tr = track_gap((args.m, args.n), freq, _parse_grid(args.beta_grid))
-        lines = [_header(args), "beta,width,open"]
+        lines = [header, "beta,width,open"]
         for b, w, o in zip(tr.beta_grid, tr.widths, tr.open_flags):
             lines.append(f"{_fmt(b)},{_fmt(w)},{int(o)}")
         _emit(args, "\n".join(lines) + "\n")
         return 0
 
     if cmd == "franel":
-        lines = [_header(args), "n,sum,n_times_sum"]
+        lines = [header, "n,sum,n_times_sum"]
         for row in franel_table(args.nmax):
             lines.append(f"{row.n},{_fmt(row.total_float)},{_fmt(row.n_times_total)}")
         _emit(args, "\n".join(lines) + "\n")
@@ -418,7 +416,7 @@ def _dispatch(args, parser) -> int:
 
     if cmd == "farey":
         seq = farey(args.order)
-        lines = [_header(args), "numerator,denominator"]
+        lines = [header, "numerator,denominator"]
         for f in seq.fractions:
             lines.append(f"{f.numerator},{f.denominator}")
         _emit(args, "\n".join(lines) + "\n")
@@ -433,7 +431,7 @@ def _dispatch(args, parser) -> int:
         else:
             parser.error("count-components needs --dataset or --qmax")
         cc = component_count(ds, args.hall)
-        _emit(args, json.dumps({"config_hash": _config_hash(args), "k": cc.hall,
+        _emit(args, json.dumps({"config_hash": run_hash, "k": cc.hall,
                                 "Q": cc.order, "beta": cc.beta,
                                 "predicted": cc.predicted, "observed": cc.observed,
                                 "component_members": [list(map(list, m)) for m in cc.members]},
@@ -556,7 +554,9 @@ def run_selftest(fast: bool = False) -> int:
     def batch():
         ds = compute_butterfly(5, 1.0)
         assert len(ds.rows) == phi_cumulative(5) + 1
-        cc = component_count(ds, 1)
+        back = parse_dataset(serialize_dataset(ds))  # the file path: bands in, gaps derived
+        assert back == ds, "dataset file does not round-trip"
+        cc = component_count(back, 1)
         assert cc.observed <= cc.predicted
 
     check("rotation algebra identities", algebra)

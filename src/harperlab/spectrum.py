@@ -16,6 +16,8 @@ half-space, and gap labels solve a congruence.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -373,6 +375,11 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _config_hash(fields: dict) -> str:
+    """The one provenance digest: sha256 of sorted-key JSON, 16 hex digits."""
+    return hashlib.sha256(json.dumps(fields, sort_keys=True, default=str).encode()).hexdigest()[:16]
+
+
 def gaps(freq: RationalFrequency, beta: float, min_width: float = 1e-9,
          band_set: BandSet | None = None):
     """Labelled gap records at coupling beta.
@@ -385,15 +392,9 @@ def gaps(freq: RationalFrequency, beta: float, min_width: float = 1e-9,
         raise ValueError("coupling must be nonnegative")
     if band_set is None:
         band_set = corner_bands(freq, beta)
-    return [GapRecord(freq, float(beta), j, lo, hi, Fraction(j, freq.q), (m, n), n, is_open)
-            for j, lo, hi, m, n, is_open in _gap_tuples(band_set, min_width)]
-
-
-def _gap_tuples(band_set: BandSet, min_width: float):
-    """(j, lo, hi, m, n, is_open) per gap that `gaps` reports, as plain tuples."""
     if band_set.beta == 0.0:
         return []
-    freq, q = band_set.freq, band_set.q
+    q = freq.q
     out = []
     for j, (lo, hi) in enumerate(band_set.gap_intervals(), start=1):
         width = hi - lo
@@ -401,7 +402,8 @@ def _gap_tuples(band_set: BandSet, min_width: float):
         if width <= min_width and not central:
             continue
         m, n = gap_label(j, freq)
-        out.append((j, float(lo), float(hi), m, n, width > min_width))
+        out.append(GapRecord(freq, float(beta), j, float(lo), float(hi), Fraction(j, q),
+                             (m, n), n, width > min_width))
     return out
 
 

@@ -8,6 +8,7 @@ from harperlab import (ChambersError, RationalFrequency, butterfly_fractions,
                        component_count, compute_butterfly, hall_color,
                        parse_dataset, persistence_sweep, phi_cumulative, render,
                        serialize_dataset, track_gap)
+from harperlab.spectrum import GAP_CSV_HEADER, _config_hash
 from conftest import oracle_band_sweep
 
 F = RationalFrequency
@@ -199,10 +200,10 @@ def test_single_point_sweep_matches_track():
 
 def test_row_failures_are_recorded_not_raised():
     from harperlab.butterfly import _row_payload
-    payload = _row_payload((1, 3, -0.5, 1e-9))  # invalid coupling
-    p, q, bands, gap_tuples, error = payload
+    payload = _row_payload((1, 3, -0.5))  # invalid coupling
+    p, q, bands, error = payload
     assert (p, q) == (1, 3)
-    assert bands == () and gap_tuples == ()
+    assert bands == ()
     assert error and "ValueError" in error
 
 
@@ -239,3 +240,84 @@ def test_order_80_has_no_error_rows(beta):
     assert [r.freq for r in ds.rows if r.error] == []
     assert ds.provenance["complete"]
     assert all(len(r.bands) == r.freq.q for r in ds.rows)
+
+
+def test_parse_of_serialize_is_the_dataset(monkeypatch):
+    fail_one_fraction(monkeypatch, 3, 7)
+    ds = compute_butterfly(7, 0.8)
+    back = parse_dataset(serialize_dataset(ds))
+    assert back == ds  # bitwise: freq, bands, every GapRecord and the error text
+    assert [r.bands for r in back.rows] == [r.bands for r in ds.rows]
+    assert list(back.gap_rows()) == list(ds.gap_rows())
+    assert [r.error for r in back.rows if r.error] == ["ChambersError: synthetic"]
+    assert back.provenance == {"config": ds.provenance["config"], "complete": False}
+
+
+def test_dataset_file_lines():
+    ds = compute_butterfly(6, 1.0)
+    lines = serialize_dataset(ds).splitlines()
+    assert lines[1] == GAP_CSV_HEADER
+    band_lines = [ln.split(",") for ln in lines if ln.startswith("# bands,")]
+    assert [(int(b[1]), int(b[2])) for b in band_lines] == [(r.freq.p, r.freq.q)
+                                                           for r in ds.rows]
+    assert all(len(b) == 3 + 2 * int(b[2]) for b in band_lines)
+    gap_lines = [ln for ln in lines[2:] if not ln.startswith("#")]
+    assert len(gap_lines) == sum(len(r.gaps) for r in ds.rows)
+    assert all(len(ln.split(",")) == len(GAP_CSV_HEADER.split(",")) == 10 for ln in gap_lines)
+
+
+def test_one_config_hash_for_dataset_and_journal(tmp_path):
+    ck = tmp_path / "state.jsonl"
+    ds = compute_butterfly(4, 0.7, checkpoint_path=str(ck))
+    expected = _config_hash({"version": "2", "Q": 4, "beta": "0.69999999999999996",
+                             "min_width": "1.0000000000000001e-09"})
+    assert len(expected) == 16
+    assert ds.provenance["config"] == expected
+    assert journal_lines(ck)[0] == {"config": expected}
+    head = serialize_dataset(ds).splitlines()[0]
+    assert f",config={expected}," in head
+
+
+def test_render_and_count_read_only_the_file(tmp_path, monkeypatch):
+    ds = compute_butterfly(6, 1.0)
+    path = tmp_path / "fly.csv"
+    path.write_text(serialize_dataset(ds))
+    render(ds, str(tmp_path / "mem.svg"), size=(320, 240))
+    render(ds, str(tmp_path / "mem.ppm"), size=(320, 240), fmt="ppm")
+    counts = component_count(ds, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve called")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    back = parse_dataset(path.read_text())
+    render(back, str(tmp_path / "file.svg"), size=(320, 240))
+    render(back, str(tmp_path / "file.ppm"), size=(320, 240), fmt="ppm")
+    assert (tmp_path / "file.svg").read_bytes() == (tmp_path / "mem.svg").read_bytes()
+    assert (tmp_path / "file.ppm").read_bytes() == (tmp_path / "mem.ppm").read_bytes()
+    assert component_count(back, 1) == counts
+
+
+@pytest.mark.parametrize("case", ["empty", "no_header", "bare_header", "v1", "truncated",
+                                  "short_band_line"])
+def test_parse_refuses_bad_files(case):
+    lines = serialize_dataset(compute_butterfly(5, 1.0)).splitlines(keepends=True)
+    last = max(i for i, ln in enumerate(lines) if ln.startswith("# bands,"))  # 4/5
+    if case == "empty":
+        text, match = "", "header"
+    elif case == "no_header":
+        text, match = "".join(lines[1:]), "header"
+    elif case == "bare_header":
+        text, match = "# version=2\n" + "".join(lines[1:]), "header"
+    elif case == "v1":
+        # a v1 file: version 1 and no band lines
+        text = "".join(ln for ln in lines if not ln.startswith("# bands,"))
+        text, match = text.replace("# version=2,", "# version=1,"), "harperlab butterfly"
+    elif case == "truncated":
+        # cut just before the last fraction's band line: 4/5 has neither line
+        text, match = "".join(lines[:last]), "4/5"
+    else:
+        lines[last] = lines[last].rsplit(",", 1)[0] + "\n"
+        text, match = "".join(lines), "band line for 4/5 has 9 edges, not 10"
+    with pytest.raises(ValueError, match=match):
+        parse_dataset(text)

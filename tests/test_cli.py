@@ -233,3 +233,62 @@ def test_domain_errors_exit_two(capsys):
     assert "error:" in err
     code, _, err = run(["spectrum", "--alpha", "7/21", "--beta", "0.5"], capsys)
     assert code == 2  # unreduced fraction rejected
+
+
+def test_critical_scan_keeps_the_gaps_that_scan(capsys):
+    # gap 30 of 34/55 at beta 0.5 has a torus margin below P's float error
+    from harperlab.cli import EXIT_PARTIAL
+    code, out, err = run(["critical-scan", "--alpha", "34/55", "--beta", "0.5"], capsys)
+    assert code == EXIT_PARTIAL
+    doc = json.loads(out)
+    assert len(doc["rows"]) == 49
+    assert [(e["p"], e["q"], e["j"]) for e in doc["errors"]] == [(34, 55, 30)]
+    assert "averages require" in doc["errors"][0]["error"]
+    assert err == "1 of 50 gaps failed\n"
+
+
+def test_config_hash_ignores_out(tmp_path, capsys):
+    docs = []
+    for name in ("a.json", "b.json"):
+        code, _, _ = run(["gradient", "--alpha", "1/3", "--beta", "0.5", "--z", "4.2",
+                          "--out", str(tmp_path / name)], capsys)
+        assert code == 0
+        docs.append(json.loads((tmp_path / name).read_text()))
+    assert docs[0]["config_hash"] == docs[1]["config_hash"]
+    assert len(docs[0]["config_hash"]) == 16
+    code, out, _ = run(["gradient", "--alpha", "1/3", "--beta", "0.6", "--z", "4.2"], capsys)
+    assert json.loads(out)["config_hash"] != docs[0]["config_hash"]
+
+
+def test_render_and_count_make_no_eigensolve(tmp_path, capsys, monkeypatch):
+    import numpy as np
+    ds_file = tmp_path / "fly.csv"
+    assert run(["butterfly", "--qmax", "6", "--beta", "1.0", "--out", str(ds_file)],
+               capsys)[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve called")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for fmt in ("svg", "ppm"):
+        code, _, _ = run(["render", "--dataset", str(ds_file), "--format", fmt,
+                          "--out", str(tmp_path / f"fly.{fmt}")], capsys)
+        assert code == 0
+    code, out, _ = run(["count-components", "--dataset", str(ds_file), "--hall", "1"], capsys)
+    assert code == 0 and json.loads(out)["predicted"] == 2
+
+
+@pytest.mark.parametrize("command", ["render", "count-components"])
+def test_bad_dataset_files_exit_two(tmp_path, capsys, command):
+    ds_file = tmp_path / "fly.csv"
+    assert run(["butterfly", "--qmax", "4", "--beta", "1.0", "--out", str(ds_file)],
+               capsys)[0] == 0
+    text = ds_file.read_text()
+    v1 = "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("# bands,"))
+    extra = (["--out", str(tmp_path / "x.svg")] if command == "render" else ["--hall", "1"])
+    for content, match in ((v1.replace("# version=2,", "# version=1,"), "harperlab butterfly"),
+                           ("", "header")):
+        ds_file.write_text(content)
+        code, _, err = run([command, "--dataset", str(ds_file), *extra], capsys)
+        assert code == 2
+        assert err.startswith("error:") and match in err
