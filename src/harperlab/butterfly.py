@@ -14,6 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .rationals import RationalFrequency
 from .numbertheory import farey
 from .spectrum import (GAP_CSV_HEADER, BandSet, _config_hash, _fmt, corner_bands, gap_label,
@@ -304,33 +306,21 @@ def _render_svg(dataset, size, color_by_hall, gap_fill):
 def _render_ppm(dataset, size, color_by_hall, gap_fill):
     width, height = size
     elo, ehi = _extent(dataset)
-    pixels = bytearray(b"\xff" * (3 * width * height))
-
-    def paint(x0, x1, y, rgb):
-        if y < 0 or y >= height:
-            return
-        a = max(0, min(width - 1, int(x0)))
-        b = max(0, min(width - 1, int(x1)))
-        base = 3 * y * width
-        for x in range(a, b + 1):
-            pixels[base + 3 * x:base + 3 * x + 3] = rgb
-
-    def xpix(e):
-        return (e - elo) / (ehi - elo) * (width - 1)
-
+    pixels = np.full((height, width, 3), 255, dtype=np.uint8)
     rows = sorted(dataset.rows, key=lambda r: r.freq.alpha)
     for row in rows:
         y = int(round((1.0 - row.freq.alpha) * (height - 1)))
-        if gap_fill:
-            for g in row.gaps:
-                if not g.is_open:
-                    continue
-                color = hall_color(g.hall) if color_by_hall else "#dddddd"
-                rgb = bytes(int(color[i:i + 2], 16) for i in (1, 3, 5))
-                paint(xpix(g.lo), xpix(g.hi), y, rgb)
-        for lo, hi in row.bands:
-            paint(xpix(lo), xpix(hi), y, b"\x00\x00\x00")
-    return b"P6\n%d %d\n255\n" % (width, height) + bytes(pixels)
+        if not 0 <= y < height:
+            continue
+        fills = [g for g in row.gaps if g.is_open] if gap_fill else []
+        hexes = [hall_color(g.hall) if color_by_hall else "#dddddd" for g in fills]
+        colors = [[int(h[i:i + 2], 16) for i in (1, 3, 5)] for h in hexes] + [0] * len(row.bands)
+        ends = np.array([(g.lo, g.hi) for g in fills] + list(row.bands), dtype=float)
+        # pixel columns of each segment's ends, truncated toward zero, then clamped
+        cols = np.clip(((ends - elo) / (ehi - elo) * (width - 1)).astype(int), 0, width - 1)
+        for (a, b), rgb in zip(cols.tolist(), colors):  # in order: bands paint over gaps
+            pixels[y, a:b + 1] = rgb
+    return b"P6\n%d %d\n255\n" % (width, height) + pixels.tobytes()
 
 
 @dataclass(frozen=True)

@@ -258,8 +258,9 @@ def _dispatch(args, parser) -> int:
         freq = _resolve_freqs(args, parser)[-1]
         bands = band_edges(chambers(freq, args.beta, verify=False))
         lines = [header, "E,N"]
-        for e in _parse_grid(args.energies):
-            lines.append(f"{_fmt(e)},{_fmt(ids(bands, e))}")
+        grid = _parse_grid(args.energies)
+        for e, n in zip(grid, ids(bands, np.asarray(grid, dtype=float))):
+            lines.append(f"{_fmt(e)},{_fmt(n)}")
         _emit(args, "\n".join(lines) + "\n")
         return 0
 

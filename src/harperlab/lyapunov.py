@@ -133,19 +133,22 @@ def _long_product(alpha: float, beta: float, energy, n_theta: int, n_steps: int)
     return float(np.mean(total)) / n_steps
 
 
-def _graded_nodes(bands: BandSet, subdiv: int) -> list:
-    """subdiv+1 nodes per band, cosine-graded toward the edges."""
+def _graded_nodes(bands: BandSet, subdiv: int) -> np.ndarray:
+    """subdiv+1 nodes per band, cosine-graded toward the edges: shape (q, subdiv+1)."""
     shape = (1.0 - np.cos(np.pi * np.arange(subdiv + 1) / subdiv)) / 2.0
-    return [lo + (hi - lo) * shape for lo, hi in bands.bands]
+    edges = np.asarray(bands.bands, dtype=float)
+    return edges[:, :1] + (edges[:, 1:] - edges[:, :1]) * shape
 
 
 @lru_cache(maxsize=256)
 def _ids_model(freq: RationalFrequency, beta: float, subdiv: int):
-    """Nodes and IDS values per band, from one array-valued `ids` call per band."""
+    """Graded nodes and their IDS values, both (q, subdiv+1) and read-only,
+    from one array-valued `ids` call over every band."""
     bands = band_edges(chambers(freq, beta, verify=False))
-    nodes_all = _graded_nodes(bands, subdiv)
-    return (tuple(map(tuple, nodes_all)),
-            tuple(tuple(ids(bands, nodes)) for nodes in nodes_all))
+    nodes = _graded_nodes(bands, subdiv)
+    vals = ids(bands, nodes)
+    nodes.flags.writeable = vals.flags.writeable = False
+    return nodes, vals
 
 
 def lyapunov_thouless(bands: BandSet, energy, subdiv: int = 64) -> LyapunovValue:
@@ -159,12 +162,10 @@ def lyapunov_thouless(bands: BandSet, energy, subdiv: int = 64) -> LyapunovValue
         nodes_all, vals_all = _ids_model(bands.freq, bands.beta, subdiv)
     else:
         nodes_all = _graded_nodes(bands, subdiv)
-        vals_all = [ids(bands, nodes) for nodes in nodes_all]
+        vals_all = ids(bands, nodes_all)
     E = complex(energy)
     total = 0.0
     for nodes, vals in zip(nodes_all, vals_all):
-        nodes = np.asarray(nodes, dtype=float)
-        vals = np.asarray(vals, dtype=float)
         dN = np.diff(vals)
         dx = np.diff(nodes)
         keep = dx > 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -276,16 +277,46 @@ def band_edges(ch: ChambersData) -> BandSet:
     return replace(corner_bands(ch.freq, ch.beta), chambers=ch)
 
 
-def _band_measure(ch: ChambersData, E: np.ndarray, n_psi: int = 2048) -> np.ndarray:
+def _endpoint_rule(n: int):
+    """n-node Gauss-Legendre on [0, 1] after u = (1 - cos theta)/2, theta in [0, pi].
+
+    du = sin(theta)/2 dtheta vanishes at both ends, so a square-root
+    endpoint behaviour in u becomes smooth in theta.  Returns the nodes u
+    and weights that sum to one.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    theta = np.pi * (x + 1.0) / 2.0
+    return (1.0 - np.cos(theta)) / 2.0, np.pi * w * np.sin(theta) / 4.0
+
+
+_PIECE_U, _PIECE_W = _endpoint_rule(32)
+
+
+def _band_measure(ch: ChambersData, E: np.ndarray) -> np.ndarray:
     """Torus measure of {D > 0} at each energy of a 1-d array, D = P + c1 x + c2 y.
 
-    With c1 = -2 the inner measure over x is an arccos; the psi average is a
-    trapezoid (the integrand has only square-root kinks, which the band
-    interpolation tolerance absorbs).
+    With c1 = -2 the inner measure over x is 1 - arccos(t)/pi at
+    t = (P + c2 cos psi)/2 clipped to [-1, 1].  cos psi is even, so psi is
+    folded onto [0, pi], where t rises with psi (c2 = -2 beta^q <= 0).  The
+    clip is active up to the kink a where t = -1 (measure 0) and from the
+    kink b where t = +1 (measure 1), at cos psi = (-+2 - P)/c2; those
+    pieces contribute their lengths exactly (Thouless, J. Phys. C 5, 77
+    (1972)).  The piece [a, b] has square-root ends at the kinks and takes
+    32-node Gauss-Legendre after psi = a + (b - a)(1 - cos theta)/2.  A
+    kink is placed only where |+-2 - P| < |c2|, so c2 = 0 and a c2 lost
+    against P integrate the whole fold with no division.  The cost is one
+    `jet` over E and len(E) x 32 arccos; the sum over nodes runs per
+    energy, so an entry does not depend on the other energies.
     """
-    psi = TWO_PI * np.arange(n_psi) / n_psi
-    t = (ch.P(E)[:, None] + ch.c2 * np.cos(psi)) / 2.0
-    return np.mean(1.0 - np.arccos(np.clip(t, -1.0, 1.0)) / np.pi, axis=-1)
+    P = ch.P(E)
+    num = np.stack([P + 2.0, P - 2.0])  # cos psi = num / |c2| at the kinks a, b
+    m = -ch.c2
+    a, b = np.arccos(np.clip(np.divide(num, m, out=np.sign(num), where=np.abs(num) < m),
+                             -1.0, 1.0))
+    length = b - a
+    t = (P[:, None] + ch.c2 * np.cos(a[:, None] + length[:, None] * _PIECE_U)) / 2.0
+    inner = np.sum(_PIECE_W * np.arccos(np.clip(t, -1.0, 1.0)), axis=-1)
+    return (np.pi - a - length * inner / np.pi) / np.pi
 
 
 def ids(bands: BandSet, E):
@@ -298,7 +329,10 @@ def ids(bands: BandSet, E):
     exact counting values: the bottom of band i counts i - 1 bands and its
     top counts i, so a point where bands i and i+1 touch counts i.  An
     array gives an array of the same shape whose entries equal the scalar
-    calls bitwise; the torus measure holds len(E) x 2048 floats at once.
+    calls bitwise.  The in-band measure is a kink-split 32-node rule
+    (`_band_measure`): one `jet` pass over all in-band energies and
+    len(E) x 32 floats at once, so a whole graded node set of every band
+    fits one call.
     """
     q = bands.q
     x = np.asarray(E, dtype=float)
@@ -330,12 +364,17 @@ def gap_label(j: int, freq: RationalFrequency):
     q, p = freq.q, freq.p
     if not 1 <= j <= q - 1:
         raise ValueError(f"gap index must satisfy 1 <= j <= q-1, got {j}")
-    n = (j * pow(p, -1, q)) % q
-    if n > q / 2:  # n = q/2 keeps the positive representative
-        n -= q
-    m = (j - n * p) // q
+    m, n = _label(j, p, q, pow(p, -1, q))
     assert m * q + n * p == j
     return m, n
+
+
+def _label(j: int, p: int, q: int, p_inv: int):
+    """`gap_label` given p_inv, the inverse of p modulo q."""
+    n = (j * p_inv) % q
+    if n > q / 2:  # n = q/2 keeps the positive representative
+        n -= q
+    return (j - n * p) // q, n
 
 
 @dataclass(frozen=True)
@@ -345,10 +384,14 @@ class GapRecord:
     j: int
     lo: float
     hi: float
-    ids_value: Fraction
     label: tuple
     hall: int
     is_open: bool
+
+    @property
+    def ids_value(self) -> Fraction:
+        """The exact IDS j/q on this gap."""
+        return Fraction(self.j, self.freq.q)
 
     @property
     def width(self) -> float:
@@ -360,10 +403,11 @@ class GapRecord:
 
     def csv_row(self) -> str:
         m, n = self.label
+        g = math.gcd(self.j, self.freq.q)  # ids_value in lowest terms
         return ",".join([
             str(self.freq.p), str(self.freq.q), _fmt(self.beta),
             _fmt(self.lo), _fmt(self.hi),
-            str(self.ids_value.numerator), str(self.ids_value.denominator),
+            str(self.j // g), str(self.freq.q // g),
             str(m), str(n), _fmt(self.width),
         ])
 
@@ -394,16 +438,17 @@ def gaps(freq: RationalFrequency, beta: float, min_width: float = 1e-9,
         band_set = corner_bands(freq, beta)
     if band_set.beta == 0.0:
         return []
-    q = freq.q
+    q, p = freq.q, freq.p
+    p_inv = pow(p, -1, q)
     out = []
     for j, (lo, hi) in enumerate(band_set.gap_intervals(), start=1):
         width = hi - lo
         central = (q % 2 == 0 and j == q // 2)
         if width <= min_width and not central:
             continue
-        m, n = gap_label(j, freq)
-        out.append(GapRecord(freq, float(beta), j, float(lo), float(hi), Fraction(j, q),
-                             (m, n), n, width > min_width))
+        m, n = _label(j, p, q, p_inv)
+        out.append(GapRecord(freq, float(beta), j, float(lo), float(hi), (m, n), n,
+                             width > min_width))
     return out
 
 

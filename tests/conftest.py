@@ -94,6 +94,39 @@ def oracle_ids_counting(p, q, beta, energy, n=64):
     return total / (n * n * q)
 
 
+def oracle_band_measure(P, c2, dps=20):
+    """Torus measure of {P - 2 cos(phi) + c2 cos(psi) > 0} by mpmath quadrature.
+
+    At fixed psi the phi-measure is 1 - acos(t)/pi with
+    t = (P + c2 cos psi)/2 clipped to [-1, 1].  Its psi-average over [0, pi]
+    is split at the kinks cos psi = (+-2 - P)/c2, where the clip starts to
+    act.  A piece on which |t| >= 1 is exactly 0 or 1; every other piece is
+    integrated by mp.quad at dps digits: tanh-sinh where it ends at a
+    kink (square-root ends), Gauss-Legendre on a kink-free (analytic)
+    piece.  P and c2 are taken as exact binary values.
+    """
+    with mp.workdps(dps):
+        P, c2 = mp.mpf(P), mp.mpf(c2)
+
+        def t(s):
+            return (P + c2 * mp.cos(s)) / 2
+
+        kinks = [mp.acos(r) for r in ((-2 - P) / c2, (2 - P) / c2) if -1 < r < 1] if c2 else []
+        pts = sorted([mp.mpf(0), +mp.pi] + kinks)
+        total = mp.mpf(0)
+        for a, b in zip(pts, pts[1:]):
+            mid = t((a + b) / 2)
+            if abs(mid) >= 1:
+                total += (b - a) if mid > 0 else 0
+                continue
+            method = "tanh-sinh" if a in kinks or b in kinks else "gauss-legendre"
+            val, err = mp.quad(lambda s: 1 - mp.acos(max(-1, min(1, t(s)))) / mp.pi, [a, b],
+                               method=method, error=True)
+            assert err < mp.mpf(10) ** (4 - dps), f"quadrature error estimate {err}"
+            total += val
+        return total / mp.pi
+
+
 def oracle_moment(p, q, beta, power, n=48):
     """tau(h^power) from dense eigensolves."""
     t = TWO_PI * np.arange(n) / (n * q)

@@ -155,6 +155,46 @@ def test_render_ppm(tmp_path):
     assert len(data) == len(b"P6\n160 120\n255\n") + 3 * 160 * 120
 
 
+def ppm_by_pixel(dataset, size, color_by_hall, gap_fill):
+    """The pixel-by-pixel PPM painter that slice painting replaced, kept as an oracle."""
+    width, height = size
+    elo, ehi = butterfly_module._extent(dataset)
+    pixels = bytearray(b"\xff" * (3 * width * height))
+
+    def paint(x0, x1, y, rgb):
+        if y < 0 or y >= height:
+            return
+        a = max(0, min(width - 1, int(x0)))
+        b = max(0, min(width - 1, int(x1)))
+        base = 3 * y * width
+        for x in range(a, b + 1):
+            pixels[base + 3 * x:base + 3 * x + 3] = rgb
+
+    def xpix(e):
+        return (e - elo) / (ehi - elo) * (width - 1)
+
+    for row in sorted(dataset.rows, key=lambda r: r.freq.alpha):
+        y = int(round((1.0 - row.freq.alpha) * (height - 1)))
+        if gap_fill:
+            for g in row.gaps:
+                if not g.is_open:
+                    continue
+                color = hall_color(g.hall) if color_by_hall else "#dddddd"
+                paint(xpix(g.lo), xpix(g.hi), y, bytes(int(color[i:i + 2], 16) for i in (1, 3, 5)))
+        for lo, hi in row.bands:
+            paint(xpix(lo), xpix(hi), y, b"\x00\x00\x00")
+    return b"P6\n%d %d\n255\n" % (width, height) + bytes(pixels)
+
+
+@pytest.mark.parametrize("order", [12, 30])
+def test_render_ppm_equals_pixel_loop(order):
+    ds = compute_butterfly(order, 0.8)
+    for gap_fill in (True, False):
+        for color_by_hall in (True, False):
+            args = (ds, (331, 217), color_by_hall, gap_fill)
+            assert butterfly_module._render_ppm(*args) == ppm_by_pixel(*args)
+
+
 def test_render_rejects_unknown_format(tmp_path):
     ds = compute_butterfly(3, 1.0)
     with pytest.raises(ValueError):

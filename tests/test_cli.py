@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from harperlab import RationalFrequency, band_edges, chambers, ids
 from harperlab.cli import main
+from harperlab.spectrum import _fmt
 
 
 def run(argv, capsys):
@@ -185,6 +188,14 @@ def test_ids_command_monotone(capsys):
     vals = [float(ln.split(",")[1]) for ln in out.strip().splitlines()[2:]]
     assert vals == sorted(vals)
     assert vals[0] == 0.0 and vals[-1] == 1.0
+
+
+def test_ids_command_equals_per_point_calls(capsys):
+    code, out, _ = run(["ids", "--alpha", "5/8", "--beta", "0.5", "--energies=-4:4:33"], capsys)
+    assert code == 0
+    bands = band_edges(chambers(RationalFrequency(5, 8), 0.5, verify=False))
+    assert out.strip().splitlines()[2:] == [f"{_fmt(e)},{_fmt(ids(bands, float(e)))}"
+                                            for e in np.linspace(-4.0, 4.0, 33)]
 
 
 def test_selftest_fast_exit_zero(capsys):

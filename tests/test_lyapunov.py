@@ -8,6 +8,7 @@ from harperlab import (RationalFrequency, band_edges, chambers, critical_scan,
                        gaps, gradient, hessian, log_potential,
                        lyapunov_thouless, lyapunov_trace, lyapunov_transfer,
                        PhaseGrid, build_rep, hamiltonian, vanishing_scan)
+from harperlab import lyapunov, spectrum
 from harperlab._torus import _psi_count, averages
 from conftest import oracle_average_inverse, oracle_moment, oracle_trace
 
@@ -67,6 +68,35 @@ def test_thouless_symmetric_in_energy():
         a = lyapunov_thouless(bands, e).value
         b = lyapunov_thouless(bands, -e).value
         assert abs(a - b) <= 1e-10
+
+
+def test_ids_model_makes_one_ids_and_one_jet_call_per_fraction(monkeypatch):
+    """All graded nodes of all bands go through one array-valued `ids` call,
+    hence one continuant pass, and each band's row equals a per-band call
+    bit for bit."""
+    cases = ((F(8, 13), 1.0), (F(55, 89), 0.5), (F(3, 8), 0.0))
+    calls = {"ids": 0, "jet": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lyapunov, "ids", counted("ids", spectrum.ids))
+    monkeypatch.setattr(spectrum.ChambersData, "jet", counted("jet", spectrum.ChambersData.jet))
+    lyapunov._ids_model.cache_clear()
+    models = []
+    for k, (freq, beta) in enumerate(cases, start=1):
+        models.append(lyapunov._ids_model(freq, beta, 64))
+        assert calls == {"ids": k, "jet": k}
+    monkeypatch.undo()
+    lyapunov._ids_model.cache_clear()
+    for (freq, beta), (nodes, vals) in zip(cases, models):
+        assert nodes.shape == vals.shape == (freq.q, 65)
+        bands = band_edges(chambers(freq, beta, verify=False))
+        for k in range(freq.q):
+            assert spectrum.ids(bands, nodes[k]).tobytes() == vals[k].tobytes()
 
 
 def test_trace_far_field_expansion():

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,9 +11,11 @@ from harperlab import (ChambersError, RationalFrequency, band_edges, chambers,
                        corner_bands, critical_scan, dual_check, gap_label, gaps,
                        gradient, harper_matrix, hausdorff_intervals, ids,
                        log_potential, track_gap)
-from harperlab.spectrum import _verify_phase_independence
-from conftest import (interval_union_distance, oracle_band_sweep, oracle_center_jet,
-                      oracle_gap_label, oracle_harper, oracle_ids_counting)
+from harperlab.butterfly import butterfly_fractions
+from harperlab.spectrum import _band_measure, _verify_phase_independence
+from conftest import (interval_union_distance, oracle_band_measure, oracle_band_sweep,
+                      oracle_center_jet, oracle_gap_label, oracle_harper,
+                      oracle_ids_counting)
 
 
 def F(p, q):
@@ -258,6 +261,56 @@ def test_ids_monotone_and_matches_counting_oracle():
     for e in np.linspace(lo + 0.2, hi - 0.2, 7):
         counted = oracle_ids_counting(p, q, beta, float(e), n=64)
         assert abs(ids(bands, float(e)) - counted) <= 5e-3
+
+
+def graded_nodes(bands, subdiv=64):
+    """The Thouless route's cosine-graded nodes, subdiv+1 per band."""
+    shape = (1.0 - np.cos(np.pi * np.arange(subdiv + 1) / subdiv)) / 2.0
+    return np.concatenate([lo + (hi - lo) * shape for lo, hi in bands.bands])
+
+
+@pytest.mark.parametrize("p, q, beta", [(8, 13, 1.0), (13, 21, 1.5), (3, 8, 1.0), (2, 5, 2.0),
+                                        (55, 89, 0.5)])
+def test_band_measure_matches_mpmath_at_graded_nodes(p, q, beta):
+    """Every graded node of every band against a 20-digit quadrature split
+    at the kinks.  P comes from the library at both ends, so only the
+    measure is under test.  The worst error measured over the five cases is
+    3.7e-13 (8/13, beta 1, at P = 0.019, where the unkinked end of the
+    piece lies 0.14 in psi from a complex kink); the 2048-node trapezoid
+    this rule replaced was off by up to 4.2e-4."""
+    ch = chambers(F(p, q), beta, verify=False)
+    E = graded_nodes(band_edges(ch))
+    got = _band_measure(ch, E)
+    ref = np.array([float(oracle_band_measure(float(P), ch.c2)) for P in ch.P(E)])
+    assert np.max(np.abs(got - ref)) <= 5e-13
+
+
+@pytest.mark.parametrize("beta, c2", [(0.0, None), (0.5, -5e-324), (0.5, -1e-300)])
+def test_band_measure_without_kinks_is_the_arccos(beta, c2):
+    """c2 = 0 (beta = 0) and a c2 lost against P place no kink and divide by
+    nothing, so no RuntimeWarning; the measure is then 1 - arccos(P/2)/pi, up
+    to the rounding of a 32-term sum (1.0e-15 measured)."""
+    ch = chambers(F(2, 5), beta, verify=False)
+    if c2 is not None:
+        ch = replace(ch, c2=c2)
+    E = graded_nodes(corner_bands(F(2, 5), beta))
+    closed = 1.0 - np.arccos(np.clip(ch.P(E) / 2.0, -1.0, 1.0)) / np.pi
+    assert np.max(np.abs(_band_measure(ch, E) - closed)) <= 2e-15
+
+
+def test_gap_records_carry_gap_label_and_exact_ids():
+    """The records' labels come from one modular inverse per fraction and
+    their IDS from (j, q); both must equal the public per-gap definitions
+    at every fraction of order 30, every gap index included."""
+    for freq in butterfly_fractions(30):
+        recs = gaps(freq, 0.7, min_width=-1.0)
+        assert [g.j for g in recs] == list(range(1, freq.q))
+        for g in recs:
+            label = gap_label(g.j, freq)
+            assert (g.label, g.hall, g.ids_value) == (label, label[1], Fraction(g.j, freq.q))
+            ids_num, ids_den = g.csv_row().split(",")[5:7]
+            assert Fraction(int(ids_num), int(ids_den)) == g.ids_value
+            assert math.gcd(int(ids_num), int(ids_den)) == 1
 
 
 def test_gap_label_examples():
