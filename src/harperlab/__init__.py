@@ -9,10 +9,9 @@ engine with Hall-conductance rendering.
 __version__ = "0.1.0"
 
 from .rationals import RationalFrequency, convergents, named_continued_fraction
-from .rotation import (AlgebraElement, NeumannExpansion, PhaseGrid, RotationRep,
-                       build_rep, build_uv, hamiltonian, lam_phase, max_norm,
-                       monomial, neumann_inverse, rho_images, sigma_images,
-                       trace_tau)
+from .rotation import (NeumannExpansion, PhaseGrid, RotationRep, build_rep,
+                       build_uv, hamiltonian, lam_phase, max_norm, monomial,
+                       neumann_inverse, rho_images, sigma_images, trace_tau)
 from .spectrum import (BandSet, ChambersData, ChambersError, DualityReport,
                        GapRecord, GapTrack, band_edges, chambers, corner_bands,
                        dual_check, gap_label, gaps, harper_matrix,

@@ -20,12 +20,13 @@ def margin(A: float, B: float, C: float) -> float:
     return abs(A) - abs(B) - abs(C)
 
 
-def _psi_count(A: float, B: float, C: float, base: int = 256, cap: int = 1 << 22) -> int:
+def _psi_count(A: float, B: float, C: float) -> int:
     """Trapezoid size so that the quadrature error is below roundoff.
 
     The integrand's complex singularities sit at cos(psi) = (+-|B| - A)/C,
     a relative distance eps = margin/|C| beyond the interval; the analyticity
     strip has width arccosh(1 + eps), and the error decays like exp(-n*strip).
+    Unless C = 0, the size is a power of two between 256 and 2^22.
     """
     Ca = abs(C)
     if Ca == 0.0:
@@ -35,12 +36,11 @@ def _psi_count(A: float, B: float, C: float, base: int = 256, cap: int = 1 << 22
         raise ValueError("kernel singular on the torus")
     strip = np.log1p(eps + np.sqrt(eps * (eps + 2.0)))
     if np.isinf(strip):  # eps^2 overflowed: |C| is negligible against the margin
-        return base
-    n = int(min(max(base, 2.0 ** np.ceil(np.log2(48.0 / max(strip, 1e-12)))), cap))
-    return n
+        return 256
+    return int(min(max(256, 2.0 ** np.ceil(np.log2(48.0 / max(strip, 1e-12)))), 1 << 22))
 
 
-def averages(A: float, B: float, C: float, kinds, base: int = 256):
+def averages(A: float, B: float, C: float, kinds):
     """Torus averages of the requested kernels.
 
     kinds is an iterable drawn from:
@@ -54,7 +54,7 @@ def averages(A: float, B: float, C: float, kinds, base: int = 256):
     kinds = tuple(kinds)
     if margin(A, B, C) <= 0:
         raise ValueError("averages require |A| > |B| + |C| (point off the spectrum)")
-    n = _psi_count(A, B, C, base=base)
+    n = _psi_count(A, B, C)
     acc = {k: 0.0 for k in kinds}
     B2 = B * B
     chunk = 1 << 20

@@ -229,14 +229,19 @@ def parse_dataset(text: str) -> ButterflyDataset:
                                         "complete": not any(row.error for row in rows)})
 
 
-def hall_color(n: int, n_max: int = 6) -> str:
+def _palette_entry(n: int):
+    fade = round(255 * (1 - abs(n) / 6))
+    rgb = (255, fade, fade) if n >= 0 else (fade, fade, 255)
+    return rgb, "#%02x%02x%02x" % rgb
+
+
+# Hall numbers are clipped to |n| <= 6, so the palette is 13 (RGB, hex) entries
+_PALETTE = {n: _palette_entry(n) for n in range(-6, 7)}
+
+
+def hall_color(n: int) -> str:
     """Signed diverging palette: blue for negative, red for positive Hall numbers."""
-    t = max(-1.0, min(1.0, n / n_max))
-    if t >= 0:
-        r, g, b = 255, int(round(255 * (1 - t))), int(round(255 * (1 - t)))
-    else:
-        r, g, b = int(round(255 * (1 + t))), int(round(255 * (1 + t))), 255
-    return f"#{r:02x}{g:02x}{b:02x}"
+    return _PALETTE[max(-6, min(6, n))][1]
 
 
 def render(dataset: ButterflyDataset, path: str, size=(900, 600),
@@ -313,8 +318,8 @@ def _render_ppm(dataset, size, color_by_hall, gap_fill):
         if not 0 <= y < height:
             continue
         fills = [g for g in row.gaps if g.is_open] if gap_fill else []
-        hexes = [hall_color(g.hall) if color_by_hall else "#dddddd" for g in fills]
-        colors = [[int(h[i:i + 2], 16) for i in (1, 3, 5)] for h in hexes] + [0] * len(row.bands)
+        colors = [_PALETTE[max(-6, min(6, g.hall))][0] if color_by_hall else (221, 221, 221)
+                  for g in fills] + [0] * len(row.bands)
         ends = np.array([(g.lo, g.hi) for g in fills] + list(row.bands), dtype=float)
         # pixel columns of each segment's ends, truncated toward zero, then clamped
         cols = np.clip(((ends - elo) / (ehi - elo) * (width - 1)).astype(int), 0, width - 1)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -17,15 +18,14 @@ from . import __version__
 from .rationals import RationalFrequency, convergents, named_continued_fraction
 from .rotation import build_rep, build_uv, hamiltonian, lam_phase, max_norm, monomial, sigma_images, rho_images
 from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, band_edges, chambers,
-                       dual_check, gap_label, gaps, ids, track_gap)
+                       corner_bands, dual_check, gap_label, gaps, ids, track_gap)
 from .lyapunov import (critical_scan, gradient, hessian, lyapunov_thouless,
                        lyapunov_trace, lyapunov_transfer)
 from .coefficients import (build_phi, coefficient_sheet, decay_rate,
                            recursion_sheets, symmetrized_sheet, system_residual,
                            vanishing_probe)
 from .numbertheory import component_count, farey, franel_table, phi_cumulative
-from .butterfly import (butterfly_fractions, compute_butterfly, parse_dataset,
-                        persistence_sweep, render, serialize_dataset)
+from .butterfly import compute_butterfly, parse_dataset, render, serialize_dataset
 
 COMMANDS = ("spectrum", "gaps", "ids", "label", "lyapunov", "gradient",
             "critical-scan", "hessian", "coeffs", "recursion", "decay",
@@ -57,12 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    for name in ("spectrum", "gaps"):
-        p = sub.add_parser(name)
-        add_freq(p)
-        p.add_argument("--beta", type=float, required=True)
-        p.add_argument("--min-width", type=float, default=1e-9)
-        add_out(p)
+    p = sub.add_parser("spectrum")
+    add_freq(p)
+    p.add_argument("--beta", type=float, required=True)
+    add_out(p)
+
+    p = sub.add_parser("gaps")
+    add_freq(p)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--min-width", type=float, default=1e-9)
+    add_out(p)
 
     p = sub.add_parser("ids")
     add_freq(p)
@@ -83,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("transfer", "thouless", "trace", "all"),
                    default="all")
     p.add_argument("--theta-samples", type=int, default=256)
-    p.add_argument("--n-steps", type=int, default=None)
     add_out(p)
 
     for name in ("gradient", "hessian"):
@@ -240,7 +243,7 @@ def _dispatch(args, parser) -> int:
     if cmd == "spectrum":
         lines = [header, "p,q,beta,band,lo,hi"]
         for freq in _resolve_freqs(args, parser):
-            bands = band_edges(chambers(freq, args.beta, verify=False))
+            bands = corner_bands(freq, args.beta)
             for i, (lo, hi) in enumerate(bands.bands, start=1):
                 lines.append(f"{freq.p},{freq.q},{_fmt(args.beta)},{i},{_fmt(lo)},{_fmt(hi)}")
         _emit(args, "\n".join(lines) + "\n")
@@ -256,7 +259,7 @@ def _dispatch(args, parser) -> int:
 
     if cmd == "ids":
         freq = _resolve_freqs(args, parser)[-1]
-        bands = band_edges(chambers(freq, args.beta, verify=False))
+        bands = corner_bands(freq, args.beta)
         lines = [header, "E,N"]
         grid = _parse_grid(args.energies)
         for e, n in zip(grid, ids(bands, np.asarray(grid, dtype=float))):
@@ -270,7 +273,8 @@ def _dispatch(args, parser) -> int:
         indices = [args.j] if args.j is not None else list(range(1, freq.q))
         for j in indices:
             m, n = gap_label(j, freq)
-            lines.append(f"{j},{j},{freq.q},{m},{n}")
+            g = math.gcd(j, freq.q)  # the IDS j/q in lowest terms, as `gaps` prints it
+            lines.append(f"{j},{j // g},{freq.q // g},{m},{n}")
         _emit(args, "\n".join(lines) + "\n")
         return 0
 
@@ -281,11 +285,9 @@ def _dispatch(args, parser) -> int:
         rows = []
         if args.method in ("transfer", "all"):
             rows.append(lyapunov_transfer(freq, args.beta, zr,
-                                          theta_samples=args.theta_samples,
-                                          n_steps=args.n_steps))
+                                          theta_samples=args.theta_samples))
         if args.method in ("thouless", "all"):
-            bands = band_edges(chambers(freq, args.beta, verify=False))
-            rows.append(lyapunov_thouless(bands, zr))
+            rows.append(lyapunov_thouless(corner_bands(freq, args.beta), zr))
         if args.method in ("trace", "all"):
             rows.append(lyapunov_trace(freq, args.beta, zr))
         lines = [header, "method,beta,z,value"]
@@ -465,29 +467,23 @@ def sigma_check_report(freq, beta, theta1=0.0, theta2=0.0) -> dict:
     rep = build_rep(freq, theta1, theta2)
     lam = lam_phase(freq)
     U, V = build_uv(rep, beta)
+    Ua, Va = U.conj().T, V.conj().T
     eye = np.eye(freq.q)
     gamma = beta + 1.0 / beta
     res = {
         "p": freq.p, "q": freq.q, "beta": beta,
         "residual_commutation": max_norm(rep.u @ rep.v - np.exp(2j * np.pi * freq.alpha) * rep.v @ rep.u),
-        "residual_ladder_twist": max_norm(U.matrix @ V.matrix - lam ** -2 * V.matrix @ U.matrix),
-        "residual_ladder_twist_star": max_norm(U.matrix.conj().T @ V.matrix
-                                               - lam ** 2 * V.matrix @ U.matrix.conj().T),
-        "residual_ladder_product": max_norm(U.matrix.conj().T @ U.matrix
-                                            - (lam * V.matrix + np.conj(lam) * V.matrix.conj().T
-                                               + gamma * eye)),
-        "residual_hamiltonian_split": max_norm(np.sqrt(beta) * (U.matrix + U.matrix.conj().T)
-                                               - hamiltonian(rep, beta).matrix),
+        "residual_ladder_twist": max_norm(U @ V - lam ** -2 * V @ U),
+        "residual_ladder_twist_star": max_norm(Ua @ V - lam ** 2 * V @ Ua),
+        "residual_ladder_product": max_norm(Ua @ U - (lam * V + np.conj(lam) * Va + gamma * eye)),
+        "residual_hamiltonian_split": max_norm(np.sqrt(beta) * (U + Ua) - hamiltonian(rep, beta)),
     }
     ru, rv = rho_images(rep, beta)
-    res["residual_twist_automorphism"] = max_norm(ru.matrix + beta * rv.matrix
-                                                  - (rep.u.conj().T + beta * rep.v))
+    res["residual_twist_automorphism"] = max_norm(ru + beta * rv - (rep.u.conj().T + beta * rep.v))
     if 0 < beta < 1:
         su, sv = sigma_images(rep, beta)
-        res["residual_symmetry_fixes_ladder"] = max_norm(
-            beta ** -0.5 * su.matrix + beta ** 0.5 * sv.matrix - U.matrix)
-        res["residual_symmetry_conjugates_twist"] = max_norm(
-            np.conj(lam) * su.matrix @ sv.matrix.conj().T - V.matrix.conj().T)
+        res["residual_symmetry_fixes_ladder"] = max_norm(beta ** -0.5 * su + beta ** 0.5 * sv - U)
+        res["residual_symmetry_conjugates_twist"] = max_norm(np.conj(lam) * su @ sv.conj().T - Va)
     return res
 
 
@@ -510,7 +506,7 @@ def run_selftest(fast: bool = False) -> int:
             worst = max(v for k, v in report.items() if k.startswith("residual"))
             assert worst < 1e-10, f"algebra residual {worst:.2e} at {freq}"
             w = monomial(rep, 2, -3)
-            assert max_norm(w.matrix @ w.matrix.conj().T - np.eye(q)) < 1e-12
+            assert max_norm(w @ w.conj().T - np.eye(q)) < 1e-12
 
     def spectra():
         for (p, q, beta) in ((1, 3, 0.5), (2, 5, 1.0), (5, 8, 0.25)):
@@ -525,7 +521,7 @@ def run_selftest(fast: bool = False) -> int:
 
     def lyap():
         freq = RationalFrequency(1, 3)
-        bands = band_edges(chambers(freq, 0.5, verify=False))
+        bands = corner_bands(freq, 0.5)
         for z in (3.2, -3.2, 4.0):
             lt = lyapunov_transfer(freq, 0.5, z).value
             lh = lyapunov_thouless(bands, z).value

@@ -20,7 +20,7 @@ import numpy as np
 
 from .rationals import RationalFrequency, pi_fraction_trig
 from .rotation import PhaseGrid
-from .spectrum import band_edges, chambers, harper_matrix
+from .spectrum import chambers, corner_bands, harper_matrix
 from .lyapunov import gradient
 
 SIGN_CONVENTION = "resolvent (h-z)^-1; trace normalized; w(p;qe) = exp(-i pi a p qe) u^p v^qe"
@@ -77,20 +77,19 @@ class CoefficientSheet:
 
 
 def coefficient_sheet(freq: RationalFrequency, beta: float, z: float, window: int = 12,
-                      grid: PhaseGrid | None = None, imag_tol: float = 1e-10) -> CoefficientSheet:
+                      grid: PhaseGrid | None = None) -> CoefficientSheet:
     """The resolvent coefficient sheet at real z outside the spectrum.
 
     Works on the phase grid: one dense inverse per node, the q x q family of
     matrix traces against clock/shift powers, then a 2-d Fourier average to
     separate the window indices.  The default grid keeps the highest window
-    harmonic far below the Nyquist bound, which is enforced.
+    harmonic far below the Nyquist bound, which is enforced.  An entry with
+    an imaginary part above 1e-10 raises ArithmeticError.
     """
     if beta <= 0:
         raise ValueError("coupling must be positive")
     q = freq.q
-    ch = chambers(freq, beta, verify=False)
-    bands = band_edges(ch)
-    if bands.distance(z) <= 0.0:
+    if corner_bands(freq, beta).distance(z) <= 0.0:
         raise ValueError(f"z={z} lies in the spectrum at {freq}, beta={beta}")
     if grid is None:
         grid = PhaseGrid.for_window(window, q)
@@ -123,7 +122,7 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float, window: in
             c, s = pi_fraction_trig(-p * qe * freq.p, q)
             vals[ip, iq] = complex(c, s) * (phases1[ip] @ t @ phases2[iq])
     worst_imag = float(np.max(np.abs(vals.imag)))
-    if worst_imag > imag_tol:
+    if worst_imag > 1e-10:
         raise ArithmeticError(f"sheet entries should be real; worst imaginary part {worst_imag:.3e}")
     return CoefficientSheet("c", freq, float(beta), float(z), window, vals.real.copy())
 
@@ -137,39 +136,45 @@ class SystemResidual:
     n_points: int
 
 
-def system_residual(sheet: CoefficientSheet, beta: float, s: float,
-                    include_origin: bool | None = None) -> SystemResidual:
+def _trig_table(freq: RationalFrequency, window: int):
+    """(cos, sin) of pi a k for k = -window..window, exact on the axes."""
+    return np.array([pi_fraction_trig(freq.p * k, freq.q)
+                     for k in range(-window, window + 1)]).T
+
+
+def _equations(x: np.ndarray, freq: RationalFrequency, beta: float, s: float):
+    """Left-hand sides (e1, e2) of both equations at every interior index.
+
+    x holds sheets over its trailing (2P+1, 2P+1) axes, indexed
+    [p + P, qe + P]; e1 and e2 have the leading axes of x and then
+    (2P-1, 2P-1), indexed [p + P - 1, qe + P - 1].
+    """
+    P = (x.shape[-1] - 1) // 2
+    cos, sin = _trig_table(freq, P)[:, 1:-1]
+    cp, sp, cq, sq = cos[:, None], sin[:, None], cos, sin
+    up, down = x[..., 2:, 1:-1], x[..., :-2, 1:-1]  # x[p+1, qe], x[p-1, qe]
+    right, left = x[..., 1:-1, 2:], x[..., 1:-1, :-2]  # x[p, qe+1], x[p, qe-1]
+    e1 = cq * (up + down) + beta * cp * (right + left) - s * x[..., 1:-1, 1:-1]
+    e2 = sq * (up - down) - beta * sp * (right - left)
+    return e1, e2
+
+
+def system_residual(sheet: CoefficientSheet, beta: float, s: float) -> SystemResidual:
     """Evaluate both equations at all interior window indices.
 
     For the inhomogeneous families (kinds c, d, R+, R-) the origin row is
     excluded from the residual and its inhomogeneity, which should equal 1,
     is reported separately; the homogenized sheet is checked everywhere.
     """
-    if include_origin is None:
-        include_origin = sheet.kind == "phi"
     P = sheet.window
-    x = sheet.values
-    q = sheet.freq.q
-    pf = sheet.freq.p
-    worst = 0.0
-    origin = None
-    count = 0
-    for p in range(-P + 1, P):
-        cp, sp = pi_fraction_trig(pf * p, q)
-        for qe in range(-P + 1, P):
-            cq, sq = pi_fraction_trig(pf * qe, q)
-            e1 = (cq * (x[p + 1 + P, qe + P] + x[p - 1 + P, qe + P])
-                  + beta * cp * (x[p + P, qe + 1 + P] + x[p + P, qe - 1 + P])
-                  - s * x[p + P, qe + P])
-            e2 = (sq * (x[p + 1 + P, qe + P] - x[p - 1 + P, qe + P])
-                  - beta * sp * (x[p + P, qe + 1 + P] - x[p + P, qe - 1 + P]))
-            if p == 0 and qe == 0:
-                origin = e1
-                if not include_origin:
-                    e1 = 0.0
-            worst = max(worst, abs(e1), abs(e2))
-            count += 1
-    return SystemResidual(worst, origin, count)
+    if P == 0:
+        return SystemResidual(0.0, None, 0)
+    e1, e2 = _equations(sheet.values, sheet.freq, beta, s)
+    origin = float(e1[P - 1, P - 1])
+    if sheet.kind != "phi":
+        e1[P - 1, P - 1] = 0.0
+    worst = float(max(np.max(np.abs(e1)), np.max(np.abs(e2))))
+    return SystemResidual(worst, origin, e1.size)
 
 
 def recursion_sheets(freq: RationalFrequency, beta: float, z: float, window: int = 12):
@@ -191,22 +196,19 @@ def recursion_sheets(freq: RationalFrequency, beta: float, z: float, window: int
     """
     if not 0 < beta < 1:
         raise ValueError(f"one-sided solutions need 0 < beta < 1, got {beta}")
-    ch = chambers(freq, beta, verify=False)
-    if band_edges(ch).distance(z) <= 0.0:
+    if corner_bands(freq, beta).distance(z) <= 0.0:
         raise ValueError(f"z={z} lies in the spectrum")
     P = window
-    q, pf = freq.q, freq.p
+    cos, sin = _trig_table(freq, P).astype(np.longdouble)
     cols = np.zeros((P + 2, 2 * P + 3), dtype=np.longdouble)
     off = P + 1
     cols[1, off] = 1.0
     zl = np.longdouble(z)
     bl = np.longdouble(beta)
     for p in range(1, P + 1):
-        cp, sp = pi_fraction_trig(pf * p, q)
-        cpl, spl = np.longdouble(cp), np.longdouble(sp)
+        cpl, spl = cos[p + P], sin[p + P]
         for qe in range(-p, p + 1):
-            cq, sq = pi_fraction_trig(pf * qe, q)
-            cql, sql = np.longdouble(cq), np.longdouble(sq)
+            cql, sql = cos[qe + P], sin[qe + P]
             ra = zl * cols[p, qe + off] - bl * cpl * (cols[p, qe + 1 + off] + cols[p, qe - 1 + off])
             rb = bl * spl * (cols[p, qe + 1 + off] - cols[p, qe - 1 + off])
             nxt = cql * ra + sql * rb - (cql * cql - sql * sql) * cols[p - 1, qe + off]
@@ -263,12 +265,11 @@ class DecayEstimate:
     all_zero: bool = False
 
 
-def decay_rate(sheet: CoefficientSheet, slope: int, offset: int,
-               min_points: int = 4) -> DecayEstimate:
+def decay_rate(sheet: CoefficientSheet, slope: int, offset: int) -> DecayEstimate:
     """Least-squares fit of log|entry| against |p| along a lattice line.
 
     Exact zeros (support boundaries) are excluded; an all-zero line returns
-    the rho = 0 sentinel.
+    the rho = 0 sentinel, and fewer than 4 nonzero points raise ValueError.
     """
     entries = sheet.line(slope, offset)
     if not entries:
@@ -276,9 +277,9 @@ def decay_rate(sheet: CoefficientSheet, slope: int, offset: int,
     pts = [(abs(p), abs(v)) for (p, _), v in entries if v != 0.0]
     if not pts:
         return DecayEstimate(slope, offset, 0.0, 0.0, 0, all_zero=True)
-    if len(pts) < min_points:
+    if len(pts) < 4:
         raise ValueError(f"only {len(pts)} nonzero points on line "
-                         f"(slope={slope}, offset={offset}); need {min_points}")
+                         f"(slope={slope}, offset={offset}); need 4")
     xs = np.array([p for p, _ in pts], dtype=float)
     ys = np.log(np.array([v for _, v in pts]))
     design = np.vstack([xs, np.ones_like(xs)]).T
@@ -298,17 +299,18 @@ class VanishingReport:
         return abs(self.c00) <= self.threshold and abs(self.c01) <= self.threshold
 
 
-def vanishing_probe(sheet: CoefficientSheet, threshold: float = 1e-8) -> VanishingReport:
-    """Report the two origin-adjacent entries whose joint vanishing is forbidden."""
-    return VanishingReport(sheet.value(0, 0), sheet.value(0, 1), threshold)
+def vanishing_probe(sheet: CoefficientSheet) -> VanishingReport:
+    """Report the two origin-adjacent entries whose joint vanishing is
+    forbidden; both vanish when neither exceeds 1e-8."""
+    return VanishingReport(sheet.value(0, 0), sheet.value(0, 1), 1e-8)
 
 
-def vanishing_scan(freq: RationalFrequency, beta: float, gap, n_z: int = 41,
-                   threshold: float = 1e-8):
+def vanishing_scan(freq: RationalFrequency, beta: float, gap, n_z: int = 41):
     """min over a gap of max(|c00|, |c01|), via the reduced trace formulas.
 
     c00 = -dL/dz and c01 = g1, both computed without sheets, so the scan
-    stays accurate arbitrarily close to the band edges.
+    stays accurate arbitrarily close to the band edges; it passes when that
+    minimum exceeds 1e-8.
     """
     ch = chambers(freq, beta, verify=False)
     lo, hi = float(gap.lo), float(gap.hi)
@@ -322,7 +324,7 @@ def vanishing_scan(freq: RationalFrequency, beta: float, gap, n_z: int = 41,
         if score < worst:
             worst, argmin = score, float(z)
     return {"freq": str(freq), "beta": beta, "j": gap.j, "min_of_max": worst,
-            "at_z": argmin, "passes": worst > threshold}
+            "at_z": argmin, "passes": worst > 1e-8}
 
 
 def core_closure_check(freq: RationalFrequency, beta: float, z: float, window: int = 5):
@@ -337,35 +339,15 @@ def core_closure_check(freq: RationalFrequency, beta: float, z: float, window: i
     """
     P = window
     n = 2 * P + 1
-    q, pf = freq.q, freq.p
-    idx = {(p, qe): k for k, (p, qe) in enumerate(
-        (p, qe) for p in range(-P, P + 1) for qe in range(-P, P + 1))}
-    rows = []
-    for p in range(-P + 1, P):
-        cp, sp = pi_fraction_trig(pf * p, q)
-        for qe in range(-P + 1, P):
-            cq, sq = pi_fraction_trig(pf * qe, q)
-            r1 = np.zeros(n * n)
-            r1[idx[(p + 1, qe)]] += cq
-            r1[idx[(p - 1, qe)]] += cq
-            r1[idx[(p, qe + 1)]] += beta * cp
-            r1[idx[(p, qe - 1)]] += beta * cp
-            r1[idx[(p, qe)]] -= z
-            rows.append(r1)
-            r2 = np.zeros(n * n)
-            r2[idx[(p + 1, qe)]] += sq
-            r2[idx[(p - 1, qe)]] -= sq
-            r2[idx[(p, qe + 1)]] -= beta * sp
-            r2[idx[(p, qe - 1)]] += beta * sp
-            rows.append(r2)
+    e1, e2 = _equations(np.eye(n * n).reshape(n * n, n, n), freq, beta, z)
+    # one operator row per (p, qe, equation), in that order over the interior
+    rows = np.stack([e1, e2], axis=-1).reshape(n * n, -1).T
     # boundary ring and the vanishing hypotheses as hard rows
-    for (p, qe), k in idx.items():
-        if max(abs(p), abs(qe)) == P or (p, qe) in ((0, 0), (0, 1), (0, -1)):
-            r = np.zeros(n * n)
-            r[k] = 1.0
-            rows.append(r)
-    a = np.vstack(rows)
+    k = np.arange(-P, P + 1)
+    p, qe = np.meshgrid(k, k, indexing="ij")
+    hard = (np.maximum(abs(p), abs(qe)) == P) | ((p == 0) & (abs(qe) <= 1))
+    a = np.vstack([rows, np.eye(n * n)[hard.ravel()]])
     smin = float(np.linalg.svd(a, compute_uv=False)[-1])
-    sol, *_ = np.linalg.lstsq(a, np.zeros(len(rows)), rcond=None)
+    sol, *_ = np.linalg.lstsq(a, np.zeros(len(a)), rcond=None)
     core = sol.reshape(n, n)[P - 1:P + 2, P - 1:P + 2]
     return {"sigma_min": smin, "core_max": float(np.max(np.abs(core)))}

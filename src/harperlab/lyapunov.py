@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .rationals import TWO_PI, RationalFrequency
-from .spectrum import BandSet, ChambersData, band_edges, chambers, harper_matrix, ids
+from .spectrum import BandSet, ChambersData, band_edges, chambers, corner_bands, harper_matrix, ids
 from ._torus import averages
 
 
@@ -144,25 +144,21 @@ def _graded_nodes(bands: BandSet, subdiv: int) -> np.ndarray:
 def _ids_model(freq: RationalFrequency, beta: float, subdiv: int):
     """Graded nodes and their IDS values, both (q, subdiv+1) and read-only,
     from one array-valued `ids` call over every band."""
-    bands = band_edges(chambers(freq, beta, verify=False))
+    bands = corner_bands(freq, beta)
     nodes = _graded_nodes(bands, subdiv)
     vals = ids(bands, nodes)
     nodes.flags.writeable = vals.flags.writeable = False
     return nodes, vals
 
 
-def lyapunov_thouless(bands: BandSet, energy, subdiv: int = 64) -> LyapunovValue:
+def lyapunov_thouless(bands: BandSet, energy) -> LyapunovValue:
     """Log-potential of the density of states.
 
-    The IDS is sampled on subdiv+1 graded nodes per band and treated as
-    piecewise linear; each panel integrates log|E - E'| in closed form, so
-    the singularity at E' = E costs nothing.
+    The IDS is sampled on 65 graded nodes per band of the set's
+    (freq, beta) and treated as piecewise linear; each panel integrates
+    log|E - E'| in closed form, so the singularity at E' = E costs nothing.
     """
-    if bands.chambers is not None:
-        nodes_all, vals_all = _ids_model(bands.freq, bands.beta, subdiv)
-    else:
-        nodes_all = _graded_nodes(bands, subdiv)
-        vals_all = ids(bands, nodes_all)
+    nodes_all, vals_all = _ids_model(bands.freq, bands.beta, 64)
     E = complex(energy)
     total = 0.0
     for nodes, vals in zip(nodes_all, vals_all):
@@ -179,8 +175,8 @@ def lyapunov_thouless(bands: BandSet, energy, subdiv: int = 64) -> LyapunovValue
     return LyapunovValue(bands.beta, energy, total, "thouless")
 
 
-def lyapunov_trace(freq: RationalFrequency, beta: float, z, grid_size: int | None = None,
-                   min_distance: float = 1e-8) -> LyapunovValue:
+def lyapunov_trace(freq: RationalFrequency, beta: float, z,
+                   grid_size: int | None = None) -> LyapunovValue:
     """tau(log|h - z|) by dense eigensolves over the phase torus.
 
     The spectrum is 2 pi / q periodic in each phase, so the n x n grid
@@ -196,10 +192,9 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z, grid_size: int | Non
     other two.
     """
     ch = chambers(freq, beta, verify=False)
-    bands = band_edges(ch)
-    dist = bands.distance(z)
-    if dist < min_distance:
-        raise ValueError(f"z={z} is within {min_distance} of the spectrum")
+    dist = corner_bands(freq, beta).distance(z)
+    if dist < 1e-8:
+        raise ValueError(f"z={z} is within 1e-08 of the spectrum")
     if grid_size is None:
         if float(np.imag(z)) == 0.0:
             m = abs(ch.P(float(np.real(z)))) - ch.amplitude

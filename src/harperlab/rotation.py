@@ -3,7 +3,8 @@
 At alpha = p/q the algebra generated by unitaries u, v with
 u v = exp(2 pi i alpha) v u has q x q representations parameterized by two
 phases.  We take u diagonal (clock) and v a cyclic shift; the trace state
-is the normalized matrix trace averaged over the phase torus.
+is the normalized matrix trace averaged over the phase torus.  Elements of
+the algebra are the q x q complex ndarrays of one representation.
 """
 
 from __future__ import annotations
@@ -66,37 +67,9 @@ class RotationRep:
         return self.freq.q
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    rep: RotationRep
-    matrix: np.ndarray = field(repr=False)
-
-    def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.rep, self.matrix.conj().T)
-
-    def __add__(self, other):
-        return AlgebraElement(self.rep, self.matrix + _mat(other))
-
-    def __sub__(self, other):
-        return AlgebraElement(self.rep, self.matrix - _mat(other))
-
-    def __matmul__(self, other):
-        return AlgebraElement(self.rep, self.matrix @ _mat(other))
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.rep, scalar * self.matrix)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.matrix)))
-
-
-def _mat(x):
-    return x.matrix if isinstance(x, AlgebraElement) else x
-
-
 def max_norm(a, b=None) -> float:
     """Entrywise max norm of a (or of a - b)."""
-    m = _mat(a) if b is None else _mat(a) - _mat(b)
+    m = a if b is None else a - b
     return float(np.max(np.abs(m)))
 
 
@@ -116,7 +89,7 @@ def build_rep(freq: RationalFrequency, theta1: float = 0.0, theta2: float = 0.0)
     return RotationRep(freq, float(theta1), float(theta2), u, v)
 
 
-def monomial(rep: RotationRep, p: int, qe: int) -> AlgebraElement:
+def monomial(rep: RotationRep, p: int, qe: int) -> np.ndarray:
     """Standardized monomial exp(-i pi alpha p qe) u^p v^qe.
 
     The balancing phase makes the family self-adjoint under index negation,
@@ -132,13 +105,13 @@ def monomial(rep: RotationRep, p: int, qe: int) -> AlgebraElement:
     mat = np.zeros((q, q), dtype=complex)
     mat[j, (j - qe) % q] = updiag
     c, s = pi_fraction_trig(-p * qe * freq.p, q)
-    return AlgebraElement(rep, complex(c, s) * np.exp(1j * qe * rep.theta2) * mat)
+    return complex(c, s) * np.exp(1j * qe * rep.theta2) * mat
 
 
 def trace_tau(family, grid: PhaseGrid):
     """Phase-averaged normalized trace of a representation-valued family.
 
-    `family` maps (theta1, theta2) to an AlgebraElement or matrix.  Raises
+    `family` maps (theta1, theta2) to a matrix.  Raises
     on non-finite entries (e.g. a resolvent evaluated inside the spectrum).
     """
     t1s, t2s = grid.nodes()
@@ -146,7 +119,7 @@ def trace_tau(family, grid: PhaseGrid):
     count = 0
     for a in t1s:
         for b in t2s:
-            m = _mat(family(a, b))
+            m = family(a, b)
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"family has non-finite entries at phases ({a}, {b})")
             total += np.trace(m) / m.shape[0]
@@ -154,12 +127,12 @@ def trace_tau(family, grid: PhaseGrid):
     return total / count
 
 
-def hamiltonian(rep: RotationRep, beta: float) -> AlgebraElement:
+def hamiltonian(rep: RotationRep, beta: float) -> np.ndarray:
     """u + u* + beta (v + v*); self-adjoint with norm at most 2 + 2 beta."""
     if beta <= 0:
         raise ValueError(f"coupling must be positive, got beta={beta}")
     u, v = rep.u, rep.v
-    return AlgebraElement(rep, u + u.conj().T + beta * (v + v.conj().T))
+    return u + u.conj().T + beta * (v + v.conj().T)
 
 
 def build_uv(rep: RotationRep, beta: float):
@@ -176,9 +149,7 @@ def build_uv(rep: RotationRep, beta: float):
     """
     if beta <= 0:
         raise ValueError(f"coupling must be positive, got beta={beta}")
-    U = AlgebraElement(rep, beta ** -0.5 * rep.u + beta ** 0.5 * rep.v)
-    V = monomial(rep, 1, -1)
-    return U, V
+    return beta ** -0.5 * rep.u + beta ** 0.5 * rep.v, monomial(rep, 1, -1)
 
 
 def lam_phase(freq: RationalFrequency) -> complex:
@@ -187,7 +158,7 @@ def lam_phase(freq: RationalFrequency) -> complex:
     return complex(c, s)
 
 
-def rho_images(rep: RotationRep, beta: float, cond_limit: float = 1e12):
+def rho_images(rep: RotationRep, beta: float):
     """Images of (u, v) under the linear twist automorphism.
 
     rho(u) = v u v (u v + beta)^{-1} (v* u* + beta)
@@ -198,13 +169,13 @@ def rho_images(rep: RotationRep, beta: float, cond_limit: float = 1e12):
     u, v = rep.u, rep.v
     eye = np.eye(rep.q)
     a = u @ v + beta * eye
-    _check_cond(a, beta, cond_limit)
+    _check_cond(a, beta)
     b = v.conj().T @ u.conj().T + beta * eye
     core = np.linalg.solve(a, b)
-    return AlgebraElement(rep, v @ u @ v @ core), AlgebraElement(rep, v @ core)
+    return v @ u @ v @ core, v @ core
 
 
-def sigma_images(rep: RotationRep, beta: float, cond_limit: float = 1e12):
+def sigma_images(rep: RotationRep, beta: float):
     """Images of (u, v) under the conjugate-linear symmetry.
 
     sigma(u) = v u* v (u* v + beta)^{-1} (v* u + beta)
@@ -220,15 +191,16 @@ def sigma_images(rep: RotationRep, beta: float, cond_limit: float = 1e12):
     u, v = rep.u, rep.v
     eye = np.eye(rep.q)
     a = u.conj().T @ v + beta * eye
-    _check_cond(a, beta, cond_limit)
+    _check_cond(a, beta)
     b = v.conj().T @ u + beta * eye
     core = np.linalg.solve(a, b)
-    return AlgebraElement(rep, v @ u.conj().T @ v @ core), AlgebraElement(rep, v @ core)
+    return v @ u.conj().T @ v @ core, v @ core
 
 
-def _check_cond(a, beta, cond_limit):
+def _check_cond(a, beta):
+    """Refuse a solve whose condition number exceeds 1e12."""
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > 1e12:
         raise np.linalg.LinAlgError(
             f"u*v + beta nearly singular at beta={beta} (cond={cond:.3e}); "
             "-beta approaches an eigenvalue of the unitary"
@@ -237,7 +209,7 @@ def _check_cond(a, beta, cond_limit):
 
 @dataclass(frozen=True)
 class NeumannExpansion:
-    element: AlgebraElement
+    element: np.ndarray
     errors: tuple
     observed_ratio: float
 
@@ -269,4 +241,4 @@ def neumann_inverse(rep: RotationRep, beta: float, n_terms: int) -> NeumannExpan
         ratio = (errors[-1] / errors[0]) ** (1.0 / k)
     else:
         ratio = 0.0
-    return NeumannExpansion(AlgebraElement(rep, partial), tuple(errors), ratio)
+    return NeumannExpansion(partial, tuple(errors), ratio)

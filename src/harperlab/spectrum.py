@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -155,15 +155,14 @@ class ChambersData:
         return self.jet(E, 1)[1]
 
 
-def chambers(freq: RationalFrequency, beta: float, verify: bool = True,
-             tol: float = 1e-10) -> ChambersData:
+def chambers(freq: RationalFrequency, beta: float, verify: bool = True) -> ChambersData:
     """Determinant decomposition at coupling beta >= 0.
 
     Stores the q center potentials that define P and the exact cosine
     amplitudes c1 = -2 and c2 = -2 beta^q; no eigensolve runs.  With
     verify=True, det(-H) minus both cosines is compared with P(0) on a
-    5 x 5 phase sample, to tol times the roundoff scale of the eigenvalue
-    product.
+    5 x 5 phase sample, to 1e-10 times the roundoff scale of the
+    eigenvalue product.
     """
     if beta < 0:
         raise ValueError(f"coupling must be nonnegative, got {beta}")
@@ -171,7 +170,7 @@ def chambers(freq: RationalFrequency, beta: float, verify: bool = True,
     data = ChambersData(freq, float(beta), tuple(_potential(freq, np.pi / (2.0 * q)).tolist()),
                         -2.0, -2.0 * beta ** q)
     if verify:
-        _verify_phase_independence(data, tol)
+        _verify_phase_independence(data, 1e-10)
     return data
 
 
@@ -201,13 +200,13 @@ class BandSet:
     """Sorted spectral bands, one per monotone branch of P.
 
     Consecutive bands may share an endpoint (touching); the central pair for
-    even q always does.  `merged` collapses touchings for presentation.
+    even q always does.  `merged` collapses touchings, gaps up to 1e-9 wide,
+    for presentation.
     """
 
     freq: RationalFrequency
     beta: float
     bands: tuple
-    chambers: ChambersData | None = field(default=None, repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -220,10 +219,10 @@ class BandSet:
     def gap_intervals(self):
         return tuple((self.bands[i][1], self.bands[i + 1][0]) for i in range(len(self.bands) - 1))
 
-    def merged(self, tol: float = 1e-9):
+    def merged(self):
         out = [list(self.bands[0])]
         for lo, hi in self.bands[1:]:
-            if lo - out[-1][1] <= tol:
+            if lo - out[-1][1] <= 1e-9:
                 out[-1][1] = max(out[-1][1], hi)
             else:
                 out.append([lo, hi])
@@ -273,8 +272,8 @@ def corner_bands(freq: RationalFrequency, beta: float) -> BandSet:
 
 
 def band_edges(ch: ChambersData) -> BandSet:
-    """`corner_bands` at the data's coupling, carrying `ch` for the in-band IDS."""
-    return replace(corner_bands(ch.freq, ch.beta), chambers=ch)
+    """`corner_bands` at the data's coupling."""
+    return corner_bands(ch.freq, ch.beta)
 
 
 def _endpoint_rule(n: int):
@@ -324,15 +323,16 @@ def ids(bands: BandSet, E):
 
     Each band carries weight 1/q; on the j-th gap the value is exactly j/q.
     Inside a band the fraction is the phase-torus measure where the energy
-    counting includes the band, computed from the determinant decomposition
-    when available and by linear interpolation otherwise.  Band edges carry
-    exact counting values: the bottom of band i counts i - 1 bands and its
-    top counts i, so a point where bands i and i+1 touch counts i.  An
-    array gives an array of the same shape whose entries equal the scalar
-    calls bitwise.  The in-band measure is a kink-split 32-node rule
-    (`_band_measure`): one `jet` pass over all in-band energies and
-    len(E) x 32 floats at once, so a whole graded node set of every band
-    fits one call.
+    counting includes the band, from the determinant decomposition at the
+    set's (freq, beta): O(q) cosines and no eigensolve, so any band set of
+    those edges, whether from `corner_bands`, `band_edges` or a dataset
+    file, gives the same values.  Band edges carry exact counting values:
+    the bottom of band i counts i - 1 bands and its top counts i, so a
+    point where bands i and i+1 touch counts i.  An array gives an array of
+    the same shape whose entries equal the scalar calls bitwise.  The
+    in-band measure is a kink-split 32-node rule (`_band_measure`): one
+    `jet` pass over all in-band energies and len(E) x 32 floats at once, so
+    a whole graded node set of every band fits one call.
     """
     q = bands.q
     x = np.asarray(E, dtype=float)
@@ -342,13 +342,8 @@ def ids(bands: BandSet, E):
     inside = (lo < x) & (x < hi)
     frac = np.zeros(x.shape)
     if np.any(inside):
-        xi, ki = x[inside], k[inside]
-        if bands.chambers is None:
-            f = (xi - lo[inside]) / (hi[inside] - lo[inside])
-        else:
-            s = _band_measure(bands.chambers, xi)
-            f = np.where((q - 1 - ki) % 2 == 0, s, 1.0 - s)
-        frac[inside] = np.clip(f, 0.0, 1.0)
+        s = _band_measure(chambers(bands.freq, bands.beta, verify=False), x[inside])
+        frac[inside] = np.clip(np.where((q - 1 - k[inside]) % 2 == 0, s, 1.0 - s), 0.0, 1.0)
     counted = k + ((x == hi) & (x > lo))
     out = np.where(x <= edges[0, 0], 0.0,
                    np.where(x >= edges[-1, 1], 1.0, (counted + frac) / q))

@@ -13,6 +13,8 @@ import numpy as np
 from hypothesis import settings
 from scipy.special import ellipk, ellipkm1
 
+from harperlab.rationals import pi_fraction_trig
+
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
 
@@ -169,6 +171,76 @@ def oracle_average_inverse(A, B, C):
     m = 2.0 * Ca * (a1 - a2) / den
     K = ellipkm1((a1 + Ca) * (a2 - Ca) / den) if m > 0.5 else ellipk(m)
     return math.copysign(1.0, A) * (2.0 / math.pi) * K / math.sqrt(den)
+
+
+def oracle_system_residual(sheet, beta, s):
+    """(max residual, origin value, point count) of both difference equations.
+
+    One Python double loop over the interior indices, every entry written
+    out; the origin row of e1 counts toward the maximum only for kind phi.
+    The trig values come from `pi_fraction_trig`, whose exact zeros on the
+    axes the equations need.
+    """
+    P, x, q, pf = sheet.window, sheet.values, sheet.freq.q, sheet.freq.p
+    worst, origin, count = 0.0, None, 0
+    for p in range(-P + 1, P):
+        cp, sp = pi_fraction_trig(pf * p, q)
+        for qe in range(-P + 1, P):
+            cq, sq = pi_fraction_trig(pf * qe, q)
+            e1 = (cq * (x[p + 1 + P, qe + P] + x[p - 1 + P, qe + P])
+                  + beta * cp * (x[p + P, qe + 1 + P] + x[p + P, qe - 1 + P])
+                  - s * x[p + P, qe + P])
+            e2 = (sq * (x[p + 1 + P, qe + P] - x[p - 1 + P, qe + P])
+                  - beta * sp * (x[p + P, qe + 1 + P] - x[p + P, qe - 1 + P]))
+            if p == 0 and qe == 0:
+                origin = e1
+                if sheet.kind != "phi":
+                    e1 = 0.0
+            worst = max(worst, abs(e1), abs(e2))
+            count += 1
+    return worst, origin, count
+
+
+def oracle_core_closure(p, q, beta, z, window):
+    """`core_closure_check` from an operator assembled row by row.
+
+    Per interior index (p, qe) one row for each equation, then a unit row
+    per boundary-ring entry and per vanishing hypothesis x(0,0) = x(0,+-1)
+    = 0; returns the smallest singular value and the largest core entry of
+    the least-squares solution.
+    """
+    P = window
+    n = 2 * P + 1
+    idx = {(a, b): k for k, (a, b) in enumerate(
+        (a, b) for a in range(-P, P + 1) for b in range(-P, P + 1))}
+    rows = []
+    for a in range(-P + 1, P):
+        ca, sa = pi_fraction_trig(p * a, q)
+        for b in range(-P + 1, P):
+            cb, sb = pi_fraction_trig(p * b, q)
+            r1 = np.zeros(n * n)
+            r1[idx[(a + 1, b)]] += cb
+            r1[idx[(a - 1, b)]] += cb
+            r1[idx[(a, b + 1)]] += beta * ca
+            r1[idx[(a, b - 1)]] += beta * ca
+            r1[idx[(a, b)]] -= z
+            rows.append(r1)
+            r2 = np.zeros(n * n)
+            r2[idx[(a + 1, b)]] += sb
+            r2[idx[(a - 1, b)]] -= sb
+            r2[idx[(a, b + 1)]] -= beta * sa
+            r2[idx[(a, b - 1)]] += beta * sa
+            rows.append(r2)
+    for (a, b), k in idx.items():
+        if max(abs(a), abs(b)) == P or (a, b) in ((0, 0), (0, 1), (0, -1)):
+            r = np.zeros(n * n)
+            r[k] = 1.0
+            rows.append(r)
+    mat = np.vstack(rows)
+    smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
+    sol, *_ = np.linalg.lstsq(mat, np.zeros(len(rows)), rcond=None)
+    core = sol.reshape(n, n)[P - 1:P + 2, P - 1:P + 2]
+    return {"sigma_min": smin, "core_max": float(np.max(np.abs(core)))}
 
 
 def oracle_gap_label(j, p, q):

@@ -52,6 +52,16 @@ def test_label_hall_sequence(capsys):
     assert ns == [-2, 1, -1, 2]
 
 
+@pytest.mark.parametrize("alpha", ["1/6", "5/8"])
+def test_label_and_gaps_agree_on_ids_and_label(alpha, capsys):
+    _, out, _ = run(["label", "--alpha", alpha], capsys)
+    labels = [ln.split(",")[1:] for ln in out.splitlines()[2:]]
+    _, out, _ = run(["gaps", "--alpha", alpha, "--beta", "1", "--min-width=-1"], capsys)
+    rows = [ln.split(",")[5:9] for ln in out.splitlines()[2:]]
+    assert len(labels) == len(rows) == int(alpha.split("/")[1]) - 1
+    assert labels == rows
+
+
 def test_lyapunov_all_methods(capsys):
     code, out, _ = run(["lyapunov", "--alpha", "1/3", "--beta", "0.5",
                         "--z", "3.5", "--method", "all"], capsys)

@@ -5,7 +5,7 @@ from harperlab import (RationalFrequency, build_phi, chambers, coefficient_sheet
                        core_closure_check, decay_rate, gaps, gradient,
                        recursion_sheets, symmetrized_sheet, system_residual,
                        vanishing_probe, vanishing_scan)
-from conftest import oracle_moment
+from conftest import oracle_core_closure, oracle_moment, oracle_system_residual
 
 F = RationalFrequency
 
@@ -58,6 +58,40 @@ def test_system_residual_zero_sheet():
     res = system_residual(sheet, 0.5, 4.2)
     assert res.max_residual == 0.0
     assert res.origin_inhomogeneity == 0.0
+
+
+@pytest.mark.parametrize("p,q", [(5, 8), (8, 13), (1, 3), (2, 5)])
+def test_system_residual_equals_the_loop_oracle_bitwise(p, q):
+    """The vectorized equations give the double loop's numbers bit for bit
+    on every sheet kind, both windows and the homogenized sheet's origin.
+    The coupling is not a power of two, so a reordered product shows."""
+    freq, beta = F(p, q), 0.7
+    z = widest_gap(freq, beta).midpoint
+    for window in (6, 24):
+        c = coefficient_sheet(freq, beta, z, window=window)
+        plus, minus = recursion_sheets(freq, beta, z, window=window)
+        d = symmetrized_sheet(plus, minus)
+        for sheet in (c, plus, minus, d, build_phi(c, d)):
+            res = system_residual(sheet, beta, z)
+            worst, origin, count = oracle_system_residual(sheet, beta, z)
+            assert (res.max_residual, res.origin_inhomogeneity, res.n_points) == \
+                (worst, origin, count), (sheet.kind, window)
+
+
+def test_system_residual_window_zero():
+    from harperlab import CoefficientSheet
+    sheet = CoefficientSheet("c", F(1, 3), 0.5, 4.2, 0, np.ones((1, 1)))
+    res = system_residual(sheet, 0.5, 4.2)
+    assert (res.max_residual, res.origin_inhomogeneity, res.n_points) == (0.0, None, 0)
+
+
+@pytest.mark.parametrize("p,q", [(5, 8), (8, 13), (1, 3), (2, 5)])
+def test_core_closure_equals_the_row_by_row_operator_bitwise(p, q):
+    freq, beta = F(p, q), 0.7
+    z = widest_gap(freq, beta).midpoint
+    for window in (3, 5):
+        assert core_closure_check(freq, beta, z, window=window) == \
+            oracle_core_closure(p, q, beta, z, window)
 
 
 def test_one_sided_sheets_support_and_seed():

@@ -70,6 +70,19 @@ def test_thouless_symmetric_in_energy():
         assert abs(a - b) <= 1e-10
 
 
+@pytest.mark.parametrize("p,q,beta", [(2, 5, 0.7), (8, 13, 0.5)])
+def test_thouless_same_for_corner_bands_and_band_edges(p, q, beta):
+    freq = F(p, q)
+    via_ch = band_edges(chambers(freq, beta, verify=False))
+    corner = spectrum.corner_bands(freq, beta)
+    lo, hi = via_ch.hull
+    for z in list(np.linspace(lo - 1.0, hi + 1.0, 21)) + [0.3 + 0.5j]:
+        lyapunov._ids_model.cache_clear()
+        a = lyapunov_thouless(via_ch, z).value
+        lyapunov._ids_model.cache_clear()
+        assert lyapunov_thouless(corner, z).value == a
+
+
 def test_ids_model_makes_one_ids_and_one_jet_call_per_fraction(monkeypatch):
     """All graded nodes of all bands go through one array-valued `ids` call,
     hence one continuant pass, and each band's row equals a per-band call
@@ -181,7 +194,7 @@ def test_gradient_matches_phase_grid_trace():
     for a in t1:
         for b in t2:
             rep = build_rep(freq, a, b)
-            h = hamiltonian(rep, beta).matrix
+            h = hamiltonian(rep, beta)
             r = np.linalg.inv(z * np.eye(q) - h)
             g0_acc += np.trace(r).real / q
             g1_acc += np.trace(np.linalg.inv(h - z * np.eye(q)) @ rep.v).real / q

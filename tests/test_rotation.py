@@ -50,15 +50,15 @@ def test_unitarity_residual_5_8():
 def test_monomial_identity_and_half_flux():
     rep = build_rep(RationalFrequency(1, 2), 0.0, 0.0)
     w00 = monomial(rep, 0, 0)
-    assert max_norm(w00.matrix - np.eye(2)) == 0.0
+    assert max_norm(w00 - np.eye(2)) == 0.0
     w11 = monomial(rep, 1, 1)
     expected = np.exp(-1j * np.pi / 2) * rep.u @ rep.v
-    assert max_norm(w11.matrix - expected) <= 1e-15
+    assert max_norm(w11 - expected) <= 1e-15
 
 
 def test_monomial_inverse_pairs():
     rep = build_rep(RationalFrequency(2, 5), 0.3, 0.9)
-    prod = monomial(rep, 1, 1).matrix @ monomial(rep, -1, -1).matrix
+    prod = monomial(rep, 1, 1) @ monomial(rep, -1, -1)
     assert max_norm(prod - np.eye(5)) <= 1e-12
 
 
@@ -68,8 +68,8 @@ def test_monomial_adjoint_and_unitary(p, qe, pq):
     rep = build_rep(RationalFrequency(*pq), 0.21, 1.7)
     w = monomial(rep, p, qe)
     wadj = monomial(rep, -p, -qe)
-    assert max_norm(w.matrix.conj().T - wadj.matrix) <= 1e-12
-    assert max_norm(w.matrix @ w.matrix.conj().T - np.eye(pq[1])) <= 1e-12
+    assert max_norm(w.conj().T - wadj) <= 1e-12
+    assert max_norm(w @ w.conj().T - np.eye(pq[1])) <= 1e-12
 
 
 def test_trace_identity_and_monomial_orthogonality():
@@ -77,7 +77,7 @@ def test_trace_identity_and_monomial_orthogonality():
     grid = PhaseGrid(8, 8)
     val = trace_tau(lambda a, b: build_rep(freq, a, b).u @ np.zeros((5, 5)) + np.eye(5), grid)
     assert abs(val - 1.0) <= 1e-14
-    val = trace_tau(lambda a, b: monomial(build_rep(freq, a, b), 2, 3).matrix, grid)
+    val = trace_tau(lambda a, b: monomial(build_rep(freq, a, b), 2, 3), grid)
     assert abs(val) <= 1e-12
 
 
@@ -99,7 +99,7 @@ def test_trace_of_squared_hamiltonian():
     grid = PhaseGrid(8, 8)
 
     def family(a, b):
-        h = hamiltonian(build_rep(freq, a, b), beta).matrix
+        h = hamiltonian(build_rep(freq, a, b), beta)
         return h @ h
 
     val = trace_tau(family, grid)
@@ -115,7 +115,7 @@ def test_trace_is_tracial_on_random_polynomials():
         acc = np.zeros((5, 5), dtype=complex)
         for i in range(3):
             for j in range(3):
-                acc += (coeffs[i, j] + shift) * monomial(rep, i - 1, j - 1).matrix
+                acc += (coeffs[i, j] + shift) * monomial(rep, i - 1, j - 1)
         return acc
 
     def ab(a, b):
@@ -135,7 +135,7 @@ def test_trace_rejects_nonfinite():
 
     def family(a, b):
         rep = build_rep(freq, a, b)
-        h = hamiltonian(rep, 1.0).matrix
+        h = hamiltonian(rep, 1.0)
         return h if abs(np.cos(a)) > 1e-12 else np.full((2, 2), np.inf)
 
     with pytest.raises(ValueError):
@@ -147,7 +147,7 @@ def test_trace_grid_error_decays_for_resolvent():
     z = 4.5
 
     def family(a, b):
-        h = hamiltonian(build_rep(freq, a, b), 0.5).matrix
+        h = hamiltonian(build_rep(freq, a, b), 0.5)
         return np.linalg.inv(h - z * np.eye(3))
 
     ref = trace_tau(family, PhaseGrid(64, 64))
@@ -162,7 +162,7 @@ def test_hamiltonian_shape_and_norm():
     worst = 0.0
     for _ in range(100):
         t1, t2 = RNG.uniform(0, 2 * np.pi, 2)
-        h = hamiltonian(build_rep(freq, t1, t2), 1.0).matrix
+        h = hamiltonian(build_rep(freq, t1, t2), 1.0)
         assert max_norm(h - h.conj().T) <= 1e-14
         worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
     assert worst <= 4.0 + 1e-12
@@ -170,7 +170,7 @@ def test_hamiltonian_shape_and_norm():
 
 def test_hamiltonian_scalar_case():
     rep = build_rep(RationalFrequency(0, 1), 0.8, 2.2)
-    h = hamiltonian(rep, 0.7).matrix
+    h = hamiltonian(rep, 0.7)
     assert abs(h[0, 0] - (2 * np.cos(0.8) + 2 * 0.7 * np.cos(2.2))) <= 1e-14
 
 
@@ -189,18 +189,18 @@ def test_ladder_pair_identities_examples():
         U, V = build_uv(rep, beta)
         lam = lam_phase(rep.freq)
         gamma = beta + 1 / beta
-        assert max_norm(U.matrix @ V.matrix - lam ** -2 * V.matrix @ U.matrix) <= 1e-12
-        assert max_norm(U.matrix.conj().T @ V.matrix
-                        - lam ** 2 * V.matrix @ U.matrix.conj().T) <= 1e-12
-        assert max_norm(U.matrix.conj().T @ U.matrix
-                        - (lam * V.matrix + np.conj(lam) * V.matrix.conj().T
+        assert max_norm(U @ V - lam ** -2 * V @ U) <= 1e-12
+        assert max_norm(U.conj().T @ V
+                        - lam ** 2 * V @ U.conj().T) <= 1e-12
+        assert max_norm(U.conj().T @ U
+                        - (lam * V + np.conj(lam) * V.conj().T
                            + gamma * np.eye(q))) <= 1e-12
 
 
 def test_ladder_product_spectrum_at_self_dual_point():
     rep = build_rep(RationalFrequency(1, 3), 0.4, 0.9)
     U, _ = build_uv(rep, 1.0)
-    spec = np.linalg.eigvalsh(U.matrix.conj().T @ U.matrix)
+    spec = np.linalg.eigvalsh(U.conj().T @ U)
     assert np.all(spec >= -1e-12) and np.all(spec <= 4.0 + 1e-12)
 
 
@@ -208,15 +208,15 @@ def test_hamiltonian_from_ladder_pair():
     rep = build_rep(RationalFrequency(3, 7), 1.2, 0.5)
     beta = 0.6
     U, _ = build_uv(rep, beta)
-    h = hamiltonian(rep, beta).matrix
-    assert max_norm(np.sqrt(beta) * (U.matrix + U.matrix.conj().T) - h) <= 1e-12
+    h = hamiltonian(rep, beta)
+    assert max_norm(np.sqrt(beta) * (U + U.conj().T) - h) <= 1e-12
 
 
 def test_twist_automorphism_identity():
     rep = build_rep(RationalFrequency(1, 3), 0.0, 0.0)
     beta = 0.5
     ru, rv = rho_images(rep, beta)
-    assert max_norm(ru.matrix + beta * rv.matrix - (rep.u.conj().T + beta * rep.v)) <= 1e-10
+    assert max_norm(ru + beta * rv - (rep.u.conj().T + beta * rep.v)) <= 1e-10
 
 
 def test_symmetry_images_identities():
@@ -227,19 +227,19 @@ def test_symmetry_images_identities():
         su, sv = sigma_images(rep, beta)
         lam = lam_phase(rep.freq)
         eye = np.eye(q)
-        assert max_norm(su.matrix @ su.matrix.conj().T - eye) <= 1e-10
-        assert max_norm(sv.matrix @ sv.matrix.conj().T - eye) <= 1e-10
+        assert max_norm(su @ su.conj().T - eye) <= 1e-10
+        assert max_norm(sv @ sv.conj().T - eye) <= 1e-10
         # conjugate-linear image of the defining commutation
-        assert max_norm(su.matrix @ sv.matrix
-                        - lam ** -2 * sv.matrix @ su.matrix) <= 1e-10
+        assert max_norm(su @ sv
+                        - lam ** -2 * sv @ su) <= 1e-10
         # fixes the ladder generator (the twisted-inverse identity composed
         # with conjugation)
-        assert max_norm(su.matrix + beta * sv.matrix - (rep.u + beta * rep.v)) <= 1e-10
+        assert max_norm(su + beta * sv - (rep.u + beta * rep.v)) <= 1e-10
         U, V = build_uv(rep, beta)
-        assert max_norm(beta ** -0.5 * su.matrix + beta ** 0.5 * sv.matrix
-                        - U.matrix) <= 1e-10
-        assert max_norm(np.conj(lam) * su.matrix @ sv.matrix.conj().T
-                        - V.matrix.conj().T) <= 1e-10
+        assert max_norm(beta ** -0.5 * su + beta ** 0.5 * sv
+                        - U) <= 1e-10
+        assert max_norm(np.conj(lam) * su @ sv.conj().T
+                        - V.conj().T) <= 1e-10
 
 
 def test_symmetry_rejects_coupling_outside_unit_interval():
@@ -274,3 +274,11 @@ def test_neumann_rejects_divergent_coupling():
     rep = build_rep(RationalFrequency(1, 2))
     with pytest.raises(ValueError):
         neumann_inverse(rep, 1.0, 5)
+
+
+def test_algebra_functions_return_plain_arrays():
+    rep = build_rep(RationalFrequency(2, 5), 0.3, 0.9)
+    out = [monomial(rep, 2, -1), hamiltonian(rep, 0.5), *build_uv(rep, 0.5),
+           *rho_images(rep, 0.5), *sigma_images(rep, 0.5), neumann_inverse(rep, 0.5, 3).element]
+    for m in out:
+        assert type(m) is np.ndarray and m.shape == (5, 5)

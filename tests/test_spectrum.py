@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harperlab import (ChambersError, RationalFrequency, band_edges, chambers,
+from harperlab import (BandSet, ChambersError, RationalFrequency, band_edges, chambers,
                        corner_bands, critical_scan, dual_check, gap_label, gaps,
                        gradient, harper_matrix, hausdorff_intervals, ids,
                        log_potential, track_gap)
@@ -182,7 +182,19 @@ def test_band_edges_wraps_corner_bands_and_keeps_chambers():
     ch = chambers(F(5, 8), 0.7, verify=False)
     wrapped = band_edges(ch)
     assert wrapped.bands == corner_bands(F(5, 8), 0.7).bands
-    assert wrapped.chambers is ch
+    assert wrapped == corner_bands(F(5, 8), 0.7)
+
+
+@pytest.mark.parametrize("p,q,beta", [(2, 5, 0.7), (8, 13, 0.5)])
+def test_ids_is_the_torus_measure_for_every_band_set(p, q, beta):
+    """Bands from `corner_bands`, `band_edges` or plain edges give one IDS, bit for bit."""
+    freq = F(p, q)
+    via_ch = band_edges(chambers(freq, beta, verify=False))
+    lo, hi = via_ch.hull
+    E = np.linspace(lo - 0.3, hi + 0.3, 2001)
+    want = ids(via_ch, E).tobytes()
+    assert ids(corner_bands(freq, beta), E).tobytes() == want
+    assert ids(BandSet(freq, beta, via_ch.bands), E).tobytes() == want
 
 
 def test_band_edges_free_case_single_band():
