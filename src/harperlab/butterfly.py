@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -98,6 +97,8 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if beta <= 0:
         raise ValueError("coupling must be positive")
     freqs = butterfly_fractions(order)
@@ -119,10 +120,13 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
                 _flush_checkpoint(checkpoint_path, pending)
                 pending.clear()
 
-    if workers <= 1:
+    if workers == 1:
         for job in jobs:
             note(_row_payload(job))
     else:
+        # imported here: the pool loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for payload in pool.map(_row_payload, jobs, chunksize=16):
                 note(payload)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .rationals import TWO_PI, RationalFrequency
 from .spectrum import BandSet, ChambersData, band_edges, chambers, corner_bands, harper_matrix, ids
@@ -133,19 +132,19 @@ def _long_product(alpha: float, beta: float, energy, n_theta: int, n_steps: int)
     return float(np.mean(total)) / n_steps
 
 
-def _graded_nodes(bands: BandSet, subdiv: int) -> np.ndarray:
-    """subdiv+1 nodes per band, cosine-graded toward the edges: shape (q, subdiv+1)."""
-    shape = (1.0 - np.cos(np.pi * np.arange(subdiv + 1) / subdiv)) / 2.0
+def _graded_nodes(bands: BandSet) -> np.ndarray:
+    """65 nodes per band, cosine-graded toward the edges: shape (q, 65)."""
+    shape = (1.0 - np.cos(np.pi * np.arange(65) / 64)) / 2.0
     edges = np.asarray(bands.bands, dtype=float)
     return edges[:, :1] + (edges[:, 1:] - edges[:, :1]) * shape
 
 
 @lru_cache(maxsize=256)
-def _ids_model(freq: RationalFrequency, beta: float, subdiv: int):
-    """Graded nodes and their IDS values, both (q, subdiv+1) and read-only,
+def _ids_model(freq: RationalFrequency, beta: float):
+    """Graded nodes and their IDS values, both (q, 65) and read-only,
     from one array-valued `ids` call over every band."""
     bands = corner_bands(freq, beta)
-    nodes = _graded_nodes(bands, subdiv)
+    nodes = _graded_nodes(bands)
     vals = ids(bands, nodes)
     nodes.flags.writeable = vals.flags.writeable = False
     return nodes, vals
@@ -158,7 +157,7 @@ def lyapunov_thouless(bands: BandSet, energy) -> LyapunovValue:
     (freq, beta) and treated as piecewise linear; each panel integrates
     log|E - E'| in closed form, so the singularity at E' = E costs nothing.
     """
-    nodes_all, vals_all = _ids_model(bands.freq, bands.beta, 64)
+    nodes_all, vals_all = _ids_model(bands.freq, bands.beta)
     E = complex(energy)
     total = 0.0
     for nodes, vals in zip(nodes_all, vals_all):
@@ -316,7 +315,7 @@ def critical_scan(freq: RationalFrequency, beta: float, gap,
     dL/dz = P'(z)/q <1/D> with <1/D> of constant sign throughout the gap,
     so s* is exactly the critical point of P inside the gap: g0 falls from
     +inf at the left edge to -inf at the right edge through a single root.
-    Bisection on P' is therefore bracket-safe at any gap width.  The
+    Brent's method on P' is therefore bracket-safe at any gap width.  The
     bracket is the gap's own (lo, hi), so no band edges are recomputed: with
     `ch` supplied the scan runs no eigensolve.
     """
@@ -332,7 +331,68 @@ def critical_scan(freq: RationalFrequency, beta: float, gap,
     if fa * fb > 0:  # should not happen: P' has exactly one simple zero here
         raise RuntimeError(f"no sign change of dP across gap {gap.label} at {freq}; "
                            f"values ({fa:.3e}, {fb:.3e})")
-    s_star = brentq(f, a, b, xtol=1e-13, rtol=8.9e-16)
+    s_star = _brent(f, a, b)
     grad = gradient(freq, beta, s_star, ch=ch, edge_distance=0.0)
     return CriticalPoint(freq, float(beta), gap.j, gap.label, lo, hi,
                          float(s_star), abs(grad.g0), abs(grad.g1))
+
+
+_BRENT_MAXITER = 100
+_BRENT_XTOL = 1e-13
+_BRENT_RTOL = 8.9e-16
+
+
+def _brent(f, a: float, b: float) -> float:
+    """The zero of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    Step for step the C `brentq` of scipy, so the same float operations give
+    the same root bit for bit from the same number of calls of f: inverse
+    quadratic (or secant) steps accepted only while they shrink fast enough,
+    bisection otherwise, and a step of at least delta = (xtol + rtol|x|)/2
+    with xtol = _BRENT_XTOL and rtol = _BRENT_RTOL.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = _brent_eval(f, xpre), _brent_eval(f, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _brent_eval(f, xcur)
+    raise RuntimeError(f"Brent's method failed to converge after {_BRENT_MAXITER} "
+                       f"iterations, value is {xcur}")
+
+
+def _brent_eval(f, x: float) -> float:
+    fx = float(f(x))
+    if fx != fx:
+        raise ValueError(f"the function value at x={x} is NaN; the root search cannot continue")
+    return fx

@@ -170,11 +170,11 @@ def chambers(freq: RationalFrequency, beta: float, verify: bool = True) -> Chamb
     data = ChambersData(freq, float(beta), tuple(_potential(freq, np.pi / (2.0 * q)).tolist()),
                         -2.0, -2.0 * beta ** q)
     if verify:
-        _verify_phase_independence(data, 1e-10)
+        _verify_phase_independence(data)
     return data
 
 
-def _verify_phase_independence(ch: ChambersData, tol: float):
+def _verify_phase_independence(ch: ChambersData):
     q = ch.q
     a, b = np.meshgrid(np.linspace(0.13, TWO_PI / q, 5), np.linspace(0.31, TWO_PI / q, 5),
                        indexing="ij")
@@ -188,9 +188,9 @@ def _verify_phase_independence(ch: ChambersData, tol: float):
     mag = np.abs(lam)
     scale = float(np.max(np.abs(det) * np.sum(mag.max(axis=-1, keepdims=True) / mag,
                                               axis=-1)))
-    if not worst <= tol * scale:
+    if not worst <= 1e-10 * scale:
         raise ChambersError(
-            f"phase-independence residual {worst:.3e} exceeds {tol:.1e} x scale {scale:.3e} "
+            f"phase-independence residual {worst:.3e} exceeds 1.0e-10 x scale {scale:.3e} "
             f"at {ch.freq}, beta={ch.beta}"
         )
 

@@ -195,6 +195,12 @@ def test_render_ppm_equals_pixel_loop(order):
             assert butterfly_module._render_ppm(*args) == ppm_by_pixel(*args)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_compute_butterfly_refuses_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        compute_butterfly(3, 1.0, workers=workers)
+
+
 def test_render_rejects_unknown_format(tmp_path):
     ds = compute_butterfly(3, 1.0)
     with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +171,33 @@ def test_butterfly_partial_failure_exit_status(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PARTIAL and code not in (0, 1, 2)
     assert err == "1 of 11 fractions failed\n"
     assert "# error,2,5,ChambersError: synthetic" in ds_file.read_text().splitlines()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_butterfly_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
+    ds_file = tmp_path / "fly.csv"
+    code, out, err = run(["butterfly", "--qmax", "3", "--beta", "1.0", "--workers", workers,
+                          "--out", str(ds_file)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: workers must be >= 1\n"
+    assert not ds_file.exists()
+
+
+def test_cli_import_loads_neither_scipy_nor_the_process_pool():
+    """A fresh `import harperlab.cli` loads numpy and the standard library
+    only: the root step is in-house and the pool is imported where a batch
+    forks."""
+    import harperlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harperlab.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import harperlab.cli, sys; "
+            "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))")
+    top = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "harperlab" in top and "numpy" in top
+    assert not {"scipy", "concurrent", "multiprocessing"} & set(top)
 
 
 def test_identical_config_identical_bytes(tmp_path, capsys):

@@ -101,7 +101,7 @@ def test_ids_model_makes_one_ids_and_one_jet_call_per_fraction(monkeypatch):
     lyapunov._ids_model.cache_clear()
     models = []
     for k, (freq, beta) in enumerate(cases, start=1):
-        models.append(lyapunov._ids_model(freq, beta, 64))
+        models.append(lyapunov._ids_model(freq, beta))
         assert calls == {"ids": k, "jet": k}
     monkeypatch.undo()
     lyapunov._ids_model.cache_clear()
@@ -269,6 +269,74 @@ def test_critical_scan_rejects_closed_gap():
     g = gaps(freq, 0.7)[0]
     with pytest.raises(ValueError):
         critical_scan(freq, 0.7, g)
+
+
+# every convergent of the critical workload at both of its couplings, plus
+# small q, both mirror fractions of q = 144 and weak to strong coupling
+BRENT_ORACLE_CASES = [(F(p, q), beta)
+                      for p, q in ((1, 3), (2, 5), (3, 8), (5, 8), (8, 13), (13, 21), (21, 34),
+                                   (34, 55), (55, 89), (73, 144), (89, 144), (144, 233))
+                      for beta in (0.1, 0.3, 0.5, 1.0, 1.5)]
+
+
+def test_brent_matches_scipy_brentq_bitwise_on_every_open_gap():
+    """The in-house root step repeats scipy's brentq operation for operation:
+    the same s* bit for bit from the same number of P' calls, on the
+    bracket critical_scan uses."""
+    from scipy.optimize import brentq
+
+    def oracle(f, a, b):
+        return brentq(f, a, b, xtol=lyapunov._BRENT_XTOL, rtol=lyapunov._BRENT_RTOL)
+
+    n_gaps = 0
+    for freq, beta in BRENT_ORACLE_CASES:
+        ch = chambers(freq, beta, verify=False)
+        for g in gaps(freq, beta):
+            if not g.is_open:
+                continue
+            eps = (g.hi - g.lo) * 1e-9
+            a, b = g.lo + eps, g.hi - eps
+            roots, calls = [], []
+            for solve in (oracle, lyapunov._brent):
+                count = [0]
+
+                def f(x):
+                    count[0] += 1
+                    return ch.dP(x)
+
+                roots.append(solve(f, a, b).hex())
+                calls.append(count[0])
+            assert roots[0] == roots[1] and calls[0] == calls[1], (freq, beta, g.j)
+            n_gaps += 1
+    assert n_gaps > 1500
+
+
+def test_critical_scan_root_is_the_brent_step_on_the_gap_bracket():
+    freq, beta = F(21, 34), 0.5
+    ch = chambers(freq, beta, verify=False)
+    for g in (g for g in gaps(freq, beta) if g.is_open):
+        eps = (g.hi - g.lo) * 1e-9
+        root = lyapunov._brent(ch.dP, g.lo + eps, g.hi - eps)
+        assert critical_scan(freq, beta, g, ch=ch).s_star == root
+
+
+def test_brent_refuses_like_brentq():
+    from scipy.optimize import brentq
+
+    def oracle(f, a, b):
+        return brentq(f, a, b, xtol=lyapunov._BRENT_XTOL, rtol=lyapunov._BRENT_RTOL)
+
+    def step(x):  # a sign change at 1e-200 and no zero: ~1040 halvings to reach xtol
+        return -1.0 if x < 1e-200 else 1.0
+
+    for solve in (oracle, lyapunov._brent):
+        with pytest.raises(RuntimeError):
+            solve(step, -1e300, 1e300)
+        with pytest.raises(ValueError):
+            solve(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            solve(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0)
+    assert lyapunov._brent(lambda x: x - 0.25, 0.25, 1.0) == 0.25
 
 
 def test_hessian_energy_diagonal_always_negative():
