@@ -81,13 +81,20 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float, window: in
     """The resolvent coefficient sheet at real z outside the spectrum.
 
     Works on the phase grid: one dense inverse per node, the q x q family of
-    matrix traces against clock/shift powers, then a 2-d Fourier average to
-    separate the window indices.  The default grid keeps the highest window
-    harmonic far below the Nyquist bound, which is enforced.  An entry with
-    an imaginary part above 1e-10 raises ArithmeticError.
+    matrix traces T[m, s] = (1/q) tr(R Omega^m Sigma^s) against clock/shift
+    powers, then a 2-d Fourier average to separate the window indices.  For
+    real z, H(t1, -t2) = conj H(t1, t2), so T[m, s](t1, -t2) equals
+    conj T[-m mod q, s](t1, t2): only the nodes t2 = 2 pi b / n2 with
+    b = 0..n2//2 are inverted, and b = n2 - b enters as that conjugate.
+    Each t1 row is contracted with the t2 phases as soon as it is built, so
+    the sweep keeps one (n1, 2 window + 1, q) array and ends in one matrix
+    product over t1.  The default grid keeps the highest window harmonic far
+    below the Nyquist bound, which is enforced.  An entry with an imaginary
+    part above 1e-10 raises ArithmeticError.
     """
     if beta <= 0:
         raise ValueError("coupling must be positive")
+    z = float(z)
     q = freq.q
     if corner_bands(freq, beta).distance(z) <= 0.0:
         raise ValueError(f"z={z} lies in the spectrum at {freq}, beta={beta}")
@@ -98,33 +105,36 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float, window: in
                          f"for window {window}")
     n1, n2 = grid.n1, grid.n2
     t1, t2 = grid.nodes()
+    b = np.arange(n2 // 2 + 1)
+    t2 = t2[b]
     j = np.arange(q)
-    omega_pow = np.exp(2j * np.pi * ((np.outer(j, np.arange(q)) * freq.p) % q) / q)  # [j, m]
-    # harper_matrix carries the hopping phase on the closing bond; the
-    # clock/shift gauge of the traces is R[k, j] = R'[k, j] exp(i (k - j) theta2)
+    # harper_matrix carries the hopping phase on the closing bond; the gauge
+    # exp(i (k - j) theta2) spreads it over every bond, the gauge of the
+    # clock/shift traces
     gauge = np.exp(1j * (j[:, None] - j[None, :]) * t2[:, None, None])  # [b, k, j]
-
-    # traces T[m, s, a, b] = (1/q) tr(R Omega^m Sigma^s) on the grid
-    traces = np.zeros((q, q, n1, n2), dtype=complex)
+    k = np.arange(-window, window + 1)
+    rows = (j - k[:, None]) % q  # [qe, k]: diagonal qe mod q of R runs over R[(k - qe) % q, k]
+    phases2 = np.exp(1j * np.outer(k, t2)) / n2  # [qe, b]
+    # weights of every inverted node, and of those whose mirror n2 - b is another node
+    weights = np.stack([phases2, phases2 * ((b > 0) & (2 * b < n2))], axis=-1)  # [qe, b, 2]
+    diag_sums = np.empty((n1, k.size, q), dtype=complex)  # [a, qe, k]
     for a in range(n1):
         h = harper_matrix(freq, beta, t1[a], t2)
         h[:, j, j] -= z
-        R = np.linalg.inv(h) * gauge  # [b, q, q]
-        for s in range(q):
-            diag_s = R[:, (j - s) % q, j]  # [b, k]
-            traces[:, s, a, :] = (diag_s @ omega_pow).T / q  # [m, b]
-    phases1 = np.exp(1j * np.outer(np.arange(-window, window + 1), t1)) / n1
-    phases2 = np.exp(1j * np.outer(np.arange(-window, window + 1), t2)) / n2
-    vals = np.zeros((2 * window + 1, 2 * window + 1), dtype=complex)
-    for ip, p in enumerate(range(-window, window + 1)):
-        for iq, qe in enumerate(range(-window, window + 1)):
-            t = traces[p % q, qe % q]
-            c, s = pi_fraction_trig(-p * qe * freq.p, q)
-            vals[ip, iq] = complex(c, s) * (phases1[ip] @ t @ phases2[iq])
+        R = np.linalg.inv(h * gauge)  # [b, k, j]
+        both = R[:, rows, j].transpose(1, 2, 0) @ weights  # [qe, k, 2]
+        diag_sums[a] = both[..., 0] + both[..., 1].conj()
+    omega_pow = np.exp(2j * np.pi * ((np.outer(j, j) * freq.p) % q) / q)  # [k, m]
+    phases1 = np.exp(1j * np.outer(k, t1)) / n1  # [p, a]
+    # traces T[m, s] = (1/q) tr(R Omega^m Sigma^s) averaged against both phases: [p, qe, m]
+    sums = (phases1 @ (diag_sums @ omega_pow / q).reshape(n1, -1)).reshape(k.size, k.size, q)
+    trig = np.array([complex(*pi_fraction_trig(r, q)) for r in range(2 * q)])
+    i = np.arange(k.size)
+    vals = trig[(-np.outer(k, k) * freq.p) % (2 * q)] * sums[i[:, None], i, (k % q)[:, None]]
     worst_imag = float(np.max(np.abs(vals.imag)))
     if worst_imag > 1e-10:
         raise ArithmeticError(f"sheet entries should be real; worst imaginary part {worst_imag:.3e}")
-    return CoefficientSheet("c", freq, float(beta), float(z), window, vals.real.copy())
+    return CoefficientSheet("c", freq, float(beta), z, window, vals.real.copy())
 
 
 @dataclass(frozen=True)

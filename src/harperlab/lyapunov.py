@@ -8,8 +8,8 @@ Three independent routes to the same number:
                  frequency);
   * thouless  -- the log-potential integral of the density of states,
                  L(E) = int log|E - E'| dN(E');
-  * trace     -- the phase-averaged normalized trace of log|H - z| from
-                 dense eigensolves.
+  * trace     -- the phase-averaged normalized trace of log|H - z|, as
+                 log-determinants of dense LU factorizations.
 
 Derivatives in (beta, z) reduce through the determinant decomposition to
 torus averages of resolvent kernels, evaluated without any finite
@@ -140,10 +140,10 @@ def _graded_nodes(bands: BandSet) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _ids_model(freq: RationalFrequency, beta: float):
+def _ids_model(bands: BandSet):
     """Graded nodes and their IDS values, both (q, 65) and read-only,
-    from one array-valued `ids` call over every band."""
-    bands = corner_bands(freq, beta)
+    from one array-valued `ids` call over every band of the given set:
+    no eigensolve, as the edges are the caller's."""
     nodes = _graded_nodes(bands)
     vals = ids(bands, nodes)
     nodes.flags.writeable = vals.flags.writeable = False
@@ -153,11 +153,11 @@ def _ids_model(freq: RationalFrequency, beta: float):
 def lyapunov_thouless(bands: BandSet, energy) -> LyapunovValue:
     """Log-potential of the density of states.
 
-    The IDS is sampled on 65 graded nodes per band of the set's
-    (freq, beta) and treated as piecewise linear; each panel integrates
-    log|E - E'| in closed form, so the singularity at E' = E costs nothing.
+    The IDS is sampled on 65 graded nodes per band of the set and treated
+    as piecewise linear; each panel integrates log|E - E'| in closed form,
+    so the singularity at E' = E costs nothing.
     """
-    nodes_all, vals_all = _ids_model(bands.freq, bands.beta)
+    nodes_all, vals_all = _ids_model(bands)
     E = complex(energy)
     total = 0.0
     for nodes, vals in zip(nodes_all, vals_all):
@@ -176,19 +176,21 @@ def lyapunov_thouless(bands: BandSet, energy) -> LyapunovValue:
 
 def lyapunov_trace(freq: RationalFrequency, beta: float, z,
                    grid_size: int | None = None) -> LyapunovValue:
-    """tau(log|h - z|) by dense eigensolves over the phase torus.
+    """tau(log|h - z|) = (1/q) log|det(h - z)| by LU over the phase torus.
 
+    Each phase row takes one batched `slogdet` of h - z, which costs an LU
+    factorization per node where the eigenvalues would cost an eigensolve.
     The spectrum is 2 pi / q periodic in each phase, so the n x n grid
     t_k = 2 pi k / (n q) lives on the fundamental domain.  Its size n adapts
     to the analyticity strip of the integrand, which shrinks as z
     approaches the spectrum.  The spectrum is also even in each phase
     separately: complex conjugation maps H(t1, t2) to H(t1, -t2), and the
     reflection j -> -j maps t1 to -t1.  So indices k and n - k carry the
-    same eigenvalues, and only k = 0..n//2 is solved on each axis, with
+    same eigenvalues, and only k = 0..n//2 is factored on each axis, with
     weight 2 on interior indices and 1 on k = 0 and, for even n, k = n/2:
-    (n//2 + 1)^2 eigensolves instead of n^2.  Neither symmetry uses the
-    determinant decomposition, so this route stays independent of the
-    other two.
+    (n//2 + 1)^2 determinants instead of n^2.  Neither the LU nor the
+    symmetries use the determinant decomposition, which only sizes the
+    grid, so the value stays independent of the other two routes.
     """
     ch = chambers(freq, beta, verify=False)
     dist = corner_bands(freq, beta).distance(z)
@@ -207,10 +209,12 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z,
     k = np.arange(n // 2 + 1)
     t = TWO_PI * k / (n * q)
     w = np.where((k == 0) | (2 * k == n), 1.0, 2.0)  # k and n - k fold onto one node
+    j = np.arange(q)
     total = 0.0
     for a, wa in zip(t, w):
-        lam = np.linalg.eigvalsh(harper_matrix(freq, beta, a, t))
-        total += wa * float(np.sum(w[:, None] * np.log(np.abs(lam - z)))) / q
+        h = harper_matrix(freq, beta, a, t)
+        h[:, j, j] -= z
+        total += wa * float(w @ np.linalg.slogdet(h).logabsdet) / q
     return LyapunovValue(float(beta), z, total / (n * n), "trace")
 
 
@@ -331,7 +335,7 @@ def critical_scan(freq: RationalFrequency, beta: float, gap,
     if fa * fb > 0:  # should not happen: P' has exactly one simple zero here
         raise RuntimeError(f"no sign change of dP across gap {gap.label} at {freq}; "
                            f"values ({fa:.3e}, {fb:.3e})")
-    s_star = _brent(f, a, b)
+    s_star = _brent(f, a, b, fa, fb)
     grad = gradient(freq, beta, s_star, ch=ch, edge_distance=0.0)
     return CriticalPoint(freq, float(beta), gap.j, gap.label, lo, hi,
                          float(s_star), abs(grad.g0), abs(grad.g1))
@@ -342,18 +346,19 @@ _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 8.9e-16
 
 
-def _brent(f, a: float, b: float) -> float:
+def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
     """The zero of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     Step for step the C `brentq` of scipy, so the same float operations give
-    the same root bit for bit from the same number of calls of f: inverse
+    the same root bit for bit from the same values of f, of which the caller
+    passes the first two, fa = f(a) and fb = f(b), as it has them: inverse
     quadratic (or secant) steps accepted only while they shrink fast enough,
     bisection otherwise, and a step of at least delta = (xtol + rtol|x|)/2
     with xtol = _BRENT_XTOL and rtol = _BRENT_RTOL.
     """
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = _brent_eval(f, xpre), _brent_eval(f, xcur)
+    fpre, fcur = _brent_value(xpre, fa), _brent_value(xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -386,13 +391,13 @@ def _brent(f, a: float, b: float) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _brent_eval(f, xcur)
+        fcur = _brent_value(xcur, f(xcur))
     raise RuntimeError(f"Brent's method failed to converge after {_BRENT_MAXITER} "
                        f"iterations, value is {xcur}")
 
 
-def _brent_eval(f, x: float) -> float:
-    fx = float(f(x))
+def _brent_value(x: float, fx) -> float:
+    fx = float(fx)
     if fx != fx:
         raise ValueError(f"the function value at x={x} is NaN; the root search cannot continue")
     return fx

@@ -155,6 +155,40 @@ def oracle_trace(p, q, beta, z, n):
     return math.fsum(terms) / (n * n * q)
 
 
+def oracle_coefficient_sheet(p, q, beta, z, window, grid=None):
+    """The coefficient sheet c(p, qe) as a (2 window + 1)^2 array, entry by entry.
+
+    Every node of the full n1 x n2 grid gets its own inverse of the
+    uniform-gauge matrix, all q x q clock/shift traces are kept as one
+    (q, q, n1, n2) array, and each entry is its own 2-d Fourier sum, without
+    the conjugate symmetry in t2.  The grid defaults to the library's, n
+    the first size >= 4 (window + q) coprime to q, unless given as (n1, n2).
+    """
+    if grid is None:
+        n = 4 * (window + q)
+        while math.gcd(n, q) != 1:
+            n += 1
+        grid = (n, n)
+    n1, n2 = grid
+    t1, t2 = TWO_PI * np.arange(n1) / n1, TWO_PI * np.arange(n2) / n2
+    j = np.arange(q)
+    omega_pow = np.exp(2j * np.pi * ((np.outer(j, np.arange(q)) * p) % q) / q)  # [j, m]
+    traces = np.zeros((q, q, n1, n2), dtype=complex)  # [m, s, a, b]
+    for a in range(n1):
+        R = np.linalg.inv(np.array([oracle_harper(p, q, beta, t1[a], b) for b in t2])
+                          - z * np.eye(q))
+        for s in range(q):
+            traces[:, s, a, :] = (R[:, (j - s) % q, j] @ omega_pow).T / q
+    phases1 = np.exp(1j * np.outer(np.arange(-window, window + 1), t1)) / n1
+    phases2 = np.exp(1j * np.outer(np.arange(-window, window + 1), t2)) / n2
+    vals = np.zeros((2 * window + 1, 2 * window + 1), dtype=complex)
+    for ip, pp in enumerate(range(-window, window + 1)):
+        for iq, qe in enumerate(range(-window, window + 1)):
+            c, s = pi_fraction_trig(-pp * qe * p, q)
+            vals[ip, iq] = complex(c, s) * (phases1[ip] @ traces[pp % q, qe % q] @ phases2[iq])
+    return vals
+
+
 def oracle_average_inverse(A, B, C):
     """Torus average of 1/(A + B cos(phi) + C cos(psi)) by a complete elliptic integral.
 

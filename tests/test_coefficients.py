@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from harperlab import (RationalFrequency, build_phi, chambers, coefficient_sheet,
+from harperlab import (PhaseGrid, RationalFrequency, build_phi, chambers, coefficient_sheet,
                        core_closure_check, decay_rate, gaps, gradient,
                        recursion_sheets, symmetrized_sheet, system_residual,
                        vanishing_probe, vanishing_scan)
-from conftest import oracle_core_closure, oracle_moment, oracle_system_residual
+from conftest import (oracle_coefficient_sheet, oracle_core_closure, oracle_moment,
+                      oracle_system_residual)
 
 F = RationalFrequency
 
@@ -38,9 +39,32 @@ def test_sheet_rejects_z_in_spectrum():
 
 
 def test_sheet_rejects_undersized_grid():
-    from harperlab import PhaseGrid
     with pytest.raises(ValueError):
         coefficient_sheet(F(1, 3), 0.5, 4.2, window=8, grid=PhaseGrid(8, 8))
+
+
+@pytest.mark.parametrize("p, q, beta, z, window, grid", [
+    (5, 8, 0.5, 4.0, 24, None),
+    (8, 13, 0.5, 4.0, 24, None),
+    (1, 2, 0.5, -3.5, 6, None),
+    (0, 1, 0.5, 4.0, 5, None),
+    (1, 1, 0.5, 4.0, 5, None),
+    (3, 7, 0.4, 4.1, 5, (13, 17)),
+    (3, 7, 0.4, -4.1, 5, (16, 12)),
+    (2, 5, 0.7, 3.9, 4, (10, 11)),
+    (1, 3, 0.5, 4.2, 3, (9, 8)),
+    (2, 5, 0.5, "gap", 6, None),
+])
+def test_sheet_equals_the_full_grid_oracle(p, q, beta, z, window, grid):
+    """The half-grid, streamed sheet gives the full-grid, entry-by-entry
+    Fourier sums, on default grids and on odd, even and unequal ones."""
+    if z == "gap":
+        z = widest_gap(F(p, q), beta).midpoint
+    got = coefficient_sheet(F(p, q), beta, z, window=window,
+                            grid=None if grid is None else PhaseGrid(*grid)).values
+    want = oracle_coefficient_sheet(p, q, beta, z, window, grid)
+    assert np.max(np.abs(want.imag)) <= 1e-10
+    assert np.max(np.abs(got - want.real)) <= 1e-13 * np.max(np.abs(want.real))
 
 
 def test_system_residual_of_c_sheet():

@@ -87,7 +87,8 @@ def test_ids_model_makes_one_ids_and_one_jet_call_per_fraction(monkeypatch):
     """All graded nodes of all bands go through one array-valued `ids` call,
     hence one continuant pass, and each band's row equals a per-band call
     bit for bit."""
-    cases = ((F(8, 13), 1.0), (F(55, 89), 0.5), (F(3, 8), 0.0))
+    cases = [band_edges(chambers(freq, beta, verify=False))
+             for freq, beta in ((F(8, 13), 1.0), (F(55, 89), 0.5), (F(3, 8), 0.0))]
     calls = {"ids": 0, "jet": 0}
 
     def counted(name, fn):
@@ -100,16 +101,35 @@ def test_ids_model_makes_one_ids_and_one_jet_call_per_fraction(monkeypatch):
     monkeypatch.setattr(spectrum.ChambersData, "jet", counted("jet", spectrum.ChambersData.jet))
     lyapunov._ids_model.cache_clear()
     models = []
-    for k, (freq, beta) in enumerate(cases, start=1):
-        models.append(lyapunov._ids_model(freq, beta))
+    for k, bands in enumerate(cases, start=1):
+        models.append(lyapunov._ids_model(bands))
         assert calls == {"ids": k, "jet": k}
     monkeypatch.undo()
     lyapunov._ids_model.cache_clear()
-    for (freq, beta), (nodes, vals) in zip(cases, models):
-        assert nodes.shape == vals.shape == (freq.q, 65)
-        bands = band_edges(chambers(freq, beta, verify=False))
-        for k in range(freq.q):
+    for bands, (nodes, vals) in zip(cases, models):
+        assert nodes.shape == vals.shape == (bands.q, 65)
+        for k in range(bands.q):
             assert spectrum.ids(bands, nodes[k]).tobytes() == vals[k].tobytes()
+
+
+def test_cold_thouless_solves_no_corners_beyond_its_band_set(monkeypatch):
+    """The IDS model is built from the edges of the band set it is given, so
+    a cold Thouless call after `band_edges` adds no eigensolve to the two
+    corner solves that made the set."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eigvalsh(*args, **kwargs)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    lyapunov._ids_model.cache_clear()
+    bands = band_edges(chambers(F(8, 13), 0.5, verify=False))
+    assert calls[0] == 2
+    lo, hi = max(bands.gap_intervals(), key=lambda g: g[1] - g[0])
+    assert lyapunov_thouless(bands, (lo + hi) / 2).value > 0
+    assert calls[0] == 2
 
 
 def test_trace_far_field_expansion():
@@ -146,9 +166,17 @@ def test_trace_complex_argument():
     (3, 7, 0.5, 0.2 + 1.5j, 12),
     (1, 1, 0.7, 5.0, 7),
     (1, 1, 0.7, 0.3 + 0.4j, 8),
+    (3, 7, 0.5, 0.2 + 1.5j, 13),
+    (8, 13, 0.5, 0.3 + 0.2j, 10),
+    (8, 13, 0.5, 0.3 + 0.2j, 11),
+    (2, 5, 1.5, -0.4 + 0.05j, 14),
+    (2, 5, 1.5, -0.4 + 0.05j, 15),
+    (5, 8, 0.5, -4.4, 6),
 ])
 def test_trace_folded_grid_equals_full_grid(p, q, beta, z, n):
-    """The mirror-folded grid gives the full n x n phase sum to roundoff."""
+    """The mirror-folded grid of log-determinants gives the full n x n sum
+    of logs of eigenvalues to roundoff, for real and complex z and for odd
+    and even n."""
     if z == "gap":
         z = widest_gap(F(p, q), beta).midpoint
     got = lyapunov_trace(F(p, q), beta, z, grid_size=n).value
@@ -281,8 +309,9 @@ BRENT_ORACLE_CASES = [(F(p, q), beta)
 
 def test_brent_matches_scipy_brentq_bitwise_on_every_open_gap():
     """The in-house root step repeats scipy's brentq operation for operation:
-    the same s* bit for bit from the same number of P' calls, on the
-    bracket critical_scan uses."""
+    the same s* bit for bit on the bracket critical_scan uses, from two fewer
+    P' calls, since it takes the bracket values critical_scan has already
+    evaluated."""
     from scipy.optimize import brentq
 
     def oracle(f, a, b):
@@ -296,8 +325,9 @@ def test_brent_matches_scipy_brentq_bitwise_on_every_open_gap():
                 continue
             eps = (g.hi - g.lo) * 1e-9
             a, b = g.lo + eps, g.hi - eps
+            fa, fb = ch.dP(a), ch.dP(b)
             roots, calls = [], []
-            for solve in (oracle, lyapunov._brent):
+            for solve in (oracle, lambda f, a, b: lyapunov._brent(f, a, b, fa, fb)):
                 count = [0]
 
                 def f(x):
@@ -306,7 +336,7 @@ def test_brent_matches_scipy_brentq_bitwise_on_every_open_gap():
 
                 roots.append(solve(f, a, b).hex())
                 calls.append(count[0])
-            assert roots[0] == roots[1] and calls[0] == calls[1], (freq, beta, g.j)
+            assert roots[0] == roots[1] and calls[0] == calls[1] + 2, (freq, beta, g.j)
             n_gaps += 1
     assert n_gaps > 1500
 
@@ -316,7 +346,8 @@ def test_critical_scan_root_is_the_brent_step_on_the_gap_bracket():
     ch = chambers(freq, beta, verify=False)
     for g in (g for g in gaps(freq, beta) if g.is_open):
         eps = (g.hi - g.lo) * 1e-9
-        root = lyapunov._brent(ch.dP, g.lo + eps, g.hi - eps)
+        a, b = g.lo + eps, g.hi - eps
+        root = lyapunov._brent(ch.dP, a, b, ch.dP(a), ch.dP(b))
         assert critical_scan(freq, beta, g, ch=ch).s_star == root
 
 
@@ -329,14 +360,17 @@ def test_brent_refuses_like_brentq():
     def step(x):  # a sign change at 1e-200 and no zero: ~1040 halvings to reach xtol
         return -1.0 if x < 1e-200 else 1.0
 
-    for solve in (oracle, lyapunov._brent):
+    def brent(f, a, b):
+        return lyapunov._brent(f, a, b, f(a), f(b))
+
+    for solve in (oracle, brent):
         with pytest.raises(RuntimeError):
             solve(step, -1e300, 1e300)
         with pytest.raises(ValueError):
             solve(lambda x: x * x + 1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             solve(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0)
-    assert lyapunov._brent(lambda x: x - 0.25, 0.25, 1.0) == 0.25
+    assert brent(lambda x: x - 0.25, 0.25, 1.0) == 0.25
 
 
 def test_hessian_energy_diagonal_always_negative():
