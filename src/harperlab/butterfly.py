@@ -249,7 +249,7 @@ def hall_color(n: int) -> str:
 
 
 def render(dataset: ButterflyDataset, path: str, size=(900, 600),
-           fmt: str = "svg", color_by_hall: bool = True, gap_fill: bool = True):
+           fmt: str = "svg", gap_fill: bool = True):
     """Draw the dataset: one horizontal segment per band at height p/q.
 
     Gap rectangles are filled with the Hall palette when requested.  SVG is
@@ -259,12 +259,12 @@ def render(dataset: ButterflyDataset, path: str, size=(900, 600),
     if not dataset.rows:
         raise ValueError("empty dataset")
     if fmt == "svg":
-        text = _render_svg(dataset, size, color_by_hall, gap_fill)
+        text = _render_svg(dataset, size, gap_fill)
         with open(path, "w") as fh:
             fh.write(text)
     elif fmt == "ppm":
         with open(path, "wb") as fh:
-            fh.write(_render_ppm(dataset, size, color_by_hall, gap_fill))
+            fh.write(_render_ppm(dataset, size, gap_fill))
     else:
         raise ValueError(f"unsupported format {fmt!r}; use 'svg' or 'ppm'")
     return path
@@ -277,7 +277,7 @@ def _extent(dataset):
     return lo - pad, hi + pad
 
 
-def _render_svg(dataset, size, color_by_hall, gap_fill):
+def _render_svg(dataset, size, gap_fill):
     width, height = size
     elo, ehi = _extent(dataset)
 
@@ -299,10 +299,9 @@ def _render_svg(dataset, size, color_by_hall, gap_fill):
             for g in row.gaps:
                 if not g.is_open:
                     continue
-                color = hall_color(g.hall) if color_by_hall else "#dddddd"
                 out.append(f'<rect x="{xpix(g.lo):.2f}" y="{y - stroke:.2f}" '
                            f'width="{xpix(g.hi) - xpix(g.lo):.2f}" height="{2 * stroke:.2f}" '
-                           f'fill="{color}"/>')
+                           f'fill="{hall_color(g.hall)}"/>')
     for row in dataset.rows:
         y = ypix(row.freq.alpha)
         for lo, hi in row.bands:
@@ -312,7 +311,7 @@ def _render_svg(dataset, size, color_by_hall, gap_fill):
     return "\n".join(out) + "\n"
 
 
-def _render_ppm(dataset, size, color_by_hall, gap_fill):
+def _render_ppm(dataset, size, gap_fill):
     width, height = size
     elo, ehi = _extent(dataset)
     pixels = np.full((height, width, 3), 255, dtype=np.uint8)
@@ -322,8 +321,7 @@ def _render_ppm(dataset, size, color_by_hall, gap_fill):
         if not 0 <= y < height:
             continue
         fills = [g for g in row.gaps if g.is_open] if gap_fill else []
-        colors = [_PALETTE[max(-6, min(6, g.hall))][0] if color_by_hall else (221, 221, 221)
-                  for g in fills] + [0] * len(row.bands)
+        colors = [_PALETTE[max(-6, min(6, g.hall))][0] for g in fills] + [0] * len(row.bands)
         ends = np.array([(g.lo, g.hi) for g in fills] + list(row.bands), dtype=float)
         # pixel columns of each segment's ends, truncated toward zero, then clamped
         cols = np.clip(((ends - elo) / (ehi - elo) * (width - 1)).astype(int), 0, width - 1)

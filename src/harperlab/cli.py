@@ -45,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"harperlab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_freq(p, required=True):
-        g = p.add_mutually_exclusive_group(required=required)
+    def add_freq(p):
+        g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--alpha", help="rational frequency p/q")
         g.add_argument("--irrational", choices=("golden", "sqrt2", "e-based", "custom-cf"),
                        help="irrational target, expanded to convergents")
@@ -429,7 +429,7 @@ def _dispatch(args, parser) -> int:
         if args.dataset:
             with open(args.dataset) as fh:
                 ds = parse_dataset(fh.read())
-        elif args.qmax:
+        elif args.qmax is not None:
             ds = compute_butterfly(args.qmax, args.beta)
         else:
             parser.error("count-components needs --dataset or --qmax")
@@ -462,7 +462,7 @@ def _make_sheet(freq, beta, z, window, kind):
     return build_phi(coefficient_sheet(freq, beta, z, window=window), d)
 
 
-def sigma_check_report(freq, beta, theta1=0.0, theta2=0.0) -> dict:
+def sigma_check_report(freq, beta, theta1, theta2) -> dict:
     """Residuals of the ladder-pair and symmetry identities at one phase point."""
     rep = build_rep(freq, theta1, theta2)
     lam = lam_phase(freq)

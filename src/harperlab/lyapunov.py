@@ -64,30 +64,15 @@ class HessianRecord:
         return self.d2z * self.d2beta - self.dzdbeta ** 2
 
 
-def _coerce_freq(freq_or_alpha):
-    if isinstance(freq_or_alpha, RationalFrequency):
-        return freq_or_alpha
-    return None
+def lyapunov_transfer(freq: RationalFrequency, beta: float, energy,
+                      theta_samples: int = 256) -> LyapunovValue:
+    """Lyapunov exponent from the transfer cocycle at rational frequency.
 
-
-def lyapunov_transfer(freq_or_alpha, beta: float, energy, theta_samples: int = 256,
-                      n_steps: int | None = None) -> LyapunovValue:
-    """Lyapunov exponent from the transfer cocycle.
-
-    At rational frequency the product over one period is exact and the
-    growth rate is log of the larger monodromy-eigenvalue modulus divided
-    by the period, averaged over theta_samples phases.  A float rotation
-    number falls back to a renormalized product of n_steps factors.
+    The product over one period is exact and the growth rate is log of the
+    larger monodromy-eigenvalue modulus divided by the period, averaged over
+    theta_samples phases.
     """
-    freq = _coerce_freq(freq_or_alpha)
-    if freq is not None:
-        if n_steps is not None and n_steps < freq.q:
-            raise ValueError(f"n_steps must cover one period (q={freq.q})")
-        val = _monodromy_average(freq.p, freq.q, beta, energy, theta_samples)
-        return LyapunovValue(float(beta), energy, val, "transfer")
-    alpha = float(freq_or_alpha)
-    steps = 20000 if n_steps is None else int(n_steps)
-    val = _long_product(alpha, beta, energy, theta_samples, steps)
+    val = _monodromy_average(freq.p, freq.q, beta, energy, theta_samples)
     return LyapunovValue(float(beta), energy, val, "transfer")
 
 
@@ -95,7 +80,7 @@ def _monodromy_average(p: int, q: int, beta: float, energy, n_theta: int) -> flo
     """Phase-averaged log of the larger multiplier over q; a monodromy or its
     squared trace outside the float64 range raises ArithmeticError."""
     th = np.arange(n_theta) / n_theta
-    dtype = complex if np.iscomplexobj(np.asarray(energy)) or np.iscomplex(energy) else float
+    dtype = complex if np.iscomplexobj(np.asarray(energy)) else float
     m00 = np.ones(n_theta, dtype=dtype)
     m01 = np.zeros(n_theta, dtype=dtype)
     m10 = np.zeros(n_theta, dtype=dtype)
@@ -113,23 +98,6 @@ def _monodromy_average(p: int, q: int, beta: float, energy, n_theta: int) -> flo
     if not np.isfinite(val):
         raise ArithmeticError(f"the monodromy leaves the float64 range at q={q}, E={energy}")
     return val
-
-
-def _long_product(alpha: float, beta: float, energy, n_theta: int, n_steps: int) -> float:
-    th = np.arange(n_theta) / n_theta
-    total = np.zeros(n_theta)
-    v0 = np.stack([np.ones(n_theta), np.zeros(n_theta)])
-    v1 = np.stack([np.zeros(n_theta), np.ones(n_theta)])
-    for n in range(n_steps):
-        a = energy - 2.0 * beta * np.cos(TWO_PI * (th + n * alpha))
-        v0 = np.stack([a * v0[0] - v0[1], v0[0]])
-        v1 = np.stack([a * v1[0] - v1[1], v1[0]])
-        if (n + 1) % 32 == 0 or n == n_steps - 1:
-            scale = np.maximum(np.abs(v0).max(axis=0), np.abs(v1).max(axis=0))
-            total += np.log(scale)
-            v0 /= scale
-            v1 /= scale
-    return float(np.mean(total)) / n_steps
 
 
 def _graded_nodes(bands: BandSet) -> np.ndarray:
@@ -190,14 +158,14 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z,
     weight 2 on interior indices and 1 on k = 0 and, for even n, k = n/2:
     (n//2 + 1)^2 determinants instead of n^2.  Neither the LU nor the
     symmetries use the determinant decomposition, which only sizes the
-    grid, so the value stays independent of the other two routes.
+    real-z grid, so the value stays independent of the other two routes.
     """
-    ch = chambers(freq, beta, verify=False)
     dist = corner_bands(freq, beta).distance(z)
     if dist < 1e-8:
         raise ValueError(f"z={z} is within 1e-08 of the spectrum")
     if grid_size is None:
         if float(np.imag(z)) == 0.0:
+            ch = chambers(freq, beta, verify=False)
             m = abs(ch.P(float(np.real(z)))) - ch.amplitude
             m = max(m, 1e-15)
             strip = min(np.arccosh(1.0 + m / 2.0),
@@ -286,7 +254,7 @@ def hessian(freq: RationalFrequency, beta: float, z: float,
     P, dP, d2P, dbP, dbdP, d2bP = ch.jet(z)
     av = _averages(ch, z, P, ("m1", "m2", "n1", "n2", "k2"))
     dc2 = -2.0 * q * beta ** (q - 1)
-    d2c2 = -2.0 * q * (q - 1) * beta ** (q - 2)
+    d2c2 = -2.0 * q * (q - 1) * beta ** max(q - 2, 0)  # zero at q = 1, where 0.0 ** -1 raises
     d2z = (d2P * av["m1"] - dP * dP * av["m2"]) / q
     dzdb = (dbdP * av["m1"] - dP * (dbP * av["m2"] + dc2 * av["n2"])) / q
     d2b = (d2bP * av["m1"] + d2c2 * av["n1"]

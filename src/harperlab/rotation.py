@@ -67,10 +67,9 @@ class RotationRep:
         return self.freq.q
 
 
-def max_norm(a, b=None) -> float:
-    """Entrywise max norm of a (or of a - b)."""
-    m = a if b is None else a - b
-    return float(np.max(np.abs(m)))
+def max_norm(a) -> float:
+    """Entrywise max norm of a."""
+    return float(np.max(np.abs(a)))
 
 
 def build_rep(freq: RationalFrequency, theta1: float = 0.0, theta2: float = 0.0) -> RotationRep:

@@ -91,17 +91,6 @@ class ChambersData:
         """Total cosine range |c1| + |c2|."""
         return abs(self.c1) + abs(self.c2)
 
-    @property
-    def lam(self) -> np.ndarray:
-        """Zeros of P, one per band: the center-phase eigenvalues (for reporting)."""
-        t = np.pi / (2.0 * self.q)
-        return np.linalg.eigvalsh(harper_matrix(self.freq, self.beta, t, t))
-
-    @property
-    def poly(self) -> np.ndarray:
-        """Monic coefficients of P, highest degree first (for reporting)."""
-        return np.poly(self.lam)
-
     def jet(self, E, order: int = 2):
         """P and its partials up to total order 0, 1 or 2 at E (a float or an array).
 
@@ -200,8 +189,7 @@ class BandSet:
     """Sorted spectral bands, one per monotone branch of P.
 
     Consecutive bands may share an endpoint (touching); the central pair for
-    even q always does.  `merged` collapses touchings, gaps up to 1e-9 wide,
-    for presentation.
+    even q always does.
     """
 
     freq: RationalFrequency
@@ -218,15 +206,6 @@ class BandSet:
 
     def gap_intervals(self):
         return tuple((self.bands[i][1], self.bands[i + 1][0]) for i in range(len(self.bands) - 1))
-
-    def merged(self):
-        out = [list(self.bands[0])]
-        for lo, hi in self.bands[1:]:
-            if lo - out[-1][1] <= 1e-9:
-                out[-1][1] = max(out[-1][1], hi)
-            else:
-                out.append([lo, hi])
-        return tuple((a, b) for a, b in out)
 
     def distance(self, E) -> float:
         """Distance from (possibly complex) E to the band union."""
@@ -495,10 +474,6 @@ class GapTrack:
     widths: tuple
     open_flags: tuple
 
-    @property
-    def always_open(self) -> bool:
-        return all(self.open_flags)
-
 
 def label_to_index(label, freq: RationalFrequency) -> int:
     """Gap index j of an (m, n) label, or raise if not realizable."""
@@ -515,6 +490,8 @@ def label_to_index(label, freq: RationalFrequency) -> int:
 def track_gap(label, freq: RationalFrequency, beta_grid, min_width: float = 1e-9) -> GapTrack:
     """Width of one labelled gap across a strictly increasing coupling grid."""
     grid = [float(b) for b in beta_grid]
+    if not grid:
+        raise ValueError("beta grid must not be empty")
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be strictly increasing")
     if any(not 0 < b for b in grid):

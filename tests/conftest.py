@@ -14,6 +14,7 @@ from hypothesis import settings
 from scipy.special import ellipk, ellipkm1
 
 from harperlab.rationals import pi_fraction_trig
+from harperlab.spectrum import harper_matrix
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
@@ -139,6 +140,33 @@ def oracle_moment(p, q, beta, power, n=48):
             hs[i] = oracle_harper(p, q, beta, a, b)
         total += float(np.sum(np.linalg.eigvalsh(hs) ** power)) / q
     return total / (n * n)
+
+
+def center_eigenvalues(freq, beta):
+    """Zeros of P, one per band: the eigenvalues at the center phase
+    t1 = t2 = pi/(2q), where both cosines of the determinant vanish."""
+    t = np.pi / (2.0 * freq.q)
+    return np.linalg.eigvalsh(harper_matrix(freq, beta, t, t))
+
+
+def oracle_orbit_transfer(alpha, beta, energy, n_theta, n_steps):
+    """Phase-averaged growth rate of the cocycle along n_steps of a float
+    rotation alpha, for irrational frequency; both columns of the product
+    are renormalized every 32 steps and the logs of the scales summed."""
+    th = np.arange(n_theta) / n_theta
+    total = np.zeros(n_theta)
+    v0 = np.stack([np.ones(n_theta), np.zeros(n_theta)])
+    v1 = np.stack([np.zeros(n_theta), np.ones(n_theta)])
+    for n in range(n_steps):
+        a = energy - 2.0 * beta * np.cos(TWO_PI * (th + n * alpha))
+        v0 = np.stack([a * v0[0] - v0[1], v0[0]])
+        v1 = np.stack([a * v1[0] - v1[1], v1[0]])
+        if (n + 1) % 32 == 0 or n == n_steps - 1:
+            scale = np.maximum(np.abs(v0).max(axis=0), np.abs(v1).max(axis=0))
+            total += np.log(scale)
+            v0 /= scale
+            v1 /= scale
+    return float(np.mean(total)) / n_steps
 
 
 def oracle_trace(p, q, beta, z, n):

@@ -18,7 +18,7 @@ import pytest
 
 import harperlab as hl
 from harperlab.cli import sigma_check_report
-from conftest import oracle_band_sweep
+from conftest import center_eigenvalues, oracle_band_sweep
 
 F = hl.RationalFrequency
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "test_artifacts")
@@ -95,8 +95,7 @@ def test_criterion_04_flatness_and_three_method_agreement():
     worst_flat = 0.0
     for freq in (F(3, 5), F(5, 8), F(8, 13)):
         for beta in (0.25, 0.5, 0.75, 1.0):
-            ch = hl.chambers(freq, beta, verify=False)
-            for e in ch.lam:
+            for e in center_eigenvalues(freq, beta):
                 worst_flat = max(worst_flat,
                                  abs(hl.lyapunov_transfer(freq, beta, float(e)).value))
     assert worst_flat <= 5e-3, f"on-spectrum |L| reaches {worst_flat:.3e}"

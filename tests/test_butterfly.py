@@ -155,7 +155,7 @@ def test_render_ppm(tmp_path):
     assert len(data) == len(b"P6\n160 120\n255\n") + 3 * 160 * 120
 
 
-def ppm_by_pixel(dataset, size, color_by_hall, gap_fill):
+def ppm_by_pixel(dataset, size, gap_fill):
     """The pixel-by-pixel PPM painter that slice painting replaced, kept as an oracle."""
     width, height = size
     elo, ehi = butterfly_module._extent(dataset)
@@ -179,7 +179,7 @@ def ppm_by_pixel(dataset, size, color_by_hall, gap_fill):
             for g in row.gaps:
                 if not g.is_open:
                     continue
-                color = hall_color(g.hall) if color_by_hall else "#dddddd"
+                color = hall_color(g.hall)
                 paint(xpix(g.lo), xpix(g.hi), y, bytes(int(color[i:i + 2], 16) for i in (1, 3, 5)))
         for lo, hi in row.bands:
             paint(xpix(lo), xpix(hi), y, b"\x00\x00\x00")
@@ -190,9 +190,8 @@ def ppm_by_pixel(dataset, size, color_by_hall, gap_fill):
 def test_render_ppm_equals_pixel_loop(order):
     ds = compute_butterfly(order, 0.8)
     for gap_fill in (True, False):
-        for color_by_hall in (True, False):
-            args = (ds, (331, 217), color_by_hall, gap_fill)
-            assert butterfly_module._render_ppm(*args) == ppm_by_pixel(*args)
+        args = (ds, (331, 217), gap_fill)
+        assert butterfly_module._render_ppm(*args) == ppm_by_pixel(*args)
 
 
 @pytest.mark.parametrize("workers", [0, -1])

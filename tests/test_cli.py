@@ -137,6 +137,28 @@ def test_track_output(capsys):
     assert all(ln.endswith(",1") for ln in rows)
 
 
+def test_track_empty_grid_exits_two(capsys):
+    code, out, err = run(["track", "--alpha", "5/8", "--m", "0", "--n", "1",
+                          "--beta-grid", "0.1:1:0"], capsys)
+    assert code == 2
+    assert err == "error: beta grid must not be empty\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("alpha", ["0/1", "1/1"])
+def test_hessian_scalar_frequency_at_zero_coupling(alpha, capsys):
+    code, out, err = run(["hessian", "--alpha", alpha, "--beta", "0", "--z", "5"], capsys)
+    assert code == 0 and err == ""
+    assert abs(json.loads(out)["d2z"] + 5.0 / 21.0 ** 1.5) <= 1e-14
+
+
+def test_count_components_qmax_zero_reaches_the_batch(capsys):
+    code, out, err = run(["count-components", "--qmax", "0", "--hall", "1"], capsys)
+    assert code == 2
+    assert err == "error: order must be >= 1\n"
+    assert out == ""
+
+
 def test_irrational_expansion(capsys):
     code, out, _ = run(["spectrum", "--irrational", "golden", "--depth", "6",
                         "--beta", "0.5"], capsys)

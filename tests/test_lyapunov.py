@@ -10,7 +10,8 @@ from harperlab import (RationalFrequency, band_edges, chambers, critical_scan,
                        PhaseGrid, build_rep, hamiltonian, vanishing_scan)
 from harperlab import lyapunov, spectrum
 from harperlab._torus import _psi_count, averages
-from conftest import oracle_average_inverse, oracle_moment, oracle_trace
+from conftest import (center_eigenvalues, oracle_average_inverse, oracle_moment,
+                      oracle_orbit_transfer, oracle_trace)
 
 F = RationalFrequency
 
@@ -32,8 +33,7 @@ def test_transfer_free_case_closed_form():
 
 def test_transfer_nonnegative_and_band_median_flat():
     freq = F(5, 8)
-    ch = chambers(freq, 0.5, verify=False)
-    for e in ch.lam:  # spectral medians of the bands
+    for e in center_eigenvalues(freq, 0.5):  # spectral medians of the bands
         val = lyapunov_transfer(freq, 0.5, float(e)).value
         assert -1e-12 <= val <= 5e-3
 
@@ -41,7 +41,7 @@ def test_transfer_nonnegative_and_band_median_flat():
 def test_transfer_irrational_orbit_matches_fine_convergent():
     golden = (math.sqrt(5) - 1) / 2
     e, beta = 3.4, 0.5
-    via_orbit = lyapunov_transfer(golden, beta, e, theta_samples=16, n_steps=4000).value
+    via_orbit = oracle_orbit_transfer(golden, beta, e, n_theta=16, n_steps=4000)
     via_convergent = lyapunov_transfer(F(144, 233), beta, e).value
     assert abs(via_orbit - via_convergent) <= 5e-3
 
@@ -433,9 +433,21 @@ def test_hessian_flags_near_edge():
         hessian(freq, beta, g.hi - 1e-9)
 
 
-def test_transfer_requires_full_period():
-    with pytest.raises(ValueError):
-        lyapunov_transfer(F(2, 5), 0.5, 3.0, n_steps=3)
+@pytest.mark.parametrize("p", [0, 1])
+def test_hessian_scalar_frequency_at_zero_coupling(p):
+    # q = 1: the coupling curvature of c2 = -2 beta carries the factor q - 1 = 0,
+    # so beta = 0 leaves the free energy diagonal -z / (z^2 - 4)^(3/2)
+    rec = hessian(F(p, 1), 0.0, 5.0)
+    assert abs(rec.d2z + 5.0 / 21.0 ** 1.5) <= 1e-14
+
+
+def test_trace_at_complex_z_builds_no_determinant_data(monkeypatch):
+    # only the real-z grid rule reads P; a complex z sizes its grid from the distance
+    def refuse(*args, **kwargs):
+        raise AssertionError("chambers called")
+    want = lyapunov_trace(F(2, 5), 0.5, 0.3 + 0.4j).value
+    monkeypatch.setattr(lyapunov, "chambers", refuse)
+    assert lyapunov_trace(F(2, 5), 0.5, 0.3 + 0.4j).value == want
 
 
 def test_gradient_free_case_closed_form():

@@ -13,9 +13,9 @@ from harperlab import (BandSet, ChambersError, RationalFrequency, band_edges, ch
                        log_potential, track_gap)
 from harperlab.butterfly import butterfly_fractions
 from harperlab.spectrum import _band_measure, _verify_phase_independence
-from conftest import (interval_union_distance, oracle_band_measure, oracle_band_sweep,
-                      oracle_center_jet, oracle_gap_label, oracle_harper,
-                      oracle_ids_counting)
+from conftest import (center_eigenvalues, interval_union_distance, oracle_band_measure,
+                      oracle_band_sweep, oracle_center_jet, oracle_gap_label,
+                      oracle_harper, oracle_ids_counting)
 
 
 def F(p, q):
@@ -24,7 +24,8 @@ def F(p, q):
 
 def test_chambers_scalar_case():
     ch = chambers(F(1, 1), 0.7)
-    assert np.allclose(ch.poly, [1.0, 0.0], atol=1e-14)  # P(E) = E
+    assert np.allclose(np.poly(center_eigenvalues(F(1, 1), 0.7)), [1.0, 0.0],
+                       atol=1e-14)  # P(E) = E
     assert ch.c1 == -2.0
     assert ch.c2 == -2.0 * 0.7
 
@@ -33,7 +34,8 @@ def test_chambers_half_flux():
     beta = 0.5
     ch = chambers(F(1, 2), beta)
     # P(E) = E^2 - 2 - 2 beta^2
-    assert np.allclose(ch.poly, [1.0, 0.0, -2 - 2 * beta ** 2], atol=1e-12)
+    assert np.allclose(np.poly(center_eigenvalues(F(1, 2), beta)),
+                       [1.0, 0.0, -2 - 2 * beta ** 2], atol=1e-12)
     bands = band_edges(ch)
     edge = 2.0 * math.sqrt(1 + beta ** 2)   # frozen: 2.23606797749979
     assert abs(bands.bands[0][0] + edge) <= 1e-12
@@ -119,8 +121,9 @@ def test_jet_matches_the_eigenvalue_product():
     # P is monic with the center-phase eigenvalues as roots
     for (p, q, beta) in ((1, 2, 0.5), (3, 7, 0.9), (8, 13, 1.0)):
         ch = chambers(F(p, q), beta, verify=False)
+        lam = center_eigenvalues(F(p, q), beta)
         for e in (-4.1, 0.37, 2.9):
-            prod = float(np.prod(e - ch.lam))
+            prod = float(np.prod(e - lam))
             assert abs(ch.P(e) - prod) <= 1e-12 * max(1.0, abs(prod))
 
 
@@ -201,9 +204,10 @@ def test_band_edges_free_case_single_band():
     for (p, q) in ((1, 3), (1, 4), (2, 5)):
         bands = band_edges(chambers(F(p, q), 0.0, verify=False))
         assert len(bands.bands) == q
-        merged = bands.merged()
-        assert len(merged) == 1
-        assert abs(merged[0][0] + 2.0) <= 1e-12 and abs(merged[0][1] - 2.0) <= 1e-12
+        # consecutive bands touch: the union is the single band [-2, 2]
+        assert all(abs(b[0] - a[1]) <= 1e-9 for a, b in zip(bands.bands, bands.bands[1:]))
+        lo, hi = bands.hull
+        assert abs(lo + 2.0) <= 1e-12 and abs(hi - 2.0) <= 1e-12
 
 
 def test_band_set_invariants():
@@ -409,7 +413,7 @@ def test_hausdorff_matches_sampled_oracle():
 def test_track_gap_persistent_label():
     grid = np.linspace(0.1, 1.0, 10)
     track = track_gap((0, 1), F(5, 8), grid)
-    assert track.always_open
+    assert all(track.open_flags)
     assert all(w > 0 for w in track.widths)
 
 
@@ -425,6 +429,11 @@ def test_track_gap_single_point_matches_gaps():
     j = track.j
     rec = [g for g in gaps(freq, 0.5) if g.j == j][0]
     assert abs(track.widths[0] - rec.width) <= 1e-14
+
+
+def test_track_gap_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="beta grid must not be empty"):
+        track_gap((0, 1), F(5, 8), [])
 
 
 def test_track_gap_rejects_unrealizable():
