@@ -17,18 +17,26 @@ import numpy as np
 
 from .rationals import RationalFrequency
 from .numbertheory import farey
-from .spectrum import (GAP_CSV_HEADER, BandSet, _config_hash, _fmt, corner_bands, gap_label,
-                       gaps, track_gap)
+from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_bands, edge_array, gap_label,
+                       gap_records, gap_table, track_gap)
 
 FORMAT_VERSION = "2"
 
 
 @dataclass(frozen=True)
 class FractionRow:
+    """One fraction's bands and their `gap_table`, which rows leave out of comparisons."""
+
     freq: RationalFrequency
+    beta: float
     bands: tuple
-    gaps: tuple
+    table: np.ndarray = field(compare=False, repr=False)
     error: str | None = None
+
+    @property
+    def gaps(self):
+        """The table's gaps as `GapRecord`s, built on each access."""
+        return tuple(gap_records(self.freq, self.beta, self.bands, self.table))
 
 
 @dataclass(frozen=True)
@@ -61,12 +69,11 @@ def _row_payload(args):
 
 
 def _build_row(payload, beta, min_width) -> FractionRow:
-    """The one way to build a row: its gaps are derived from its bands."""
+    """The one way to build a row: its gap table is derived from its bands."""
     p, q, bands, error = payload
     freq = RationalFrequency(p, q)
-    bands = tuple(tuple(b) for b in bands)
-    return FractionRow(freq, bands, tuple(gaps(freq, beta, min_width,
-                                               band_set=BandSet(freq, beta, bands))), error)
+    bands = tuple(map(tuple, bands))
+    return FractionRow(freq, beta, bands, gap_table(freq, beta, bands, min_width), error)
 
 
 def _atomic_write(path, text):
@@ -184,7 +191,8 @@ def _flush_checkpoint(path, payloads, header=None):
 
 def serialize_dataset(dataset: ButterflyDataset) -> str:
     """Header and gap CSV columns, then per row an error line, or a band line and its gaps."""
-    head = (f"# version={FORMAT_VERSION},Q={dataset.order},beta={_fmt(dataset.beta)},"
+    beta = _fmt(dataset.beta)
+    head = (f"# version={FORMAT_VERSION},Q={dataset.order},beta={beta},"
             f"min_width={_fmt(dataset.min_width)},config={dataset.provenance.get('config', '')},"
             f"convention=farey-(0-1]-plus-zero,label_tiebreak=+q/2")
     lines = [head, GAP_CSV_HEADER]
@@ -193,16 +201,28 @@ def serialize_dataset(dataset: ButterflyDataset) -> str:
         if row.error:
             lines.append(f"# error,{p},{q},{row.error}")
             continue
-        lines.append(f"# bands,{p},{q}," + ",".join(_fmt(x) for band in row.bands for x in band))
-        lines.extend(g.csv_row() for g in row.gaps)
+        edges = edge_array(row.bands)
+        text = [_fmt(x) for x in edges.tolist()]
+        lines.append(f"# bands,{p},{q}," + ",".join(text))
+        # a gap's ends are band edges 2j - 1 and 2j, so their text is the band line's
+        j, m, n, _ = row.table.T
+        cut = np.gcd(j, q)  # the IDS j/q in lowest terms
+        width = edges[2 * j] - edges[2 * j - 1]
+        prefix = f"{p},{q},{beta},"
+        lines.extend(f"{prefix}{text[2 * k - 1]},{text[2 * k]},{num},{den},{a},{b},{_fmt(w)}"
+                     for k, num, den, a, b, w in zip(j.tolist(), (j // cut).tolist(),
+                                                     (q // cut).tolist(), m.tolist(), n.tolist(),
+                                                     width.tolist()))
     return "\n".join(lines) + "\n"
 
 
 def parse_dataset(text: str) -> ButterflyDataset:
     """The dataset of a file, read from its header, band and error lines (gaps are derived).
 
-    A missing header, another format version, or a fraction with neither
-    a band nor an error line (a truncated file) raises ValueError.
+    A missing header, another format version, a fraction with neither a
+    band nor an error line (a truncated file) or with two of them, and a
+    band line whose edges are not finite and non-decreasing (every file
+    `serialize_dataset` writes has sorted edges) raise ValueError.
     """
     lines = text.splitlines()
     meta = dict(kv.split("=", 1) for kv in lines[0][2:].split(",") if "=" in kv) if lines else {}
@@ -219,10 +239,19 @@ def parse_dataset(text: str) -> ButterflyDataset:
             if len(edges) != 2 * int(q):
                 raise ValueError(f"band line for {p}/{q} has {len(edges)} edges, not {2 * int(q)}")
             edges = [float(x) for x in edges]
-            payloads[(int(p), int(q))] = (int(p), int(q), zip(edges[0::2], edges[1::2]), None)
+            flat = np.array(edges)
+            if not (np.all(np.isfinite(flat)) and np.all(flat[1:] >= flat[:-1])):
+                raise ValueError(f"band line for {p}/{q} has edges that are not finite and "
+                                 f"non-decreasing")
+            payload = (int(p), int(q), zip(edges[0::2], edges[1::2]), None)
         elif ln.startswith("# error,"):
             _, p, q, error = ln.split(",", 3)
-            payloads[(int(p), int(q))] = (int(p), int(q), (), error)
+            payload = (int(p), int(q), (), error)
+        else:
+            continue
+        if payload[:2] in payloads:
+            raise ValueError(f"dataset has two band or error lines for {p}/{q}")
+        payloads[payload[:2]] = payload
     rows = []
     for freq in butterfly_fractions(order):
         if (freq.p, freq.q) not in payloads:
@@ -233,19 +262,19 @@ def parse_dataset(text: str) -> ButterflyDataset:
                                         "complete": not any(row.error for row in rows)})
 
 
-def _palette_entry(n: int):
+def _palette_rgb(n: int):
     fade = round(255 * (1 - abs(n) / 6))
-    rgb = (255, fade, fade) if n >= 0 else (fade, fade, 255)
-    return rgb, "#%02x%02x%02x" % rgb
+    return (255, fade, fade) if n >= 0 else (fade, fade, 255)
 
 
-# Hall numbers are clipped to |n| <= 6, so the palette is 13 (RGB, hex) entries
-_PALETTE = {n: _palette_entry(n) for n in range(-6, 7)}
+# Hall numbers are clipped to |n| <= 6, so the palette has 13 entries, Hall number n at n + 6
+_PALETTE_RGB = np.array([_palette_rgb(n) for n in range(-6, 7)], dtype=np.uint8)
+_PALETTE_HEX = ["#%02x%02x%02x" % tuple(rgb) for rgb in _PALETTE_RGB.tolist()]
 
 
 def hall_color(n: int) -> str:
     """Signed diverging palette: blue for negative, red for positive Hall numbers."""
-    return _PALETTE[max(-6, min(6, n))][1]
+    return _PALETTE_HEX[max(-6, min(6, n)) + 6]
 
 
 def render(dataset: ButterflyDataset, path: str, size=(900, 600),
@@ -258,10 +287,11 @@ def render(dataset: ButterflyDataset, path: str, size=(900, 600),
     """
     if not dataset.rows:
         raise ValueError("empty dataset")
+    if min(size) < 1:
+        raise ValueError(f"image size {size[0]}x{size[1]} has a side below 1 pixel")
     if fmt == "svg":
-        text = _render_svg(dataset, size, gap_fill)
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(_render_svg(dataset, size, gap_fill))
     elif fmt == "ppm":
         with open(path, "wb") as fh:
             fh.write(_render_ppm(dataset, size, gap_fill))
@@ -278,56 +308,62 @@ def _extent(dataset):
 
 
 def _render_svg(dataset, size, gap_fill):
+    """The SVG document as a list of lines, each ending in a newline."""
     width, height = size
     elo, ehi = _extent(dataset)
-
-    def xpix(e):
-        return (e - elo) / (ehi - elo) * width
-
-    def ypix(alpha):
-        return height - alpha * height
-
     stroke = max(1.0, height / (2.5 * dataset.order ** 2))
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-           f'viewBox="0 0 {width} {height}">',
-           f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-           f'<!-- config={dataset.provenance.get("config", "")} Q={dataset.order} '
-           f'beta={_fmt(dataset.beta)} -->']
-    if gap_fill:
-        for row in dataset.rows:
-            y = ypix(row.freq.alpha)
-            for g in row.gaps:
-                if not g.is_open:
-                    continue
-                out.append(f'<rect x="{xpix(g.lo):.2f}" y="{y - stroke:.2f}" '
-                           f'width="{xpix(g.hi) - xpix(g.lo):.2f}" height="{2 * stroke:.2f}" '
-                           f'fill="{hall_color(g.hall)}"/>')
+    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">\n',
+            f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n',
+            f'<!-- config={dataset.provenance.get("config", "")} Q={dataset.order} '
+            f'beta={_fmt(dataset.beta)} -->\n']
+    tall, line = f"{2 * stroke:.2f}", f'" stroke="#000000" stroke-width="{stroke:.2f}"/>\n'
+    rects, lines = [], []  # every gap rectangle is drawn before the first band line
     for row in dataset.rows:
-        y = ypix(row.freq.alpha)
-        for lo, hi in row.bands:
-            out.append(f'<line x1="{xpix(lo):.2f}" y1="{y:.2f}" x2="{xpix(hi):.2f}" '
-                       f'y2="{y:.2f}" stroke="#000000" stroke-width="{stroke:.2f}"/>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        y = height - row.freq.alpha * height
+        x = (edge_array(row.bands) - elo) / (ehi - elo) * width
+        text = [f"{v:.2f}" for v in x.tolist()]
+        if gap_fill:
+            j, _, n, _ = row.table[row.table[:, 3] == 1].T
+            top = f"{y - stroke:.2f}"
+            rects.extend(f'<rect x="{text[2 * k - 1]}" y="{top}" width="{w:.2f}" '
+                         f'height="{tall}" fill="{_PALETTE_HEX[c]}"/>\n'
+                         for k, w, c in zip(j.tolist(), (x[2 * j] - x[2 * j - 1]).tolist(),
+                                            (np.clip(n, -6, 6) + 6).tolist()))
+        y = f"{y:.2f}"
+        lines.extend(f'<line x1="{a}" y1="{y}" x2="{b}" y2="{y}{line}'
+                     for a, b in zip(text[0::2], text[1::2]))
+    return head + rects + lines + ["</svg>\n"]
 
 
 def _render_ppm(dataset, size, gap_fill):
+    """Rows by alpha; per row its open gaps' colours, then its bands in black over them.
+
+    Edge columns do not decrease along a row, so of gap j the bands leave
+    only the columns strictly between band j's last and band j + 1's first.
+    """
     width, height = size
     elo, ehi = _extent(dataset)
     pixels = np.full((height, width, 3), 255, dtype=np.uint8)
-    rows = sorted(dataset.rows, key=lambda r: r.freq.alpha)
-    for row in rows:
+    for row in sorted(dataset.rows, key=lambda r: r.freq.alpha):
         y = int(round((1.0 - row.freq.alpha) * (height - 1)))
         if not 0 <= y < height:
             continue
-        fills = [g for g in row.gaps if g.is_open] if gap_fill else []
-        colors = [_PALETTE[max(-6, min(6, g.hall))][0] for g in fills] + [0] * len(row.bands)
-        ends = np.array([(g.lo, g.hi) for g in fills] + list(row.bands), dtype=float)
-        # pixel columns of each segment's ends, truncated toward zero, then clamped
-        cols = np.clip(((ends - elo) / (ehi - elo) * (width - 1)).astype(int), 0, width - 1)
-        for (a, b), rgb in zip(cols.tolist(), colors):  # in order: bands paint over gaps
-            pixels[y, a:b + 1] = rgb
+        cols = np.clip(((edge_array(row.bands) - elo) / (ehi - elo) * (width - 1)).astype(int),
+                       0, width - 1)
+        lo, hi = cols[0::2], cols[1::2]
+        if gap_fill:
+            j, _, n, _ = row.table[row.table[:, 3] == 1].T
+            inside = np.maximum(lo[j] - hi[j - 1] - 1, 0)
+            pixels[y, _spans(hi[j - 1] + 1, inside)] = np.repeat(
+                _PALETTE_RGB[np.clip(n, -6, 6) + 6], inside, axis=0)
+        pixels[y, _spans(lo, hi - lo + 1)] = 0
     return b"P6\n%d %d\n255\n" % (width, height) + pixels.tobytes()
+
+
+def _spans(start, length):
+    """Every index of the runs start[k], ..., start[k] + length[k] - 1, run after run."""
+    return np.arange(length.sum()) + np.repeat(start + length - np.cumsum(length), length)
 
 
 @dataclass(frozen=True)

@@ -116,38 +116,20 @@ def component_count(dataset, hall: int) -> ComponentCount:
     predicted = phi_cumulative(2 * hall)
     rows = [row for row in dataset.rows if row.freq.q >= 2]
     rows.sort(key=lambda r: Fraction(r.freq.p, r.freq.q))
-    nodes = {}
+    # labels are distinct within a row, so a row has at most one gap of this Hall
+    # number, and a component is a run of such gaps on consecutive rows
+    chains, last = [], None
     for ridx, row in enumerate(rows):
-        for g in row.gaps:
-            if g.hall == hall and g.is_open:
-                nodes[(ridx, g.j)] = None
-    parent = {k: k for k in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for ridx in range(len(rows) - 1):
-        r1, r2 = rows[ridx], rows[ridx + 1]
-        for g1 in r1.gaps:
-            if g1.hall != hall or not g1.is_open:
-                continue
-            for g2 in r2.gaps:
-                if g2.hall != hall or not g2.is_open:
-                    continue
-                if g1.lo <= g2.hi and g2.lo <= g1.hi:
-                    union((ridx, g1.j), (ridx + 1, g2.j))
-    comps = {}
-    for key in nodes:
-        comps.setdefault(find(key), []).append(key)
-    members = tuple(tuple(sorted(v)) for v in
-                    sorted(comps.values(), key=lambda v: sorted(v)[0]))
+        j = row.table[(row.table[:, 2] == hall) & (row.table[:, 3] == 1), 0].tolist()
+        if not j:
+            last = None
+            continue
+        j = j[0]
+        lo, hi = row.bands[j - 1][1], row.bands[j][0]
+        if last is not None and last[0] <= hi and lo <= last[1]:
+            chains[-1].append((ridx, j))
+        else:
+            chains.append([(ridx, j)])
+        last = (lo, hi)
     return ComponentCount(hall, dataset.order, dataset.beta, predicted,
-                          len(comps), members)
+                          len(chains), tuple(map(tuple, chains)))

@@ -17,6 +17,7 @@ half-space, and gap labels solve a congruence.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -338,16 +339,15 @@ def gap_label(j: int, freq: RationalFrequency):
     q, p = freq.q, freq.p
     if not 1 <= j <= q - 1:
         raise ValueError(f"gap index must satisfy 1 <= j <= q-1, got {j}")
-    m, n = _label(j, p, q, pow(p, -1, q))
+    m, n = (int(x) for x in _labels(np.array(j), p, q))
     assert m * q + n * p == j
     return m, n
 
 
-def _label(j: int, p: int, q: int, p_inv: int):
-    """`gap_label` given p_inv, the inverse of p modulo q."""
-    n = (j * p_inv) % q
-    if n > q / 2:  # n = q/2 keeps the positive representative
-        n -= q
+def _labels(j: np.ndarray, p: int, q: int):
+    """`gap_label` of every entry of an int array j, as arrays (m, n)."""
+    n = j * pow(p, -1, q) % q
+    n = np.where(2 * n > q, n - q, n)  # n = q/2 keeps the positive representative
     return (j - n * p) // q, n
 
 
@@ -398,32 +398,43 @@ def _config_hash(fields: dict) -> str:
     return hashlib.sha256(json.dumps(fields, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
+def edge_array(bands) -> np.ndarray:
+    """The edges lo1, hi1, ..., loq, hiq of a sequence of (lo, hi) bands as one float array."""
+    return np.fromiter(itertools.chain.from_iterable(bands), float, 2 * len(bands))
+
+
+def gap_table(freq: RationalFrequency, beta: float, bands, min_width: float) -> np.ndarray:
+    """The reported gaps of the bands as an int64 array of rows (j, m, n, open), in array ops.
+
+    Gap j runs from the top of band j to the bottom of band j + 1, band
+    edges 2j - 1 and 2j of `edge_array`.  Every gap wider than min_width is
+    open (1); the even-q central touching is always reported, closed (0);
+    (m, n) is its `gap_label`.  Neither beta = 0 (the free case) nor an empty
+    band list (an error row) has gaps.
+    """
+    edges = edge_array(bands).reshape(-1, 2)
+    j = np.arange(1, len(edges))
+    is_open = edges[1:, 0] - edges[:-1, 1] > min_width
+    j = j[(is_open | (2 * j == freq.q)) & (beta != 0.0)]
+    m, n = _labels(j, freq.p, freq.q)
+    return np.stack([j, m, n, is_open[j - 1]], axis=1)
+
+
+def gap_records(freq: RationalFrequency, beta: float, bands, table: np.ndarray):
+    """One `GapRecord` per row of a `gap_table` of the bands."""
+    return [GapRecord(freq, float(beta), j, float(bands[j - 1][1]), float(bands[j][0]), (m, n),
+                      n, bool(is_open)) for j, m, n, is_open in table.tolist()]
+
+
 def gaps(freq: RationalFrequency, beta: float, min_width: float = 1e-9,
          band_set: BandSet | None = None):
-    """Labelled gap records at coupling beta.
-
-    Every inter-band interval wider than min_width is reported as open; the
-    even-q central touching is always reported, marked closed.  beta = 0 is
-    the degenerate free case with no gaps at all.
-    """
+    """Labelled gap records at coupling beta, as `gap_table` reports them."""
     if beta < 0:
         raise ValueError("coupling must be nonnegative")
     if band_set is None:
         band_set = corner_bands(freq, beta)
-    if band_set.beta == 0.0:
-        return []
-    q, p = freq.q, freq.p
-    p_inv = pow(p, -1, q)
-    out = []
-    for j, (lo, hi) in enumerate(band_set.gap_intervals(), start=1):
-        width = hi - lo
-        central = (q % 2 == 0 and j == q // 2)
-        if width <= min_width and not central:
-            continue
-        m, n = _label(j, p, q, p_inv)
-        out.append(GapRecord(freq, float(beta), j, float(lo), float(hi), (m, n), n,
-                             width > min_width))
-    return out
+    return gap_records(freq, beta, band_set.bands,
+                       gap_table(freq, band_set.beta, band_set.bands, min_width))
 
 
 @dataclass(frozen=True)

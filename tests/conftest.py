@@ -7,6 +7,7 @@ and moment expansions.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -336,3 +337,143 @@ def interval_union_distance(a, b, samples=20001):
         if any(l <= x <= h for l, h in b):
             worst = max(worst, dist_to(x, a))
     return worst
+
+
+# The per-gap butterfly writers that the gap-table columns replaced, kept as
+# oracles: each row's gaps are rebuilt one by one from its band edges, with
+# the brute-force label, and every gap is written, drawn or joined on its own.
+
+def oracle_row_gaps(row, beta, min_width):
+    """(j, lo, hi, m, n, is_open) per reported gap of a dataset row, by the per-gap loop."""
+    q, p = row.freq.q, row.freq.p
+    if beta == 0.0 or row.error:
+        return []
+    out = []
+    for j in range(1, q):
+        lo, hi = float(row.bands[j - 1][1]), float(row.bands[j][0])
+        central = q % 2 == 0 and j == q // 2
+        if hi - lo <= min_width and not central:
+            continue
+        out.append((j, lo, hi, *oracle_gap_label(j, p, q), hi - lo > min_width))
+    return out
+
+
+def _oracle_fmt(x):
+    return f"{float(x):.17g}"
+
+
+def oracle_serialize_dataset(ds):
+    """The dataset file text, one CSV row written per gap object."""
+    fmt = _oracle_fmt
+    lines = [f"# version=2,Q={ds.order},beta={fmt(ds.beta)},min_width={fmt(ds.min_width)},"
+             f"config={ds.provenance.get('config', '')},"
+             f"convention=farey-(0-1]-plus-zero,label_tiebreak=+q/2",
+             "p,q,beta,gap_lo,gap_hi,ids_num,ids_den,m,n,width"]
+    for row in ds.rows:
+        p, q = row.freq.p, row.freq.q
+        if row.error:
+            lines.append(f"# error,{p},{q},{row.error}")
+            continue
+        lines.append(f"# bands,{p},{q}," + ",".join(fmt(x) for band in row.bands for x in band))
+        for j, lo, hi, m, n, _ in oracle_row_gaps(row, ds.beta, ds.min_width):
+            g = math.gcd(j, q)
+            lines.append(",".join([str(p), str(q), fmt(ds.beta), fmt(lo), fmt(hi), str(j // g),
+                                   str(q // g), str(m), str(n), fmt(hi - lo)]))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_palette(n):
+    n = max(-6, min(6, n))
+    fade = round(255 * (1 - abs(n) / 6))
+    rgb = (255, fade, fade) if n >= 0 else (fade, fade, 255)
+    return rgb, "#%02x%02x%02x" % rgb
+
+
+def _oracle_extent(ds):
+    lo = min((b[0] for row in ds.rows for b in row.bands), default=-4.0)
+    hi = max((b[1] for row in ds.rows for b in row.bands), default=4.0)
+    pad = 0.02 * (hi - lo)
+    return lo - pad, hi + pad
+
+
+def oracle_render_svg(ds, size, gap_fill):
+    """The SVG text, one element formatted per gap and per band."""
+    width, height = size
+    elo, ehi = _oracle_extent(ds)
+
+    def xpix(e):
+        return (e - elo) / (ehi - elo) * width
+
+    def ypix(alpha):
+        return height - alpha * height
+
+    stroke = max(1.0, height / (2.5 * ds.order ** 2))
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}">',
+           f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+           f'<!-- config={ds.provenance.get("config", "")} Q={ds.order} '
+           f'beta={_oracle_fmt(ds.beta)} -->']
+    if gap_fill:
+        for row in ds.rows:
+            y = ypix(row.freq.alpha)
+            for _, lo, hi, _, n, is_open in oracle_row_gaps(row, ds.beta, ds.min_width):
+                if not is_open:
+                    continue
+                out.append(f'<rect x="{xpix(lo):.2f}" y="{y - stroke:.2f}" '
+                           f'width="{xpix(hi) - xpix(lo):.2f}" height="{2 * stroke:.2f}" '
+                           f'fill="{_oracle_palette(n)[1]}"/>')
+    for row in ds.rows:
+        y = ypix(row.freq.alpha)
+        for lo, hi in row.bands:
+            out.append(f'<line x1="{xpix(lo):.2f}" y1="{y:.2f}" x2="{xpix(hi):.2f}" '
+                       f'y2="{y:.2f}" stroke="#000000" stroke-width="{stroke:.2f}"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def oracle_render_ppm(ds, size, gap_fill):
+    """The PPM bytes, one slice painted per open gap and then per band, row by row."""
+    width, height = size
+    elo, ehi = _oracle_extent(ds)
+    pixels = np.full((height, width, 3), 255, dtype=np.uint8)
+    for row in sorted(ds.rows, key=lambda r: r.freq.alpha):
+        y = int(round((1.0 - row.freq.alpha) * (height - 1)))
+        if not 0 <= y < height:
+            continue
+        fills = ([g for g in oracle_row_gaps(row, ds.beta, ds.min_width) if g[5]]
+                 if gap_fill else [])
+        colors = [_oracle_palette(g[4])[0] for g in fills] + [0] * len(row.bands)
+        ends = np.array([(g[1], g[2]) for g in fills] + list(row.bands), dtype=float)
+        cols = np.clip(((ends - elo) / (ehi - elo) * (width - 1)).astype(int), 0, width - 1)
+        for (a, b), rgb in zip(cols.tolist(), colors):  # in order: bands paint over gaps
+            pixels[y, a:b + 1] = rgb
+    return b"P6\n%d %d\n255\n" % (width, height) + pixels.tobytes()
+
+
+def oracle_component_count(ds, hall):
+    """(observed, members) of the Hall-number components, by union-find over gap pairs."""
+    rows = sorted((row for row in ds.rows if row.freq.q >= 2),
+                  key=lambda r: Fraction(r.freq.p, r.freq.q))
+    gaps = [[g for g in oracle_row_gaps(row, ds.beta, ds.min_width) if g[4] == hall and g[5]]
+            for row in rows]
+    parent = {(ridx, g[0]): (ridx, g[0]) for ridx, row_gaps in enumerate(gaps)
+              for g in row_gaps}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for ridx in range(len(rows) - 1):
+        for g1 in gaps[ridx]:
+            for g2 in gaps[ridx + 1]:
+                if g1[1] <= g2[2] and g2[1] <= g1[2]:
+                    r1, r2 = find((ridx, g1[0])), find((ridx + 1, g2[0]))
+                    if r1 != r2:
+                        parent[r1] = r2
+    comps = {}
+    for key in parent:
+        comps.setdefault(find(key), []).append(key)
+    members = tuple(tuple(sorted(v)) for v in sorted(comps.values(), key=lambda v: sorted(v)[0]))
+    return len(comps), members

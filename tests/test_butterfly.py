@@ -8,8 +8,9 @@ from harperlab import (ChambersError, RationalFrequency, butterfly_fractions,
                        component_count, compute_butterfly, hall_color,
                        parse_dataset, persistence_sweep, phi_cumulative, render,
                        serialize_dataset, track_gap)
-from harperlab.spectrum import GAP_CSV_HEADER, _config_hash
-from conftest import oracle_band_sweep
+from harperlab.spectrum import GAP_CSV_HEADER, GapRecord, _config_hash
+from conftest import (oracle_band_sweep, oracle_component_count, oracle_render_ppm,
+                      oracle_render_svg, oracle_serialize_dataset)
 
 F = RationalFrequency
 
@@ -194,6 +195,54 @@ def test_render_ppm_equals_pixel_loop(order):
         assert butterfly_module._render_ppm(*args) == ppm_by_pixel(*args)
 
 
+def assert_matches_per_gap_oracles(ds):
+    """File text, both renderings and the component counts equal the per-gap writers'."""
+    text = serialize_dataset(ds)
+    assert text == oracle_serialize_dataset(ds)
+    back = parse_dataset(text)
+    assert back == ds and list(back.gap_rows()) == list(ds.gap_rows())
+    for size in ((900, 600), (331, 217)):
+        for gap_fill in (True, False):
+            svg = "".join(butterfly_module._render_svg(ds, size, gap_fill))
+            assert svg == oracle_render_svg(ds, size, gap_fill)
+            assert (butterfly_module._render_ppm(ds, size, gap_fill)
+                    == oracle_render_ppm(ds, size, gap_fill))
+    for hall in (1, 2, 3):
+        if any(row.error for row in ds.rows):
+            with pytest.raises(ValueError, match="error rows"):
+                component_count(ds, hall)
+            continue
+        cc = component_count(ds, hall)
+        assert (cc.observed, cc.members) == oracle_component_count(ds, hall)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("order", [1, 5, 16])
+def test_gap_columns_match_per_gap_oracles(order, beta):
+    assert_matches_per_gap_oracles(compute_butterfly(order, beta))
+
+
+def test_gap_columns_match_per_gap_oracles_with_error_rows(monkeypatch):
+    fail_one_fraction(monkeypatch, 3, 7)
+    ds = compute_butterfly(9, 0.8)
+    assert [str(r.freq) for r in ds.rows if r.error] == ["3/7"]
+    assert_matches_per_gap_oracles(ds)
+
+
+def test_dataset_paths_build_no_gap_record(tmp_path, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a GapRecord was built")
+    monkeypatch.setattr(GapRecord, "__init__", refuse)
+    ds = compute_butterfly(12, 1.0)
+    back = parse_dataset(serialize_dataset(ds))
+    render(back, str(tmp_path / "fly.svg"))
+    render(back, str(tmp_path / "fly.ppm"), fmt="ppm")
+    for hall in (1, 2, 3):
+        component_count(back, hall)
+    with pytest.raises(AssertionError, match="GapRecord"):
+        back.rows[-1].gaps  # the record view is the one place that builds them
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_compute_butterfly_refuses_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
@@ -253,10 +302,12 @@ def test_row_failures_are_recorded_not_raised():
 
 
 def test_error_rows_serialize_as_comments():
-    from harperlab.butterfly import FractionRow, ButterflyDataset
+    from harperlab.butterfly import ButterflyDataset
     ds = compute_butterfly(3, 1.0)
     rows = list(ds.rows)
-    rows[2] = FractionRow(rows[2].freq, (), (), error="ValueError: synthetic")
+    freq = rows[2].freq
+    rows[2] = butterfly_module._build_row((freq.p, freq.q, (), "ValueError: synthetic"),
+                                          ds.beta, ds.min_width)
     broken = ButterflyDataset(ds.beta, ds.order, tuple(rows), ds.min_width,
                               provenance=ds.provenance)
     text = serialize_dataset(broken)
@@ -344,10 +395,13 @@ def test_render_and_count_read_only_the_file(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["empty", "no_header", "bare_header", "v1", "truncated",
-                                  "short_band_line"])
+                                  "short_band_line", "nan_edge", "inf_edge", "swapped_edges",
+                                  "two_band_lines", "band_and_error_line"])
 def test_parse_refuses_bad_files(case):
     lines = serialize_dataset(compute_butterfly(5, 1.0)).splitlines(keepends=True)
     last = max(i for i, ln in enumerate(lines) if ln.startswith("# bands,"))  # 4/5
+    two = lines.index(next(ln for ln in lines if ln.startswith("# bands,2,5,")))
+    edges = lines[two].rstrip("\n").split(",")
     if case == "empty":
         text, match = "", "header"
     elif case == "no_header":
@@ -361,8 +415,21 @@ def test_parse_refuses_bad_files(case):
     elif case == "truncated":
         # cut just before the last fraction's band line: 4/5 has neither line
         text, match = "".join(lines[:last]), "4/5"
-    else:
+    elif case == "short_band_line":
         lines[last] = lines[last].rsplit(",", 1)[0] + "\n"
         text, match = "".join(lines), "band line for 4/5 has 9 edges, not 10"
+    elif case in ("nan_edge", "inf_edge", "swapped_edges"):
+        if case == "swapped_edges":
+            edges[3], edges[4] = edges[4], edges[3]  # the first band's hi before its lo
+        else:
+            edges[8] = case[:3]
+        lines[two] = ",".join(edges) + "\n"
+        text, match = "".join(lines), "band line for 2/5 has edges that are not finite"
+    elif case == "two_band_lines":
+        lines.insert(two + 1, lines[two])
+        text, match = "".join(lines), "two band or error lines for 2/5"
+    else:
+        lines.insert(two, "# error,2,5,ChambersError: synthetic\n")
+        text, match = "".join(lines), "two band or error lines for 2/5"
     with pytest.raises(ValueError, match=match):
         parse_dataset(text)

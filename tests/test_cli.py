@@ -351,6 +351,19 @@ def test_render_and_count_make_no_eigensolve(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["predicted"] == 2
 
 
+@pytest.mark.parametrize("fmt", ["svg", "ppm"])
+@pytest.mark.parametrize("size", [["--width", "0"], ["--height", "0"], ["--width", "-5"]])
+def test_render_refuses_image_sizes_below_one(tmp_path, capsys, fmt, size):
+    ds_file = tmp_path / "fly.csv"
+    assert run(["butterfly", "--qmax", "3", "--beta", "1.0", "--out", str(ds_file)],
+               capsys)[0] == 0
+    out = tmp_path / f"fly.{fmt}"
+    code, _, err = run(["render", "--dataset", str(ds_file), "--format", fmt, *size,
+                        "--out", str(out)], capsys)
+    assert code == 2 and "side below 1 pixel" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["render", "count-components"])
 def test_bad_dataset_files_exit_two(tmp_path, capsys, command):
     ds_file = tmp_path / "fly.csv"
