@@ -17,8 +17,8 @@ import numpy as np
 
 from .rationals import RationalFrequency
 from .numbertheory import farey
-from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_bands, edge_array, gap_label,
-                       gap_records, gap_table, track_gap)
+from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_bands, edge_array, gap_csv,
+                       gap_label, gap_records, gap_table, track_gap)
 
 FORMAT_VERSION = "2"
 
@@ -201,18 +201,9 @@ def serialize_dataset(dataset: ButterflyDataset) -> str:
         if row.error:
             lines.append(f"# error,{p},{q},{row.error}")
             continue
-        edges = edge_array(row.bands)
-        text = [_fmt(x) for x in edges.tolist()]
+        text, gap_lines = gap_csv(row.freq, beta, row.bands, row.table)
         lines.append(f"# bands,{p},{q}," + ",".join(text))
-        # a gap's ends are band edges 2j - 1 and 2j, so their text is the band line's
-        j, m, n, _ = row.table.T
-        cut = np.gcd(j, q)  # the IDS j/q in lowest terms
-        width = edges[2 * j] - edges[2 * j - 1]
-        prefix = f"{p},{q},{beta},"
-        lines.extend(f"{prefix}{text[2 * k - 1]},{text[2 * k]},{num},{den},{a},{b},{_fmt(w)}"
-                     for k, num, den, a, b, w in zip(j.tolist(), (j // cut).tolist(),
-                                                     (q // cut).tolist(), m.tolist(), n.tolist(),
-                                                     width.tolist()))
+        lines.extend(gap_lines)
     return "\n".join(lines) + "\n"
 
 

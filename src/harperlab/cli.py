@@ -18,7 +18,8 @@ from . import __version__
 from .rationals import RationalFrequency, convergents, named_continued_fraction
 from .rotation import build_rep, build_uv, hamiltonian, lam_phase, max_norm, monomial, sigma_images, rho_images
 from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, band_edges, chambers,
-                       corner_bands, dual_check, gap_label, gaps, ids, track_gap)
+                       corner_bands, dual_check, gap_csv, gap_label, gap_table, gaps, ids,
+                       track_gap)
 from .lyapunov import (critical_scan, gradient, hessian, lyapunov_thouless,
                        lyapunov_trace, lyapunov_transfer)
 from .coefficients import (build_phi, coefficient_sheet, decay_rate,
@@ -252,8 +253,9 @@ def _dispatch(args, parser) -> int:
     if cmd == "gaps":
         lines = [header, GAP_CSV_HEADER]
         for freq in _resolve_freqs(args, parser):
-            for g in gaps(freq, args.beta, min_width=args.min_width):
-                lines.append(g.csv_row())
+            bands = corner_bands(freq, args.beta).bands
+            table = gap_table(freq, args.beta, bands, args.min_width)
+            lines.extend(gap_csv(freq, _fmt(args.beta), bands, table)[1])
         _emit(args, "\n".join(lines) + "\n")
         return 0
 

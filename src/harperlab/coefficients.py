@@ -82,15 +82,22 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float, window: in
 
     Works on the phase grid: one dense inverse per node, the q x q family of
     matrix traces T[m, s] = (1/q) tr(R Omega^m Sigma^s) against clock/shift
-    powers, then a 2-d Fourier average to separate the window indices.  For
-    real z, H(t1, -t2) = conj H(t1, t2), so T[m, s](t1, -t2) equals
-    conj T[-m mod q, s](t1, t2): only the nodes t2 = 2 pi b / n2 with
+    powers, then a 2-d Fourier average to separate the window indices.  Two
+    symmetries of the uniform-gauge matrix cut the inverses to a quarter
+    grid.  For real z, H(t1, -t2) = conj H(t1, t2), so T[m, s](t1, -t2)
+    equals conj T[-m mod q, s](t1, t2): only the nodes t2 = 2 pi b / n2 with
     b = 0..n2//2 are inverted, and b = n2 - b enters as that conjugate.
-    Each t1 row is contracted with the t2 phases as soon as it is built, so
-    the sweep keeps one (n1, 2 window + 1, q) array and ends in one matrix
-    product over t1.  The default grid keeps the highest window harmonic far
-    below the Nyquist bound, which is enforced.  An entry with an imaginary
-    part above 1e-10 raises ArithmeticError.
+    Each t1 row is contracted with the t2 phases as soon as it is built,
+    into sums S[a, qe, k] over the diagonal qe mod q of R.  The reflection
+    j -> -j mod q maps H(t1, t2) to H(-t1, -t2), which with the conjugation
+    gives S[n1 - a, qe, k] = S[a, -qe, -k mod q]: only the rows a = 0..n1//2
+    are inverted, and every other row is that index permutation of its
+    mirror, with no conjugation and the same weights.  That is
+    (n1//2 + 1)(n2//2 + 1) inverses instead of n1 n2.  The sweep keeps one
+    (n1, 2 window + 1, q) array and ends in one matrix product over t1.  The
+    default grid keeps the highest window harmonic far below the Nyquist
+    bound, which is enforced.  An entry with an imaginary part above 1e-10
+    raises ArithmeticError.
     """
     if beta <= 0:
         raise ValueError("coupling must be positive")
@@ -117,13 +124,16 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float, window: in
     phases2 = np.exp(1j * np.outer(k, t2)) / n2  # [qe, b]
     # weights of every inverted node, and of those whose mirror n2 - b is another node
     weights = np.stack([phases2, phases2 * ((b > 0) & (2 * b < n2))], axis=-1)  # [qe, b, 2]
-    diag_sums = np.empty((n1, k.size, q), dtype=complex)  # [a, qe, k]
-    for a in range(n1):
+    diag_sums = np.empty((n1, k.size, q), dtype=complex)  # S[a, qe, k]
+    for a in range(n1 // 2 + 1):
         h = harper_matrix(freq, beta, t1[a], t2)
         h[:, j, j] -= z
         R = np.linalg.inv(h * gauge)  # [b, k, j]
         both = R[:, rows, j].transpose(1, 2, 0) @ weights  # [qe, k, 2]
         diag_sums[a] = both[..., 0] + both[..., 1].conj()
+    # the mirror rows: S[n1 - a, qe, k] = S[a, -qe, -k mod q]
+    mirror = np.arange(n1 // 2 + 1, n1)
+    diag_sums[mirror] = diag_sums[n1 - mirror, ::-1][..., -j % q]
     omega_pow = np.exp(2j * np.pi * ((np.outer(j, j) * freq.p) % q) / q)  # [k, m]
     phases1 = np.exp(1j * np.outer(k, t1)) / n1  # [p, a]
     # traces T[m, s] = (1/q) tr(R Omega^m Sigma^s) averaged against both phases: [p, qe, m]
@@ -190,7 +200,9 @@ def system_residual(sheet: CoefficientSheet, beta: float, s: float) -> SystemRes
 def recursion_sheets(freq: RationalFrequency, beta: float, z: float, window: int = 12):
     """The two one-sided solutions (right sector, left sector).
 
-    March column by column in p.  At each target entry the two equations
+    March column by column in p: an entry of column p + 1 reads only
+    columns p and p - 1, so each column is one long-double vector update
+    over qe = -p..p.  At each target entry the two equations
     form an orthonormal-coefficient pair in the single unknown x[p+1, qe],
     so the least-squares update
 
@@ -202,7 +214,8 @@ def recursion_sheets(freq: RationalFrequency, beta: float, z: float, window: int
     the origin-row exemption leaves x[1, 0] free, and the scale x[1,0] = 1
     makes the symmetrized mean satisfy the normalization d(1,0) = 1/2.
     The left solution is the mirror image, as the system is invariant under
-    negating both indices.
+    negating both indices.  A column with an entry outside the float64
+    range raises ArithmeticError naming the column and its first such row.
     """
     if not 0 < beta < 1:
         raise ValueError(f"one-sided solutions need 0 < beta < 1, got {beta}")
@@ -216,20 +229,21 @@ def recursion_sheets(freq: RationalFrequency, beta: float, z: float, window: int
     zl = np.longdouble(z)
     bl = np.longdouble(beta)
     for p in range(1, P + 1):
-        cpl, spl = cos[p + P], sin[p + P]
-        for qe in range(-p, p + 1):
-            cql, sql = cos[qe + P], sin[qe + P]
-            ra = zl * cols[p, qe + off] - bl * cpl * (cols[p, qe + 1 + off] + cols[p, qe - 1 + off])
-            rb = bl * spl * (cols[p, qe + 1 + off] - cols[p, qe - 1 + off])
-            nxt = cql * ra + sql * rb - (cql * cql - sql * sql) * cols[p - 1, qe + off]
-            if not np.isfinite(float(nxt)):
-                raise ArithmeticError(f"recursion breakdown at column {p + 1}, row {qe}")
-            cols[p + 1, qe + off] = nxt
+        rows = slice(off - p, off + p + 1)  # qe = -p..p
+        plus1, minus1 = cols[p, off - p + 1:off + p + 2], cols[p, off - p - 1:off + p]  # qe +- 1
+        cql, sql = cos[P - p:P + p + 1], sin[P - p:P + p + 1]
+        ra = zl * cols[p, rows] - bl * cos[p + P] * (plus1 + minus1)
+        rb = bl * sin[p + P] * (plus1 - minus1)
+        nxt = cql * ra + sql * rb - (cql * cql - sql * sql) * cols[p - 1, rows]
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(nxt.astype(float))
+        if bad.any():
+            raise ArithmeticError(f"recursion breakdown at column {p + 1}, "
+                                  f"row {int(np.argmax(bad)) - p}")
+        cols[p + 1, rows] = nxt
     n = 2 * P + 1
     right = np.zeros((n, n))
-    for p in range(1, P + 1):
-        for qe in range(-P, P + 1):
-            right[p + P, qe + P] = float(cols[p, qe + off])
+    right[P + 1:] = cols[1:P + 1, 1:-1]
     left = right[::-1, ::-1].copy()
     plus = CoefficientSheet("R+", freq, float(beta), float(z), P, right)
     minus = CoefficientSheet("R-", freq, float(beta), float(z), P, left)

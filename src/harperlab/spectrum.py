@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -375,18 +374,28 @@ class GapRecord:
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def csv_row(self) -> str:
-        m, n = self.label
-        g = math.gcd(self.j, self.freq.q)  # ids_value in lowest terms
-        return ",".join([
-            str(self.freq.p), str(self.freq.q), _fmt(self.beta),
-            _fmt(self.lo), _fmt(self.hi),
-            str(self.j // g), str(self.freq.q // g),
-            str(m), str(n), _fmt(self.width),
-        ])
-
 
 GAP_CSV_HEADER = "p,q,beta,gap_lo,gap_hi,ids_num,ids_den,m,n,width"
+
+
+def gap_csv(freq: RationalFrequency, beta_text: str, bands, table: np.ndarray):
+    """The `_fmt` text of the bands' edges, and one `GAP_CSV_HEADER` line per
+    row of a `gap_table` of them.
+
+    The ends of gap j are band edges 2j - 1 and 2j of `edge_array`, so their
+    text is taken from the edge text; the IDS j/q is written in lowest terms.
+    """
+    p, q = freq.p, freq.q
+    edges = edge_array(bands)
+    text = [_fmt(x) for x in edges.tolist()]
+    j, m, n, _ = table.T
+    cut = np.gcd(j, q)
+    width = edges[2 * j] - edges[2 * j - 1]
+    prefix = f"{p},{q},{beta_text},"
+    lines = [f"{prefix}{text[2 * k - 1]},{text[2 * k]},{num},{den},{a},{b},{_fmt(w)}"
+             for k, num, den, a, b, w in zip(j.tolist(), (j // cut).tolist(), (q // cut).tolist(),
+                                             m.tolist(), n.tolist(), width.tolist())]
+    return text, lines
 
 
 def _fmt(x) -> str:

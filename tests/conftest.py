@@ -264,6 +264,39 @@ def oracle_system_residual(sheet, beta, s):
     return worst, origin, count
 
 
+def oracle_recursion_sheets(p, q, beta, z, window):
+    """The (right, left) one-sided sheets by the scalar column march.
+
+    Entry by entry over qe = -p..p in each column p, the long-double
+    least-squares update, with the breakdown error raised at the first
+    entry outside the float64 range; the right sheet is copied out one
+    entry at a time and the left is its mirror image.
+    """
+    P = window
+    cos, sin = np.array([pi_fraction_trig(p * k, q) for k in range(-P, P + 1)],
+                        dtype=np.longdouble).T
+    cols = np.zeros((P + 2, 2 * P + 3), dtype=np.longdouble)
+    off = P + 1
+    cols[1, off] = 1.0
+    zl, bl = np.longdouble(z), np.longdouble(beta)
+    for c in range(1, P + 1):
+        cpl, spl = cos[c + P], sin[c + P]
+        for qe in range(-c, c + 1):
+            cql, sql = cos[qe + P], sin[qe + P]
+            ra = zl * cols[c, qe + off] - bl * cpl * (cols[c, qe + 1 + off] + cols[c, qe - 1 + off])
+            rb = bl * spl * (cols[c, qe + 1 + off] - cols[c, qe - 1 + off])
+            nxt = cql * ra + sql * rb - (cql * cql - sql * sql) * cols[c - 1, qe + off]
+            if not np.isfinite(float(nxt)):
+                raise ArithmeticError(f"recursion breakdown at column {c + 1}, row {qe}")
+            cols[c + 1, qe + off] = nxt
+    n = 2 * P + 1
+    right = np.zeros((n, n))
+    for c in range(1, P + 1):
+        for qe in range(-P, P + 1):
+            right[c + P, qe + P] = float(cols[c, qe + off])
+    return right, right[::-1, ::-1].copy()
+
+
 def oracle_core_closure(p, q, beta, z, window):
     """`core_closure_check` from an operator assembled row by row.
 

@@ -6,7 +6,7 @@ from harperlab import (PhaseGrid, RationalFrequency, build_phi, chambers, coeffi
                        recursion_sheets, symmetrized_sheet, system_residual,
                        vanishing_probe, vanishing_scan)
 from conftest import (oracle_coefficient_sheet, oracle_core_closure, oracle_moment,
-                      oracle_system_residual)
+                      oracle_recursion_sheets, oracle_system_residual)
 
 F = RationalFrequency
 
@@ -54,10 +54,14 @@ def test_sheet_rejects_undersized_grid():
     (2, 5, 0.7, 3.9, 4, (10, 11)),
     (1, 3, 0.5, 4.2, 3, (9, 8)),
     (2, 5, 0.5, "gap", 6, None),
+    (3, 5, 1.5, "gap", 6, None),
+    (2, 3, 2.0, "gap", 6, (15, 16)),
+    (4, 9, 0.6, "gap", 4, (11, 14)),
 ])
 def test_sheet_equals_the_full_grid_oracle(p, q, beta, z, window, grid):
-    """The half-grid, streamed sheet gives the full-grid, entry-by-entry
-    Fourier sums, on default grids and on odd, even and unequal ones."""
+    """The quarter-grid, streamed sheet gives the full-grid, entry-by-entry
+    Fourier sums, on default grids and on odd, even and unequal ones, at
+    couplings on both sides of the self-dual point."""
     if z == "gap":
         z = widest_gap(F(p, q), beta).midpoint
     got = coefficient_sheet(F(p, q), beta, z, window=window,
@@ -65,6 +69,34 @@ def test_sheet_equals_the_full_grid_oracle(p, q, beta, z, window, grid):
     want = oracle_coefficient_sheet(p, q, beta, z, window, grid)
     assert np.max(np.abs(want.imag)) <= 1e-10
     assert np.max(np.abs(got - want.real)) <= 1e-13 * np.max(np.abs(want.real))
+
+
+@pytest.mark.parametrize("grid", [(16, 12), (15, 16), (13, 17), (10, 11), (9, 8)])
+def test_sheet_inverts_a_quarter_grid(monkeypatch, grid):
+    """Only the nodes a = 0..n1//2, b = 0..n2//2 are inverted, for even and odd sizes."""
+    inv, count = np.linalg.inv, [0]
+
+    def counting(a):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    coefficient_sheet(F(3, 7), 0.4, 4.1, window=3, grid=PhaseGrid(*grid))
+    n1, n2 = grid
+    assert count[0] == (n1 // 2 + 1) * (n2 // 2 + 1)
+
+
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_sheet_solves_the_system_next_to_a_gap_edge(side):
+    """Within 1e-6 of a band edge the sheet decays slowly, yet both equations
+    hold to roundoff relative to its largest entry."""
+    freq, beta = F(5, 8), 0.5
+    g = widest_gap(freq, beta)
+    z = g.lo + 5e-7 if side == "lo" else g.hi - 5e-7
+    sheet = coefficient_sheet(freq, beta, z, window=6)
+    res = system_residual(sheet, beta, z)
+    assert res.max_residual <= 1e-13 * np.max(np.abs(sheet.values))
+    assert abs(res.origin_inhomogeneity - 1.0) <= 1e-13 * np.max(np.abs(sheet.values))
 
 
 def test_system_residual_of_c_sheet():
@@ -134,6 +166,35 @@ def test_one_sided_sheets_support_and_seed():
     res = system_residual(plus, beta, z)
     assert res.max_residual <= 1e-8
     assert abs(res.origin_inhomogeneity - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("p, q, beta, z, window", [
+    (5, 8, 0.5, 4.0, 24),
+    (8, 13, 0.5, 4.0, 24),
+    (5, 8, 0.7, "gap", 24),
+    (8, 13, 0.7, "gap", 24),
+    (1, 3, 0.7, "gap", 6),
+    (2, 5, 0.7, "gap", 6),
+    (1, 3, 0.3, -3.1, 9),
+])
+def test_recursion_sheets_equal_the_scalar_march_bitwise(p, q, beta, z, window):
+    """The column-at-a-time march gives the entry-by-entry march bit for bit."""
+    if z == "gap":
+        z = widest_gap(F(p, q), beta).midpoint
+    plus, minus = recursion_sheets(F(p, q), beta, z, window=window)
+    right, left = oracle_recursion_sheets(p, q, beta, z, window)
+    assert plus.values.tobytes() == right.tobytes()
+    assert minus.values.tobytes() == left.tobytes()
+
+
+def test_recursion_breakdown_names_column_and_row():
+    """Far out in z the columns grow like z^p and leave the float64 range;
+    the error names the first entry that does, as the scalar march does."""
+    with pytest.raises(ArithmeticError) as want:
+        oracle_recursion_sheets(1, 3, 0.5, 1e30, 12)
+    with pytest.raises(ArithmeticError, match="recursion breakdown at column 12, row 0") as got:
+        recursion_sheets(F(1, 3), 0.5, 1e30, window=12)
+    assert str(got.value) == str(want.value)
 
 
 def test_one_sided_edge_line_is_exactly_geometric():

@@ -12,7 +12,7 @@ from harperlab import (BandSet, ChambersError, RationalFrequency, band_edges, ch
                        gradient, harper_matrix, hausdorff_intervals, ids,
                        log_potential, track_gap)
 from harperlab.butterfly import butterfly_fractions
-from harperlab.spectrum import _band_measure, _verify_phase_independence
+from harperlab.spectrum import _band_measure, _fmt, _verify_phase_independence, gap_csv, gap_table
 from conftest import (center_eigenvalues, interval_union_distance, oracle_band_measure,
                       oracle_band_sweep, oracle_center_jet, oracle_gap_label,
                       oracle_harper, oracle_ids_counting)
@@ -321,10 +321,13 @@ def test_gap_records_carry_gap_label_and_exact_ids():
     for freq in butterfly_fractions(30):
         recs = gaps(freq, 0.7, min_width=-1.0)
         assert [g.j for g in recs] == list(range(1, freq.q))
-        for g in recs:
+        bands = corner_bands(freq, 0.7).bands
+        _, lines = gap_csv(freq, "0.7", bands, gap_table(freq, 0.7, bands, -1.0))
+        assert len(lines) == len(recs)
+        for g, line in zip(recs, lines):
             label = gap_label(g.j, freq)
             assert (g.label, g.hall, g.ids_value) == (label, label[1], Fraction(g.j, freq.q))
-            ids_num, ids_den = g.csv_row().split(",")[5:7]
+            ids_num, ids_den = line.split(",")[5:7]
             assert Fraction(int(ids_num), int(ids_den)) == g.ids_value
             assert math.gcd(int(ids_num), int(ids_den)) == 1
 
@@ -379,11 +382,17 @@ def test_gaps_central_reported_closed():
 
 
 def test_gap_csv_row_format():
-    g = gaps(F(2, 5), 0.5)[0]
-    row = g.csv_row()
-    parts = row.split(",")
+    """A gap line carries the record's fields, every float in `_fmt` text,
+    and the edge text is the text of the band edges."""
+    freq, beta = F(2, 5), 0.5
+    g = gaps(freq, beta)[0]
+    bands = corner_bands(freq, beta).bands
+    text, lines = gap_csv(freq, _fmt(beta), bands, gap_table(freq, beta, bands, 1e-9))
+    parts = lines[0].split(",")
     assert len(parts) == 10
-    assert parts[0] == "2" and parts[1] == "5"
+    assert parts == ["2", "5", "0.5", _fmt(g.lo), _fmt(g.hi), "1", "5",
+                     str(g.label[0]), str(g.label[1]), _fmt(g.width)]
+    assert text == [_fmt(x) for lo_hi in bands for x in lo_hi]
 
 
 def test_dual_check():
