@@ -60,12 +60,23 @@ def butterfly_fractions(order: int):
 
 
 def _row_payload(args):
-    """Worker body: (p, q, bands, error), exceptions recorded not raised."""
+    """Worker body: (p, q, bands, error), exceptions recorded on one line, not raised."""
     p, q, beta = args
     try:
         return (p, q, corner_bands(RationalFrequency(p, q), beta).bands, None)
     except Exception as exc:  # per-fraction failures must not abort the batch
-        return (p, q, (), f"{type(exc).__name__}: {exc}")
+        return (p, q, (), " ".join(f"{type(exc).__name__}: {exc}".split()))
+
+
+def _band_payload(p, q, edges):
+    """The payload (p, q, bands, None) of 2q finite, non-decreasing edges, else ValueError."""
+    if len(edges) != 2 * q:
+        raise ValueError(f"band line for {p}/{q} has {len(edges)} edges, not {2 * q}")
+    flat = np.array(edges, dtype=float)
+    if not (np.all(np.isfinite(flat)) and np.all(flat[1:] >= flat[:-1])):
+        raise ValueError(f"band line for {p}/{q} has edges that are not finite and "
+                         f"non-decreasing")
+    return (p, q, list(zip(edges[0::2], edges[1::2])), None)
 
 
 def _build_row(payload, beta, min_width) -> FractionRow:
@@ -89,18 +100,19 @@ def _atomic_write(path, text):
         raise
 
 
+# fresh rows per journal append
+_CHECKPOINT_EVERY = 32
+
+
 def compute_butterfly(order: int, beta: float, workers: int = 1,
-                      min_width: float = 1e-9, checkpoint_path: str | None = None,
-                      checkpoint_every: int = 32,
-                      max_completions: int | None = None) -> ButterflyDataset:
+                      min_width: float = 1e-9,
+                      checkpoint_path: str | None = None) -> ButterflyDataset:
     """Band and gap rows for every reduced fraction up to the order.
 
-    With a checkpoint path, completed rows are appended to a journal every
-    `checkpoint_every` completions and reused on restart provided the
-    journal's configuration digest matches.  `max_completions` stops the
-    batch early after that many fresh rows (an interruption hook for resume
-    tests and budgeted runs).  The dataset is complete when every fraction
-    has a row and no row is an error.
+    With a checkpoint path, finished rows are appended to a journal every
+    `_CHECKPOINT_EVERY` rows and reused on restart provided the journal's
+    configuration digest matches.  The dataset is complete when no row is
+    an error.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -113,17 +125,14 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
     digest = _config_hash({"version": FORMAT_VERSION, "Q": order,
                            "beta": _fmt(beta), "min_width": _fmt(min_width)})
     done = _resume_journal(checkpoint_path, digest) if checkpoint_path else {}
-    todo = [f for f in freqs if (f.p, f.q) not in done]
-    if max_completions is not None:
-        todo = todo[:max_completions]
-    jobs = [(f.p, f.q, beta) for f in todo]
+    jobs = [(f.p, f.q, beta) for f in freqs if (f.p, f.q) not in done]
     pending = []
 
     def note(payload):
         done[(payload[0], payload[1])] = payload
         if checkpoint_path:
             pending.append(payload)
-            if len(pending) == checkpoint_every:
+            if len(pending) == _CHECKPOINT_EVERY:
                 _flush_checkpoint(checkpoint_path, pending)
                 pending.clear()
 
@@ -139,11 +148,10 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
                 note(payload)
     if pending:
         _flush_checkpoint(checkpoint_path, pending)
-    rows = tuple(_build_row(done[(f.p, f.q)], beta, min_width)
-                 for f in freqs if (f.p, f.q) in done)
-    complete = len(rows) == len(freqs) and not any(row.error for row in rows)
+    rows = tuple(_build_row(done[(f.p, f.q)], beta, min_width) for f in freqs)
     return ButterflyDataset(beta, order, rows, min_width,
-                            provenance={"config": digest, "complete": complete})
+                            provenance={"config": digest,
+                                        "complete": not any(row.error for row in rows)})
 
 
 def _journal_header(digest):
@@ -157,6 +165,8 @@ def _resume_journal(path, digest):
     JSON payload per line.  A missing file or another header starts it
     afresh; a torn last line (an interrupted append) is dropped, and the
     journal is rewritten without it so later appends start on a new line.
+    A whole line that is not a payload, or whose bands fail the dataset
+    file's band-line checks, raises ValueError naming the journal.
     """
     lines = []
     if os.path.exists(path):
@@ -164,12 +174,15 @@ def _resume_journal(path, digest):
             lines = fh.readlines()
     clean = bool(lines) and lines[0] == _journal_header(digest)
     done = {}
-    for line in lines[1:] if clean else ():
-        if not line.endswith("\n"):
-            clean = False
-            break
-        payload = json.loads(line)
-        done[(payload[0], payload[1])] = payload
+    try:
+        for line in lines[1:] if clean else ():
+            if not line.endswith("\n"):
+                clean = False
+                break
+            p, q, bands, error = payload = json.loads(line)
+            done[(p, q)] = payload if error else _band_payload(p, q, [x for b in bands for x in b])
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
     if not clean:
         _flush_checkpoint(path, [done[k] for k in sorted(done)], header=_journal_header(digest))
     return done
@@ -227,14 +240,7 @@ def parse_dataset(text: str) -> ButterflyDataset:
     for ln in lines:
         if ln.startswith("# bands,"):
             _, p, q, *edges = ln.split(",")
-            if len(edges) != 2 * int(q):
-                raise ValueError(f"band line for {p}/{q} has {len(edges)} edges, not {2 * int(q)}")
-            edges = [float(x) for x in edges]
-            flat = np.array(edges)
-            if not (np.all(np.isfinite(flat)) and np.all(flat[1:] >= flat[:-1])):
-                raise ValueError(f"band line for {p}/{q} has edges that are not finite and "
-                                 f"non-decreasing")
-            payload = (int(p), int(q), zip(edges[0::2], edges[1::2]), None)
+            payload = _band_payload(int(p), int(q), [float(x) for x in edges])
         elif ln.startswith("# error,"):
             _, p, q, error = ln.split(",", 3)
             payload = (int(p), int(q), (), error)

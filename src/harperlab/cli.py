@@ -28,12 +28,6 @@ from .coefficients import (build_phi, coefficient_sheet, decay_rate,
 from .numbertheory import component_count, farey, franel_table, phi_cumulative
 from .butterfly import compute_butterfly, parse_dataset, render, serialize_dataset
 
-COMMANDS = ("spectrum", "gaps", "ids", "label", "lyapunov", "gradient",
-            "critical-scan", "hessian", "coeffs", "recursion", "decay",
-            "sigma-check", "butterfly", "render", "track", "franel", "farey",
-            "count-components", "selftest")
-
-
 # the artifact was written, but some fractions (`butterfly`) or gaps
 # (`critical-scan`) failed and are listed in it as errors
 EXIT_PARTIAL = 3
@@ -87,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=str, required=True, help="energy (complex ok for trace)")
     p.add_argument("--method", choices=("transfer", "thouless", "trace", "all"),
                    default="all")
-    p.add_argument("--theta-samples", type=int, default=256)
     add_out(p)
 
     for name in ("gradient", "hessian"):
@@ -110,14 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--window", type=int, default=12)
     p.add_argument("--kind", choices=("c", "d", "phi", "R+", "R-"), default="c")
-    add_out(p)
-
-    p = sub.add_parser("recursion")
-    add_freq(p)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--z", type=float, required=True)
-    p.add_argument("--window", type=int, default=12)
-    p.add_argument("--side", choices=("right", "left", "both"), default="both")
     add_out(p)
 
     p = sub.add_parser("decay")
@@ -169,14 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
 
     p = sub.add_parser("count-components")
-    p.add_argument("--dataset", default=None, help="butterfly dataset file")
-    p.add_argument("--qmax", type=int, default=None, help="compute in place instead")
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--dataset", required=True, help="butterfly dataset file")
     p.add_argument("--hall", type=int, required=True)
     add_out(p)
 
-    p = sub.add_parser("selftest")
-    p.add_argument("--fast", action="store_true", help="skip the slower checks")
+    sub.add_parser("selftest")
     return ap
 
 
@@ -286,8 +268,7 @@ def _dispatch(args, parser) -> int:
         zr = z.real if z.imag == 0 else z
         rows = []
         if args.method in ("transfer", "all"):
-            rows.append(lyapunov_transfer(freq, args.beta, zr,
-                                          theta_samples=args.theta_samples))
+            rows.append(lyapunov_transfer(freq, args.beta, zr))
         if args.method in ("thouless", "all"):
             rows.append(lyapunov_thouless(corner_bands(freq, args.beta), zr))
         if args.method in ("trace", "all"):
@@ -348,17 +329,6 @@ def _dispatch(args, parser) -> int:
         freq = _resolve_freqs(args, parser)[-1]
         sheet = _make_sheet(freq, args.beta, args.z, args.window, args.kind)
         _emit(args, f"{header}\n" + sheet.to_csv())
-        return 0
-
-    if cmd == "recursion":
-        freq = _resolve_freqs(args, parser)[-1]
-        plus, minus = recursion_sheets(freq, args.beta, args.z, window=args.window)
-        parts = []
-        if args.side in ("right", "both"):
-            parts.append(plus.to_csv())
-        if args.side in ("left", "both"):
-            parts.append(minus.to_csv())
-        _emit(args, f"{header}\n" + "".join(parts))
         return 0
 
     if cmd == "decay":
@@ -428,13 +398,8 @@ def _dispatch(args, parser) -> int:
         return 0
 
     if cmd == "count-components":
-        if args.dataset:
-            with open(args.dataset) as fh:
-                ds = parse_dataset(fh.read())
-        elif args.qmax is not None:
-            ds = compute_butterfly(args.qmax, args.beta)
-        else:
-            parser.error("count-components needs --dataset or --qmax")
+        with open(args.dataset) as fh:
+            ds = parse_dataset(fh.read())
         cc = component_count(ds, args.hall)
         _emit(args, json.dumps({"config_hash": run_hash, "k": cc.hall,
                                 "Q": cc.order, "beta": cc.beta,
@@ -444,7 +409,7 @@ def _dispatch(args, parser) -> int:
         return 0
 
     if cmd == "selftest":
-        return run_selftest(fast=args.fast)
+        return run_selftest()
 
     parser.error(f"unknown command {cmd}")
     return 2
@@ -489,7 +454,7 @@ def sigma_check_report(freq, beta, theta1, theta2) -> dict:
     return res
 
 
-def run_selftest(fast: bool = False) -> int:
+def run_selftest() -> int:
     """Quick pass over the headline invariants; prints one line per check."""
     checks = []
 
@@ -563,8 +528,7 @@ def run_selftest(fast: bool = False) -> int:
     check("lyapunov three methods", lyap)
     check("coefficient sheets", coeffs)
     check("number theory", numbers)
-    if not fast:
-        check("butterfly batch", batch)
+    check("butterfly batch", batch)
 
     failed = 0
     for name, ok, msg in checks:

@@ -97,7 +97,10 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float, window: in
     (n1, 2 window + 1, q) array and ends in one matrix product over t1.  The
     default grid keeps the highest window harmonic far below the Nyquist
     bound, which is enforced.  An entry with an imaginary part above 1e-10
-    raises ArithmeticError.
+    raises ArithmeticError.  The grid resolves the sheet only away from the
+    bands: at 2/5, beta 0.5 on a 68 x 68 grid, c(0, 0) is off by a relative
+    1e-15 mid-gap, 9e-4 at 1e-3 from a band edge and 4.8 at 1e-6 (1e-2 on a
+    1089 x 1089 grid), yet every grid's sheet solves the coefficient equations.
     """
     if beta <= 0:
         raise ValueError("coupling must be positive")

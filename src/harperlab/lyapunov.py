@@ -64,27 +64,23 @@ class HessianRecord:
         return self.d2z * self.d2beta - self.dzdbeta ** 2
 
 
-def lyapunov_transfer(freq: RationalFrequency, beta: float, energy,
-                      theta_samples: int = 256) -> LyapunovValue:
+# phases the transfer route averages over; the analyticity strip could size it instead
+_TRANSFER_PHASES = 256
+
+
+def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovValue:
     """Lyapunov exponent from the transfer cocycle at rational frequency.
 
     The product over one period is exact and the growth rate is log of the
     larger monodromy-eigenvalue modulus divided by the period, averaged over
-    theta_samples phases.
+    `_TRANSFER_PHASES` phases.  A monodromy or its squared trace outside the
+    float64 range raises ArithmeticError.
     """
-    val = _monodromy_average(freq.p, freq.q, beta, energy, theta_samples)
-    return LyapunovValue(float(beta), energy, val, "transfer")
-
-
-def _monodromy_average(p: int, q: int, beta: float, energy, n_theta: int) -> float:
-    """Phase-averaged log of the larger multiplier over q; a monodromy or its
-    squared trace outside the float64 range raises ArithmeticError."""
-    th = np.arange(n_theta) / n_theta
+    p, q = freq.p, freq.q
+    th = np.arange(_TRANSFER_PHASES) / _TRANSFER_PHASES
     dtype = complex if np.iscomplexobj(np.asarray(energy)) else float
-    m00 = np.ones(n_theta, dtype=dtype)
-    m01 = np.zeros(n_theta, dtype=dtype)
-    m10 = np.zeros(n_theta, dtype=dtype)
-    m11 = np.ones(n_theta, dtype=dtype)
+    m00 = m11 = np.ones(_TRANSFER_PHASES, dtype=dtype)  # each step builds new arrays
+    m01 = m10 = np.zeros(_TRANSFER_PHASES, dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
         for n in range(q):
             a = energy - 2.0 * beta * np.cos(TWO_PI * (th + n * p / q))
@@ -97,7 +93,7 @@ def _monodromy_average(p: int, q: int, beta: float, energy, n_theta: int) -> flo
         val = float(np.mean(np.log(np.maximum(rho, 1.0)))) / q
     if not np.isfinite(val):
         raise ArithmeticError(f"the monodromy leaves the float64 range at q={q}, E={energy}")
-    return val
+    return LyapunovValue(float(beta), energy, val, "transfer")
 
 
 def _graded_nodes(bands: BandSet) -> np.ndarray:

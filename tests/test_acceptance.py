@@ -300,16 +300,28 @@ def test_criterion_09_number_theory_suite():
                f"bounded and monotone (k=1: {last[1]}, k=2: {last[2]})")
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(monkeypatch):
     texts = {w: hl.serialize_dataset(hl.compute_butterfly(10, 1.0, workers=w))
              for w in (1, 4, 8)}
     assert texts[1] == texts[4] == texts[8]
 
     import tempfile
+    import harperlab.butterfly as butterfly_module
+
+    def interrupt_after_nine(freq, beta):
+        if len(computed) == 9:
+            raise KeyboardInterrupt
+        computed.append(freq)
+        return hl.corner_bands(freq, beta)
+
+    computed = []
+    monkeypatch.setattr(butterfly_module, "_CHECKPOINT_EVERY", 3)
     with tempfile.TemporaryDirectory() as tmp:
         ck = os.path.join(tmp, "state.json")
-        partial = hl.compute_butterfly(10, 1.0, checkpoint_path=ck, max_completions=9)
-        assert not partial.provenance["complete"]
+        with monkeypatch.context() as m:
+            m.setattr(butterfly_module, "corner_bands", interrupt_after_nine)
+            with pytest.raises(KeyboardInterrupt):
+                hl.compute_butterfly(10, 1.0, checkpoint_path=ck)
         resumed = hl.compute_butterfly(10, 1.0, checkpoint_path=ck)
     assert hl.serialize_dataset(resumed) == texts[1]
     _report(10, "dataset at order 10 byte-identical across worker counts "

@@ -8,23 +8,49 @@ from harperlab import (ChambersError, RationalFrequency, butterfly_fractions,
                        component_count, compute_butterfly, hall_color,
                        parse_dataset, persistence_sweep, phi_cumulative, render,
                        serialize_dataset, track_gap)
-from harperlab.spectrum import GAP_CSV_HEADER, GapRecord, _config_hash
+from harperlab.spectrum import GAP_CSV_HEADER, GapRecord, _config_hash, corner_bands
 from conftest import (oracle_band_sweep, oracle_component_count, oracle_render_ppm,
                       oracle_render_svg, oracle_serialize_dataset)
 
 F = RationalFrequency
 
 
-def fail_one_fraction(monkeypatch, p, q):
+def fail_one_fraction(monkeypatch, p, q, message="synthetic"):
     """Make the in-process row worker fail at p/q only."""
     real = butterfly_module.corner_bands
 
     def flaky(freq, beta):
         if (freq.p, freq.q) == (p, q):
-            raise ChambersError("synthetic")
+            raise ChambersError(message)
         return real(freq, beta)
 
     monkeypatch.setattr(butterfly_module, "corner_bands", flaky)
+
+
+def rows_computed(monkeypatch, stop_after=None):
+    """The fractions the in-process row worker computes, in order.
+
+    With `stop_after`, the worker raises KeyboardInterrupt in place of the
+    row after that many, as an interrupted run would.
+    """
+    calls = []
+
+    def counted(freq, beta):
+        if len(calls) == stop_after:
+            raise KeyboardInterrupt
+        calls.append((freq.p, freq.q))
+        return corner_bands(freq, beta)
+
+    monkeypatch.setattr(butterfly_module, "corner_bands", counted)
+    return calls
+
+
+def interrupted_batch(monkeypatch, ck, order, beta, every, stop_after):
+    """Run a checkpointed batch that is interrupted after `stop_after` rows."""
+    monkeypatch.setattr(butterfly_module, "_CHECKPOINT_EVERY", every)
+    rows_computed(monkeypatch, stop_after)
+    with pytest.raises(KeyboardInterrupt):
+        compute_butterfly(order, beta, checkpoint_path=str(ck))
 
 
 def test_fraction_enumeration_order_and_count():
@@ -59,45 +85,98 @@ def test_worker_counts_byte_identical():
     assert a == b
 
 
-def test_checkpoint_resume_byte_identical(tmp_path):
-    ck = tmp_path / "state.json"
-    full = serialize_dataset(compute_butterfly(6, 0.7))
-    partial = compute_butterfly(6, 0.7, checkpoint_path=str(ck), max_completions=4)
-    assert not partial.provenance["complete"]
-    resumed = compute_butterfly(6, 0.7, checkpoint_path=str(ck))
-    assert resumed.provenance["complete"]
-    assert serialize_dataset(resumed) == full
-
-
 def journal_lines(path):
     return [json.loads(ln) for ln in path.read_text().splitlines()]
 
 
-def test_checkpoint_resume_after_torn_line(tmp_path):
+def missing_rows(order, journalled):
+    return [(f.p, f.q) for f in butterfly_fractions(order) if (f.p, f.q) not in journalled]
+
+
+def test_checkpoint_resume_byte_identical(tmp_path, monkeypatch):
+    ck = tmp_path / "state.json"
+    full = serialize_dataset(compute_butterfly(6, 0.7))
+    interrupted_batch(monkeypatch, ck, 6, 0.7, every=2, stop_after=5)
+    # two appends of two rows each; the fifth row was still pending
+    journalled = [(p[0], p[1]) for p in journal_lines(ck)[1:]]
+    assert len(journalled) == 4
+    calls = rows_computed(monkeypatch)
+    resumed = compute_butterfly(6, 0.7, checkpoint_path=str(ck))
+    assert calls == missing_rows(6, journalled)
+    assert resumed.provenance["complete"]
+    assert serialize_dataset(resumed) == full
+
+
+def test_checkpoint_resume_after_torn_line(tmp_path, monkeypatch):
     ck = tmp_path / "state.jsonl"
     full = serialize_dataset(compute_butterfly(6, 0.7))
-    compute_butterfly(6, 0.7, checkpoint_path=str(ck), checkpoint_every=2,
-                      max_completions=5)
+    interrupted_batch(monkeypatch, ck, 6, 0.7, every=2, stop_after=5)
     text = ck.read_text()
     ck.write_text(text[:-20])  # an append interrupted mid-line
     assert not ck.read_text().endswith("\n")
-    resumed = compute_butterfly(6, 0.7, checkpoint_path=str(ck), checkpoint_every=2)
+    # the torn line is lost
+    journalled = [tuple(json.loads(ln)[:2]) for ln in ck.read_text().splitlines()[1:-1]]
+    assert len(journalled) == 3
+    calls = rows_computed(monkeypatch)
+    resumed = compute_butterfly(6, 0.7, checkpoint_path=str(ck))
+    assert calls == missing_rows(6, journalled)
     assert resumed.provenance["complete"]
     assert serialize_dataset(resumed) == full
     assert len(journal_lines(ck)) == 1 + len(resumed.rows)
 
 
-def test_journal_holds_header_and_one_line_per_row(tmp_path):
+def test_journal_holds_header_and_one_line_per_row(tmp_path, monkeypatch):
     ck = tmp_path / "state.jsonl"
-    ds = compute_butterfly(6, 0.7, checkpoint_path=str(ck), checkpoint_every=3)
+    monkeypatch.setattr(butterfly_module, "_CHECKPOINT_EVERY", 3)
+    ds = compute_butterfly(6, 0.7, checkpoint_path=str(ck))
     head, *payloads = journal_lines(ck)
     assert head == {"config": ds.provenance["config"]}
     assert sorted((p[0], p[1]) for p in payloads) == sorted((r.freq.p, r.freq.q)
                                                             for r in ds.rows)
     # a finished journal is reused as is: nothing recomputed, nothing appended
     before = ck.read_bytes()
-    again = compute_butterfly(6, 0.7, checkpoint_path=str(ck), max_completions=0)
+    calls = rows_computed(monkeypatch)
+    again = compute_butterfly(6, 0.7, checkpoint_path=str(ck))
+    assert calls == []
     assert again.provenance["complete"] and ck.read_bytes() == before
+
+
+@pytest.mark.parametrize("corruption", ["one_band_at_1_3", "nan_edge_at_1_2"])
+def test_corrupt_journal_rows_are_refused(tmp_path, capsys, corruption):
+    """A whole journal line gets the band-line checks of the dataset file:
+    the batch refuses it, naming the journal, and writes no dataset."""
+    from harperlab.cli import main
+
+    ck = tmp_path / "state.jsonl"
+    compute_butterfly(4, 0.7, checkpoint_path=str(ck))
+    lines = ck.read_text().splitlines(keepends=True)
+    for i, ln in enumerate(lines[1:], start=1):
+        p, q, bands, error = json.loads(ln)
+        if corruption == "one_band_at_1_3" and (p, q) == (1, 3):
+            lines[i] = json.dumps([p, q, bands[:1], error]) + "\n"
+        elif corruption == "nan_edge_at_1_2" and (p, q) == (1, 2):
+            bands[0][1] = float("nan")
+            lines[i] = json.dumps([p, q, bands, error]) + "\n"
+    ck.write_text("".join(lines))
+    match = ("band line for 1/3 has 2 edges, not 6" if corruption == "one_band_at_1_3"
+             else "band line for 1/2 has edges that are not finite")
+    with pytest.raises(ValueError, match=f"checkpoint {ck}: {match}"):
+        compute_butterfly(4, 0.7, checkpoint_path=str(ck))
+    out = tmp_path / "fly.csv"
+    code = main(["butterfly", "--qmax", "4", "--beta", "0.7", "--checkpoint", str(ck),
+                 "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: checkpoint {ck}: {match}")
+
+
+def test_error_text_is_folded_onto_one_line(monkeypatch):
+    fail_one_fraction(monkeypatch, 2, 5, "first line\n  second line\n")
+    ds = compute_butterfly(5, 1.0)
+    assert [row.error for row in ds.rows if row.error] == [
+        "ChambersError: first line second line"]
+    text = serialize_dataset(ds)
+    assert "# error,2,5,ChambersError: first line second line" in text.splitlines()
+    assert parse_dataset(text) == ds
 
 
 def test_checkpoint_config_mismatch_is_ignored(tmp_path):

@@ -152,11 +152,17 @@ def test_hessian_scalar_frequency_at_zero_coupling(alpha, capsys):
     assert abs(json.loads(out)["d2z"] + 5.0 / 21.0 ** 1.5) <= 1e-14
 
 
-def test_count_components_qmax_zero_reaches_the_batch(capsys):
-    code, out, err = run(["count-components", "--qmax", "0", "--hall", "1"], capsys)
+def test_qmax_zero_and_count_without_dataset_exit_two(tmp_path, capsys):
+    ds_file = tmp_path / "fly.csv"
+    code, out, err = run(["butterfly", "--qmax", "0", "--beta", "1", "--out", str(ds_file)],
+                         capsys)
     assert code == 2
     assert err == "error: order must be >= 1\n"
-    assert out == ""
+    assert out == "" and not ds_file.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["count-components", "--hall", "1"])
+    assert exc.value.code == 2
+    assert "--dataset" in capsys.readouterr().err
 
 
 def test_irrational_expansion(capsys):
@@ -232,10 +238,11 @@ def test_identical_config_identical_bytes(tmp_path, capsys):
 
 
 def test_recursion_and_hessian_commands(tmp_path, capsys):
-    code, out, _ = run(["recursion", "--alpha", "1/3", "--beta", "0.5", "--z", "4.2",
-                        "--window", "4", "--side", "both"], capsys)
-    assert code == 0
-    assert out.count("kind=R+") == 1 and out.count("kind=R-") == 1
+    for kind in ("R+", "R-"):
+        code, out, _ = run(["coeffs", "--alpha", "1/3", "--beta", "0.5", "--z", "4.2",
+                            "--window", "4", "--kind", kind], capsys)
+        assert code == 0
+        assert out.count("kind=R+") == (kind == "R+") and out.count("kind=R-") == (kind == "R-")
     code, out, _ = run(["hessian", "--alpha", "1/3", "--beta", "0.5", "--z", "4.2"], capsys)
     assert code == 0
     doc = json.loads(out)
@@ -260,8 +267,8 @@ def test_ids_command_equals_per_point_calls(capsys):
                                             for e in np.linspace(-4.0, 4.0, 33)]
 
 
-def test_selftest_fast_exit_zero(capsys):
-    assert main(["selftest", "--fast"]) == 0
+def test_selftest_exit_zero(capsys):
+    assert main(["selftest"]) == 0
 
 
 def test_output_dir_env_override(tmp_path, capsys, monkeypatch):

@@ -89,7 +89,11 @@ def test_sheet_inverts_a_quarter_grid(monkeypatch, grid):
 @pytest.mark.parametrize("side", ["lo", "hi"])
 def test_sheet_solves_the_system_next_to_a_gap_edge(side):
     """Within 1e-6 of a band edge the sheet decays slowly, yet both equations
-    hold to roundoff relative to its largest entry."""
+    hold to roundoff relative to its largest entry.
+
+    Every grid average satisfies the equations, so this cannot see the
+    sheet's quadrature error, which is of order one this close to an edge
+    (see `coefficient_sheet`)."""
     freq, beta = F(5, 8), 0.5
     g = widest_gap(freq, beta)
     z = g.lo + 5e-7 if side == "lo" else g.hi - 5e-7

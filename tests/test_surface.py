@@ -1,0 +1,24 @@
+import argparse
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+from harperlab.cli import build_parser
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+_SPEC = importlib.util.spec_from_file_location("bench_record", TOOLS / "bench_record.py")
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+
+def test_surface_prints_metric_lines_and_counts_the_parser_commands():
+    out = subprocess.run([sys.executable, str(TOOLS / "surface.py")], capture_output=True,
+                         text=True, check=True).stdout
+    matches = [bench_record.METRIC.match(ln) for ln in out.splitlines()]
+    assert all(matches)
+    metrics = {m.group(1): int(m.group(2)) for m in matches}
+    assert list(metrics) == ["src_lines", "defaulted_params", "cli_commands", "cli_options"]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert metrics["cli_commands"] == len(sub.choices)
+    assert metrics["cli_options"] > metrics["cli_commands"] and metrics["src_lines"] > 0

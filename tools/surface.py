@@ -1,0 +1,63 @@
+"""Measure the size of harperlab's code and command-line surface.
+
+Usage, from anywhere:
+
+    python3 tools/surface.py
+
+It measures the checkout it sits in and prints `# name = value` lines, the
+format `tools/bench_record.py` reads:
+
+* `src_lines`: newline count over the modules of `src/harperlab`;
+* `defaulted_params`: positional and keyword-only parameters with a
+  default, over every function and lambda in those modules (AST walk);
+* `cli_commands`: subcommands of `harperlab`;
+* `cli_options`: options summed over the subcommands, without `-h`.
+
+Standard library plus harperlab only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def source_counts(package: Path):
+    """(lines, defaulted parameters) over the package's modules."""
+    lines = defaulted = 0
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text()
+        lines += text.count("\n")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaulted += len(node.args.defaults)
+                defaulted += sum(d is not None for d in node.args.kw_defaults)
+    return lines, defaulted
+
+
+def cli_counts(parser: argparse.ArgumentParser):
+    """(subcommands, options summed over them, without -h) of the parser."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = sum(1 for p in sub.choices.values() for a in p._actions
+                  if not isinstance(a, argparse._HelpAction))
+    return len(sub.choices), options
+
+
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    from harperlab.cli import build_parser
+
+    lines, defaulted = source_counts(SRC / "harperlab")
+    commands, options = cli_counts(build_parser())
+    for name, value in (("src_lines", lines), ("defaulted_params", defaulted),
+                        ("cli_commands", commands), ("cli_options", options)):
+        print(f"# {name} = {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
