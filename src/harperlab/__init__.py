@@ -14,7 +14,7 @@ from .rotation import (NeumannExpansion, PhaseGrid, RotationRep, build_rep,
                        neumann_inverse, rho_images, sigma_images, trace_tau)
 from .spectrum import (BandSet, ChambersData, ChambersError, DualityReport,
                        GapRecord, GapTrack, band_edges, chambers, corner_bands,
-                       dual_check, gap_label, gaps, harper_matrix,
+                       corner_edges, dual_check, gap_label, gaps, harper_matrix,
                        hausdorff_intervals, ids, label_to_index, track_gap)
 from .lyapunov import (CriticalPoint, GradientRecord, HessianRecord,
                        LyapunovValue, critical_scan, gradient, hessian,

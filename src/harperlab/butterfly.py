@@ -1,6 +1,7 @@
 """Batch computation and rendering of the Hofstadter butterfly.
 
-One work unit is one reduced fraction; results are merged in (q, p) order
+One work unit is one denominator: the corner edges of all its missing
+numerators come from one batched solve.  Rows are merged in (q, p) order
 regardless of completion order, so the dataset is byte-identical across
 worker counts and across checkpoint interruptions.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from .rationals import RationalFrequency
 from .numbertheory import farey
-from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_bands, edge_array, gap_csv,
+from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, edge_array, gap_csv,
                        gap_label, gap_records, gap_table, track_gap)
 
 FORMAT_VERSION = "2"
@@ -59,13 +60,16 @@ def butterfly_fractions(order: int):
     return [RationalFrequency(f.numerator, f.denominator) for f in fracs]
 
 
-def _row_payload(args):
-    """Worker body: (p, q, bands, error), exceptions recorded on one line, not raised."""
-    p, q, beta = args
+def _denominator_payloads(args):
+    """Worker body: a payload (p, q, bands, error) per p of (q, ps, beta); an exception
+    is recorded, not raised, as an error payload for every p, its text on one line."""
+    q, ps, beta = args
     try:
-        return (p, q, corner_bands(RationalFrequency(p, q), beta).bands, None)
-    except Exception as exc:  # per-fraction failures must not abort the batch
-        return (p, q, (), " ".join(f"{type(exc).__name__}: {exc}".split()))
+        return [(p, q, list(zip(e[0::2], e[1::2])), None)
+                for p, e in zip(ps, corner_edges(q, ps, beta).tolist())]
+    except Exception as exc:  # a failed denominator must not abort the batch
+        error = " ".join(f"{type(exc).__name__}: {exc}".split())
+        return [(p, q, (), error) for p in ps]
 
 
 def _band_payload(p, q, edges):
@@ -100,7 +104,7 @@ def _atomic_write(path, text):
         raise
 
 
-# fresh rows per journal append
+# pending rows that trigger a journal append
 _CHECKPOINT_EVERY = 32
 
 
@@ -109,10 +113,12 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
                       checkpoint_path: str | None = None) -> ButterflyDataset:
     """Band and gap rows for every reduced fraction up to the order.
 
-    With a checkpoint path, finished rows are appended to a journal every
-    `_CHECKPOINT_EVERY` rows and reused on restart provided the journal's
-    configuration digest matches.  The dataset is complete when no row is
-    an error.
+    One work unit is a denominator with its missing numerators, largest
+    first.  With a checkpoint path, finished rows are appended to a journal
+    once `_CHECKPOINT_EVERY` are pending and as the loop ends, normally or
+    by an exception such as KeyboardInterrupt, and reused on restart
+    provided the journal's configuration digest matches.  The dataset is
+    complete when no row is an error.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -125,29 +131,38 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
     digest = _config_hash({"version": FORMAT_VERSION, "Q": order,
                            "beta": _fmt(beta), "min_width": _fmt(min_width)})
     done = _resume_journal(checkpoint_path, digest) if checkpoint_path else {}
-    jobs = [(f.p, f.q, beta) for f in freqs if (f.p, f.q) not in done]
+    missing = {}
+    for f in freqs:
+        if (f.p, f.q) not in done:
+            missing.setdefault(f.q, []).append(f.p)
+    jobs = [(q, ps, beta) for q, ps in sorted(missing.items(), reverse=True)]
     pending = []
 
-    def note(payload):
-        done[(payload[0], payload[1])] = payload
+    def note(payloads):
+        done.update((payload[:2], payload) for payload in payloads)
         if checkpoint_path:
-            pending.append(payload)
-            if len(pending) == _CHECKPOINT_EVERY:
-                _flush_checkpoint(checkpoint_path, pending)
-                pending.clear()
+            pending.extend(payloads)
+            if len(pending) >= _CHECKPOINT_EVERY:
+                flush()
 
-    if workers == 1:
-        for job in jobs:
-            note(_row_payload(job))
-    else:
-        # imported here: the pool loads multiprocessing, which a serial run never needs
-        from concurrent.futures import ProcessPoolExecutor
+    def flush():
+        rows, pending[:] = pending[:], []  # emptied first: a failed append is not retried
+        _flush_checkpoint(checkpoint_path, rows)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for payload in pool.map(_row_payload, jobs, chunksize=16):
-                note(payload)
-    if pending:
-        _flush_checkpoint(checkpoint_path, pending)
+    try:
+        if workers == 1:
+            for job in jobs:
+                note(_denominator_payloads(job))
+        else:
+            # imported here: the pool loads multiprocessing, which a serial run never needs
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for payloads in pool.map(_denominator_payloads, jobs, chunksize=1):
+                    note(payloads)
+    finally:
+        if pending:
+            flush()
     rows = tuple(_build_row(done[(f.p, f.q)], beta, min_width) for f in freqs)
     return ButterflyDataset(beta, order, rows, min_width,
                             provenance={"config": digest,

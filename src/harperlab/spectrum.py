@@ -217,37 +217,66 @@ class BandSet:
         return best
 
 
+def _tridiagonal_eigvalsh(diag, off) -> np.ndarray:
+    """Eigenvalues of the tridiagonal matrices with diagonals diag (n, k) and sub-diagonal off."""
+    n, k = diag.shape
+    m = np.zeros((n, k, k))
+    m[:, range(k), range(k)] = diag
+    m[:, range(1, k), range(k - 1)] = off
+    return np.linalg.eigvalsh(m)  # reads the lower triangle only
+
+
+def corner_edges(q: int, ps, beta: float) -> np.ndarray:
+    """The sorted 2q corner eigenvalues of every p/q, p in ps, as a (len(ps), 2q) array.
+
+    A reflection of the site ring splits each corner into two tridiagonal
+    blocks of about q/2 sites, solved for all ps in one call per block size.
+    Hi corner (every bond +beta), j -> -j: sites 0..q//2 with sqrt(2) beta
+    on the bonds to fixed sites, and 1..(q+1)//2 - 1; for odd q the bond
+    {m, m + 1}, m = (q - 1)/2, adds +-beta to their last entries.  For odd q
+    the lo edges are exactly -hi, as diag((-1)^j) maps H(pi, pi/q) to
+    -H(0, 0).  Even q: at t1 = -pi p/q, k -> 1 - k, and with the -beta
+    gauged onto the bond (0, 1) both blocks hold W_1..W_{q/2}, the first
+    -+ beta and the last +- beta.  q = 2 joins its sites twice (2 beta).
+    """
+    if beta < 0:
+        raise ValueError(f"coupling must be nonnegative, got {beta}")
+    p, half, odd, b = np.asarray(ps, dtype=np.int64)[:, None], q // 2, q % 2, float(beta)
+    k = np.arange(half + 1)
+    v = 2.0 * np.cos(TWO_PI * (k * p % q) / q)  # hi potentials V_0..V_{q//2}
+    if q == 1:
+        hi = [v + 2.0 * b]
+    else:
+        off = np.full(half, b)
+        off[[0, 0 if odd else -1]] = 2.0 * b if q == 2 else np.sqrt(2.0) * b
+        pair = np.where(k == half, odd * b, 0.0)  # the bond {m, m + 1} of odd q
+        hi = [_tridiagonal_eigvalsh(v + pair, off),
+              _tridiagonal_eigvalsh((v - pair)[:, 1:half + odd], b)]
+    if odd:
+        return np.sort(np.concatenate(hi + [-x for x in hi], axis=1), axis=1)
+    w = 2.0 * np.cos(np.pi * ((2 * k[1:] - 1) * p % (2 * q)) / q)  # W_1..W_{q/2}
+    ends = b * ((k[1:] == half) - (k[1:] == 1).astype(float))
+    lo = _tridiagonal_eigvalsh(np.concatenate([w + ends, w - ends]), b)
+    return np.sort(np.concatenate(hi + np.split(lo, 2), axis=1), axis=1)
+
+
 def corner_bands(freq: RationalFrequency, beta: float) -> BandSet:
     """Band set from the two corner matrices, with no determinant data.
 
     Solutions of P(E) = +-(|c1| + |c2|) are exactly the eigenvalues of H at
-    the corner phases where both cosines are +-1, so the 2q edges come from
-    two eigensolves; sorting and pairing them yields the bands.  In the
-    gauge of `harper_matrix` both corners are real symmetric: every bond is
-    +beta, except the closing bond at theta2 = pi/q, which is -beta.  A
-    touching gap appears as a degenerate corner eigenvalue and therefore
-    has width at roundoff scale, with no root finding, so exponentially
-    thin bands pass.
+    the corner phases where both cosines are +-1; `corner_edges` folds each
+    corner by a reflection of the site ring into two tridiagonal blocks of
+    about q/2 sites, and pairing its sorted edges yields the bands.  For
+    odd q the lo corner is the negated hi corner, lo = -hi, so the band set
+    is exactly mirror-symmetric.  A touching gap appears as a degenerate
+    corner eigenvalue and therefore has width at roundoff scale, with no
+    root finding, so exponentially thin bands pass.
     """
-    if beta < 0:
-        raise ValueError(f"coupling must be nonnegative, got {beta}")
-    q = freq.q
-    e_hi = np.linalg.eigvalsh(harper_matrix(freq, beta, 0.0, 0.0).real)
-    e_lo = np.linalg.eigvalsh(harper_matrix(freq, beta, np.pi / q, np.pi / q).real)
-    edges = np.sort(np.concatenate([e_hi, e_lo])).tolist()
-    bands = list(zip(edges[0::2], edges[1::2]))
-    for i in range(q - 1):
-        if bands[i][1] > bands[i + 1][0] + 1e-9:
-            raise ChambersError(f"band pairing failed at {freq}, beta={beta}")
-    if beta == 0.0:
-        # free case: all interior gaps are exactly closed; weld the edges
-        welded = [list(bands[0])]
-        for lo, hi in bands[1:]:
-            mid = 0.5 * (welded[-1][1] + lo)
-            welded[-1][1] = mid
-            welded.append([mid, hi])
-        bands = [tuple(x) for x in welded]
-    return BandSet(freq, beta, tuple(bands))
+    edges = corner_edges(freq.q, [freq.p], beta)[0]
+    if beta == 0.0:  # free case: all interior gaps are exactly closed; weld their ends
+        edges[1:-1] = np.repeat(0.5 * (edges[1:-1:2] + edges[2::2]), 2)
+    edges = edges.tolist()
+    return BandSet(freq, beta, tuple(zip(edges[0::2], edges[1::2])))
 
 
 def band_edges(ch: ChambersData) -> BandSet:

@@ -37,6 +37,26 @@ def oracle_harper(p, q, beta, t1, t2):
     return h
 
 
+def oracle_corner_edges(p, q, beta, dps=40):
+    """The sorted 2q eigenvalues of both real corner matrices, by mpmath at dps digits.
+
+    The corners carry every bond at +beta, except the closing bond at the
+    (pi/q, pi/q) corner, which is -beta, and the diagonal phase 0 or pi/q.
+    """
+    with mp.workdps(dps):
+        out = []
+        for t, sign in ((mp.mpf(0), 1), (mp.pi / q, -1)):
+            h = mp.zeros(q, q)
+            for j in range(q):
+                h[j, j] += 2 * mp.cos(t + 2 * mp.pi * ((j * p) % q) / q)
+                i = (j - 1) % q
+                w = mp.mpf(beta) * (sign if j == 0 else 1)
+                h[j, i] += w
+                h[i, j] += w
+            out.extend(mp.eigsy(h, eigvals_only=True))
+        return sorted(out)
+
+
 def oracle_center_jet(p, q, beta, energy, partials=True, dps=50):
     """P and its partials from a dps-digit determinant at the center phase.
 

@@ -308,18 +308,18 @@ def test_criterion_10_determinism(monkeypatch):
     import tempfile
     import harperlab.butterfly as butterfly_module
 
-    def interrupt_after_nine(freq, beta):
-        if len(computed) == 9:
+    def interrupt_after_nine(q, ps, beta):
+        if len(computed) >= 9:
             raise KeyboardInterrupt
-        computed.append(freq)
-        return hl.corner_bands(freq, beta)
+        computed.extend(ps)
+        return hl.corner_edges(q, ps, beta)
 
     computed = []
     monkeypatch.setattr(butterfly_module, "_CHECKPOINT_EVERY", 3)
     with tempfile.TemporaryDirectory() as tmp:
         ck = os.path.join(tmp, "state.json")
         with monkeypatch.context() as m:
-            m.setattr(butterfly_module, "corner_bands", interrupt_after_nine)
+            m.setattr(butterfly_module, "corner_edges", interrupt_after_nine)
             with pytest.raises(KeyboardInterrupt):
                 hl.compute_butterfly(10, 1.0, checkpoint_path=ck)
         resumed = hl.compute_butterfly(10, 1.0, checkpoint_path=ck)

@@ -8,49 +8,51 @@ from harperlab import (ChambersError, RationalFrequency, butterfly_fractions,
                        component_count, compute_butterfly, hall_color,
                        parse_dataset, persistence_sweep, phi_cumulative, render,
                        serialize_dataset, track_gap)
-from harperlab.spectrum import GAP_CSV_HEADER, GapRecord, _config_hash, corner_bands
+from harperlab.spectrum import GAP_CSV_HEADER, GapRecord, _config_hash, corner_edges
 from conftest import (oracle_band_sweep, oracle_component_count, oracle_render_ppm,
                       oracle_render_svg, oracle_serialize_dataset)
 
 F = RationalFrequency
 
 
-def fail_one_fraction(monkeypatch, p, q, message="synthetic"):
-    """Make the in-process row worker fail at p/q only."""
-    real = butterfly_module.corner_bands
+def fail_one_denominator(monkeypatch, q, message="synthetic"):
+    """Make the in-process denominator solve fail at q only, so every p/q fails."""
+    real = butterfly_module.corner_edges
 
-    def flaky(freq, beta):
-        if (freq.p, freq.q) == (p, q):
+    def flaky(den, ps, beta):
+        if den == q:
             raise ChambersError(message)
-        return real(freq, beta)
+        return real(den, ps, beta)
 
-    monkeypatch.setattr(butterfly_module, "corner_bands", flaky)
+    monkeypatch.setattr(butterfly_module, "corner_edges", flaky)
 
 
 def rows_computed(monkeypatch, stop_after=None):
-    """The fractions the in-process row worker computes, in order.
+    """The fractions (p, q) the in-process denominator solves compute, in order.
 
-    With `stop_after`, the worker raises KeyboardInterrupt in place of the
-    row after that many, as an interrupted run would.
+    With `stop_after`, the first solve to start once that many rows are done
+    raises KeyboardInterrupt instead, as an interrupted run would.
     """
     calls = []
 
-    def counted(freq, beta):
-        if len(calls) == stop_after:
+    def counted(q, ps, beta):
+        if stop_after is not None and len(calls) >= stop_after:
             raise KeyboardInterrupt
-        calls.append((freq.p, freq.q))
-        return corner_bands(freq, beta)
+        calls.extend((p, q) for p in ps)
+        return corner_edges(q, ps, beta)
 
-    monkeypatch.setattr(butterfly_module, "corner_bands", counted)
+    monkeypatch.setattr(butterfly_module, "corner_edges", counted)
     return calls
 
 
 def interrupted_batch(monkeypatch, ck, order, beta, every, stop_after):
-    """Run a checkpointed batch that is interrupted after `stop_after` rows."""
+    """Run a checkpointed batch that is interrupted after `stop_after` rows;
+    the rows that finished."""
     monkeypatch.setattr(butterfly_module, "_CHECKPOINT_EVERY", every)
-    rows_computed(monkeypatch, stop_after)
+    finished = rows_computed(monkeypatch, stop_after)
     with pytest.raises(KeyboardInterrupt):
         compute_butterfly(order, beta, checkpoint_path=str(ck))
+    return finished
 
 
 def test_fraction_enumeration_order_and_count():
@@ -96,13 +98,15 @@ def missing_rows(order, journalled):
 def test_checkpoint_resume_byte_identical(tmp_path, monkeypatch):
     ck = tmp_path / "state.json"
     full = serialize_dataset(compute_butterfly(6, 0.7))
-    interrupted_batch(monkeypatch, ck, 6, 0.7, every=2, stop_after=5)
-    # two appends of two rows each; the fifth row was still pending
+    finished = interrupted_batch(monkeypatch, ck, 6, 0.7, every=32, stop_after=5)
+    # the denominators 6 and 5 finished; all six rows were still pending and
+    # reach the journal as the interrupt leaves the loop
+    assert finished == [(1, 6), (5, 6), (1, 5), (2, 5), (3, 5), (4, 5)]
     journalled = [(p[0], p[1]) for p in journal_lines(ck)[1:]]
-    assert len(journalled) == 4
+    assert journalled == finished
     calls = rows_computed(monkeypatch)
     resumed = compute_butterfly(6, 0.7, checkpoint_path=str(ck))
-    assert calls == missing_rows(6, journalled)
+    assert sorted(calls, key=lambda r: r[::-1]) == missing_rows(6, journalled)
     assert resumed.provenance["complete"]
     assert serialize_dataset(resumed) == full
 
@@ -116,10 +120,10 @@ def test_checkpoint_resume_after_torn_line(tmp_path, monkeypatch):
     assert not ck.read_text().endswith("\n")
     # the torn line is lost
     journalled = [tuple(json.loads(ln)[:2]) for ln in ck.read_text().splitlines()[1:-1]]
-    assert len(journalled) == 3
+    assert len(journalled) == 5
     calls = rows_computed(monkeypatch)
     resumed = compute_butterfly(6, 0.7, checkpoint_path=str(ck))
-    assert calls == missing_rows(6, journalled)
+    assert sorted(calls, key=lambda r: r[::-1]) == missing_rows(6, journalled)
     assert resumed.provenance["complete"]
     assert serialize_dataset(resumed) == full
     assert len(journal_lines(ck)) == 1 + len(resumed.rows)
@@ -170,12 +174,13 @@ def test_corrupt_journal_rows_are_refused(tmp_path, capsys, corruption):
 
 
 def test_error_text_is_folded_onto_one_line(monkeypatch):
-    fail_one_fraction(monkeypatch, 2, 5, "first line\n  second line\n")
+    fail_one_denominator(monkeypatch, 5, "first line\n  second line\n")
     ds = compute_butterfly(5, 1.0)
     assert [row.error for row in ds.rows if row.error] == [
-        "ChambersError: first line second line"]
+        "ChambersError: first line second line"] * 4
     text = serialize_dataset(ds)
-    assert "# error,2,5,ChambersError: first line second line" in text.splitlines()
+    for p in (1, 2, 3, 4):
+        assert f"# error,{p},5,ChambersError: first line second line" in text.splitlines()
     assert parse_dataset(text) == ds
 
 
@@ -218,6 +223,8 @@ def test_render_band_rows_are_mirror_symmetric():
     ds = compute_butterfly(5, 1.0)
     for row in ds.rows:
         mirrored = sorted((-hi, -lo) for lo, hi in row.bands)
+        if row.freq.q % 2:  # the lo corner is the negated hi corner: exact
+            assert list(row.bands) == mirrored
         for (a, b), (c, d) in zip(sorted(row.bands), mirrored):
             assert abs(a - c) <= 1e-10 and abs(b - d) <= 1e-10
         # opposite-sign hall labels mirror each other on open gaps (the
@@ -302,9 +309,9 @@ def test_gap_columns_match_per_gap_oracles(order, beta):
 
 
 def test_gap_columns_match_per_gap_oracles_with_error_rows(monkeypatch):
-    fail_one_fraction(monkeypatch, 3, 7)
+    fail_one_denominator(monkeypatch, 7)
     ds = compute_butterfly(9, 0.8)
-    assert [str(r.freq) for r in ds.rows if r.error] == ["3/7"]
+    assert [str(r.freq) for r in ds.rows if r.error] == [f"{p}/7" for p in range(1, 7)]
     assert_matches_per_gap_oracles(ds)
 
 
@@ -372,12 +379,11 @@ def test_single_point_sweep_matches_track():
 
 
 def test_row_failures_are_recorded_not_raised():
-    from harperlab.butterfly import _row_payload
-    payload = _row_payload((1, 3, -0.5))  # invalid coupling
-    p, q, bands, error = payload
-    assert (p, q) == (1, 3)
-    assert bands == ()
-    assert error and "ValueError" in error
+    from harperlab.butterfly import _denominator_payloads
+    payloads = _denominator_payloads((8, [1, 3, 5, 7], -0.5))  # invalid coupling
+    assert [(p, q, bands) for p, q, bands, _ in payloads] == [(p, 8, ()) for p in (1, 3, 5, 7)]
+    errors = {error for *_, error in payloads}
+    assert errors == {"ValueError: coupling must be nonnegative, got -0.5"}
 
 
 def test_error_rows_serialize_as_comments():
@@ -396,13 +402,13 @@ def test_error_rows_serialize_as_comments():
 
 
 def test_error_rows_mark_incomplete_and_block_component_counts(monkeypatch):
-    fail_one_fraction(monkeypatch, 2, 5)
+    fail_one_denominator(monkeypatch, 5)
     ds = compute_butterfly(5, 1.0)
     assert len(ds.rows) == phi_cumulative(5) + 1
     assert not ds.provenance["complete"]
     back = parse_dataset(serialize_dataset(ds))
     assert {(r.freq.p, r.freq.q): r.error for r in back.rows if r.error} == {
-        (2, 5): "ChambersError: synthetic"}
+        (p, 5): "ChambersError: synthetic" for p in (1, 2, 3, 4)}
     with pytest.raises(ValueError, match="error rows"):
         component_count(back, 1)
 
@@ -418,13 +424,13 @@ def test_order_80_has_no_error_rows(beta):
 
 
 def test_parse_of_serialize_is_the_dataset(monkeypatch):
-    fail_one_fraction(monkeypatch, 3, 7)
+    fail_one_denominator(monkeypatch, 7)
     ds = compute_butterfly(7, 0.8)
     back = parse_dataset(serialize_dataset(ds))
     assert back == ds  # bitwise: freq, bands, every GapRecord and the error text
     assert [r.bands for r in back.rows] == [r.bands for r in ds.rows]
     assert list(back.gap_rows()) == list(ds.gap_rows())
-    assert [r.error for r in back.rows if r.error] == ["ChambersError: synthetic"]
+    assert [r.error for r in back.rows if r.error] == ["ChambersError: synthetic"] * 6
     assert back.provenance == {"config": ds.provenance["config"], "complete": False}
 
 

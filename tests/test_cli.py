@@ -190,15 +190,17 @@ def test_butterfly_render_count_components(tmp_path, capsys):
 
 
 def test_butterfly_partial_failure_exit_status(tmp_path, capsys, monkeypatch):
-    from test_butterfly import fail_one_fraction
+    from test_butterfly import fail_one_denominator
     from harperlab.cli import EXIT_PARTIAL
-    fail_one_fraction(monkeypatch, 2, 5)
+    fail_one_denominator(monkeypatch, 5)
     ds_file = tmp_path / "fly.csv"
     code, _, err = run(["butterfly", "--qmax", "5", "--beta", "1.0", "--workers", "1",
                         "--out", str(ds_file)], capsys)
     assert code == EXIT_PARTIAL and code not in (0, 1, 2)
-    assert err == "1 of 11 fractions failed\n"
-    assert "# error,2,5,ChambersError: synthetic" in ds_file.read_text().splitlines()
+    assert err == "4 of 11 fractions failed\n"
+    lines = ds_file.read_text().splitlines()
+    for p in (1, 2, 3, 4):
+        assert f"# error,{p},5,ChambersError: synthetic" in lines
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harperlab import (BandSet, ChambersError, RationalFrequency, band_edges, chambers,
-                       corner_bands, critical_scan, dual_check, gap_label, gaps,
+                       corner_bands, corner_edges, critical_scan, dual_check, gap_label, gaps,
                        gradient, harper_matrix, hausdorff_intervals, ids,
                        log_potential, track_gap)
 from harperlab.butterfly import butterfly_fractions
 from harperlab.spectrum import _band_measure, _fmt, _verify_phase_independence, gap_csv, gap_table
 from conftest import (center_eigenvalues, interval_union_distance, oracle_band_measure,
-                      oracle_band_sweep, oracle_center_jet, oracle_gap_label,
-                      oracle_harper, oracle_ids_counting)
+                      oracle_band_sweep, oracle_center_jet, oracle_corner_edges,
+                      oracle_gap_label, oracle_harper, oracle_ids_counting)
 
 
 def F(p, q):
@@ -174,6 +174,44 @@ def test_harper_matrix_broadcasts_over_phases():
             assert np.allclose(np.linalg.eigvalsh(single),
                                np.linalg.eigvalsh(oracle_harper(3, 7, beta, a[k], b[i, 0])),
                                atol=1e-13)
+
+
+def numerators(q):
+    return [p for p in range(q + 1) if math.gcd(p, q) == 1 and (p < q or q == 1)]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 2.5])
+def test_corner_edges_match_dense_corners(beta):
+    """The reflection-folded, batched corner solve against one dense
+    eigensolve per corner of every fraction with q <= 40 (0/1, 1/1 and
+    1/2 included); the largest difference measured is 2.7e-14, at
+    1/29, beta 2.5."""
+    for q in range(1, 41):
+        ps = numerators(q)
+        edges = corner_edges(q, ps, beta)
+        assert edges.shape == (len(ps), 2 * q)
+        for p, got in zip(ps, edges):
+            dense = np.sort(np.concatenate([
+                np.linalg.eigvalsh(harper_matrix(F(p, q), beta, t, t).real)
+                for t in (0.0, np.pi / q)]))
+            assert np.max(np.abs(got - dense)) <= 3e-14, (p, q)
+
+
+@pytest.mark.parametrize("p, q", [(1, 45), (5, 58)])
+def test_corner_edges_against_40_digit_corners(p, q):
+    """Both corners of an odd and an even q, against mpmath at 40 digits."""
+    got = corner_edges(q, [p], 1.0)[0]
+    want = np.array([float(x) for x in oracle_corner_edges(p, q, 1.0)])
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 2.5])
+def test_odd_q_corner_edges_are_exactly_mirror_symmetric(beta):
+    """For odd q the lo corner is the negated hi corner, so E -> -E maps
+    the edges onto themselves exactly, not to roundoff."""
+    for q in range(1, 42, 2):
+        edges = corner_edges(q, numerators(q), beta)
+        assert np.array_equal(edges, -edges[:, ::-1])
 
 
 def test_corner_bands_rejects_negative_coupling():
