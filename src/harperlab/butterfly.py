@@ -19,7 +19,7 @@ import numpy as np
 from .rationals import RationalFrequency
 from .numbertheory import farey
 from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, edge_array, gap_csv,
-                       gap_label, gap_records, gap_table, track_gap)
+                       gap_records, gap_table)
 
 FORMAT_VERSION = "2"
 
@@ -124,8 +124,8 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
         raise ValueError("order must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if beta <= 0:
-        raise ValueError("coupling must be positive")
+    if not 0 < beta < np.inf:
+        raise ValueError(f"coupling must be finite and positive, got {beta}")
     freqs = butterfly_fractions(order)
     beta = float(beta)
     digest = _config_hash({"version": FORMAT_VERSION, "Q": order,
@@ -377,41 +377,3 @@ def _spans(start, length):
     """Every index of the runs start[k], ..., start[k] + length[k] - 1, run after run."""
     return np.arange(length.sum()) + np.repeat(start + length - np.cumsum(length), length)
 
-
-@dataclass(frozen=True)
-class PersistenceReport:
-    beta_grid: tuple
-    tracks: tuple
-    closure_flags: tuple  # (freq, label, beta) triples where an open label closed
-
-    @property
-    def all_open(self) -> bool:
-        return not self.closure_flags
-
-
-def persistence_sweep(freqs, beta_grid, max_hall: int = 3,
-                      min_width: float = 1e-9) -> PersistenceReport:
-    """Track every gap whose `gap_label` has |n| <= max_hall across the coupling grid.
-
-    Each gap is tracked once, under its own label, so the even-q central gap
-    (the permanently touching one) appears once, as n = +q/2, and is
-    excluded from closure flagging; everything else must stay open at every
-    coupling.
-    """
-    freqs = list(freqs)
-    grid = tuple(float(b) for b in beta_grid)
-    tracks = []
-    flags = []
-    for freq in freqs:
-        for label, j in sorted((gap_label(j, freq), j) for j in range(1, freq.q)):
-            if abs(label[1]) > max_hall:
-                continue
-            central = freq.q % 2 == 0 and j == freq.q // 2
-            track = track_gap(label, freq, grid, min_width=min_width)
-            tracks.append(track)
-            if central:
-                continue
-            for b, ok in zip(grid, track.open_flags):
-                if not ok:
-                    flags.append((str(freq), label, b))
-    return PersistenceReport(grid, tuple(tracks), tuple(flags))

@@ -33,6 +33,14 @@ from .butterfly import compute_butterfly, parse_dataset, render, serialize_datas
 EXIT_PARTIAL = 3
 
 
+def finite(text: str) -> float:
+    """The type of every float option and grid entry: a finite float (else exit status 2)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="harperlab",
                                  description="Spectral toolkit for the Harper operator "
@@ -54,18 +62,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum")
     add_freq(p)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=finite, required=True)
     add_out(p)
 
     p = sub.add_parser("gaps")
     add_freq(p)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--min-width", type=float, default=1e-9)
+    p.add_argument("--beta", type=finite, required=True)
+    p.add_argument("--min-width", type=finite, default=1e-9)
     add_out(p)
 
     p = sub.add_parser("ids")
     add_freq(p)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=finite, required=True)
     p.add_argument("--energies", required=True,
                    help="comma-separated energies, or lo:hi:n for a grid")
     add_out(p)
@@ -77,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lyapunov")
     add_freq(p)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=finite, required=True)
     p.add_argument("--z", type=str, required=True, help="energy (complex ok for trace)")
     p.add_argument("--method", choices=("transfer", "thouless", "trace", "all"),
                    default="all")
@@ -86,29 +94,29 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("gradient", "hessian"):
         p = sub.add_parser(name)
         add_freq(p)
-        p.add_argument("--beta", type=float, required=True)
-        p.add_argument("--z", type=float, required=True)
+        p.add_argument("--beta", type=finite, required=True)
+        p.add_argument("--z", type=finite, required=True)
         add_out(p)
 
     p = sub.add_parser("critical-scan")
     add_freq(p)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--min-width", type=float, default=1e-9)
-    p.add_argument("--margin-threshold", type=float, default=1e-8)
+    p.add_argument("--beta", type=finite, required=True)
+    p.add_argument("--min-width", type=finite, default=1e-9)
+    p.add_argument("--margin-threshold", type=finite, default=1e-8)
     add_out(p)
 
     p = sub.add_parser("coeffs")
     add_freq(p)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--z", type=float, required=True)
+    p.add_argument("--beta", type=finite, required=True)
+    p.add_argument("--z", type=finite, required=True)
     p.add_argument("--window", type=int, default=12)
     p.add_argument("--kind", choices=("c", "d", "phi", "R+", "R-"), default="c")
     add_out(p)
 
     p = sub.add_parser("decay")
     add_freq(p)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--z", type=float, required=True)
+    p.add_argument("--beta", type=finite, required=True)
+    p.add_argument("--z", type=finite, required=True)
     p.add_argument("--window", type=int, default=12)
     p.add_argument("--kind", choices=("c", "d", "R+", "R-", "phi"), default="d")
     p.add_argument("--offsets", default="-2,-1,0,1,2")
@@ -116,17 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma-check")
     add_freq(p)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--theta1", type=float, default=0.0)
-    p.add_argument("--theta2", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--beta", type=finite, required=True)
+    p.add_argument("--theta1", type=finite, default=0.0)
+    p.add_argument("--theta2", type=finite, default=0.0)
+    p.add_argument("--tol", type=finite, default=1e-10)
     add_out(p)
 
     p = sub.add_parser("butterfly")
     p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=finite, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--min-width", type=float, default=1e-9)
+    p.add_argument("--min-width", type=finite, default=1e-9)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--out", required=True)
 
@@ -165,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_grid(text):
     if ":" in text:
         lo, hi, n = text.split(":")
-        return list(np.linspace(float(lo), float(hi), int(n)))
-    return [float(x) for x in text.split(",")]
+        return list(np.linspace(finite(lo), finite(hi), int(n)))
+    return [finite(x) for x in text.split(",")]
 
 
 def _resolve_freqs(args, parser):
@@ -265,6 +273,8 @@ def _dispatch(args, parser) -> int:
     if cmd == "lyapunov":
         freq = _resolve_freqs(args, parser)[-1]
         z = complex(args.z)
+        if not np.isfinite(z):
+            raise ValueError(f"--z {args.z!r} is not a finite number")
         zr = z.real if z.imag == 0 else z
         rows = []
         if args.method in ("transfer", "all"):

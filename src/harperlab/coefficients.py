@@ -14,14 +14,13 @@ symmetrized mean is the comparison sheet whose subtraction homogenizes c.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rationals import RationalFrequency, pi_fraction_trig
-from .rotation import PhaseGrid
-from .spectrum import chambers, corner_bands, harper_matrix
-from .lyapunov import gradient
+from .rationals import TWO_PI, RationalFrequency, pi_fraction_trig
+from .spectrum import corner_bands, harper_matrix
 
 SIGN_CONVENTION = "resolvent (h-z)^-1; trace normalized; w(p;qe) = exp(-i pi a p qe) u^p v^qe"
 
@@ -76,8 +75,8 @@ class CoefficientSheet:
         return "\n".join(lines) + "\n"
 
 
-def coefficient_sheet(freq: RationalFrequency, beta: float, z: float, window: int = 12,
-                      grid: PhaseGrid | None = None) -> CoefficientSheet:
+def coefficient_sheet(freq: RationalFrequency, beta: float, z: float,
+                      window: int = 12) -> CoefficientSheet:
     """The resolvent coefficient sheet at real z outside the spectrum.
 
     Works on the phase grid: one dense inverse per node, the q x q family of
@@ -85,38 +84,37 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float, window: in
     powers, then a 2-d Fourier average to separate the window indices.  Two
     symmetries of the uniform-gauge matrix cut the inverses to a quarter
     grid.  For real z, H(t1, -t2) = conj H(t1, t2), so T[m, s](t1, -t2)
-    equals conj T[-m mod q, s](t1, t2): only the nodes t2 = 2 pi b / n2 with
-    b = 0..n2//2 are inverted, and b = n2 - b enters as that conjugate.
+    equals conj T[-m mod q, s](t1, t2): only the nodes t2 = 2 pi b / n with
+    b = 0..n//2 are inverted, and b = n - b enters as that conjugate.
     Each t1 row is contracted with the t2 phases as soon as it is built,
     into sums S[a, qe, k] over the diagonal qe mod q of R.  The reflection
     j -> -j mod q maps H(t1, t2) to H(-t1, -t2), which with the conjugation
-    gives S[n1 - a, qe, k] = S[a, -qe, -k mod q]: only the rows a = 0..n1//2
+    gives S[n - a, qe, k] = S[a, -qe, -k mod q]: only the rows a = 0..n//2
     are inverted, and every other row is that index permutation of its
-    mirror, with no conjugation and the same weights.  That is
-    (n1//2 + 1)(n2//2 + 1) inverses instead of n1 n2.  The sweep keeps one
-    (n1, 2 window + 1, q) array and ends in one matrix product over t1.  The
-    default grid keeps the highest window harmonic far below the Nyquist
-    bound, which is enforced.  An entry with an imaginary part above 1e-10
-    raises ArithmeticError.  The grid resolves the sheet only away from the
-    bands: at 2/5, beta 0.5 on a 68 x 68 grid, c(0, 0) is off by a relative
-    1e-15 mid-gap, 9e-4 at 1e-3 from a band edge and 4.8 at 1e-6 (1e-2 on a
-    1089 x 1089 grid), yet every grid's sheet solves the coefficient equations.
+    mirror, with no conjugation and the same weights: (n//2 + 1)^2 inverses
+    on the n x n grid, n the first size >= 4 (window + q) coprime to q, far
+    above the Nyquist bound of the window.  The sweep keeps one
+    (n, 2 window + 1, q) array and ends in one matrix product over t1.  An
+    entry with an imaginary part above 1e-10 raises ArithmeticError.  The
+    grid resolves the sheet only away from the bands: at 2/5, beta 0.5 on
+    its 68 x 68 grid, c(0, 0) is off by a relative 1e-15 mid-gap, 9e-4 at
+    1e-3 from a band edge and 4.8 at 1e-6 (1e-2 on a 1089 x 1089 grid), yet
+    every grid's sheet solves the coefficient equations.
     """
     if beta <= 0:
         raise ValueError("coupling must be positive")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     z = float(z)
     q = freq.q
     if corner_bands(freq, beta).distance(z) <= 0.0:
         raise ValueError(f"z={z} lies in the spectrum at {freq}, beta={beta}")
-    if grid is None:
-        grid = PhaseGrid.for_window(window, q)
-    if min(grid.n1, grid.n2) < 2 * window + 2:
-        raise ValueError(f"grid {grid.n1}x{grid.n2} is below the Nyquist bound "
-                         f"for window {window}")
-    n1, n2 = grid.n1, grid.n2
-    t1, t2 = grid.nodes()
-    b = np.arange(n2 // 2 + 1)
-    t2 = t2[b]
+    n = 4 * (window + q)  # one n for both axes, coprime to q: the first alias lies past 2n
+    while math.gcd(n, q) != 1:
+        n += 1
+    t1 = TWO_PI * np.arange(n) / n
+    b = np.arange(n // 2 + 1)
+    t2 = t1[b]
     j = np.arange(q)
     # harper_matrix carries the hopping phase on the closing bond; the gauge
     # exp(i (k - j) theta2) spreads it over every bond, the gauge of the
@@ -124,23 +122,23 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float, window: in
     gauge = np.exp(1j * (j[:, None] - j[None, :]) * t2[:, None, None])  # [b, k, j]
     k = np.arange(-window, window + 1)
     rows = (j - k[:, None]) % q  # [qe, k]: diagonal qe mod q of R runs over R[(k - qe) % q, k]
-    phases2 = np.exp(1j * np.outer(k, t2)) / n2  # [qe, b]
-    # weights of every inverted node, and of those whose mirror n2 - b is another node
-    weights = np.stack([phases2, phases2 * ((b > 0) & (2 * b < n2))], axis=-1)  # [qe, b, 2]
-    diag_sums = np.empty((n1, k.size, q), dtype=complex)  # S[a, qe, k]
-    for a in range(n1 // 2 + 1):
+    phases2 = np.exp(1j * np.outer(k, t2)) / n  # [qe, b]
+    # weights of every inverted node, and of those whose mirror n - b is another node
+    weights = np.stack([phases2, phases2 * ((b > 0) & (2 * b < n))], axis=-1)  # [qe, b, 2]
+    diag_sums = np.empty((n, k.size, q), dtype=complex)  # S[a, qe, k]
+    for a in range(n // 2 + 1):
         h = harper_matrix(freq, beta, t1[a], t2)
         h[:, j, j] -= z
         R = np.linalg.inv(h * gauge)  # [b, k, j]
         both = R[:, rows, j].transpose(1, 2, 0) @ weights  # [qe, k, 2]
         diag_sums[a] = both[..., 0] + both[..., 1].conj()
-    # the mirror rows: S[n1 - a, qe, k] = S[a, -qe, -k mod q]
-    mirror = np.arange(n1 // 2 + 1, n1)
-    diag_sums[mirror] = diag_sums[n1 - mirror, ::-1][..., -j % q]
+    # the mirror rows: S[n - a, qe, k] = S[a, -qe, -k mod q]
+    mirror = np.arange(n // 2 + 1, n)
+    diag_sums[mirror] = diag_sums[n - mirror, ::-1][..., -j % q]
     omega_pow = np.exp(2j * np.pi * ((np.outer(j, j) * freq.p) % q) / q)  # [k, m]
-    phases1 = np.exp(1j * np.outer(k, t1)) / n1  # [p, a]
+    phases1 = np.exp(1j * np.outer(k, t1)) / n  # [p, a]
     # traces T[m, s] = (1/q) tr(R Omega^m Sigma^s) averaged against both phases: [p, qe, m]
-    sums = (phases1 @ (diag_sums @ omega_pow / q).reshape(n1, -1)).reshape(k.size, k.size, q)
+    sums = (phases1 @ (diag_sums @ omega_pow / q).reshape(n, -1)).reshape(k.size, k.size, q)
     trig = np.array([complex(*pi_fraction_trig(r, q)) for r in range(2 * q)])
     i = np.arange(k.size)
     vals = trig[(-np.outer(k, k) * freq.p) % (2 * q)] * sums[i[:, None], i, (k % q)[:, None]]
@@ -222,6 +220,8 @@ def recursion_sheets(freq: RationalFrequency, beta: float, z: float, window: int
     """
     if not 0 < beta < 1:
         raise ValueError(f"one-sided solutions need 0 < beta < 1, got {beta}")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     if corner_bands(freq, beta).distance(z) <= 0.0:
         raise ValueError(f"z={z} lies in the spectrum")
     P = window
@@ -330,51 +330,3 @@ def vanishing_probe(sheet: CoefficientSheet) -> VanishingReport:
     """Report the two origin-adjacent entries whose joint vanishing is
     forbidden; both vanish when neither exceeds 1e-8."""
     return VanishingReport(sheet.value(0, 0), sheet.value(0, 1), 1e-8)
-
-
-def vanishing_scan(freq: RationalFrequency, beta: float, gap, n_z: int = 41):
-    """min over a gap of max(|c00|, |c01|), via the reduced trace formulas.
-
-    c00 = -dL/dz and c01 = g1, both computed without sheets, so the scan
-    stays accurate arbitrarily close to the band edges; it passes when that
-    minimum exceeds 1e-8.
-    """
-    ch = chambers(freq, beta, verify=False)
-    lo, hi = float(gap.lo), float(gap.hi)
-    pad = (hi - lo) * 1e-6
-    zs = np.linspace(lo + pad, hi - pad, n_z)
-    worst = np.inf
-    argmin = None
-    for z in zs:
-        g = gradient(freq, beta, float(z), ch=ch, edge_distance=0.0)
-        score = max(abs(g.g0), abs(g.g1))  # |c00| = |g0|
-        if score < worst:
-            worst, argmin = score, float(z)
-    return {"freq": str(freq), "beta": beta, "j": gap.j, "min_of_max": worst,
-            "at_z": argmin, "passes": worst > 1e-8}
-
-
-def core_closure_check(freq: RationalFrequency, beta: float, z: float, window: int = 5):
-    """Desk-scale uniqueness behind the forbidden-vanishing principle.
-
-    Assemble the full system on a window with zero outer boundary plus the
-    constraints x(0,0) = x(0,1) = x(0,-1) = 0, and measure the smallest
-    singular value of the stacked operator.  A strictly positive value
-    certifies that the only windowed solution with those vanishings is the
-    zero sheet, so the constrained least-squares solution has every core
-    entry at numerical zero; both numbers are returned.
-    """
-    P = window
-    n = 2 * P + 1
-    e1, e2 = _equations(np.eye(n * n).reshape(n * n, n, n), freq, beta, z)
-    # one operator row per (p, qe, equation), in that order over the interior
-    rows = np.stack([e1, e2], axis=-1).reshape(n * n, -1).T
-    # boundary ring and the vanishing hypotheses as hard rows
-    k = np.arange(-P, P + 1)
-    p, qe = np.meshgrid(k, k, indexing="ij")
-    hard = (np.maximum(abs(p), abs(qe)) == P) | ((p == 0) & (abs(qe) <= 1))
-    a = np.vstack([rows, np.eye(n * n)[hard.ravel()]])
-    smin = float(np.linalg.svd(a, compute_uv=False)[-1])
-    sol, *_ = np.linalg.lstsq(a, np.zeros(len(a)), rcond=None)
-    core = sol.reshape(n, n)[P - 1:P + 2, P - 1:P + 2]
-    return {"sigma_min": smin, "core_max": float(np.max(np.abs(core)))}

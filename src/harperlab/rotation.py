@@ -17,42 +17,6 @@ from .rationals import TWO_PI, RationalFrequency, pi_fraction_trig
 
 
 @dataclass(frozen=True)
-class PhaseGrid:
-    """Uniform tensor grid {(2 pi j/n1, 2 pi k/n2)} on the phase torus.
-
-    Trapezoid averaging over this grid integrates any trigonometric
-    polynomial with harmonic degrees < (n1, n2) exactly, and is
-    exponentially accurate for resolvent-type families.
-    """
-
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("grid sizes must be >= 1")
-
-    @classmethod
-    def for_window(cls, window: int, q: int) -> "PhaseGrid":
-        """Default grid for a coefficient window at denominator q.
-
-        Aliases land on harmonics of lcm(q, n), so a size coprime to q
-        pushes the first alias past 2n and the quadrature is exact to
-        roundoff for the whole window.
-        """
-        import math
-        n = 4 * (window + q)
-        while math.gcd(n, q) != 1:
-            n += 1
-        return cls(n, n)
-
-    def nodes(self):
-        t1 = TWO_PI * np.arange(self.n1) / self.n1
-        t2 = TWO_PI * np.arange(self.n2) / self.n2
-        return t1, t2
-
-
-@dataclass(frozen=True)
 class RotationRep:
     """A q x q unitary pair (u, v) at phases (theta1, theta2)."""
 
@@ -105,25 +69,6 @@ def monomial(rep: RotationRep, p: int, qe: int) -> np.ndarray:
     mat[j, (j - qe) % q] = updiag
     c, s = pi_fraction_trig(-p * qe * freq.p, q)
     return complex(c, s) * np.exp(1j * qe * rep.theta2) * mat
-
-
-def trace_tau(family, grid: PhaseGrid):
-    """Phase-averaged normalized trace of a representation-valued family.
-
-    `family` maps (theta1, theta2) to a matrix.  Raises
-    on non-finite entries (e.g. a resolvent evaluated inside the spectrum).
-    """
-    t1s, t2s = grid.nodes()
-    total = 0.0 + 0.0j
-    count = 0
-    for a in t1s:
-        for b in t2s:
-            m = family(a, b)
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"family has non-finite entries at phases ({a}, {b})")
-            total += np.trace(m) / m.shape[0]
-            count += 1
-    return total / count
 
 
 def hamiltonian(rep: RotationRep, beta: float) -> np.ndarray:

@@ -153,8 +153,8 @@ def chambers(freq: RationalFrequency, beta: float, verify: bool = True) -> Chamb
     5 x 5 phase sample, to 1e-10 times the roundoff scale of the
     eigenvalue product.
     """
-    if beta < 0:
-        raise ValueError(f"coupling must be nonnegative, got {beta}")
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"coupling must be finite and nonnegative, got {beta}")
     q = freq.q
     data = ChambersData(freq, float(beta), tuple(_potential(freq, np.pi / (2.0 * q)).tolist()),
                         -2.0, -2.0 * beta ** q)
@@ -239,8 +239,8 @@ def corner_edges(q: int, ps, beta: float) -> np.ndarray:
     gauged onto the bond (0, 1) both blocks hold W_1..W_{q/2}, the first
     -+ beta and the last +- beta.  q = 2 joins its sites twice (2 beta).
     """
-    if beta < 0:
-        raise ValueError(f"coupling must be nonnegative, got {beta}")
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"coupling must be finite and nonnegative, got {beta}")
     p, half, odd, b = np.asarray(ps, dtype=np.int64)[:, None], q // 2, q % 2, float(beta)
     k = np.arange(half + 1)
     v = 2.0 * np.cos(TWO_PI * (k * p % q) / q)  # hi potentials V_0..V_{q//2}

@@ -7,6 +7,7 @@ and moment expansions.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,8 +15,9 @@ import numpy as np
 from hypothesis import settings
 from scipy.special import ellipk, ellipkm1
 
-from harperlab.rationals import pi_fraction_trig
-from harperlab.spectrum import harper_matrix
+from harperlab.lyapunov import gradient
+from harperlab.rationals import RationalFrequency, pi_fraction_trig
+from harperlab.spectrum import chambers, gap_label, harper_matrix, track_gap
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
@@ -204,21 +206,23 @@ def oracle_trace(p, q, beta, z, n):
     return math.fsum(terms) / (n * n * q)
 
 
-def oracle_coefficient_sheet(p, q, beta, z, window, grid=None):
+def oracle_grid_size(window, q):
+    """The library's sheet grid: n x n, n the first size >= 4 (window + q) coprime to q."""
+    n = 4 * (window + q)
+    while math.gcd(n, q) != 1:
+        n += 1
+    return n
+
+
+def oracle_coefficient_sheet(p, q, beta, z, window):
     """The coefficient sheet c(p, qe) as a (2 window + 1)^2 array, entry by entry.
 
-    Every node of the full n1 x n2 grid gets its own inverse of the
-    uniform-gauge matrix, all q x q clock/shift traces are kept as one
-    (q, q, n1, n2) array, and each entry is its own 2-d Fourier sum, without
-    the conjugate symmetry in t2.  The grid defaults to the library's, n
-    the first size >= 4 (window + q) coprime to q, unless given as (n1, n2).
+    Every node of the full n x n grid of `oracle_grid_size` gets its own
+    inverse of the uniform-gauge matrix, all q x q clock/shift traces are
+    kept as one (q, q, n, n) array, and each entry is its own 2-d Fourier
+    sum, without the conjugate symmetry in t2.
     """
-    if grid is None:
-        n = 4 * (window + q)
-        while math.gcd(n, q) != 1:
-            n += 1
-        grid = (n, n)
-    n1, n2 = grid
+    n1 = n2 = oracle_grid_size(window, q)
     t1, t2 = TWO_PI * np.arange(n1) / n1, TWO_PI * np.arange(n2) / n2
     j = np.arange(q)
     omega_pow = np.exp(2j * np.pi * ((np.outer(j, np.arange(q)) * p) % q) / q)  # [j, m]
@@ -318,12 +322,14 @@ def oracle_recursion_sheets(p, q, beta, z, window):
 
 
 def oracle_core_closure(p, q, beta, z, window):
-    """`core_closure_check` from an operator assembled row by row.
+    """Desk-scale uniqueness behind the forbidden-vanishing principle.
 
-    Per interior index (p, qe) one row for each equation, then a unit row
-    per boundary-ring entry and per vanishing hypothesis x(0,0) = x(0,+-1)
-    = 0; returns the smallest singular value and the largest core entry of
-    the least-squares solution.
+    The full system on the window, assembled row by row: per interior index
+    (p, qe) one row for each equation, then a unit row per boundary-ring
+    entry and per vanishing hypothesis x(0,0) = x(0,+-1) = 0.  Returns the
+    smallest singular value of that operator and the largest core entry of
+    its least-squares solution; a strictly positive value certifies that
+    the only windowed solution with those vanishings is the zero sheet.
     """
     P = window
     n = 2 * P + 1
@@ -357,6 +363,34 @@ def oracle_core_closure(p, q, beta, z, window):
     sol, *_ = np.linalg.lstsq(mat, np.zeros(len(rows)), rcond=None)
     core = sol.reshape(n, n)[P - 1:P + 2, P - 1:P + 2]
     return {"sigma_min": smin, "core_max": float(np.max(np.abs(core)))}
+
+
+def oracle_chern_numbers(p, q, beta, n1, n2):
+    """Chern numbers of the lowest j bands, j = 1..q-1, by Fukui-Hatsugai-Suzuki.
+
+    Eigenvectors of `harper_matrix` on the n1 x n2 mesh of theta1 in
+    [0, 2 pi) and theta2 in [0, 2 pi / q); the matrix is periodic on both,
+    so the mesh closes on itself.  The link U_mu(k) of the lowest j bands
+    is the determinant of the j x j overlap of the frames at k and at the
+    next node k + e_mu, and the Chern number is the sum over plaquettes of
+    arg(U_1(k) U_2(k + e_1) / (U_1(k + e_2) U_2(k))) over 2 pi, an integer
+    up to roundoff.  Entry j - 1 belongs to gap j; a closed gap has no
+    projector, so its entry means nothing.
+    """
+    t1 = TWO_PI * np.arange(n1) / n1
+    t2 = TWO_PI * np.arange(n2) / (n2 * q)
+    _, vecs = np.linalg.eigh(harper_matrix(RationalFrequency(p, q), beta,
+                                           t1[:, None], t2[None, :]))  # [a, b, site, band]
+    links = []
+    for axis in (0, 1):
+        overlap = np.swapaxes(vecs.conj(), -1, -2) @ np.roll(vecs, -1, axis=axis)
+        links.append(np.stack([np.linalg.det(overlap[..., :j, :j]) for j in range(1, q)],
+                              axis=-1))  # [a, b, j]
+    u1, u2 = links
+    flux = np.angle(u1 * np.roll(u2, -1, axis=0) / (np.roll(u1, -1, axis=1) * u2))
+    chern = flux.sum(axis=(0, 1)) / TWO_PI
+    assert np.max(np.abs(chern - np.round(chern)), initial=0.0) <= 1e-9, chern
+    return np.round(chern).astype(int)
 
 
 def oracle_gap_label(j, p, q):
@@ -530,3 +564,87 @@ def oracle_component_count(ds, hall):
         comps.setdefault(find(key), []).append(key)
     members = tuple(tuple(sorted(v)) for v in sorted(comps.values(), key=lambda v: sorted(v)[0]))
     return len(comps), members
+
+
+# Test instruments on top of the library's public routes, not oracles: a
+# phase-grid trace of any matrix family, a sheet-free vanishing scan and a
+# coupling sweep of labelled gaps.
+
+def trace_tau(family, n):
+    """Phase-averaged normalized trace of a representation-valued family.
+
+    `family` maps (theta1, theta2) to a matrix; the average runs over the
+    n x n grid of phases 2 pi k / n.  Raises on non-finite entries (e.g. a
+    resolvent evaluated inside the spectrum).
+    """
+    ts = TWO_PI * np.arange(n) / n
+    total = 0.0 + 0.0j
+    count = 0
+    for a in ts:
+        for b in ts:
+            m = family(a, b)
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"family has non-finite entries at phases ({a}, {b})")
+            total += np.trace(m) / m.shape[0]
+            count += 1
+    return total / count
+
+
+def vanishing_scan(freq, beta, gap, n_z=41):
+    """min over a gap of max(|c00|, |c01|), via the reduced trace formulas.
+
+    c00 = -dL/dz and c01 = g1, both computed without sheets, so the scan
+    stays accurate arbitrarily close to the band edges; it passes when that
+    minimum exceeds 1e-8.
+    """
+    ch = chambers(freq, beta, verify=False)
+    lo, hi = float(gap.lo), float(gap.hi)
+    pad = (hi - lo) * 1e-6
+    zs = np.linspace(lo + pad, hi - pad, n_z)
+    worst = np.inf
+    argmin = None
+    for z in zs:
+        g = gradient(freq, beta, float(z), ch=ch, edge_distance=0.0)
+        score = max(abs(g.g0), abs(g.g1))  # |c00| = |g0|
+        if score < worst:
+            worst, argmin = score, float(z)
+    return {"freq": str(freq), "beta": beta, "j": gap.j, "min_of_max": worst,
+            "at_z": argmin, "passes": worst > 1e-8}
+
+
+@dataclass(frozen=True)
+class PersistenceReport:
+    beta_grid: tuple
+    tracks: tuple
+    closure_flags: tuple  # (freq, label, beta) triples where an open label closed
+
+    @property
+    def all_open(self) -> bool:
+        return not self.closure_flags
+
+
+def persistence_sweep(freqs, beta_grid, max_hall=3, min_width=1e-9):
+    """Track every gap whose `gap_label` has |n| <= max_hall across the coupling grid.
+
+    Each gap is tracked once, under its own label, so the even-q central gap
+    (the permanently touching one) appears once, as n = +q/2, and is
+    excluded from closure flagging; everything else must stay open at every
+    coupling.
+    """
+    freqs = list(freqs)
+    grid = tuple(float(b) for b in beta_grid)
+    tracks = []
+    flags = []
+    for freq in freqs:
+        for label, j in sorted((gap_label(j, freq), j) for j in range(1, freq.q)):
+            if abs(label[1]) > max_hall:
+                continue
+            central = freq.q % 2 == 0 and j == freq.q // 2
+            track = track_gap(label, freq, grid, min_width=min_width)
+            tracks.append(track)
+            if central:
+                continue
+            for b, ok in zip(grid, track.open_flags):
+                if not ok:
+                    flags.append((str(freq), label, b))
+    return PersistenceReport(grid, tuple(tracks), tuple(flags))

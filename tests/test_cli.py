@@ -292,6 +292,31 @@ def test_validation_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["butterfly", "--qmax", "3", "--beta", "nan"],
+    ["critical-scan", "--alpha", "5/8", "--beta", "0.5", "--min-width", "nan"],
+    ["ids", "--alpha", "5/8", "--beta", "0.5", "--energies", "nan"],
+    ["ids", "--alpha", "5/8", "--beta", "0.5", "--energies=-inf:4:5"],
+    ["lyapunov", "--alpha", "5/8", "--beta", "0.5", "--method", "thouless", "--z", "nan"],
+    ["lyapunov", "--alpha", "5/8", "--beta", "0.5", "--method", "trace", "--z", "1+infj"],
+    ["spectrum", "--alpha", "5/8", "--beta", "inf"],
+    ["track", "--alpha", "5/8", "--m", "0", "--n", "1", "--beta-grid", "0.1,nan"],
+    ["coeffs", "--alpha", "5/8", "--beta", "0.5", "--z", "4", "--window", "-1"],
+    ["decay", "--alpha", "5/8", "--beta", "0.5", "--z", "4", "--window", "-2", "--kind", "d"],
+])
+def test_non_finite_numbers_and_negative_windows_exit_two(tmp_path, capsys, argv):
+    """Refused with status 2, by the parser or the command, before any file is written."""
+    out_file = tmp_path / "out.txt"
+    try:
+        code = main(argv + ["--out", str(out_file)])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and not out_file.exists()
+    assert "not a finite number" in err or "invalid finite value" in err or \
+        "window must be >= 0" in err
+
+
 def test_gradient_beyond_float_range_exits_two(capsys):
     # |P(5)| at 377/610, beta = 1 exceeds float64: refused, never printed as NaN
     code, out, err = run(["gradient", "--alpha", "377/610", "--beta", "1", "--z", "5"], capsys)

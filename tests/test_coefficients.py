@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from harperlab import (PhaseGrid, RationalFrequency, build_phi, chambers, coefficient_sheet,
-                       core_closure_check, decay_rate, gaps, gradient,
-                       recursion_sheets, symmetrized_sheet, system_residual,
-                       vanishing_probe, vanishing_scan)
-from conftest import (oracle_coefficient_sheet, oracle_core_closure, oracle_moment,
-                      oracle_recursion_sheets, oracle_system_residual)
+from harperlab import (RationalFrequency, build_phi, coefficient_sheet, decay_rate, gaps,
+                       gradient, recursion_sheets, symmetrized_sheet, system_residual,
+                       vanishing_probe)
+from conftest import (oracle_coefficient_sheet, oracle_core_closure, oracle_grid_size,
+                      oracle_moment, oracle_recursion_sheets, oracle_system_residual,
+                      vanishing_scan)
 
 F = RationalFrequency
 
@@ -38,42 +38,43 @@ def test_sheet_rejects_z_in_spectrum():
         coefficient_sheet(F(1, 3), 0.5, 0.1, window=3)
 
 
-def test_sheet_rejects_undersized_grid():
-    with pytest.raises(ValueError):
-        coefficient_sheet(F(1, 3), 0.5, 4.2, window=8, grid=PhaseGrid(8, 8))
-
-
 @pytest.mark.parametrize("p, q, beta, z, window, grid", [
     (5, 8, 0.5, 4.0, 24, None),
     (8, 13, 0.5, 4.0, 24, None),
     (1, 2, 0.5, -3.5, 6, None),
     (0, 1, 0.5, 4.0, 5, None),
     (1, 1, 0.5, 4.0, 5, None),
-    (3, 7, 0.4, 4.1, 5, (13, 17)),
-    (3, 7, 0.4, -4.1, 5, (16, 12)),
-    (2, 5, 0.7, 3.9, 4, (10, 11)),
-    (1, 3, 0.5, 4.2, 3, (9, 8)),
+    (3, 7, 0.4, 4.1, 5, (48, 48)),
+    (3, 7, 0.4, -4.1, 5, (48, 48)),
+    (2, 5, 0.7, 3.9, 4, (36, 36)),
+    (1, 3, 0.5, 4.2, 3, (25, 25)),
     (2, 5, 0.5, "gap", 6, None),
     (3, 5, 1.5, "gap", 6, None),
-    (2, 3, 2.0, "gap", 6, (15, 16)),
-    (4, 9, 0.6, "gap", 4, (11, 14)),
+    (2, 3, 2.0, "gap", 6, (37, 37)),
+    (4, 9, 0.6, "gap", 4, (52, 52)),
 ])
 def test_sheet_equals_the_full_grid_oracle(p, q, beta, z, window, grid):
     """The quarter-grid, streamed sheet gives the full-grid, entry-by-entry
-    Fourier sums, on default grids and on odd, even and unequal ones, at
-    couplings on both sides of the self-dual point."""
+    Fourier sums, at couplings on both sides of the self-dual point.  Where
+    `grid` is given it states the default grid at that point, so the cases
+    cover odd and even n, which the fold treats apart."""
+    if grid is not None:
+        assert (oracle_grid_size(window, q),) * 2 == grid
     if z == "gap":
         z = widest_gap(F(p, q), beta).midpoint
-    got = coefficient_sheet(F(p, q), beta, z, window=window,
-                            grid=None if grid is None else PhaseGrid(*grid)).values
-    want = oracle_coefficient_sheet(p, q, beta, z, window, grid)
+    got = coefficient_sheet(F(p, q), beta, z, window=window).values
+    want = oracle_coefficient_sheet(p, q, beta, z, window)
     assert np.max(np.abs(want.imag)) <= 1e-10
     assert np.max(np.abs(got - want.real)) <= 1e-13 * np.max(np.abs(want.real))
 
 
-@pytest.mark.parametrize("grid", [(16, 12), (15, 16), (13, 17), (10, 11), (9, 8)])
+@pytest.mark.parametrize("grid", [(3, 7, 3, 40), (3, 7, 7, 57), (1, 3, 3, 25), (2, 5, 4, 36),
+                                  (2, 3, 6, 37)])
 def test_sheet_inverts_a_quarter_grid(monkeypatch, grid):
-    """Only the nodes a = 0..n1//2, b = 0..n2//2 are inverted, for even and odd sizes."""
+    """Each case is a default grid, the sheet point (p, q, window) and its
+    size n, the first n >= 4 (window + q) coprime to q: only the nodes
+    a, b = 0..n//2 are inverted, for even and odd n."""
+    p, q, window, n = grid
     inv, count = np.linalg.inv, [0]
 
     def counting(a):
@@ -81,9 +82,16 @@ def test_sheet_inverts_a_quarter_grid(monkeypatch, grid):
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counting)
-    coefficient_sheet(F(3, 7), 0.4, 4.1, window=3, grid=PhaseGrid(*grid))
-    n1, n2 = grid
-    assert count[0] == (n1 // 2 + 1) * (n2 // 2 + 1)
+    coefficient_sheet(F(p, q), 2.0, 7.0, window=window)
+    assert count[0] == (n // 2 + 1) ** 2
+
+
+@pytest.mark.parametrize("window", [-1, -2])
+def test_sheets_refuse_a_negative_window(window):
+    with pytest.raises(ValueError, match=f"window must be >= 0, got {window}"):
+        coefficient_sheet(F(2, 5), 0.5, 4.0, window=window)
+    with pytest.raises(ValueError, match=f"window must be >= 0, got {window}"):
+        recursion_sheets(F(2, 5), 0.5, 4.0, window=window)
 
 
 @pytest.mark.parametrize("side", ["lo", "hi"])
@@ -143,15 +151,6 @@ def test_system_residual_window_zero():
     sheet = CoefficientSheet("c", F(1, 3), 0.5, 4.2, 0, np.ones((1, 1)))
     res = system_residual(sheet, 0.5, 4.2)
     assert (res.max_residual, res.origin_inhomogeneity, res.n_points) == (0.0, None, 0)
-
-
-@pytest.mark.parametrize("p,q", [(5, 8), (8, 13), (1, 3), (2, 5)])
-def test_core_closure_equals_the_row_by_row_operator_bitwise(p, q):
-    freq, beta = F(p, q), 0.7
-    z = widest_gap(freq, beta).midpoint
-    for window in (3, 5):
-        assert core_closure_check(freq, beta, z, window=window) == \
-            oracle_core_closure(p, q, beta, z, window)
 
 
 def test_one_sided_sheets_support_and_seed():
@@ -308,7 +307,7 @@ def test_origin_vanishing_forces_zero_on_window():
     """
     freq, beta = F(2, 5), 0.5
     z = widest_gap(freq, beta).midpoint
-    out = core_closure_check(freq, beta, z, window=5)
+    out = oracle_core_closure(2, 5, beta, z, 5)
     assert out["sigma_min"] > 1e-8
     assert out["core_max"] <= 1e-8
 

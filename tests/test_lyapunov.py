@@ -7,11 +7,11 @@ import pytest
 from harperlab import (RationalFrequency, band_edges, chambers, critical_scan,
                        gaps, gradient, hessian, log_potential,
                        lyapunov_thouless, lyapunov_trace, lyapunov_transfer,
-                       PhaseGrid, build_rep, hamiltonian, vanishing_scan)
+                       build_rep, hamiltonian)
 from harperlab import lyapunov, spectrum
 from harperlab._torus import _psi_count, averages
 from conftest import (center_eigenvalues, oracle_average_inverse, oracle_moment,
-                      oracle_orbit_transfer, oracle_trace)
+                      oracle_orbit_transfer, oracle_trace, vanishing_scan)
 
 F = RationalFrequency
 
@@ -215,12 +215,11 @@ def test_gradient_matches_phase_grid_trace():
     freq, beta, z = F(1, 3), 0.5, 4.2
     q = freq.q
     n = 48
-    grid = PhaseGrid(n, n)
-    t1, t2 = grid.nodes()
+    nodes = 2 * np.pi * np.arange(n) / n
     g0_acc = 0.0
     g1_acc = 0.0
-    for a in t1:
-        for b in t2:
+    for a in nodes:
+        for b in nodes:
             rep = build_rep(freq, a, b)
             h = hamiltonian(rep, beta)
             r = np.linalg.inv(z * np.eye(q) - h)

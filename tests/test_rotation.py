@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from harperlab import (RationalFrequency, build_rep, build_uv, hamiltonian,
                        lam_phase, max_norm, monomial, neumann_inverse,
-                       rho_images, sigma_images, trace_tau, PhaseGrid)
+                       rho_images, sigma_images)
+from conftest import trace_tau
 
 RNG = np.random.default_rng(20240811)
 
@@ -74,21 +75,19 @@ def test_monomial_adjoint_and_unitary(p, qe, pq):
 
 def test_trace_identity_and_monomial_orthogonality():
     freq = RationalFrequency(1, 5)
-    grid = PhaseGrid(8, 8)
-    val = trace_tau(lambda a, b: build_rep(freq, a, b).u @ np.zeros((5, 5)) + np.eye(5), grid)
+    val = trace_tau(lambda a, b: build_rep(freq, a, b).u @ np.zeros((5, 5)) + np.eye(5), 8)
     assert abs(val - 1.0) <= 1e-14
-    val = trace_tau(lambda a, b: monomial(build_rep(freq, a, b), 2, 3), grid)
+    val = trace_tau(lambda a, b: monomial(build_rep(freq, a, b), 2, 3), 8)
     assert abs(val) <= 1e-12
 
 
 def test_trace_kills_every_window_monomial():
     # delta at the origin across the whole window once the grid clears it
     freq = RationalFrequency(2, 5)
-    grid = PhaseGrid(9, 9)
     for p in range(-4, 5):
         for qe in range(-4, 5):
             val = trace_tau(lambda a, b, p=p, qe=qe:
-                            monomial(build_rep(freq, a, b), p, qe), grid)
+                            monomial(build_rep(freq, a, b), p, qe), 9)
             expect = 1.0 if (p, qe) == (0, 0) else 0.0
             assert abs(val - expect) <= 1e-12
 
@@ -96,19 +95,17 @@ def test_trace_kills_every_window_monomial():
 def test_trace_of_squared_hamiltonian():
     freq = RationalFrequency(1, 3)
     beta = 0.5
-    grid = PhaseGrid(8, 8)
 
     def family(a, b):
         h = hamiltonian(build_rep(freq, a, b), beta)
         return h @ h
 
-    val = trace_tau(family, grid)
+    val = trace_tau(family, 8)
     assert abs(val - (2 + 2 * beta ** 2)) <= 1e-12
 
 
 def test_trace_is_tracial_on_random_polynomials():
     freq = RationalFrequency(2, 5)
-    grid = PhaseGrid(16, 16)
     coeffs = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
 
     def poly(rep, shift):
@@ -126,12 +123,11 @@ def test_trace_is_tracial_on_random_polynomials():
         rep = build_rep(freq, a, b)
         return poly(rep, 0.25) @ poly(rep, 0.0)
 
-    assert abs(trace_tau(ab, grid) - trace_tau(ba, grid)) <= 1e-10
+    assert abs(trace_tau(ab, 16) - trace_tau(ba, 16)) <= 1e-10
 
 
 def test_trace_rejects_nonfinite():
     freq = RationalFrequency(1, 2)
-    grid = PhaseGrid(4, 4)
 
     def family(a, b):
         rep = build_rep(freq, a, b)
@@ -139,7 +135,7 @@ def test_trace_rejects_nonfinite():
         return h if abs(np.cos(a)) > 1e-12 else np.full((2, 2), np.inf)
 
     with pytest.raises(ValueError):
-        trace_tau(family, grid)
+        trace_tau(family, 4)
 
 
 def test_trace_grid_error_decays_for_resolvent():
@@ -150,8 +146,8 @@ def test_trace_grid_error_decays_for_resolvent():
         h = hamiltonian(build_rep(freq, a, b), 0.5)
         return np.linalg.inv(h - z * np.eye(3))
 
-    ref = trace_tau(family, PhaseGrid(64, 64))
-    errs = [abs(trace_tau(family, PhaseGrid(n, n)) - ref) for n in (2, 4, 8)]
+    ref = trace_tau(family, 64)
+    errs = [abs(trace_tau(family, n) - ref) for n in (2, 4, 8)]
     floor = 1e-14
     assert errs[1] <= errs[0] + floor and errs[2] <= errs[1] + floor
     assert errs[2] <= 1e-10

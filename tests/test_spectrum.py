@@ -11,11 +11,12 @@ from harperlab import (BandSet, ChambersError, RationalFrequency, band_edges, ch
                        corner_bands, corner_edges, critical_scan, dual_check, gap_label, gaps,
                        gradient, harper_matrix, hausdorff_intervals, ids,
                        log_potential, track_gap)
-from harperlab.butterfly import butterfly_fractions
+from harperlab.butterfly import (butterfly_fractions, compute_butterfly, parse_dataset,
+                                 serialize_dataset)
 from harperlab.spectrum import _band_measure, _fmt, _verify_phase_independence, gap_csv, gap_table
 from conftest import (center_eigenvalues, interval_union_distance, oracle_band_measure,
-                      oracle_band_sweep, oracle_center_jet, oracle_corner_edges,
-                      oracle_gap_label, oracle_harper, oracle_ids_counting)
+                      oracle_band_sweep, oracle_center_jet, oracle_chern_numbers,
+                      oracle_corner_edges, oracle_gap_label, oracle_harper, oracle_ids_counting)
 
 
 def F(p, q):
@@ -368,6 +369,46 @@ def test_gap_records_carry_gap_label_and_exact_ids():
             ids_num, ids_den = line.split(",")[5:7]
             assert Fraction(int(ids_num), int(ids_den)) == g.ids_value
             assert math.gcd(int(ids_num), int(ids_den)) == 1
+
+
+def _open_gaps(table):
+    """(j, n) of the open gaps of a `gap_table`."""
+    j, _, n, _ = table[table[:, 3] == 1].T
+    return j, n
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_hall_numbers_are_minus_the_chern_numbers(beta):
+    """The Hall number n that the congruence j = m q + n p assigns is measured
+    from the operator: it is minus the lattice Chern number of the lowest j
+    bands, on every open gap of every fraction with q <= 13."""
+    checked = 0
+    for q in range(2, 14):
+        for p in (p for p in range(1, q) if math.gcd(p, q) == 1):
+            table = gap_table(F(p, q), beta, corner_bands(F(p, q), beta).bands, 1e-9)
+            j, n = _open_gaps(table)
+            assert np.array_equal(-oracle_chern_numbers(p, q, beta, 4 * q, 6)[j - 1], n), \
+                (p, q, beta)
+            checked += len(j)
+    assert checked == 456  # every gap but the closed central ones of even q
+
+
+def test_dataset_hall_numbers_are_minus_the_chern_numbers():
+    ds = parse_dataset(serialize_dataset(compute_butterfly(8, 0.7)))
+    checked = 0
+    for row in ds.rows:
+        j, n = _open_gaps(row.table)
+        if len(j):
+            p, q = row.freq.p, row.freq.q
+            assert np.array_equal(-oracle_chern_numbers(p, q, ds.beta, 4 * q, 6)[j - 1], n), \
+                row.freq
+            checked += len(j)
+    assert checked == 92  # the 101 gaps of q <= 8 but the 9 closed central ones
+
+
+def test_chern_numbers_keep_when_the_mesh_doubles():
+    assert np.array_equal(oracle_chern_numbers(5, 13, 1.0, 52, 6),
+                          oracle_chern_numbers(5, 13, 1.0, 104, 12))
 
 
 def test_gap_label_examples():

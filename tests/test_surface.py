@@ -1,9 +1,11 @@
 import argparse
 import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
+import harperlab
 from harperlab.cli import build_parser
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -18,7 +20,12 @@ def test_surface_prints_metric_lines_and_counts_the_parser_commands():
     matches = [bench_record.METRIC.match(ln) for ln in out.splitlines()]
     assert all(matches)
     metrics = {m.group(1): int(m.group(2)) for m in matches}
-    assert list(metrics) == ["src_lines", "defaulted_params", "cli_commands", "cli_options"]
+    assert list(metrics) == ["src_lines", "defaulted_params", "cli_commands", "cli_options",
+                             "public_names"]
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert metrics["cli_commands"] == len(sub.choices)
+    # every public name of the package that is not one of its modules is an import
+    exported = [n for n in vars(harperlab)
+                if not n.startswith("_") and not inspect.ismodule(getattr(harperlab, n))]
+    assert metrics["public_names"] == len(exported)
     assert metrics["cli_options"] > metrics["cli_commands"] and metrics["src_lines"] > 0

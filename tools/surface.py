@@ -12,6 +12,7 @@ format `tools/bench_record.py` reads:
   default, over every function and lambda in those modules (AST walk);
 * `cli_commands`: subcommands of `harperlab`;
 * `cli_options`: options summed over the subcommands, without `-h`.
+* `public_names`: names that `harperlab/__init__.py` imports (AST walk).
 
 Standard library plus harperlab only.
 """
@@ -39,6 +40,12 @@ def source_counts(package: Path):
     return lines, defaulted
 
 
+def public_names(init: Path) -> int:
+    """Names imported by the package's `__init__.py`."""
+    return sum(len(node.names) for node in ast.walk(ast.parse(init.read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
 def cli_counts(parser: argparse.ArgumentParser):
     """(subcommands, options summed over them, without -h) of the parser."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -54,7 +61,8 @@ def main() -> int:
     lines, defaulted = source_counts(SRC / "harperlab")
     commands, options = cli_counts(build_parser())
     for name, value in (("src_lines", lines), ("defaulted_params", defaulted),
-                        ("cli_commands", commands), ("cli_options", options)):
+                        ("cli_commands", commands), ("cli_options", options),
+                        ("public_names", public_names(SRC / "harperlab" / "__init__.py"))):
         print(f"# {name} = {value}")
     return 0
 
