@@ -4,40 +4,58 @@ Everything the trace state assigns to functions of the Hamiltonian reduces,
 through the determinant decomposition, to averages of y^k / D^m and of
 log|D| over the phase torus, with A the characteristic polynomial value and
 (B, C) the two cosine amplitudes.  The phi-average has closed forms; the
-remaining psi-integral is analytic whenever |A| > |B| + |C| and is done by
-a trapezoid rule whose size adapts to the distance of the singularities
-from the real axis, so accuracy degrades gracefully even in very narrow
-gaps.
+remaining psi-integral is a trapezoid sized by the half-width of its
+analyticity strip, one rule (`strip`, `nodes`) that also sizes the phases
+of the transfer and trace routes.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
+# each kernel at the psi nodes, from y = cos(psi), g = |A + C y| - |B|, |B| and
+# the root of the phi-average; m1 and n1 also carry the sign of A
+_KERNELS = {
+    'm1': lambda y, g, b, root: 1.0 / root,
+    'n1': lambda y, g, b, root: y / root,
+    'm2': lambda y, g, b, root: (g + b) / root ** 3,
+    'n2': lambda y, g, b, root: y * (g + b) / root ** 3,
+    'k2': lambda y, g, b, root: y * y * (g + b) / root ** 3,
+    # log((|a| + root)/2), in log1p form to keep a log near 0 accurate at |B| = 2
+    'log': lambda y, g, b, root: np.log1p(0.5 * (g + root) + (0.5 * b - 1.0)),
+}
 
-def margin(A: float, B: float, C: float) -> float:
-    """|A| - |B| - |C|; positive iff the kernel is nonsingular on the torus."""
-    return abs(A) - abs(B) - abs(C)
+
+def strip(A, B: float, C: float) -> float:
+    """Half-width in psi of the analyticity strip of D = A + B cos(phi) + C cos(psi):
+    arccosh(1 + (|A| - |B| - |C|)/|C|) for real A, in log1p form, and for
+    complex A |Im arccos w| at the point w of -(A + |B| [-1, 1])/|C| nearest
+    the imaginary axis (its level sets are ellipses with foci +-1).  0 on the
+    spectrum, inf when C = 0."""
+    if C == 0:
+        return math.inf
+    if isinstance(A, complex) and A.imag:
+        t = max(-1.0, min(1.0, -A.real / abs(B))) if B else 0.0
+        return abs(cmath.acos(-(A + abs(B) * t) / abs(C)).imag)
+    eps = (abs(A) - abs(B) - abs(C)) / abs(C)
+    return math.log1p(eps + math.sqrt(eps * (eps + 2.0))) if eps > 0 else 0.0  # inf past overflow
+
+
+def nodes(width: float, cap: int) -> int | None:
+    """max(8, ceil(40/width)) trapezoid nodes, whose error falls like
+    exp(-n width) in a strip of that half-width; None above cap."""
+    return max(8, math.ceil(40.0 / width)) if width * cap >= 40.0 else None
 
 
 def _psi_count(A: float, B: float, C: float) -> int:
-    """Trapezoid size so that the quadrature error is below roundoff.
-
-    The integrand's complex singularities sit at cos(psi) = (+-|B| - A)/C,
-    a relative distance eps = margin/|C| beyond the interval; the analyticity
-    strip has width arccosh(1 + eps), and the error decays like exp(-n*strip).
-    Unless C = 0, the size is a power of two between 256 and 2^22.
-    """
-    Ca = abs(C)
-    if Ca == 0.0:
-        return 4  # integrand constant in psi; 4 nodes still average y to 0 exactly
-    eps = margin(A, B, C) / Ca
-    if eps <= 0:
-        raise ValueError("kernel singular on the torus")
-    strip = np.log1p(eps + np.sqrt(eps * (eps + 2.0)))
-    if np.isinf(strip):  # eps^2 overflowed: |C| is negligible against the margin
-        return 256
-    return int(min(max(256, 2.0 ** np.ceil(np.log2(48.0 / max(strip, 1e-12)))), 1 << 22))
+    """The psi-trapezoid size of `averages`: `nodes` clipped to 2^22."""
+    width = strip(A, B, C)
+    if width == 0:
+        raise ValueError("averages require |A| > |B| + |C| (point off the spectrum)")
+    return nodes(width, 1 << 22) or 1 << 22
 
 
 def averages(A: float, B: float, C: float, kinds):
@@ -48,35 +66,23 @@ def averages(A: float, B: float, C: float, kinds):
       'm2' -> <1/D^2>      'n2' -> <y/D^2>      'k2' -> <y^2/D^2>
       'log' -> <log|D|>
     where x = cos(phi), y = cos(psi), D = A + B x + C y.  The phi-average
-    is exact; psi is a trapezoid sized by the analyticity strip, evaluated
-    in chunks so narrow-gap requests stay memory-bounded.
+    is exact, with the root sqrt(a^2 - B^2), a = A + C y, written as
+    sqrt(g (g + 2|B|)), g = |a| - |B| = M + |C| (1 + t y), M = |A| - |B| - |C|
+    and t = sign(A C): 1 + t y = 2 cos^2(psi/2) or 2 sin^2(psi/2) keeps every
+    digit of a small M, which a^2 - B^2 loses.  psi is a trapezoid of
+    `_psi_count` nodes, in chunks that bound the memory of narrow gaps.
     """
     kinds = tuple(kinds)
-    if margin(A, B, C) <= 0:
-        raise ValueError("averages require |A| > |B| + |C| (point off the spectrum)")
     n = _psi_count(A, B, C)
-    acc = {k: 0.0 for k in kinds}
-    B2 = B * B
-    chunk = 1 << 20
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n))
-        y = np.cos(2.0 * np.pi * idx / n)
-        Ay = A + C * y
-        root = np.sqrt(Ay * Ay - B2)
+    sign = math.copysign(1.0, A)
+    t = 1.0 if sign * C >= 0 else -1.0
+    half = np.cos if t > 0 else np.sin
+    Ba, M = abs(B), abs(A) - abs(B) - abs(C)
+    acc = dict.fromkeys(kinds, 0.0)
+    for start in range(0, n, 1 << 20):
+        h = 2.0 * half(np.pi * np.arange(start, min(start + (1 << 20), n)) / n) ** 2  # 1 + t y
+        y, g = t * (h - 1.0), M + abs(C) * h
+        root = np.sqrt(g * (g + 2.0 * Ba))
         for k in kinds:
-            if k == 'm1':
-                vals = np.sign(Ay) / root
-            elif k == 'm2':
-                vals = np.abs(Ay) / root ** 3
-            elif k == 'n1':
-                vals = y * np.sign(Ay) / root
-            elif k == 'n2':
-                vals = y * np.abs(Ay) / root ** 3
-            elif k == 'k2':
-                vals = y * y * np.abs(Ay) / root ** 3
-            elif k == 'log':
-                vals = np.log(0.5 * (np.abs(Ay) + root))
-            else:
-                raise ValueError(f"unknown kernel kind {k!r}")
-            acc[k] += float(np.sum(vals))
-    return {k: acc[k] / n for k in kinds}
+            acc[k] += float(np.sum(_KERNELS[k](y, g, Ba, root)))
+    return {k: (sign if k in ('m1', 'n1') else 1.0) * acc[k] / n for k in kinds}

@@ -25,8 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .rationals import TWO_PI, RationalFrequency
-from .spectrum import BandSet, ChambersData, band_edges, chambers, corner_bands, harper_matrix, ids
-from ._torus import averages
+from .spectrum import BandSet, ChambersData, band_edges, chambers, harper_matrix, ids
+from ._torus import averages, nodes, strip
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,9 @@ class HessianRecord:
         return self.d2z * self.d2beta - self.dzdbeta ** 2
 
 
-# phases the transfer route averages over; the analyticity strip could size it instead
-_TRANSFER_PHASES = 256
+# phase caps: the transfer's, also its count on and near the spectrum, and the trace's
+_TRANSFER_CAP = 256
+_TRACE_CAP = 512
 
 
 def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovValue:
@@ -73,17 +74,21 @@ def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovV
 
     The product over one period is exact and the growth rate is log of the
     larger monodromy-eigenvalue modulus divided by the period, averaged over
-    `_TRANSFER_PHASES` phases.  A monodromy or its squared trace outside the
+    phases x.  The trace P(E) + c2 cos(2 pi q x) makes that average 1/q
+    periodic with the strip `strip(P, c1, c2)`: `nodes` phases on [0, 1/q),
+    capped at `_TRANSFER_CAP`.  A monodromy or its squared trace outside the
     float64 range raises ArithmeticError.
     """
     p, q = freq.p, freq.q
-    th = np.arange(_TRANSFER_PHASES) / _TRANSFER_PHASES
+    ch = chambers(freq, beta, verify=False)
+    n = nodes(strip(ch.P(energy), ch.c1, ch.c2), _TRANSFER_CAP) or _TRANSFER_CAP
+    th = np.arange(n) / (n * q)
     dtype = complex if np.iscomplexobj(np.asarray(energy)) else float
-    m00 = m11 = np.ones(_TRANSFER_PHASES, dtype=dtype)  # each step builds new arrays
-    m01 = m10 = np.zeros(_TRANSFER_PHASES, dtype=dtype)
+    m00 = m11 = np.ones(n, dtype=dtype)  # each step builds new arrays
+    m01 = m10 = np.zeros(n, dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-        for n in range(q):
-            a = energy - 2.0 * beta * np.cos(TWO_PI * (th + n * p / q))
+        for m in range(q):
+            a = energy - 2.0 * beta * np.cos(TWO_PI * (th + m * p / q))
             m00, m01, m10, m11 = a * m00 - m10, a * m01 - m11, m00, m01
         tr = m00 + m11
         # eigenvalues t/2 +- sqrt(t^2/4 - 1); unit modulus pair contributes zero
@@ -138,38 +143,37 @@ def lyapunov_thouless(bands: BandSet, energy) -> LyapunovValue:
     return LyapunovValue(bands.beta, energy, total, "thouless")
 
 
-def lyapunov_trace(freq: RationalFrequency, beta: float, z,
-                   grid_size: int | None = None) -> LyapunovValue:
+def lyapunov_trace(freq: RationalFrequency, beta: float, z) -> LyapunovValue:
     """tau(log|h - z|) = (1/q) log|det(h - z)| by LU over the phase torus.
 
     Each phase row takes one batched `slogdet` of h - z, which costs an LU
     factorization per node where the eigenvalues would cost an eigensolve.
     The spectrum is 2 pi / q periodic in each phase, so the n x n grid
-    t_k = 2 pi k / (n q) lives on the fundamental domain.  Its size n adapts
-    to the analyticity strip of the integrand, which shrinks as z
-    approaches the spectrum.  The spectrum is also even in each phase
-    separately: complex conjugation maps H(t1, t2) to H(t1, -t2), and the
-    reflection j -> -j maps t1 to -t1.  So indices k and n - k carry the
-    same eigenvalues, and only k = 0..n//2 is factored on each axis, with
-    weight 2 on interior indices and 1 on k = 0 and, for even n, k = n/2:
-    (n//2 + 1)^2 determinants instead of n^2.  Neither the LU nor the
-    symmetries use the determinant decomposition, which only sizes the
-    real-z grid, so the value stays independent of the other two routes.
+    t_k = 2 pi k / (n q) lives on the fundamental domain.  n is `nodes` of
+    the narrower strip of det(z - h) = P(z) + c1 cos(q t1) + c2 cos(q t2);
+    above `_TRACE_CAP`, the spectrum included, z is refused.  The spectrum
+    is also even in each phase separately: complex conjugation maps
+    H(t1, t2) to H(t1, -t2), and the reflection j -> -j maps t1 to -t1.  So
+    indices k and n - k carry the same eigenvalues, and only k = 0..n//2 is
+    factored on each axis, with weight 2 on interior indices and 1 on k = 0
+    and, for even n, k = n/2: (n//2 + 1)^2 determinants instead of n^2.
+    Neither the LU nor the symmetries use the determinant decomposition,
+    which only sizes the grid, so the value stays independent of the other
+    two routes.
     """
-    dist = corner_bands(freq, beta).distance(z)
-    if dist < 1e-8:
-        raise ValueError(f"z={z} is within 1e-08 of the spectrum")
-    if grid_size is None:
-        if float(np.imag(z)) == 0.0:
-            ch = chambers(freq, beta, verify=False)
-            m = abs(ch.P(float(np.real(z)))) - ch.amplitude
-            m = max(m, 1e-15)
-            strip = min(np.arccosh(1.0 + m / 2.0),
-                        np.arccosh(1.0 + m / max(abs(ch.c2), 1e-300)))
-            grid_size = int(np.clip(np.ceil(40.0 / strip), 32, 512))
-        else:
-            grid_size = int(np.clip(np.ceil(96.0 / np.sqrt(min(dist, 1.0))), 64, 512))
-    q, n = freq.q, grid_size
+    ch = chambers(freq, beta, verify=False)
+    P = ch.P(z)
+    width = min(strip(P, ch.c1, ch.c2), strip(P, ch.c2, ch.c1))
+    n = nodes(width, _TRACE_CAP)
+    if n is None:
+        raise ValueError(f"z={z} is too close to the spectrum: its phase strip {width:.3g} "
+                         f"needs more than {_TRACE_CAP} nodes")
+    return LyapunovValue(float(beta), z, _trace_sum(freq, beta, z, n), "trace")
+
+
+def _trace_sum(freq: RationalFrequency, beta: float, z, n: int) -> float:
+    """The mirror-folded n x n grid sum of `lyapunov_trace`."""
+    q = freq.q
     k = np.arange(n // 2 + 1)
     t = TWO_PI * k / (n * q)
     w = np.where((k == 0) | (2 * k == n), 1.0, 2.0)  # k and n - k fold onto one node
@@ -179,7 +183,7 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z,
         h = harper_matrix(freq, beta, a, t)
         h[:, j, j] -= z
         total += wa * float(w @ np.linalg.slogdet(h).logabsdet) / q
-    return LyapunovValue(float(beta), z, total / (n * n), "trace")
+    return total / (n * n)
 
 
 def log_potential(ch: ChambersData, z: float) -> float:
@@ -196,12 +200,14 @@ def _averages(ch: ChambersData, z: float, P: float, kinds) -> dict:
     """`averages` of D = P(z) + c1 x + c2 y, refused where D^2 inside it, or
     root^3 for the second-order kernels, would overflow."""
     power = 3 if {"m2", "n2", "k2"} & set(kinds) else 2
-    if abs(P) + ch.amplitude >= np.finfo(float).max ** (1.0 / power):
+    if abs(P) + abs(ch.c1) + abs(ch.c2) >= np.finfo(float).max ** (1.0 / power):
         raise ArithmeticError(f"the torus kernels leave the float64 range at q={ch.q}, E={z}")
     return averages(P, ch.c1, ch.c2, kinds)
 
 
 def _resolve(freq, beta, ch):
+    if ch is not None and (ch.freq, ch.beta) != (freq, beta):
+        raise ValueError(f"ch is built for {ch.freq} at beta={ch.beta}, not {freq} at beta={beta}")
     return chambers(freq, beta, verify=False) if ch is None else ch
 
 

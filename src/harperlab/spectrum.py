@@ -86,13 +86,8 @@ class ChambersData:
     def q(self) -> int:
         return self.freq.q
 
-    @property
-    def amplitude(self) -> float:
-        """Total cosine range |c1| + |c2|."""
-        return abs(self.c1) + abs(self.c2)
-
     def jet(self, E, order: int = 2):
-        """P and its partials up to total order 0, 1 or 2 at E (a float or an array).
+        """P and its partials up to total order 0, 1 or 2 at E (a number or an array).
 
         Returns (P,), (P, P', dP/dbeta) or
         (P, P', P'', dP/dbeta, dP'/dbeta, d2P/dbeta2).  Both columns of the
@@ -104,7 +99,10 @@ class ChambersData:
         applied at the end.  A value outside the float64 range raises
         ArithmeticError.
         """
-        E = np.asarray(E, dtype=float) if np.ndim(E) else float(E)
+        if np.ndim(E):
+            E = np.asarray(E, dtype=complex if np.iscomplexobj(E) else float)
+        else:  # isinstance, as np.iscomplexobj would slow the scalar calls of root finding
+            E = complex(E) if isinstance(E, complex) else float(E)
         s = self.beta * self.beta
         u, up, v, vp = 1.0, 0.0, 0.0, 1.0
         ue = us = upe = ups = ve = vs = vpe = vps = 0.0

@@ -260,6 +260,48 @@ def oracle_average_inverse(A, B, C):
     return math.copysign(1.0, A) * (2.0 / math.pi) * K / math.sqrt(den)
 
 
+def oracle_torus_kernels(A, B, C, dps=40):
+    """The six kernels of `_torus.averages` at the given floats, by dps-digit quadrature.
+
+    The phi-average is the textbook one, 1/sqrt(a^2 - B^2) and
+    log((|a| + sqrt(a^2 - B^2))/2) with a = A + C cos(psi), evaluated at dps
+    digits so its cancellation costs nothing; psi runs over [0, pi] by
+    tanh-sinh on panels that shrink geometrically toward the end where |a|
+    is least, down to a sixteenth of the peak's width there.  Values are
+    floats.
+    """
+    with mp.workdps(dps):
+        A, B, C = mp.mpf(A), abs(mp.mpf(B)), mp.mpf(C)
+        sign = mp.sign(A)
+        end = mp.pi if sign * C > 0 else mp.mpf(0)  # where a = A + C y is nearest 0
+        width = mp.acosh((abs(A) - B) / abs(C)) if C else mp.inf  # the peak's psi scale
+        depth = max(1, int(mp.ceil(mp.log(16 / width, 2)))) if width < 1 else 1
+        cuts = sorted({end + (mp.pi / 2 - end) * mp.mpf(2) ** -k for k in range(0, depth + 1, 2)}
+                      | {mp.mpf(0), mp.pi})
+
+        memo = {}
+
+        def parts(psi):  # every kernel's quadrature visits the same nodes
+            if psi not in memo:
+                y = mp.cos(psi)
+                a = abs(A + C * y)
+                memo[psi] = y, a, mp.sqrt((a - B) * (a + B))
+            return memo[psi]
+
+        def kernel(f):
+            return float(mp.quad(f, cuts) / mp.pi)
+
+        out = {}
+        for name, f in (("m1", lambda y, a, r: sign / r),
+                        ("n1", lambda y, a, r: y * sign / r),
+                        ("m2", lambda y, a, r: a / r ** 3),
+                        ("n2", lambda y, a, r: y * a / r ** 3),
+                        ("k2", lambda y, a, r: y * y * a / r ** 3),
+                        ("log", lambda y, a, r: mp.log((a + r) / 2))):
+            out[name] = kernel(lambda psi, f=f: f(*parts(psi)))
+        return out
+
+
 def oracle_system_residual(sheet, beta, s):
     """(max residual, origin value, point count) of both difference equations.
 

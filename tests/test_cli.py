@@ -326,7 +326,7 @@ def test_gradient_beyond_float_range_exits_two(capsys):
 
 
 def test_transfer_beyond_float_range_exits_two(capsys):
-    # the monodromy at 377/610, beta = 1, z = 4.5 leaves float64: exit 2, no NaN
+    # P at 377/610, beta = 1, z = 4.5 leaves float64: exit 2, no NaN
     code, out, err = run(["lyapunov", "--alpha", "377/610", "--beta", "1", "--z", "4.5",
                           "--method", "transfer"], capsys)
     assert code == 2
