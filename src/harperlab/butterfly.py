@@ -1,15 +1,20 @@
 """Batch computation and rendering of the Hofstadter butterfly.
 
-One work unit is one denominator: the corner edges of all its missing
-numerators come from one batched solve.  Rows are merged in (q, p) order
-regardless of completion order, so the dataset is byte-identical across
-worker counts and across checkpoint interruptions.
+The denominator is the unit from solve to file: the corner edges of all its
+missing numerators come from one batched solve and its rows' gap tables from
+one `gap_tables` call.  The journal and the dataset file hold one band line
+per fraction, read back by one parser that checks all lines at once.  Rows
+are merged in (q, p) order regardless of completion order, so the dataset is
+byte-identical across worker counts and across checkpoint interruptions.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,8 +23,8 @@ import numpy as np
 
 from .rationals import RationalFrequency
 from .numbertheory import farey
-from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, edge_array, gap_csv,
-                       gap_records, gap_table)
+from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, edge_array, edge_text,
+                       gap_csv, gap_records, gap_tables)
 
 FORMAT_VERSION = "2"
 
@@ -61,34 +66,66 @@ def butterfly_fractions(order: int):
 
 
 def _denominator_payloads(args):
-    """Worker body: a payload (p, q, bands, error) per p of (q, ps, beta); an exception
-    is recorded, not raised, as an error payload for every p, its text on one line."""
+    """Worker body: a payload (p, q, edges, error) per p of (q, ps, beta), edges the list of
+    its corner edges; an exception is recorded, not raised, as an error payload for every p."""
     q, ps, beta = args
     try:
-        return [(p, q, list(zip(e[0::2], e[1::2])), None)
-                for p, e in zip(ps, corner_edges(q, ps, beta).tolist())]
+        return [(p, q, e, None) for p, e in zip(ps, corner_edges(q, ps, beta).tolist())]
     except Exception as exc:  # a failed denominator must not abort the batch
-        error = " ".join(f"{type(exc).__name__}: {exc}".split())
+        error = " ".join(f"{type(exc).__name__}: {exc}".split())  # its text on one line
         return [(p, q, (), error) for p in ps]
 
 
-def _band_payload(p, q, edges):
-    """The payload (p, q, bands, None) of 2q finite, non-decreasing edges, else ValueError."""
-    if len(edges) != 2 * q:
-        raise ValueError(f"band line for {p}/{q} has {len(edges)} edges, not {2 * q}")
-    flat = np.array(edges, dtype=float)
-    if not (np.all(np.isfinite(flat)) and np.all(flat[1:] >= flat[:-1])):
-        raise ValueError(f"band line for {p}/{q} has edges that are not finite and "
-                         f"non-decreasing")
-    return (p, q, list(zip(edges[0::2], edges[1::2])), None)
+def _row_line(p, q, text, error):
+    """The error line of p/q, or its band line with the edge text: a line of the dataset."""
+    return f"# error,{p},{q},{error}\n" if error else f"# bands,{p},{q},{text}\n"
 
 
-def _build_row(payload, beta, min_width) -> FractionRow:
-    """The one way to build a row: its gap table is derived from its bands."""
-    p, q, bands, error = payload
-    freq = RationalFrequency(p, q)
-    bands = tuple(map(tuple, bands))
-    return FractionRow(freq, beta, bands, gap_table(freq, beta, bands, min_width), error)
+def _read_payloads(lines):
+    """The payloads (p, q, edges, error) of band and error lines, keyed by (p, q).
+
+    Band lines must hold 2q finite, non-decreasing edges, checked over all lines
+    at once; the first line that fails, that is neither a band nor an error
+    line, or that repeats a p/q raises ValueError."""
+    payloads = []
+    for ln in lines:
+        kind, *fields = ln.rstrip("\n").split(",", 3)
+        if kind not in ("# bands", "# error") or len(fields) != 3:
+            raise ValueError(f"{ln[:40].rstrip()!r} is not a band or error line")
+        p, q, rest = int(fields[0]), int(fields[1]), fields[2]
+        payloads.append((p, q, np.array(rest.split(","), dtype=float), None)
+                        if kind == "# bands" else (p, q, (), rest))
+    bands = [payload for payload in payloads if payload[3] is None]
+    flat = np.concatenate([edges for _, _, edges, _ in bands] + [np.zeros(0)])
+    line = np.repeat(np.arange(len(bands)), [len(edges) for _, _, edges, _ in bands])
+    bad = ~np.isfinite(flat) | np.r_[False, (np.diff(flat) < 0) & (np.diff(line) == 0)]
+    failed = [k for k, (_, q, edges, _) in enumerate(bands) if len(edges) != 2 * q]
+    failed += line[bad].tolist()
+    if failed:
+        p, q, edges, _ = bands[min(failed)]
+        raise ValueError(f"band line for {p}/{q} has " + (
+            f"{len(edges)} edges, not {2 * q}" if len(edges) != 2 * q
+            else "edges that are not finite and non-decreasing"))
+    done = {}
+    for payload in payloads:
+        if done.setdefault(payload[:2], payload) is not payload:
+            raise ValueError(f"dataset has two band or error lines for {payload[0]}/{payload[1]}")
+    return done
+
+
+def _build_rows(freqs, payloads, beta, min_width):
+    """The rows of the fractions from their payloads keyed by (p, q): per denominator,
+    one `gap_tables` call over the edge block of its band rows."""
+    rows = []
+    for q, group in itertools.groupby(freqs, key=lambda f: f.q):
+        group = [(f, payloads[(f.p, q)][2:]) for f in group]
+        ps = [f.p for f, (_, error) in group if error is None]
+        block = np.array([e for _, (e, error) in group if error is None]).reshape(-1, 2 * q)
+        made = dict(zip(ps, zip(block.tolist(), gap_tables(q, ps, beta, block, min_width))))
+        for f, (_, error) in group:
+            e, table = made[f.p] if error is None else ((), np.zeros((0, 4), dtype=np.int64))
+            rows.append(FractionRow(f, beta, tuple(zip(e[0::2], e[1::2])), table, error))
+    return tuple(rows)
 
 
 def _atomic_write(path, text):
@@ -163,53 +200,43 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
     finally:
         if pending:
             flush()
-    rows = tuple(_build_row(done[(f.p, f.q)], beta, min_width) for f in freqs)
+    rows = _build_rows(freqs, done, beta, min_width)
     return ButterflyDataset(beta, order, rows, min_width,
                             provenance={"config": digest,
                                         "complete": not any(row.error for row in rows)})
 
 
-def _journal_header(digest):
-    return json.dumps({"config": digest}) + "\n"
-
-
 def _resume_journal(path, digest):
     """Payloads journalled under this configuration, keyed by (p, q).
 
-    The journal is a header line with the configuration digest and then one
-    JSON payload per line.  A missing file or another header starts it
-    afresh; a torn last line (an interrupted append) is dropped, and the
-    journal is rewritten without it so later appends start on a new line.
-    A whole line that is not a payload, or whose bands fail the dataset
-    file's band-line checks, raises ValueError naming the journal.
+    The journal is a header line with the configuration digest and the line
+    format, then the dataset file's band and error lines.  A missing file or
+    another header (a journal of JSON payloads has one) starts it afresh; a
+    torn last line (an interrupted append) is dropped and the journal rewritten
+    without it.  A line the dataset parser refuses raises ValueError naming it.
     """
-    lines = []
+    header, lines = json.dumps({"config": digest, "journal": "lines"}) + "\n", []
     if os.path.exists(path):
         with open(path) as fh:
             lines = fh.readlines()
-    clean = bool(lines) and lines[0] == _journal_header(digest)
-    done = {}
+    clean = lines[:1] == [header]
     try:
-        for line in lines[1:] if clean else ():
-            if not line.endswith("\n"):
-                clean = False
-                break
-            p, q, bands, error = payload = json.loads(line)
-            done[(p, q)] = payload if error else _band_payload(p, q, [x for b in bands for x in b])
-    except (ValueError, TypeError) as exc:
+        done = _read_payloads([ln for ln in lines[1:] if clean and ln.endswith("\n")])
+    except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
-    if not clean:
-        _flush_checkpoint(path, [done[k] for k in sorted(done)], header=_journal_header(digest))
+    if not (clean and lines[-1].endswith("\n")):
+        _flush_checkpoint(path, [done[k] for k in sorted(done)], header=header)
     return done
 
 
 def _flush_checkpoint(path, payloads, header=None):
-    """The journal's one write site: append one line per payload.
+    """The journal's one write site: append the band or error line of each payload.
 
     With a header the journal starts afresh instead, replaced atomically by
-    the header followed by the payloads.
+    the header followed by the lines.
     """
-    text = "".join(json.dumps(p) + "\n" for p in payloads)
+    text = "".join(_row_line(p, q, error or edge_text(edges), error)
+                   for p, q, edges, error in payloads)
     if header is None:
         with open(path, "a") as fh:
             fh.write(text)
@@ -219,57 +246,40 @@ def _flush_checkpoint(path, payloads, header=None):
 
 def serialize_dataset(dataset: ButterflyDataset) -> str:
     """Header and gap CSV columns, then per row an error line, or a band line and its gaps."""
-    beta = _fmt(dataset.beta)
-    head = (f"# version={FORMAT_VERSION},Q={dataset.order},beta={beta},"
-            f"min_width={_fmt(dataset.min_width)},config={dataset.provenance.get('config', '')},"
-            f"convention=farey-(0-1]-plus-zero,label_tiebreak=+q/2")
-    lines = [head, GAP_CSV_HEADER]
-    for row in dataset.rows:
-        p, q = row.freq.p, row.freq.q
-        if row.error:
-            lines.append(f"# error,{p},{q},{row.error}")
-            continue
+    beta, out = _fmt(dataset.beta), io.StringIO()  # row by row: no list of all row text
+    out.write(f"# version={FORMAT_VERSION},Q={dataset.order},beta={beta},"
+              f"min_width={_fmt(dataset.min_width)},config={dataset.provenance.get('config', '')},"
+              f"convention=farey-(0-1]-plus-zero,label_tiebreak=+q/2\n{GAP_CSV_HEADER}\n")
+    for row in dataset.rows:  # an error row has no edges and no gaps: no text
         text, gap_lines = gap_csv(row.freq, beta, row.bands, row.table)
-        lines.append(f"# bands,{p},{q}," + ",".join(text))
-        lines.extend(gap_lines)
-    return "\n".join(lines) + "\n"
+        out.write(_row_line(row.freq.p, row.freq.q, text, row.error) + gap_lines)
+    return out.getvalue()
 
 
 def parse_dataset(text: str) -> ButterflyDataset:
     """The dataset of a file, read from its header, band and error lines (gaps are derived).
 
-    A missing header, another format version, a fraction with neither a
-    band nor an error line (a truncated file) or with two of them, and a
-    band line whose edges are not finite and non-decreasing (every file
-    `serialize_dataset` writes has sorted edges) raise ValueError.
+    Only the header and the lines that start with "# " are read.  A missing
+    header, another format version, a fraction with neither a band nor an
+    error line (a truncated file) or with two of them, and a band line whose
+    edges are not finite and non-decreasing (every file `serialize_dataset`
+    writes has sorted edges) raise ValueError.
     """
-    lines = text.splitlines()
-    meta = dict(kv.split("=", 1) for kv in lines[0][2:].split(",") if "=" in kv) if lines else {}
-    if not ({"Q", "beta", "min_width"} <= meta.keys() and lines[0].startswith("# version=")):
+    head = text[:text.find("\n")] if "\n" in text else text
+    meta = dict(kv.split("=", 1) for kv in head[2:].split(",") if "=" in kv)
+    if not ({"Q", "beta", "min_width"} <= meta.keys() and head.startswith("# version=")):
         raise ValueError("not a butterfly dataset: no '# version=,Q=,beta=,min_width=' header")
     if meta["version"] != FORMAT_VERSION:
         raise ValueError(f"dataset format version {meta['version']} is not {FORMAT_VERSION} "
                          f"and has no band lines; recompute it with `harperlab butterfly`")
     order, beta, min_width = int(meta["Q"]), float(meta["beta"]), float(meta["min_width"])
-    payloads = {}
-    for ln in lines:
-        if ln.startswith("# bands,"):
-            _, p, q, *edges = ln.split(",")
-            payload = _band_payload(int(p), int(q), [float(x) for x in edges])
-        elif ln.startswith("# error,"):
-            _, p, q, error = ln.split(",", 3)
-            payload = (int(p), int(q), (), error)
-        else:
-            continue
-        if payload[:2] in payloads:
-            raise ValueError(f"dataset has two band or error lines for {p}/{q}")
-        payloads[payload[:2]] = payload
-    rows = []
-    for freq in butterfly_fractions(order):
+    payloads = _read_payloads(m[1] for m in re.finditer(r"\n(# .*)", text))
+    freqs = butterfly_fractions(order)
+    for freq in freqs:
         if (freq.p, freq.q) not in payloads:
             raise ValueError(f"dataset has no band or error line for {freq}; truncated file?")
-        rows.append(_build_row(payloads[(freq.p, freq.q)], beta, min_width))
-    return ButterflyDataset(beta, order, tuple(rows), min_width,
+    rows = _build_rows(freqs, payloads, beta, min_width)
+    return ButterflyDataset(beta, order, rows, min_width,
                             provenance={"config": meta.get("config", ""),
                                         "complete": not any(row.error for row in rows)})
 

@@ -241,12 +241,12 @@ def _dispatch(args, parser) -> int:
         return 0
 
     if cmd == "gaps":
-        lines = [header, GAP_CSV_HEADER]
+        text = [f"{header}\n{GAP_CSV_HEADER}\n"]
         for freq in _resolve_freqs(args, parser):
             bands = corner_bands(freq, args.beta).bands
             table = gap_table(freq, args.beta, bands, args.min_width)
-            lines.extend(gap_csv(freq, _fmt(args.beta), bands, table)[1])
-        _emit(args, "\n".join(lines) + "\n")
+            text.append(gap_csv(freq, _fmt(args.beta), bands, table)[1])
+        _emit(args, "".join(text))
         return 0
 
     if cmd == "ids":

@@ -365,14 +365,14 @@ def gap_label(j: int, freq: RationalFrequency):
     q, p = freq.q, freq.p
     if not 1 <= j <= q - 1:
         raise ValueError(f"gap index must satisfy 1 <= j <= q-1, got {j}")
-    m, n = (int(x) for x in _labels(np.array(j), p, q))
+    m, n = (int(x) for x in _labels(np.array(j), p, pow(p, -1, q), q))
     assert m * q + n * p == j
     return m, n
 
 
-def _labels(j: np.ndarray, p: int, q: int):
-    """`gap_label` of every entry of an int array j, as arrays (m, n)."""
-    n = j * pow(p, -1, q) % q
+def _labels(j: np.ndarray, p, inv, q: int):
+    """`gap_label` of every entry of an int array j, as arrays (m, n); inv is p^-1 mod q."""
+    n = j * inv % q
     n = np.where(2 * n > q, n - q, n)  # n = q/2 keeps the positive representative
     return (j - n * p) // q, n
 
@@ -406,23 +406,27 @@ GAP_CSV_HEADER = "p,q,beta,gap_lo,gap_hi,ids_num,ids_den,m,n,width"
 
 
 def gap_csv(freq: RationalFrequency, beta_text: str, bands, table: np.ndarray):
-    """The `_fmt` text of the bands' edges, and one `GAP_CSV_HEADER` line per
-    row of a `gap_table` of them.
+    """The `_fmt` text of the bands' edges, comma-joined, and the `GAP_CSV_HEADER`
+    lines of a `gap_table` of them, each ending in a newline: one %-format each.
 
     The ends of gap j are band edges 2j - 1 and 2j of `edge_array`, so their
     text is taken from the edge text; the IDS j/q is written in lowest terms.
     """
-    p, q = freq.p, freq.q
-    edges = edge_array(bands)
-    text = [_fmt(x) for x in edges.tolist()]
+    edges = tuple(itertools.chain.from_iterable(bands))
+    text = edge_text(edges)
+    parts, q = text.split(","), freq.q
     j, m, n, _ = table.T
     cut = np.gcd(j, q)
-    width = edges[2 * j] - edges[2 * j - 1]
-    prefix = f"{p},{q},{beta_text},"
-    lines = [f"{prefix}{text[2 * k - 1]},{text[2 * k]},{num},{den},{a},{b},{_fmt(w)}"
-             for k, num, den, a, b, w in zip(j.tolist(), (j // cut).tolist(), (q // cut).tolist(),
-                                             m.tolist(), n.tolist(), width.tolist())]
-    return text, lines
+    lo = (2 * j - 1).tolist()
+    cols = zip([parts[k] for k in lo], [parts[k + 1] for k in lo], (j // cut).tolist(),
+               (q // cut).tolist(), m.tolist(), n.tolist(), [edges[k + 1] - edges[k] for k in lo])
+    line = f"{freq.p},{q},{beta_text},%s,%s,%d,%d,%d,%d,%.17g\n"
+    return text, line * len(lo) % tuple(itertools.chain.from_iterable(cols))
+
+
+def edge_text(edges) -> str:
+    """The `_fmt` text of a sequence of floats, comma-joined, in one %-format."""
+    return ",".join(["%.17g"] * len(edges)) % tuple(edges)
 
 
 def _fmt(x) -> str:
@@ -439,21 +443,27 @@ def edge_array(bands) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(bands), float, 2 * len(bands))
 
 
-def gap_table(freq: RationalFrequency, beta: float, bands, min_width: float) -> np.ndarray:
-    """The reported gaps of the bands as an int64 array of rows (j, m, n, open), in array ops.
+def gap_tables(q: int, ps, beta: float, edges, min_width: float) -> list:
+    """The reported gaps of each p/q, p in ps, from its row of the (len(ps), 2q) edges:
+    int64 tables of rows (j, m, n, open), in array ops over the block.
 
-    Gap j runs from the top of band j to the bottom of band j + 1, band
-    edges 2j - 1 and 2j of `edge_array`.  Every gap wider than min_width is
-    open (1); the even-q central touching is always reported, closed (0);
-    (m, n) is its `gap_label`.  Neither beta = 0 (the free case) nor an empty
-    band list (an error row) has gaps.
+    Gap j runs from edge 2j - 1 to edge 2j; it is open (1) if wider than
+    min_width, and the even-q central touching is reported closed (0); (m, n)
+    is its `gap_label`.  At beta = 0, or with no edges (an error row), no gaps.
     """
-    edges = edge_array(bands).reshape(-1, 2)
-    j = np.arange(1, len(edges))
-    is_open = edges[1:, 0] - edges[:-1, 1] > min_width
-    j = j[(is_open | (2 * j == freq.q)) & (beta != 0.0)]
-    m, n = _labels(j, freq.p, freq.q)
-    return np.stack([j, m, n, is_open[j - 1]], axis=1)
+    is_open = edges[:, 2::2] - edges[:, 1:-1:2] > min_width
+    j = np.arange(1, is_open.shape[1] + 1)
+    row, col = np.nonzero((is_open | (2 * j == q)) & (beta != 0.0))  # gap j = col + 1
+    inv = np.array([pow(int(p), -1, q) for p in ps], dtype=np.int64)
+    m, n = _labels(col + 1, np.asarray(ps, dtype=np.int64)[row], inv[row], q)
+    table = np.stack([col + 1, m, n, is_open[row, col]], axis=1)
+    ends = np.searchsorted(row, np.arange(len(ps) + 1)).tolist()
+    return [table[a:b] for a, b in zip(ends[:-1], ends[1:])]
+
+
+def gap_table(freq: RationalFrequency, beta: float, bands, min_width: float) -> np.ndarray:
+    """The `gap_tables` table of one fraction's bands."""
+    return gap_tables(freq.q, [freq.p], beta, edge_array(bands)[None], min_width)[0]
 
 
 def gap_records(freq: RationalFrequency, beta: float, bands, table: np.ndarray):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from harperlab import (ChambersError, RationalFrequency, butterfly_fractions, ch
                        component_count, compute_butterfly, hall_color,
                        parse_dataset, phi_cumulative, render,
                        serialize_dataset, track_gap)
-from harperlab.spectrum import GAP_CSV_HEADER, GapRecord, _config_hash, corner_edges
+from harperlab.spectrum import GAP_CSV_HEADER, GapRecord, _config_hash, corner_edges, gap_table
 from conftest import (oracle_band_sweep, oracle_component_count, oracle_render_ppm,
                       oracle_render_svg, oracle_serialize_dataset, persistence_sweep)
 
@@ -87,8 +88,19 @@ def test_worker_counts_byte_identical():
     assert a == b
 
 
+def journal_row(line):
+    """(p, q, edges, error) of a journal line, one of the dataset file's band or error lines."""
+    kind, p, q, rest = line.rstrip("\n").split(",", 3)
+    if kind == "# error":
+        return int(p), int(q), [], rest
+    assert kind == "# bands"
+    return int(p), int(q), [float(x) for x in rest.split(",")], None
+
+
 def journal_lines(path):
-    return [json.loads(ln) for ln in path.read_text().splitlines()]
+    """The journal's JSON header, then (p, q, edges, error) per line."""
+    head, *lines = path.read_text().splitlines()
+    return [json.loads(head)] + [journal_row(ln) for ln in lines]
 
 
 def missing_rows(order, journalled):
@@ -119,7 +131,7 @@ def test_checkpoint_resume_after_torn_line(tmp_path, monkeypatch):
     ck.write_text(text[:-20])  # an append interrupted mid-line
     assert not ck.read_text().endswith("\n")
     # the torn line is lost
-    journalled = [tuple(json.loads(ln)[:2]) for ln in ck.read_text().splitlines()[1:-1]]
+    journalled = [journal_row(ln)[:2] for ln in ck.read_text().splitlines()[1:-1]]
     assert len(journalled) == 5
     calls = rows_computed(monkeypatch)
     resumed = compute_butterfly(6, 0.7, checkpoint_path=str(ck))
@@ -134,7 +146,7 @@ def test_journal_holds_header_and_one_line_per_row(tmp_path, monkeypatch):
     monkeypatch.setattr(butterfly_module, "_CHECKPOINT_EVERY", 3)
     ds = compute_butterfly(6, 0.7, checkpoint_path=str(ck))
     head, *payloads = journal_lines(ck)
-    assert head == {"config": ds.provenance["config"]}
+    assert head == {"config": ds.provenance["config"], "journal": "lines"}
     assert sorted((p[0], p[1]) for p in payloads) == sorted((r.freq.p, r.freq.q)
                                                             for r in ds.rows)
     # a finished journal is reused as is: nothing recomputed, nothing appended
@@ -155,12 +167,12 @@ def test_corrupt_journal_rows_are_refused(tmp_path, capsys, corruption):
     compute_butterfly(4, 0.7, checkpoint_path=str(ck))
     lines = ck.read_text().splitlines(keepends=True)
     for i, ln in enumerate(lines[1:], start=1):
-        p, q, bands, error = json.loads(ln)
-        if corruption == "one_band_at_1_3" and (p, q) == (1, 3):
-            lines[i] = json.dumps([p, q, bands[:1], error]) + "\n"
-        elif corruption == "nan_edge_at_1_2" and (p, q) == (1, 2):
-            bands[0][1] = float("nan")
-            lines[i] = json.dumps([p, q, bands, error]) + "\n"
+        kind, p, q, *edges = ln.rstrip("\n").split(",")
+        if corruption == "one_band_at_1_3" and (p, q) == ("1", "3"):
+            lines[i] = ",".join([kind, p, q, *edges[:2]]) + "\n"  # the first band only
+        elif corruption == "nan_edge_at_1_2" and (p, q) == ("1", "2"):
+            edges[1] = "nan"  # the first band's hi
+            lines[i] = ",".join([kind, p, q, *edges]) + "\n"
     ck.write_text("".join(lines))
     match = ("band line for 1/3 has 2 edges, not 6" if corruption == "one_band_at_1_3"
              else "band line for 1/2 has edges that are not finite")
@@ -171,6 +183,16 @@ def test_corrupt_journal_rows_are_refused(tmp_path, capsys, corruption):
                  "--out", str(out)])
     assert code == 2 and not out.exists()
     assert capsys.readouterr().err.startswith(f"error: checkpoint {ck}: {match}")
+
+
+def test_journal_line_that_is_no_row_line_is_refused(tmp_path):
+    ck = tmp_path / "state.jsonl"
+    compute_butterfly(4, 0.7, checkpoint_path=str(ck))
+    with ck.open("a") as fh:
+        fh.write("[1, 3, [[-1.0, 1.0]], null]\n")  # a JSON payload under the lines header
+    with pytest.raises(ValueError, match=rf"checkpoint {ck}: '\[1, 3, .*' is not a band or "
+                                         rf"error line"):
+        compute_butterfly(4, 0.7, checkpoint_path=str(ck))
 
 
 def test_error_text_is_folded_onto_one_line(monkeypatch):
@@ -190,10 +212,35 @@ def test_checkpoint_config_mismatch_is_ignored(tmp_path):
     ds = compute_butterfly(4, 0.9, checkpoint_path=str(ck))  # different coupling
     assert ds.provenance["complete"]
     # the journal was started afresh under the new configuration
-    assert journal_lines(ck)[0] == {"config": ds.provenance["config"]}
+    assert journal_lines(ck)[0] == {"config": ds.provenance["config"], "journal": "lines"}
     assert len(journal_lines(ck)) == 1 + len(ds.rows)
     fresh = serialize_dataset(compute_butterfly(4, 0.9))
     assert serialize_dataset(ds) == fresh
+
+
+def test_json_journal_of_an_older_build_is_started_afresh(tmp_path, monkeypatch):
+    """A journal of JSON payloads `[p, q, bands, error]` under the same digest has
+    another header: the batch starts it afresh, recomputes every row and writes
+    the dataset byte for byte."""
+    from harperlab.cli import main
+
+    ds = compute_butterfly(6, 0.7)
+    ck = tmp_path / "state.jsonl"
+    old = [json.dumps({"config": ds.provenance["config"]})]
+    old += [json.dumps([r.freq.p, r.freq.q, [list(b) for b in r.bands], r.error])
+            for r in ds.rows]
+    ck.write_text("\n".join(old) + "\n")
+    calls = rows_computed(monkeypatch)
+    out = tmp_path / "fly.csv"
+    code = main(["butterfly", "--qmax", "6", "--beta", "0.7", "--checkpoint", str(ck),
+                 "--out", str(out)])
+    assert code == 0
+    assert sorted(calls, key=lambda r: r[::-1]) == missing_rows(6, [])
+    assert out.read_text() == serialize_dataset(ds)
+    head, *rows = journal_lines(ck)
+    assert head == {"config": ds.provenance["config"], "journal": "lines"}
+    assert sorted((q, p, edges) for p, q, edges, _ in rows) == [
+        (r.freq.q, r.freq.p, [x for b in r.bands for x in b]) for r in ds.rows]
 
 
 def test_serialize_parse_roundtrip():
@@ -400,8 +447,9 @@ def test_error_rows_serialize_as_comments():
     ds = compute_butterfly(3, 1.0)
     rows = list(ds.rows)
     freq = rows[2].freq
-    rows[2] = butterfly_module._build_row((freq.p, freq.q, (), "ValueError: synthetic"),
-                                          ds.beta, ds.min_width)
+    rows[2], = butterfly_module._build_rows(
+        [freq], {(freq.p, freq.q): (freq.p, freq.q, (), "ValueError: synthetic")},
+        ds.beta, ds.min_width)
     broken = ButterflyDataset(ds.beta, ds.order, tuple(rows), ds.min_width,
                               provenance=ds.provenance)
     text = serialize_dataset(broken)
@@ -463,7 +511,7 @@ def test_one_config_hash_for_dataset_and_journal(tmp_path):
                              "min_width": "1.0000000000000001e-09"})
     assert len(expected) == 16
     assert ds.provenance["config"] == expected
-    assert journal_lines(ck)[0] == {"config": expected}
+    assert journal_lines(ck)[0] == {"config": expected, "journal": "lines"}
     head = serialize_dataset(ds).splitlines()[0]
     assert f",config={expected}," in head
 
@@ -527,3 +575,53 @@ def test_parse_refuses_bad_files(case):
         text, match = "".join(lines), "two band or error lines for 2/5"
     with pytest.raises(ValueError, match=match):
         parse_dataset(text)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rows_equal_rows_built_one_at_a_time(workers):
+    """Rows built per denominator block equal a one-fraction solve and its `gap_table`."""
+    ds = compute_butterfly(30, 1.0, workers=workers)
+    for row in ds.rows:
+        e = corner_edges(row.freq.q, [row.freq.p], 1.0)[0].tolist()
+        bands = tuple(zip(e[0::2], e[1::2]))
+        assert row.bands == bands and row.error is None
+        assert row.table.dtype == np.int64
+        assert np.array_equal(row.table, gap_table(row.freq, 1.0, bands, ds.min_width))
+
+
+def test_error_rows_keep_an_empty_gap_table(monkeypatch):
+    fail_one_denominator(monkeypatch, 7)
+    ds = compute_butterfly(9, 0.8)
+    for ds in (ds, parse_dataset(serialize_dataset(ds))):
+        tables = [r.table for r in ds.rows if r.error]
+        assert len(tables) == 6
+        assert all(t.shape == (0, 4) and t.dtype == np.int64 for t in tables)
+
+
+def test_parse_names_the_first_corrupt_band_line_in_file_order():
+    lines = serialize_dataset(compute_butterfly(5, 1.0)).splitlines(keepends=True)
+    at = {ln.split(",")[1] + "/" + ln.split(",")[2]: i for i, ln in enumerate(lines)
+          if ln.startswith("# bands,")}
+    edges = lines[at["1/3"]].rstrip("\n").split(",")
+    edges[5] = "nan"
+    lines[at["1/3"]] = ",".join(edges) + "\n"
+    lines[at["4/5"]] = lines[at["4/5"]].rsplit(",", 1)[0] + "\n"
+    with pytest.raises(ValueError, match="band line for 1/3 has edges that are not finite"):
+        parse_dataset("".join(lines))
+    lines.insert(at["1/3"], lines.pop(at["4/5"]))  # 4/5's band line now comes first
+    with pytest.raises(ValueError, match="band line for 4/5 has 9 edges, not 10"):
+        parse_dataset("".join(lines))
+
+
+def test_parse_of_shuffled_band_lines_is_the_dataset(monkeypatch):
+    fail_one_denominator(monkeypatch, 7)
+    ds = compute_butterfly(9, 0.8)
+    lines = serialize_dataset(ds).splitlines(keepends=True)
+    at = [i for i, ln in enumerate(lines) if ln.startswith(("# bands,", "# error,"))]
+    shuffled = list(lines)
+    for i, k in zip(at, random.Random(7).sample(at, len(at))):
+        shuffled[i] = lines[k]
+    assert shuffled != lines
+    back = parse_dataset("".join(shuffled))
+    assert back == ds and back.provenance == ds.provenance
+    assert all(np.array_equal(a.table, b.table) for a, b in zip(back.rows, ds.rows))

@@ -13,7 +13,8 @@ from harperlab import (BandSet, ChambersError, RationalFrequency, band_edges, ch
                        log_potential, track_gap)
 from harperlab.butterfly import (butterfly_fractions, compute_butterfly, parse_dataset,
                                  serialize_dataset)
-from harperlab.spectrum import _band_measure, _fmt, _verify_phase_independence, gap_csv, gap_table
+from harperlab.spectrum import (_band_measure, _fmt, _verify_phase_independence, gap_csv,
+                               gap_table, gap_tables)
 from conftest import (center_eigenvalues, interval_union_distance, oracle_band_measure,
                       oracle_band_sweep, oracle_center_jet, oracle_chern_numbers,
                       oracle_corner_edges, oracle_gap_label, oracle_harper, oracle_ids_counting)
@@ -361,7 +362,7 @@ def test_gap_records_carry_gap_label_and_exact_ids():
         recs = gaps(freq, 0.7, min_width=-1.0)
         assert [g.j for g in recs] == list(range(1, freq.q))
         bands = corner_bands(freq, 0.7).bands
-        _, lines = gap_csv(freq, "0.7", bands, gap_table(freq, 0.7, bands, -1.0))
+        lines = gap_csv(freq, "0.7", bands, gap_table(freq, 0.7, bands, -1.0))[1].splitlines()
         assert len(lines) == len(recs)
         for g, line in zip(recs, lines):
             label = gap_label(g.j, freq)
@@ -460,6 +461,32 @@ def test_gaps_central_reported_closed():
     assert g.label == (0, 1)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
+def test_gap_tables_equal_gap_table_row_by_row(beta):
+    """One `gap_tables` call per denominator gives each p/q, q <= 60, the table
+    `gap_table` gives it alone: no gaps at beta 0, and the closed central gap
+    of every even q otherwise."""
+    for q in range(1, 61):
+        ps = [p for p in range(q + 1) if math.gcd(p, q) == 1]
+        edges = corner_edges(q, ps, beta)
+        tables = gap_tables(q, ps, beta, edges, 1e-9)
+        assert len(tables) == len(ps)
+        for p, e, table in zip(ps, edges.tolist(), tables):
+            one = gap_table(F(p, q), beta, list(zip(e[0::2], e[1::2])), 1e-9)
+            assert table.dtype == one.dtype == np.int64
+            assert np.array_equal(table, one), (p, q, beta)
+            if beta == 0.0:
+                assert table.shape == (0, 4)
+            elif q % 2 == 0:
+                assert table[table[:, 0] == q // 2, 3].tolist() == [0]  # reported, closed
+
+
+def test_gap_table_of_an_error_row_is_empty():
+    for table in (gap_table(F(2, 5), 1.0, (), 1e-9), gap_tables(5, [2], 1.0, np.zeros((1, 0)),
+                                                                 1e-9)[0]):
+        assert table.shape == (0, 4) and table.dtype == np.int64
+
+
 def test_gap_csv_row_format():
     """A gap line carries the record's fields, every float in `_fmt` text,
     and the edge text is the text of the band edges."""
@@ -467,11 +494,45 @@ def test_gap_csv_row_format():
     g = gaps(freq, beta)[0]
     bands = corner_bands(freq, beta).bands
     text, lines = gap_csv(freq, _fmt(beta), bands, gap_table(freq, beta, bands, 1e-9))
-    parts = lines[0].split(",")
+    assert lines.endswith("\n")
+    parts = lines.splitlines()[0].split(",")
     assert len(parts) == 10
     assert parts == ["2", "5", "0.5", _fmt(g.lo), _fmt(g.hi), "1", "5",
                      str(g.label[0]), str(g.label[1]), _fmt(g.width)]
-    assert text == [_fmt(x) for lo_hi in bands for x in lo_hi]
+    assert text.split(",") == [_fmt(x) for lo_hi in bands for x in lo_hi]
+
+
+GOLDEN = [(1, 2), (2, 3), (3, 5), (5, 8), (8, 13), (13, 21), (21, 34), (34, 55), (55, 89),
+          (89, 144), (144, 233), (233, 377), (377, 610), (610, 987)]
+
+
+def spectrum_measure(p, q, beta):
+    """|sigma(p/q)|: the band widths summed by `math.fsum`."""
+    return math.fsum(hi - lo for lo, hi in corner_bands(F(p, q), beta).bands)
+
+
+@pytest.mark.parametrize("beta, reached", [(0.5, 89), (1.5, 144)])
+def test_band_measure_tends_to_4_abs_1_minus_beta(beta, reached):
+    """Along the golden convergents the measure falls to 4|1 - beta| (Avron, van
+    Mouche, Simon, Commun. Math. Phys. 132, 103 (1990)), from above and
+    exponentially in q, and from q = reached on stays within the roundoff of
+    2q edges, C q eps with C = 32; measured |excess| <= 19.1 q eps (beta 0.5,
+    q = 987: -4.2e-12) and 3.9 q eps (beta 1.5, q = 987: -8.4e-13)."""
+    eps = np.finfo(float).eps
+    excess = [spectrum_measure(p, q, beta) - 4 * abs(1 - beta) for p, q in GOLDEN]
+    floor = [q for (_, q), x in zip(GOLDEN, excess) if abs(x) <= 32 * q * eps]
+    assert floor == [q for _, q in GOLDEN if q >= reached]
+    above = excess[:len(GOLDEN) - len(floor)]
+    assert all(x > 0 for x in above) and above == sorted(above, reverse=True)
+
+
+def test_band_measure_at_beta_1_is_9_33_over_q():
+    """At beta = 1, q |sigma(p/q)| -> 9.3299 (Thouless, Phys. Rev. B 28, 4272
+    (1983); Last, Commun. Math. Phys. 164, 421 (1994)); measured 9.32900 to
+    9.33305 at the golden convergents with 89 <= q <= 987."""
+    for p, q in GOLDEN:
+        if q >= 89:
+            assert abs(q * spectrum_measure(p, q, 1.0) - 9.3299) <= 3.5e-3, (p, q)
 
 
 def test_dual_check():
