@@ -84,5 +84,5 @@ def averages(A: float, B: float, C: float, kinds):
         y, g = t * (h - 1.0), M + abs(C) * h
         root = np.sqrt(g * (g + 2.0 * Ba))
         for k in kinds:
-            acc[k] += float(np.sum(_KERNELS[k](y, g, Ba, root)))
+            acc[k] += float(_KERNELS[k](y, g, Ba, root).sum())
     return {k: (sign if k in ('m1', 'n1') else 1.0) * acc[k] / n for k in kinds}

@@ -67,6 +67,9 @@ class HessianRecord:
 # phase caps: the transfer's, also its count on and near the spectrum, and the trace's
 _TRANSFER_CAP = 256
 _TRACE_CAP = 512
+# the largest |D| whose square, and whose cube for the second-order kernels, is finite
+_ROOT2_MAX, _ROOT3_MAX = np.finfo(float).max ** (1.0 / 2), np.finfo(float).max ** (1.0 / 3)
+_SECOND_ORDER = frozenset(("m2", "n2", "k2"))
 
 
 def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovValue:
@@ -199,8 +202,8 @@ def log_potential(ch: ChambersData, z: float) -> float:
 def _averages(ch: ChambersData, z: float, P: float, kinds) -> dict:
     """`averages` of D = P(z) + c1 x + c2 y, refused where D^2 inside it, or
     root^3 for the second-order kernels, would overflow."""
-    power = 3 if {"m2", "n2", "k2"} & set(kinds) else 2
-    if abs(P) + abs(ch.c1) + abs(ch.c2) >= np.finfo(float).max ** (1.0 / power):
+    limit = _ROOT2_MAX if _SECOND_ORDER.isdisjoint(kinds) else _ROOT3_MAX
+    if abs(P) + abs(ch.c1) + abs(ch.c2) >= limit:
         raise ArithmeticError(f"the torus kernels leave the float64 range at q={ch.q}, E={z}")
     return averages(P, ch.c1, ch.c2, kinds)
 
@@ -228,7 +231,7 @@ def gradient(freq: RationalFrequency, beta: float, z: float,
     if edge_distance > 0 and band_edges(ch).distance(z) < edge_distance:
         raise ValueError(f"z={z} is within {edge_distance} of a band edge")
     q = freq.q
-    P, dP, dbP = ch.jet(z, 1)
+    P, dP, _, dbP, _, _ = ch.jet(z)
     av = _averages(ch, z, P, ("m1", "n1"))
     g0 = dP * av["m1"] / q
     dc2 = -2.0 * q * beta ** (q - 1)

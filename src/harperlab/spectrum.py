@@ -16,6 +16,7 @@ half-space, and gap labels solve a congruence.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import itertools
 import json
@@ -89,20 +90,23 @@ class ChambersData:
     def jet(self, E, order: int = 2):
         """P and its partials up to total order 0, 1 or 2 at E (a number or an array).
 
-        Returns (P,), (P, P', dP/dbeta) or
-        (P, P', P'', dP/dbeta, dP'/dbeta, d2P/dbeta2).  Both columns of the
-        running product obey x_n = (E - V_n) x_{n-1} - s x_{n-2} with
-        s = beta^2, from (x_0, x_{-1}) = (1, 0) and (0, 1); the trace is the
-        first column's last entry plus the second column's last but one.
-        The partials in (E, s) ride along by forward-mode differentiation,
-        each order only when requested, and the chain rule to beta is
-        applied at the end.  A value outside the float64 range raises
-        ArithmeticError.
+        Returns (P,), (P, P') or (P, P', P'', dP/dbeta, dP'/dbeta, d2P/dbeta2):
+        order 1 is P and P', all that root finding on P' reads, and order 2
+        adds P'' and the three beta-partials.  Both columns of the running
+        product obey x_n = (E - V_n) x_{n-1} - s x_{n-2} with s = beta^2,
+        from (x_0, x_{-1}) = (1, 0) and (0, 1); the trace is the first
+        column's last entry plus the second column's last but one.  The
+        partials in (E, s) ride along by forward-mode differentiation, each
+        order only when requested, and the chain rule to beta is applied at
+        the end.  A number, 0-d arrays included, gives Python numbers.  A
+        value outside the float64 range raises ArithmeticError.
         """
-        if np.ndim(E):
-            E = np.asarray(E, dtype=complex if np.iscomplexobj(E) else float)
-        else:  # isinstance, as np.iscomplexobj would slow the scalar calls of root finding
+        scalar = isinstance(E, (float, int, complex, np.generic)) or not np.ndim(E)
+        if scalar:  # typed by isinstance: a numpy call costs as much as a step at small q
+            E = E.item() if isinstance(E, (np.generic, np.ndarray)) else E
             E = complex(E) if isinstance(E, complex) else float(E)
+        else:
+            E = np.asarray(E, dtype=complex if np.iscomplexobj(E) else float)
         s = self.beta * self.beta
         u, up, v, vp = 1.0, 0.0, 0.0, 1.0
         ue = us = upe = ups = ve = vs = vpe = vps = 0.0
@@ -110,27 +114,29 @@ class ChambersData:
         vee = ves = vss = vpee = vpes = vpss = 0.0
         for w in self.potential:
             a = E - w
-            if order:  # higher partials first: each reads the old lower ones
-                if order == 2:
-                    uee, ues, uss, upee, upes, upss = (
-                        2.0 * ue + a * uee - s * upee, us + a * ues - upe - s * upes,
-                        a * uss - 2.0 * ups - s * upss, uee, ues, uss)
-                    vee, ves, vss, vpee, vpes, vpss = (
-                        2.0 * ve + a * vee - s * vpee, vs + a * ves - vpe - s * vpes,
-                        a * vss - 2.0 * vps - s * vpss, vee, ves, vss)
-                ue, us, upe, ups = u + a * ue - s * upe, a * us - up - s * ups, ue, us
-                ve, vs, vpe, vps = v + a * ve - s * vpe, a * vs - vp - s * vps, ve, vs
+            if order == 2:  # higher partials first: each reads the old lower ones
+                uee, ues, uss, upee, upes, upss = (
+                    2.0 * ue + a * uee - s * upee, us + a * ues - upe - s * upes,
+                    a * uss - 2.0 * ups - s * upss, uee, ues, uss)
+                vee, ves, vss, vpee, vpes, vpss = (
+                    2.0 * ve + a * vee - s * vpee, vs + a * ves - vpe - s * vpes,
+                    a * vss - 2.0 * vps - s * vpss, vee, ves, vss)
+                us, ups = a * us - up - s * ups, us
+                vs, vps = a * vs - vp - s * vps, vs
+            if order:
+                ue, upe = u + a * ue - s * upe, ue
+                ve, vpe = v + a * ve - s * vpe, ve
             u, up = a * u - s * up, u
             v, vp = a * v - s * vp, v
-        P, Pe, Ps, b2 = u + vp, ue + vpe, us + vps, 2.0 * self.beta
+        P, Ps, b2 = u + vp, us + vps, 2.0 * self.beta
         if order == 0:
             out = (P,)
         elif order == 1:
-            out = (P, Pe, b2 * Ps)
+            out = (P, ue + vpe)
         else:
-            out = (P, Pe, uee + vpee, b2 * Ps, b2 * (ues + vpes),
+            out = (P, ue + vpe, uee + vpee, b2 * Ps, b2 * (ues + vpes),
                    2.0 * Ps + 4.0 * s * (uss + vpss))
-        if not np.all(np.isfinite(out)):
+        if not (all(map(cmath.isfinite, out)) if scalar else np.all(np.isfinite(out))):
             raise ArithmeticError(f"P or its derivatives leave the float64 range at "
                                   f"q={self.q}, E={E}")
         return out

@@ -366,6 +366,31 @@ def test_critical_scan_root_is_the_brent_step_on_the_gap_bracket():
         assert critical_scan(freq, beta, g, ch=ch).s_star == root
 
 
+def test_bracket_search_reads_no_beta_partial(monkeypatch):
+    """At 34/55, beta = 0.5, the sign check at the bracket ends and every
+    Brent step of each open gap call `jet` at order 1; `gradient` at s*
+    makes the one order-2 call."""
+    freq, beta = F(34, 55), 0.5
+    ch = chambers(freq, beta, verify=False)
+    open_gaps = [g for g in gaps(freq, beta) if g.is_open]
+    orders, refused = [], []
+    jet = spectrum.ChambersData.jet
+
+    def recorded(self, E, order=2):
+        orders.append(order)
+        return jet(self, E, order)
+
+    monkeypatch.setattr(spectrum.ChambersData, "jet", recorded)
+    for g in open_gaps:
+        orders.clear()
+        try:
+            critical_scan(freq, beta, g, ch=ch)
+        except ValueError:  # the cancelled margin of ROADMAP item 1, refused in `averages`
+            refused.append(g.j)
+        assert len(orders) > 3 and orders[-1] == 2 and set(orders[:-1]) == {1}, (g.j, orders)
+    assert set(refused) <= {30}
+
+
 def test_brent_refuses_like_brentq():
     from scipy.optimize import brentq
 

@@ -162,6 +162,53 @@ def test_P_outside_the_float_range_is_refused():
             call()
 
 
+# real points integer-valued where an int E is also tried; complex ones off the axis
+JET_POINTS = {float: (-3.0, -0.75, 0.0, 0.3, 2.0), complex: (-1.5 + 0.25j, 0.3 + 1e-3j, 2.0 - 0.5j)}
+
+
+@pytest.mark.parametrize("kind", (float, complex))
+@pytest.mark.parametrize("p, q, beta", ((8, 13, 0.7), (34, 55, 1.0)))
+def test_scalar_and_array_jets_agree(kind, p, q, beta):
+    """Orders 0, 1 and 2 at a Python number, an int, a numpy scalar, a 0-d
+    array and an entry of a 1-D array give Python numbers, equal bit for bit.
+    At real E they equal the 1-D call entry by entry, bit for bit.  At
+    complex E only to 64 eps relative: numpy's complex array product may be
+    fused (FMA on AVX-512 hosts), where Python's rounds each real product."""
+    ch = chambers(F(p, q), beta, verify=False)
+    points = np.array(JET_POINTS[kind])
+    for order in (0, 1, 2):
+        batch = ch.jet(points, order)
+        assert len(batch) == (1, 2, 6)[order]
+        for k, e in enumerate(points):
+            scalars = [e.item(), e, np.asarray(e), points[k:k + 1].reshape(()), points[k]]
+            if kind is float and e.item().is_integer():
+                scalars.append(int(e))
+            first = ch.jet(scalars[0], order)
+            for E in scalars:
+                got = ch.jet(E, order)
+                assert all(type(x) is kind for x in got), (E, order)
+                assert [np.asarray(x).tobytes() for x in got] == [
+                    np.asarray(x).tobytes() for x in first]
+            if kind is float:
+                assert [np.asarray(x).tobytes() for x in first] == [b[k].tobytes() for b in batch]
+            else:
+                tol = 64 * np.finfo(float).eps
+                assert all(abs(x - b[k]) <= tol * abs(x) for x, b in zip(first, batch))
+
+
+def test_jet_refuses_overflow_and_nan_for_every_scalar_type():
+    big = chambers(F(377, 610), 1.0, verify=False)  # P(5) leaves float64
+    small = chambers(F(8, 13), 0.7, verify=False)
+    for ch, e in ((big, 5.0), (small, math.nan)):
+        for E in (e, np.float64(e), np.asarray(e), complex(e), np.complex128(e),
+                  *((5,) if e == 5.0 else ())):
+            for order in (0, 1, 2):
+                with pytest.raises(ArithmeticError, match=f"q={ch.q}, E="):
+                    ch.jet(E, order)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ArithmeticError):
+            ch.jet(np.array([0.0, e]), 1)
+
+
 def test_harper_matrix_broadcasts_over_phases():
     freq, beta = F(3, 7), 0.6
     a = np.array([0.1, 0.7, 2.0])
