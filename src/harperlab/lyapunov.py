@@ -69,7 +69,7 @@ _TRANSFER_CAP = 256
 _TRACE_CAP = 512
 # the largest |D| whose square, and whose cube for the second-order kernels, is finite
 _ROOT2_MAX, _ROOT3_MAX = np.finfo(float).max ** (1.0 / 2), np.finfo(float).max ** (1.0 / 3)
-_SECOND_ORDER = frozenset(("m2", "n2", "k2"))
+_BEYOND_RANGE = "the torus kernels leave the float64 range at q={}, E={}"
 
 
 def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovValue:
@@ -200,12 +200,18 @@ def log_potential(ch: ChambersData, z: float) -> float:
 
 
 def _averages(ch: ChambersData, z: float, P: float, kinds) -> dict:
-    """`averages` of D = P(z) + c1 x + c2 y, refused where D^2 inside it, or
-    root^3 for the second-order kernels, would overflow."""
-    limit = _ROOT2_MAX if _SECOND_ORDER.isdisjoint(kinds) else _ROOT3_MAX
-    if abs(P) + abs(ch.c1) + abs(ch.c2) >= limit:
-        raise ArithmeticError(f"the torus kernels leave the float64 range at q={ch.q}, E={z}")
+    """`averages` of D = P(z) + c1 x + c2 y, refused where D^2 inside it would overflow."""
+    if abs(P) + abs(ch.c1) + abs(ch.c2) >= _ROOT2_MAX:
+        raise ArithmeticError(_BEYOND_RANGE.format(ch.q, z))
     return averages(P, ch.c1, ch.c2, kinds)
+
+
+@lru_cache(maxsize=8)
+def _point(ch: ChambersData, z: float):
+    """The one evaluation at real z that `gradient` and `hessian` share: jet and torus averages."""
+    jet = ch.jet(z)
+    second = abs(jet[0]) + abs(ch.c1) + abs(ch.c2) < _ROOT3_MAX  # else `hessian` refuses
+    return jet, _averages(ch, z, jet[0], ("m1", "n1", "m2", "n2", "k2") if second else ("m1", "n1"))
 
 
 def _resolve(freq, beta, ch):
@@ -221,18 +227,17 @@ def gradient(freq: RationalFrequency, beta: float, z: float,
       dL/dz     = P'(z)/q <1/D>
       dL/dbeta  = (1/q) [ dP/dbeta <1/D> + dc2/dbeta <y/D> ]
 
-    with D = P(z) + c1 x + c2 y averaged over the torus.  Both are real by
-    construction; z closer than edge_distance to a band is refused since
-    no finite-difference user can see anything there.  That check costs two
-    corner eigensolves; edge_distance=0 skips it, so with `ch` supplied the
-    call runs no eigensolve.
+    with D = P(z) + c1 x + c2 y averaged over the torus, both real by
+    construction.  z closer than edge_distance to a band is refused, at the
+    cost of two corner eigensolves; edge_distance=0 skips that, so with `ch`
+    supplied the call runs no eigensolve.  A gradient and a Hessian at the
+    same (ch, z) share one evaluation: one order-2 `jet` and one torus pass.
     """
     ch = _resolve(freq, beta, ch)
     if edge_distance > 0 and band_edges(ch).distance(z) < edge_distance:
         raise ValueError(f"z={z} is within {edge_distance} of a band edge")
     q = freq.q
-    P, dP, _, dbP, _, _ = ch.jet(z)
-    av = _averages(ch, z, P, ("m1", "n1"))
+    (_, dP, _, dbP, _, _), av = _point(ch, float(z))
     g0 = dP * av["m1"] / q
     dc2 = -2.0 * q * beta ** (q - 1)
     two_g1 = (dbP * av["m1"] + dc2 * av["n1"]) / q
@@ -249,15 +254,17 @@ def hessian(freq: RationalFrequency, beta: float, z: float,
     coupling, which makes the determinant negative there, so the full
     maximum-type structure appears only where a joint critical point of
     both variables would sit.  The band-distance refusal is the one of
-    `gradient`: edge_distance=0 skips it, and with `ch` supplied the call
-    then runs no eigensolve.
+    `gradient` (edge_distance=0 skips it; with `ch` supplied no eigensolve
+    runs), and so is the one evaluation at (ch, z), which the two share.
+    From |P| + |c1| + |c2| = 5.6e102 on it raises ArithmeticError.
     """
     ch = _resolve(freq, beta, ch)
     if edge_distance > 0 and band_edges(ch).distance(z) < edge_distance:
         raise ValueError(f"z={z} is within {edge_distance} of a band edge")
     q = freq.q
-    P, dP, d2P, dbP, dbdP, d2bP = ch.jet(z)
-    av = _averages(ch, z, P, ("m1", "m2", "n1", "n2", "k2"))
+    (_, dP, d2P, dbP, dbdP, d2bP), av = _point(ch, float(z))
+    if "k2" not in av:
+        raise ArithmeticError(_BEYOND_RANGE.format(ch.q, z))
     dc2 = -2.0 * q * beta ** (q - 1)
     d2c2 = -2.0 * q * (q - 1) * beta ** max(q - 2, 0)  # zero at q = 1, where 0.0 ** -1 raises
     d2z = (d2P * av["m1"] - dP * dP * av["m2"]) / q
@@ -294,7 +301,8 @@ def critical_scan(freq: RationalFrequency, beta: float, gap,
     +inf at the left edge to -inf at the right edge through a single root.
     Brent's method on P' is therefore bracket-safe at any gap width.  The
     bracket is the gap's own (lo, hi), so no band edges are recomputed: with
-    `ch` supplied the scan runs no eigensolve.
+    `ch` supplied the scan runs no eigensolve.  The closing `gradient(s*)`
+    evaluates s* once for it and for a `hessian(s*)` with the same `ch`.
     """
     ch = _resolve(freq, beta, ch)
     lo, hi = float(gap.lo), float(gap.hi)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -381,6 +383,7 @@ def test_bracket_search_reads_no_beta_partial(monkeypatch):
         return jet(self, E, order)
 
     monkeypatch.setattr(spectrum.ChambersData, "jet", recorded)
+    lyapunov._point.cache_clear()  # an earlier test may have evaluated these s*
     for g in open_gaps:
         orders.clear()
         try:
@@ -567,6 +570,125 @@ def test_torus_kernels_beyond_float_range_are_refused():
     assert math.isfinite(g.g0) and math.isfinite(g.g1) and g.g0 != 0.0
     with pytest.raises(ArithmeticError, match=f"q=610, E={z}"):
         hessian(freq, beta, z, ch=ch, edge_distance=0.0)
+
+
+@pytest.mark.parametrize("first", ["hessian", "gradient"])
+def test_shared_evaluation_keeps_the_float_range_boundary(first):
+    """At the midpoint of gap 233 of 377/610, beta = 1, |P| = 3.6e140 lies
+    between the root^3 and the D^2 limits: whichever call fills the shared
+    evaluation, `hessian` refuses with the torus-kernel message and
+    `gradient` answers with the same numbers."""
+    freq, beta = F(377, 610), 1.0
+    ch = chambers(freq, beta, verify=False)
+    z = [g for g in gaps(freq, beta, band_set=band_edges(ch)) if g.j == 233][0].midpoint
+    refusal = re.escape(f"the torus kernels leave the float64 range at q=610, E={z}")
+    lyapunov._point.cache_clear()
+    if first == "gradient":
+        g = gradient(freq, beta, z, ch=ch, edge_distance=0.0)
+    with pytest.raises(ArithmeticError, match=refusal):
+        hessian(freq, beta, z, ch=ch, edge_distance=0.0)
+    if first == "hessian":
+        g = gradient(freq, beta, z, ch=ch, edge_distance=0.0)
+    assert math.isfinite(g.g0) and math.isfinite(g.g1) and g.g0 != 0.0
+    with pytest.raises(ArithmeticError, match=refusal):
+        hessian(freq, beta, z, ch=ch, edge_distance=0.0)
+    lyapunov._point.cache_clear()
+    assert repr(gradient(freq, beta, z, ch=ch, edge_distance=0.0)) == repr(g)
+
+
+def test_warm_hessian_equals_cold_and_gradient_equals_its_formula():
+    """At every open gap of the golden convergents 8/13..55/89, beta 0.5
+    and 1, the `hessian` that reads the evaluation left by `critical_scan`
+    equals a cold one bit for bit, and g0, g1 equal the formula rebuilt
+    from `jet` and an m1, n1 `averages` call.  The two gaps whose float
+    margin cancels (ROADMAP item 1) raise as before."""
+    refused = []
+    for (p, q), beta in itertools.product([(8, 13), (13, 21), (21, 34), (34, 55), (55, 89)],
+                                          [0.5, 1.0]):
+        freq = F(p, q)
+        ch = chambers(freq, beta, verify=False)
+        for g in (g for g in gaps(freq, beta) if g.is_open):
+            try:
+                cp = critical_scan(freq, beta, g, ch=ch)
+            except ValueError as err:
+                assert "averages require |A| > |B| + |C|" in str(err)
+                refused.append((p, q, beta, g.j))
+                continue
+            s = cp.s_star
+            warm = hessian(freq, beta, s, ch=ch, edge_distance=0.0)
+            grad = gradient(freq, beta, s, ch=ch, edge_distance=0.0)
+            lyapunov._point.cache_clear()
+            assert repr(hessian(freq, beta, s, ch=ch, edge_distance=0.0)) == repr(warm)
+            P, dP, _, dbP, _, _ = ch.jet(s)
+            av = averages(P, ch.c1, ch.c2, ("m1", "n1"))
+            dc2 = -2.0 * q * beta ** (q - 1)
+            g0, g1 = dP * av["m1"] / q, 0.5 * ((dbP * av["m1"] + dc2 * av["n1"]) / q)
+            assert (repr(grad.g0), repr(grad.g1)) == (repr(g0), repr(g1)), (p, q, beta, g.j)
+            assert (cp.g0_residual, cp.g1_abs) == (abs(g0), abs(g1))
+    assert refused == [(34, 55, 0.5, 30), (55, 89, 0.5, 49)]
+
+
+def test_scan_and_hessian_make_one_order_2_jet_and_one_averages_call(monkeypatch):
+    """The bracket search calls `jet` at order 1 only; the closing gradient
+    makes the one order-2 call and the one torus pass, which `hessian` then
+    reads.  A cold `hessian` and a following `gradient` do the same."""
+    freq, beta = F(55, 89), 1.0
+    ch = chambers(freq, beta, verify=False)
+    g = widest_gap(freq, beta)
+    orders, passes = [], []
+    jet, torus = spectrum.ChambersData.jet, lyapunov.averages
+
+    def recorded_jet(self, E, order=2):
+        orders.append(order)
+        return jet(self, E, order)
+
+    def recorded_averages(*args):
+        passes.append(args[3])
+        return torus(*args)
+
+    monkeypatch.setattr(spectrum.ChambersData, "jet", recorded_jet)
+    monkeypatch.setattr(lyapunov, "averages", recorded_averages)
+    lyapunov._point.cache_clear()
+    cp = critical_scan(freq, beta, g, ch=ch)
+    hessian(freq, beta, cp.s_star, ch=ch, edge_distance=0.0)
+    assert orders.count(2) == 1 and set(orders) == {1, 2} and len(passes) == 1
+    assert orders[-1] == 2 and set(passes[0]) == {"m1", "n1", "m2", "n2", "k2"}
+    orders.clear(), passes.clear()
+    hessian(freq, beta, g.midpoint, ch=ch, edge_distance=0.0)
+    gradient(freq, beta, g.midpoint, ch=ch, edge_distance=0.0)
+    assert orders == [2] and len(passes) == 1
+
+
+def test_shared_evaluation_keeps_each_chambers_data_apart(monkeypatch):
+    """Calls that alternate between two `ch` at one z, first 2/5 at two
+    couplings, then 2/5 and 3/7 at one, each return their own `ch`'s
+    cold values; a `ch` of another fraction or coupling is refused before
+    the shared evaluation is read."""
+    z = 3.9  # above the spectrum of both fractions at both couplings
+
+    def values(freq, beta, ch):
+        return repr((gradient(freq, beta, z, ch=ch, edge_distance=0.0),
+                     hessian(freq, beta, z, ch=ch, edge_distance=0.0)))
+
+    for pair in [((F(2, 5), 0.5), (F(2, 5), 0.7)), ((F(2, 5), 0.7), (F(3, 7), 0.7))]:
+        chs = [chambers(freq, beta, verify=False) for freq, beta in pair]
+        cold = []
+        for (freq, beta), ch in zip(pair, chs):
+            lyapunov._point.cache_clear()
+            cold.append(values(freq, beta, ch))
+        assert cold[0] != cold[1]
+        lyapunov._point.cache_clear()
+        for _ in range(2):
+            for (freq, beta), ch, want in zip(pair, chs, cold):
+                assert values(freq, beta, ch) == want
+
+    def unread(*args):
+        raise AssertionError("the shared evaluation was read")
+    monkeypatch.setattr(lyapunov, "_point", unread)
+    other = chambers(F(3, 7), 0.7, verify=False)
+    for fn in (gradient, hessian):
+        with pytest.raises(ValueError, match="ch is built for"):
+            fn(F(2, 5), 0.7, z, ch=other, edge_distance=0.0)
 
 
 def test_psi_count_with_an_infinite_strip():
