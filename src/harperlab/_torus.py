@@ -6,7 +6,7 @@ log|D| over the phase torus, with A the characteristic polynomial value and
 (B, C) the two cosine amplitudes.  The phi-average has closed forms; the
 remaining psi-integral is a trapezoid sized by the half-width of its
 analyticity strip, one rule (`strip`, `nodes`) that also sizes the phases
-of the transfer and trace routes.
+of the transfer route and, as `grid_nodes`, the trace and sheet grids.
 """
 
 from __future__ import annotations
@@ -48,6 +48,21 @@ def nodes(width: float, cap: int) -> int | None:
     """max(8, ceil(40/width)) trapezoid nodes, whose error falls like
     exp(-n width) in a strip of that half-width; None above cap."""
     return max(8, math.ceil(40.0 / width)) if width * cap >= 40.0 else None
+
+
+GRID_CAP = 512  # the most nodes per axis of an n x n phase grid, the trace's and the sheets'
+
+
+def grid_nodes(ch, z) -> int:
+    """`nodes` of the narrower strip of det(z - h) = P(z) + c1 cos(q t1) + c2 cos(q t2);
+    above `GRID_CAP`, the spectrum (strip 0) included, z is refused with its strip."""
+    P = ch.P(z)
+    width = min(strip(P, ch.c1, ch.c2), strip(P, ch.c2, ch.c1))
+    n = nodes(width, GRID_CAP)
+    if n is None:
+        raise ValueError(f"z={z} {'lies in' if width == 0 else 'is too close to'} the spectrum: "
+                         f"its phase strip {width:.3g} needs more than {GRID_CAP} nodes")
+    return n
 
 
 def _psi_count(A: float, B: float, C: float) -> int:

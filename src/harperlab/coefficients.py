@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rationals import TWO_PI, RationalFrequency, pi_fraction_trig
-from .spectrum import corner_bands, harper_matrix
+from .spectrum import chambers, harper_matrix
+from ._torus import grid_nodes, strip
 
 SIGN_CONVENTION = "resolvent (h-z)^-1; trace normalized; w(p;qe) = exp(-i pi a p qe) u^p v^qe"
 
@@ -92,14 +93,15 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float,
     gives S[n - a, qe, k] = S[a, -qe, -k mod q]: only the rows a = 0..n//2
     are inverted, and every other row is that index permutation of its
     mirror, with no conjugation and the same weights: (n//2 + 1)^2 inverses
-    on the n x n grid, n the first size >= 4 (window + q) coprime to q, far
-    above the Nyquist bound of the window.  The sweep keeps one
-    (n, 2 window + 1, q) array and ends in one matrix product over t1.  An
-    entry with an imaginary part above 1e-10 raises ArithmeticError.  The
-    grid resolves the sheet only away from the bands: at 2/5, beta 0.5 on
-    its 68 x 68 grid, c(0, 0) is off by a relative 1e-15 mid-gap, 9e-4 at
-    1e-3 from a band edge and 4.8 at 1e-6 (1e-2 on a 1089 x 1089 grid), yet
-    every grid's sheet solves the coefficient equations.
+    on the n x n grid.  n is the strip rule's `grid_nodes`, the trace's
+    size, plus ceil(window / q) + 1, raised to the first size coprime to q:
+    the grid in t is then a permuted grid in psi = q t, and T[m, s] carries
+    t-frequencies of one residue class mod q, so the window adds only
+    |l| <= window / q + 1 harmonics of psi.  Above `GRID_CAP` strip nodes,
+    the spectrum included, z is refused and its strip stated.  The sweep
+    keeps one (n, 2 window + 1, q) array and ends in one matrix product over
+    t1.  An imaginary part above 1e-10 of the largest entry raises
+    ArithmeticError.
     """
     if beta <= 0:
         raise ValueError("coupling must be positive")
@@ -107,9 +109,7 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float,
         raise ValueError(f"window must be >= 0, got {window}")
     z = float(z)
     q = freq.q
-    if corner_bands(freq, beta).distance(z) <= 0.0:
-        raise ValueError(f"z={z} lies in the spectrum at {freq}, beta={beta}")
-    n = 4 * (window + q)  # one n for both axes, coprime to q: the first alias lies past 2n
+    n = grid_nodes(chambers(freq, beta, verify=False), z) + math.ceil(window / q) + 1
     while math.gcd(n, q) != 1:
         n += 1
     t1 = TWO_PI * np.arange(n) / n
@@ -142,9 +142,10 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float,
     trig = np.array([complex(*pi_fraction_trig(r, q)) for r in range(2 * q)])
     i = np.arange(k.size)
     vals = trig[(-np.outer(k, k) * freq.p) % (2 * q)] * sums[i[:, None], i, (k % q)[:, None]]
-    worst_imag = float(np.max(np.abs(vals.imag)))
-    if worst_imag > 1e-10:
-        raise ArithmeticError(f"sheet entries should be real; worst imaginary part {worst_imag:.3e}")
+    worst_imag, scale = float(np.max(np.abs(vals.imag))), float(np.max(np.abs(vals)))
+    if worst_imag > 1e-10 * scale:
+        raise ArithmeticError(f"sheet entries should be real; worst imaginary part "
+                              f"{worst_imag / scale:.3e} of the largest entry")
     return CoefficientSheet("c", freq, float(beta), z, window, vals.real.copy())
 
 
@@ -222,7 +223,8 @@ def recursion_sheets(freq: RationalFrequency, beta: float, z: float, window: int
         raise ValueError(f"one-sided solutions need 0 < beta < 1, got {beta}")
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    if corner_bands(freq, beta).distance(z) <= 0.0:
+    ch = chambers(freq, beta, verify=False)
+    if strip(ch.P(z), ch.c1, ch.c2) == 0:
         raise ValueError(f"z={z} lies in the spectrum")
     P = window
     cos, sin = _trig_table(freq, P).astype(np.longdouble)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .rationals import TWO_PI, RationalFrequency
 from .spectrum import BandSet, ChambersData, band_edges, chambers, harper_matrix, ids
-from ._torus import averages, nodes, strip
+from ._torus import averages, grid_nodes, nodes, strip
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,8 @@ class HessianRecord:
         return self.d2z * self.d2beta - self.dzdbeta ** 2
 
 
-# phase caps: the transfer's, also its count on and near the spectrum, and the trace's
+# the transfer's phase cap, also its count on and near the spectrum
 _TRANSFER_CAP = 256
-_TRACE_CAP = 512
 # the largest |D| whose square, and whose cube for the second-order kernels, is finite
 _ROOT2_MAX, _ROOT3_MAX = np.finfo(float).max ** (1.0 / 2), np.finfo(float).max ** (1.0 / 3)
 _BEYOND_RANGE = "the torus kernels leave the float64 range at q={}, E={}"
@@ -152,9 +151,9 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z) -> LyapunovValue:
     Each phase row takes one batched `slogdet` of h - z, which costs an LU
     factorization per node where the eigenvalues would cost an eigensolve.
     The spectrum is 2 pi / q periodic in each phase, so the n x n grid
-    t_k = 2 pi k / (n q) lives on the fundamental domain.  n is `nodes` of
-    the narrower strip of det(z - h) = P(z) + c1 cos(q t1) + c2 cos(q t2);
-    above `_TRACE_CAP`, the spectrum included, z is refused.  The spectrum
+    t_k = 2 pi k / (n q) lives on the fundamental domain.  n is `grid_nodes`,
+    the strip rule for det(z - h) = P(z) + c1 cos(q t1) + c2 cos(q t2); z is
+    refused above `GRID_CAP` nodes, the spectrum included.  The spectrum
     is also even in each phase separately: complex conjugation maps
     H(t1, t2) to H(t1, -t2), and the reflection j -> -j maps t1 to -t1.  So
     indices k and n - k carry the same eigenvalues, and only k = 0..n//2 is
@@ -164,13 +163,7 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z) -> LyapunovValue:
     which only sizes the grid, so the value stays independent of the other
     two routes.
     """
-    ch = chambers(freq, beta, verify=False)
-    P = ch.P(z)
-    width = min(strip(P, ch.c1, ch.c2), strip(P, ch.c2, ch.c1))
-    n = nodes(width, _TRACE_CAP)
-    if n is None:
-        raise ValueError(f"z={z} is too close to the spectrum: its phase strip {width:.3g} "
-                         f"needs more than {_TRACE_CAP} nodes")
+    n = grid_nodes(chambers(freq, beta, verify=False), z)
     return LyapunovValue(float(beta), z, _trace_sum(freq, beta, z, n), "trace")
 
 

@@ -206,23 +206,35 @@ def oracle_trace(p, q, beta, z, n):
     return math.fsum(terms) / (n * n * q)
 
 
-def oracle_grid_size(window, q):
-    """The library's sheet grid: n x n, n the first size >= 4 (window + q) coprime to q."""
-    n = 4 * (window + q)
+def oracle_grid_size(p, q, beta, z, window):
+    """The library's sheet grid: n x n, n = max(8, ceil(40 / w)) + ceil(window / q) + 1
+    raised to the first size coprime to q, where w = arccosh(min((|P| - |c1|) / |c2|,
+    (|P| - |c2|) / |c1|)) is the narrower strip of det(z - h) = P + c1 cos(q t1) +
+    c2 cos(q t2).  P, c1 and c2 come from three dense determinants at phases where
+    q t is 0 or pi/2, not from the recurrence."""
+    quarter = math.pi / (2 * q)
+
+    def det(t1, t2):
+        return np.linalg.det(z * np.eye(q) - oracle_harper(p, q, beta, t1, t2)).real
+
+    P = det(quarter, quarter)
+    c1, c2 = det(0.0, quarter) - P, det(quarter, 0.0) - P
+    w = math.acosh(min((abs(P) - abs(c1)) / abs(c2), (abs(P) - abs(c2)) / abs(c1)))
+    n = max(8, math.ceil(40.0 / w)) + math.ceil(window / q) + 1
     while math.gcd(n, q) != 1:
         n += 1
     return n
 
 
-def oracle_coefficient_sheet(p, q, beta, z, window):
+def oracle_coefficient_sheet(p, q, beta, z, window, n):
     """The coefficient sheet c(p, qe) as a (2 window + 1)^2 array, entry by entry.
 
-    Every node of the full n x n grid of `oracle_grid_size` gets its own
-    inverse of the uniform-gauge matrix, all q x q clock/shift traces are
-    kept as one (q, q, n, n) array, and each entry is its own 2-d Fourier
-    sum, without the conjugate symmetry in t2.
+    Every node of the full n x n phase grid gets its own inverse of the
+    uniform-gauge matrix, all q x q clock/shift traces are kept as one
+    (q, q, n, n) array, and each entry is its own 2-d Fourier sum, without
+    the conjugate symmetry in t2.
     """
-    n1 = n2 = oracle_grid_size(window, q)
+    n1 = n2 = n
     t1, t2 = TWO_PI * np.arange(n1) / n1, TWO_PI * np.arange(n2) / n2
     j = np.arange(q)
     omega_pow = np.exp(2j * np.pi * ((np.outer(j, np.arange(q)) * p) % q) / q)  # [j, m]

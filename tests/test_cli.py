@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from harperlab import RationalFrequency, band_edges, chambers, ids
+from harperlab import RationalFrequency, band_edges, chambers, gaps, ids
 from harperlab.cli import main
 from harperlab.spectrum import _fmt
 
@@ -332,6 +332,21 @@ def test_transfer_beyond_float_range_exits_two(capsys):
     assert code == 2
     assert "error:" in err and "q=610, E=4.5" in err
     assert "nan" not in out.lower()
+
+
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_coeffs_next_to_a_gap_edge_exits_two_and_states_the_strip(tmp_path, capsys, side):
+    """5e-7 from an edge of the widest gap of 5/8, beta 0.5, the sheet's grid
+    would need more than 512 nodes a side: refused, and no file written."""
+    widest = max((g for g in gaps(RationalFrequency(5, 8), 0.5) if g.is_open),
+                 key=lambda g: g.width)
+    z = widest.lo + 5e-7 if side == "lo" else widest.hi - 5e-7
+    out_file = tmp_path / "sheet.csv"
+    code, _, err = run(["coeffs", "--alpha", "5/8", "--beta", "0.5", "--z", repr(z),
+                        "--window", "6", "--out", str(out_file)], capsys)
+    assert code == 2 and not out_file.exists()
+    assert "too close to the spectrum: its phase strip" in err
+    assert "needs more than 512 nodes" in err
 
 
 def test_domain_errors_exit_two(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,48 +35,81 @@ def test_sheet_index_negation_symmetry():
     assert sheet.value(2, 1) == sheet.values[2 + P, 1 + P]
 
 
-def test_sheet_rejects_z_in_spectrum():
-    with pytest.raises(ValueError):
+def test_sheet_rejects_z_in_spectrum(monkeypatch):
+    """Both sheets read the spectrum from P(z): z in a band is refused, and
+    neither a refusal nor a sheet runs an eigensolve."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolve")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    with pytest.raises(ValueError, match=r"z=0\.1 lies in the spectrum: its phase strip 0 needs"):
         coefficient_sheet(F(1, 3), 0.5, 0.1, window=3)
+    with pytest.raises(ValueError, match=r"z=0\.1 lies in the spectrum"):
+        recursion_sheets(F(1, 3), 0.5, 0.1, window=3)
+    coefficient_sheet(F(1, 3), 0.5, 4.2, window=3)
+    recursion_sheets(F(1, 3), 0.5, 4.2, window=3)
 
 
-@pytest.mark.parametrize("p, q, beta, z, window, grid", [
+# sheet points checked against the full-grid oracle; where `grid` is given it
+# states the default grid at that point, so the cases cover odd and even n,
+# which the fold treats apart; the first two are the `resolvent` benchmark's
+ORACLE_POINTS = [
     (5, 8, 0.5, 4.0, 24, None),
     (8, 13, 0.5, 4.0, 24, None),
     (1, 2, 0.5, -3.5, 6, None),
     (0, 1, 0.5, 4.0, 5, None),
     (1, 1, 0.5, 4.0, 5, None),
-    (3, 7, 0.4, 4.1, 5, (48, 48)),
-    (3, 7, 0.4, -4.1, 5, (48, 48)),
-    (2, 5, 0.7, 3.9, 4, (36, 36)),
-    (1, 3, 0.5, 4.2, 3, (25, 25)),
+    (3, 7, 0.4, 4.1, 5, (10, 10)),
+    (3, 7, 0.4, -4.1, 5, (10, 10)),
+    (2, 5, 0.7, 3.9, 4, (11, 11)),
+    (1, 3, 0.5, 4.2, 3, (13, 13)),
     (2, 5, 0.5, "gap", 6, None),
     (3, 5, 1.5, "gap", 6, None),
-    (2, 3, 2.0, "gap", 6, (37, 37)),
-    (4, 9, 0.6, "gap", 4, (52, 52)),
-])
+    (2, 3, 2.0, "gap", 6, (59, 59)),
+    (4, 9, 0.6, "gap", 4, (16, 16)),
+]
+
+
+@pytest.mark.parametrize("p, q, beta, z, window, grid", ORACLE_POINTS)
 def test_sheet_equals_the_full_grid_oracle(p, q, beta, z, window, grid):
     """The quarter-grid, streamed sheet gives the full-grid, entry-by-entry
-    Fourier sums, at couplings on both sides of the self-dual point.  Where
-    `grid` is given it states the default grid at that point, so the cases
-    cover odd and even n, which the fold treats apart."""
-    if grid is not None:
-        assert (oracle_grid_size(window, q),) * 2 == grid
+    Fourier sums on its own grid, at couplings on both sides of the
+    self-dual point."""
     if z == "gap":
         z = widest_gap(F(p, q), beta).midpoint
+    n = oracle_grid_size(p, q, beta, z, window)
+    if grid is not None:
+        assert (n, n) == grid
     got = coefficient_sheet(F(p, q), beta, z, window=window).values
-    want = oracle_coefficient_sheet(p, q, beta, z, window)
+    want = oracle_coefficient_sheet(p, q, beta, z, window, n)
     assert np.max(np.abs(want.imag)) <= 1e-10
     assert np.max(np.abs(got - want.real)) <= 1e-13 * np.max(np.abs(want.real))
 
 
-@pytest.mark.parametrize("grid", [(3, 7, 3, 40), (3, 7, 7, 57), (1, 3, 3, 25), (2, 5, 4, 36),
-                                  (2, 3, 6, 37)])
+@pytest.mark.parametrize("p, q, beta, z, window", [point[:5] for point in ORACLE_POINTS])
+def test_sheet_is_converged_on_its_grid(p, q, beta, z, window):
+    """The strip rule's grid resolves the sheet: the full-grid sums on a grid
+    at least three times larger, coprime to q, move no entry by more than
+    1e-14 of the largest."""
+    if z == "gap":
+        z = widest_gap(F(p, q), beta).midpoint
+    n = 3 * oracle_grid_size(p, q, beta, z, window)
+    while math.gcd(n, q) != 1:
+        n += 1
+    got = coefficient_sheet(F(p, q), beta, z, window=window).values
+    want = oracle_coefficient_sheet(p, q, beta, z, window, n).real
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid", [(3, 7, 3, 10), (3, 7, 15, 12), (1, 3, 3, 14), (2, 5, 4, 11),
+                                  (2, 3, 6, 16)])
 def test_sheet_inverts_a_quarter_grid(monkeypatch, grid):
-    """Each case is a default grid, the sheet point (p, q, window) and its
-    size n, the first n >= 4 (window + q) coprime to q: only the nodes
+    """Each case is a default grid at beta 2, z = 7, the sheet point
+    (p, q, window) and its size n, the strip rule's size: only the nodes
     a, b = 0..n//2 are inverted, for even and odd n."""
     p, q, window, n = grid
+    assert oracle_grid_size(p, q, 2.0, 7.0, window) == n
     inv, count = np.linalg.inv, [0]
 
     def counting(a):
@@ -95,20 +130,35 @@ def test_sheets_refuse_a_negative_window(window):
 
 
 @pytest.mark.parametrize("side", ["lo", "hi"])
-def test_sheet_solves_the_system_next_to_a_gap_edge(side):
-    """Within 1e-6 of a band edge the sheet decays slowly, yet both equations
-    hold to roundoff relative to its largest entry.
-
-    Every grid average satisfies the equations, so this cannot see the
-    sheet's quadrature error, which is of order one this close to an edge
-    (see `coefficient_sheet`)."""
+def test_sheet_refuses_next_to_a_gap_edge_and_states_the_strip(side):
+    """5e-7 from an edge of the widest gap of 5/8, beta 0.5, the strip needs
+    more than 512 nodes, so the sheet refuses and states it.  A sheet there
+    would still solve both equations to roundoff, since every grid average
+    does, while its quadrature error is of order one."""
     freq, beta = F(5, 8), 0.5
     g = widest_gap(freq, beta)
     z = g.lo + 5e-7 if side == "lo" else g.hi - 5e-7
+    with pytest.raises(ValueError, match=r"too close to the spectrum: its phase strip "
+                                         r"[0-9.e-]+ needs more than 512 nodes"):
+        coefficient_sheet(freq, beta, z, window=6)
+
+
+@pytest.mark.parametrize("p, q, beta", [(2, 5, 0.5), (5, 8, 0.5), (3, 5, 1.5)])
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_sheet_is_accurate_a_thousandth_from_a_gap_edge(p, q, beta, side):
+    """1e-3 from both edges of the widest gap the sheet solves both equations
+    to 1e-13 of its largest entry, and c(0, 0) is -g0 from `gradient`, which
+    does not use the sheet, within 1e-12 relative."""
+    freq = F(p, q)
+    g = widest_gap(freq, beta)
+    z = g.lo + 1e-3 if side == "lo" else g.hi - 1e-3
     sheet = coefficient_sheet(freq, beta, z, window=6)
+    scale = np.max(np.abs(sheet.values))
     res = system_residual(sheet, beta, z)
-    assert res.max_residual <= 1e-13 * np.max(np.abs(sheet.values))
-    assert abs(res.origin_inhomogeneity - 1.0) <= 1e-13 * np.max(np.abs(sheet.values))
+    assert res.max_residual <= 1e-13 * scale
+    assert abs(res.origin_inhomogeneity - 1.0) <= 1e-13 * scale
+    g0 = gradient(freq, beta, z).g0
+    assert abs(sheet.value(0, 0) + g0) <= 1e-12 * abs(g0)
 
 
 def test_system_residual_of_c_sheet():
