@@ -2,15 +2,15 @@
 
 The denominator is the unit from solve to file: the corner edges of all its
 missing numerators come from one batched solve and its rows' gap tables from
-one `gap_tables` call.  The journal and the dataset file hold one band line
-per fraction, read back by one parser that checks all lines at once.  Rows
-are merged in (q, p) order regardless of completion order, so the dataset is
+one `gap_tables` call.  Each row's file text is made once, by `gap_csv`, for
+the journal and the dataset file alike.  Both hold one band line per
+fraction, read back by one parser that checks all lines at once.  Rows are
+merged in (q, p) order regardless of completion order, so the dataset is
 byte-identical across worker counts and across checkpoint interruptions.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import os
@@ -18,13 +18,14 @@ import re
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .rationals import RationalFrequency
 from .numbertheory import farey
-from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, edge_array, edge_text,
-                       gap_csv, gap_records, gap_tables)
+from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, edge_array, gap_csv,
+                       gap_records, gap_tables)
 
 FORMAT_VERSION = "2"
 
@@ -43,6 +44,16 @@ class FractionRow:
     def gaps(self):
         """The table's gaps as `GapRecord`s, built on each access."""
         return tuple(gap_records(self.freq, self.beta, self.bands, self.table))
+
+    @cached_property
+    def text(self):
+        """The row's lines of the dataset file, made on first read and kept: its error
+        line, or its band line and its `gap_csv` gap lines."""
+        p, q = self.freq.p, self.freq.q
+        if self.error:
+            return f"# error,{p},{q},{self.error}\n"
+        edges, gap_lines = gap_csv(self.freq, _fmt(self.beta), self.bands, self.table)
+        return f"# bands,{p},{q},{edges}\n{gap_lines}"
 
 
 @dataclass(frozen=True)
@@ -74,11 +85,6 @@ def _denominator_payloads(args):
     except Exception as exc:  # a failed denominator must not abort the batch
         error = " ".join(f"{type(exc).__name__}: {exc}".split())  # its text on one line
         return [(p, q, (), error) for p in ps]
-
-
-def _row_line(p, q, text, error):
-    """The error line of p/q, or its band line with the edge text: a line of the dataset."""
-    return f"# error,{p},{q},{error}\n" if error else f"# bands,{p},{q},{text}\n"
 
 
 def _read_payloads(lines):
@@ -151,8 +157,9 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
     """Band and gap rows for every reduced fraction up to the order.
 
     One work unit is a denominator with its missing numerators, largest
-    first.  With a checkpoint path, finished rows are appended to a journal
-    once `_CHECKPOINT_EVERY` are pending and as the loop ends, normally or
+    first.  With a checkpoint path, the band or error line of each finished
+    row, the first line of its `text`, is appended to a journal once
+    `_CHECKPOINT_EVERY` rows are pending and as the loop ends, normally or
     by an exception such as KeyboardInterrupt, and reused on restart
     provided the journal's configuration digest matches.  The dataset is
     complete when no row is an error.
@@ -167,7 +174,9 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
     beta = float(beta)
     digest = _config_hash({"version": FORMAT_VERSION, "Q": order,
                            "beta": _fmt(beta), "min_width": _fmt(min_width)})
-    done = _resume_journal(checkpoint_path, digest) if checkpoint_path else {}
+    journalled = _resume_journal(checkpoint_path, digest) if checkpoint_path else {}
+    done = {(row.freq.p, row.freq.q): row for row in _build_rows(
+        [f for f in freqs if (f.p, f.q) in journalled], journalled, beta, min_width)}
     missing = {}
     for f in freqs:
         if (f.p, f.q) not in done:
@@ -175,10 +184,12 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
     jobs = [(q, ps, beta) for q, ps in sorted(missing.items(), reverse=True)]
     pending = []
 
-    def note(payloads):
-        done.update((payload[:2], payload) for payload in payloads)
+    def note(payloads):  # of one denominator, its numerators in order
+        rows = _build_rows([RationalFrequency(p, q) for p, q, _, _ in payloads],
+                           {payload[:2]: payload for payload in payloads}, beta, min_width)
+        done.update(((row.freq.p, row.freq.q), row) for row in rows)
         if checkpoint_path:
-            pending.extend(payloads)
+            pending.extend(rows)
             if len(pending) >= _CHECKPOINT_EVERY:
                 flush()
 
@@ -200,7 +211,7 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
     finally:
         if pending:
             flush()
-    rows = _build_rows(freqs, done, beta, min_width)
+    rows = tuple(done[(f.p, f.q)] for f in freqs)
     return ButterflyDataset(beta, order, rows, min_width,
                             provenance={"config": digest,
                                         "complete": not any(row.error for row in rows)})
@@ -220,40 +231,30 @@ def _resume_journal(path, digest):
         with open(path) as fh:
             lines = fh.readlines()
     clean = lines[:1] == [header]
+    kept = [ln for ln in lines[1:] if clean and ln.endswith("\n")]
     try:
-        done = _read_payloads([ln for ln in lines[1:] if clean and ln.endswith("\n")])
+        done = _read_payloads(kept)
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
     if not (clean and lines[-1].endswith("\n")):
-        _flush_checkpoint(path, [done[k] for k in sorted(done)], header=header)
+        _atomic_write(path, header + "".join(kept))
     return done
 
 
-def _flush_checkpoint(path, payloads, header=None):
-    """The journal's one write site: append the band or error line of each payload.
-
-    With a header the journal starts afresh instead, replaced atomically by
-    the header followed by the lines.
-    """
-    text = "".join(_row_line(p, q, error or edge_text(edges), error)
-                   for p, q, edges, error in payloads)
-    if header is None:
-        with open(path, "a") as fh:
-            fh.write(text)
-    else:
-        _atomic_write(path, header + text)
+def _flush_checkpoint(path, rows):
+    """The journal's one append site: the band or error line of each row, the first line
+    of its `text`."""
+    with open(path, "a") as fh:
+        fh.write("".join([row.text[:row.text.index("\n") + 1] for row in rows]))
 
 
 def serialize_dataset(dataset: ButterflyDataset) -> str:
-    """Header and gap CSV columns, then per row an error line, or a band line and its gaps."""
-    beta, out = _fmt(dataset.beta), io.StringIO()  # row by row: no list of all row text
-    out.write(f"# version={FORMAT_VERSION},Q={dataset.order},beta={beta},"
-              f"min_width={_fmt(dataset.min_width)},config={dataset.provenance.get('config', '')},"
-              f"convention=farey-(0-1]-plus-zero,label_tiebreak=+q/2\n{GAP_CSV_HEADER}\n")
-    for row in dataset.rows:  # an error row has no edges and no gaps: no text
-        text, gap_lines = gap_csv(row.freq, beta, row.bands, row.table)
-        out.write(_row_line(row.freq.p, row.freq.q, text, row.error) + gap_lines)
-    return out.getvalue()
+    """Header and gap CSV columns, then each row's text: an error line, or a band line and
+    its gap lines."""
+    head = (f"# version={FORMAT_VERSION},Q={dataset.order},beta={_fmt(dataset.beta)},"
+            f"min_width={_fmt(dataset.min_width)},config={dataset.provenance.get('config', '')},"
+            f"convention=farey-(0-1]-plus-zero,label_tiebreak=+q/2\n{GAP_CSV_HEADER}\n")
+    return "".join([head] + [row.text for row in dataset.rows])
 
 
 def parse_dataset(text: str) -> ButterflyDataset:
@@ -330,32 +331,30 @@ def _extent(dataset):
 
 
 def _render_svg(dataset, size, gap_fill):
-    """The SVG document as a list of lines, each ending in a newline."""
+    """The SVG document piece by piece: the head, each row's gap rectangles, each row's
+    band lines (every rectangle is drawn before the first band line) and the closing tag.
+    A row's rectangles, and its lines, are one %-format."""
     width, height = size
     elo, ehi = _extent(dataset)
     stroke = max(1.0, height / (2.5 * dataset.order ** 2))
-    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">\n',
-            f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n',
-            f'<!-- config={dataset.provenance.get("config", "")} Q={dataset.order} '
-            f'beta={_fmt(dataset.beta)} -->\n']
-    tall, line = f"{2 * stroke:.2f}", f'" stroke="#000000" stroke-width="{stroke:.2f}"/>\n'
-    rects, lines = [], []  # every gap rectangle is drawn before the first band line
-    for row in dataset.rows:
-        y = height - row.freq.alpha * height
-        x = (edge_array(row.bands) - elo) / (ehi - elo) * width
-        text = [f"{v:.2f}" for v in x.tolist()]
-        if gap_fill:
-            j, _, n, _ = row.table[row.table[:, 3] == 1].T
-            top = f"{y - stroke:.2f}"
-            rects.extend(f'<rect x="{text[2 * k - 1]}" y="{top}" width="{w:.2f}" '
-                         f'height="{tall}" fill="{_PALETTE_HEX[c]}"/>\n'
-                         for k, w, c in zip(j.tolist(), (x[2 * j] - x[2 * j - 1]).tolist(),
-                                            (np.clip(n, -6, 6) + 6).tolist()))
-        y = f"{y:.2f}"
-        lines.extend(f'<line x1="{a}" y1="{y}" x2="{b}" y2="{y}{line}'
-                     for a, b in zip(text[0::2], text[1::2]))
-    return head + rects + lines + ["</svg>\n"]
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}">\n'
+           f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
+           f'<!-- config={dataset.provenance.get("config", "")} Q={dataset.order} '
+           f'beta={_fmt(dataset.beta)} -->\n')
+    rows = [(row, height - row.freq.alpha * height,
+             (edge_array(row.bands) - elo) / (ehi - elo) * width) for row in dataset.rows]
+    for row, y, x in rows if gap_fill else ():
+        j, _, n, _ = row.table[row.table[:, 3] == 1].T
+        rect = (f'<rect x="%.2f" y="{y - stroke:.2f}" width="%.2f" height="{2 * stroke:.2f}" '
+                f'fill="%s"/>\n')
+        yield rect * len(j) % tuple(itertools.chain.from_iterable(zip(
+            x[2 * j - 1].tolist(), (x[2 * j] - x[2 * j - 1]).tolist(),
+            [_PALETTE_HEX[c] for c in (np.clip(n, -6, 6) + 6).tolist()])))
+    for row, y, x in rows:
+        yield (f'<line x1="%.2f" y1="{y:.2f}" x2="%.2f" y2="{y:.2f}" stroke="#000000" '
+               f'stroke-width="{stroke:.2f}"/>\n' * len(row.bands) % tuple(x.tolist()))
+    yield "</svg>\n"
 
 
 def _render_ppm(dataset, size, gap_fill):

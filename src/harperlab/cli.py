@@ -411,6 +411,9 @@ def _dispatch(args, parser) -> int:
         with open(args.dataset) as fh:
             ds = parse_dataset(fh.read())
         cc = component_count(ds, args.hall)
+        # the dataset's own digest, not its path: a copy hashes alike, a new file anew
+        run_hash = _config_hash({"dataset": ds.provenance["config"], "hall": args.hall,
+                                 "tool_version": __version__})
         _emit(args, json.dumps({"config_hash": run_hash, "k": cc.hall,
                                 "Q": cc.order, "beta": cc.beta,
                                 "predicted": cc.predicted, "observed": cc.observed,

@@ -100,12 +100,15 @@ class ComponentCount:
 def component_count(dataset, hall: int) -> ComponentCount:
     """Observed connected gap components with a given positive Hall number.
 
-    Two gaps at Farey-neighbor frequencies join when their energy intervals
-    overlap, a linear-interpolation model of adjacency in the full fractal;
-    the prediction for the untruncated picture is the cumulative totient
-    Phi(2 hall).  Observed counts can only be at most the prediction and
-    grow with the truncation order.  A dataset with error rows is refused:
-    a missing row splits the chains it would have joined.
+    Rows are taken in order of p/q, so consecutive rows are Farey neighbours
+    of the dataset's order; an open gap of the Hall number joins the previous
+    row's when their energy intervals overlap, a linear-interpolation model of
+    adjacency in the full fractal.  The prediction for the untruncated picture
+    is the cumulative totient Phi(2 hall).  The model splits runs wherever a
+    narrow gap moves by more than its width between neighbouring rows, or is
+    narrower than the table's `min_width`, so the observed count can exceed
+    the prediction and need not grow with the order.  A dataset with error
+    rows is refused: a missing row splits the chains it would have joined.
     """
     if hall < 1:
         raise ValueError("component counting applies to positive Hall numbers")
@@ -115,7 +118,8 @@ def component_count(dataset, hall: int) -> ComponentCount:
                          f"gap components; recompute the dataset")
     predicted = phi_cumulative(2 * hall)
     rows = [row for row in dataset.rows if row.freq.q >= 2]
-    rows.sort(key=lambda r: Fraction(r.freq.p, r.freq.q))
+    # exact: reduced p/q with q < 2**26 lie more than an ulp apart as floats
+    rows.sort(key=lambda r: r.freq.alpha)
     # labels are distinct within a row, so a row has at most one gap of this Hall
     # number, and a component is a run of such gaps on consecutive rows
     chains, last = [], None

@@ -419,7 +419,7 @@ def gap_csv(freq: RationalFrequency, beta_text: str, bands, table: np.ndarray):
     text is taken from the edge text; the IDS j/q is written in lowest terms.
     """
     edges = tuple(itertools.chain.from_iterable(bands))
-    text = edge_text(edges)
+    text = ",".join(["%.17g"] * len(edges)) % edges
     parts, q = text.split(","), freq.q
     j, m, n, _ = table.T
     cut = np.gcd(j, q)
@@ -428,11 +428,6 @@ def gap_csv(freq: RationalFrequency, beta_text: str, bands, table: np.ndarray):
                (q // cut).tolist(), m.tolist(), n.tolist(), [edges[k + 1] - edges[k] for k in lo])
     line = f"{freq.p},{q},{beta_text},%s,%s,%d,%d,%d,%d,%.17g\n"
     return text, line * len(lo) % tuple(itertools.chain.from_iterable(cols))
-
-
-def edge_text(edges) -> str:
-    """The `_fmt` text of a sequence of floats, comma-joined, in one %-format."""
-    return ",".join(["%.17g"] * len(edges)) % tuple(edges)
 
 
 def _fmt(x) -> str:

@@ -157,6 +157,75 @@ def test_journal_holds_header_and_one_line_per_row(tmp_path, monkeypatch):
     assert again.provenance["complete"] and ck.read_bytes() == before
 
 
+def tag_gap_csv(monkeypatch):
+    """The rows (p, q) that the batch formats, one entry per `gap_csv` call.
+
+    The edge text it returns is tagged with a space after each comma, so a band
+    line that another formatter made would differ from the file's."""
+    calls = []
+    real = butterfly_module.gap_csv
+
+    def tagged(freq, *args):
+        calls.append((freq.p, freq.q))
+        text, gap_lines = real(freq, *args)
+        return text.replace(",", ", "), gap_lines
+
+    monkeypatch.setattr(butterfly_module, "gap_csv", tagged)
+    return calls
+
+
+def band_lines(text):
+    return [ln for ln in text.splitlines(keepends=True) if ln.startswith("# bands,")]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_checkpointed_batch_formats_each_row_once(tmp_path, monkeypatch, workers):
+    """Each row is formatted once, and the journal and the file both take its text."""
+    from harperlab.cli import main
+
+    ck, out = tmp_path / "state.jsonl", tmp_path / "fly.csv"
+    calls = tag_gap_csv(monkeypatch)
+    assert main(["butterfly", "--qmax", "12", "--beta", "1", "--workers", str(workers),
+                 "--checkpoint", str(ck), "--out", str(out)]) == 0
+    dataset = band_lines(out.read_text())
+    assert len(dataset) == len(butterfly_fractions(12)) and all(", " in ln for ln in dataset)
+    assert sorted(calls) == sorted(journal_row(ln)[:2] for ln in dataset)
+    journal = band_lines(ck.read_text())
+    if workers == 1:  # the same bytes, journalled in solve order: q down, then p up
+        assert sorted(journal, key=lambda ln: journal_row(ln)[1::-1]) == dataset
+    else:
+        assert set(journal) == set(dataset) and len(journal) == len(dataset)
+
+
+def stop_at_second_flush(monkeypatch):
+    """Make the batch raise KeyboardInterrupt once its second journal append is written."""
+    real, flushes = butterfly_module._flush_checkpoint, []
+
+    def flush(path, rows):
+        real(path, rows)
+        flushes.append(len(rows))
+        if len(flushes) == 2:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(butterfly_module, "_flush_checkpoint", flush)
+
+
+@pytest.mark.parametrize("first, then", [(2, 1), (1, 2)])
+def test_resume_across_worker_counts_byte_identical(tmp_path, monkeypatch, first, then):
+    ck = tmp_path / "state.jsonl"
+    full = serialize_dataset(compute_butterfly(12, 0.7))
+    monkeypatch.setattr(butterfly_module, "_CHECKPOINT_EVERY", 3)
+    with monkeypatch.context() as m:
+        stop_at_second_flush(m)
+        with pytest.raises(KeyboardInterrupt):
+            compute_butterfly(12, 0.7, workers=first, checkpoint_path=str(ck))
+    journalled = [tuple(p[:2]) for p in journal_lines(ck)[1:]]
+    assert 6 <= len(journalled) < len(butterfly_fractions(12))
+    resumed = compute_butterfly(12, 0.7, workers=then, checkpoint_path=str(ck))
+    assert serialize_dataset(resumed) == full
+    assert len(journal_lines(ck)) == 1 + len(resumed.rows)
+
+
 @pytest.mark.parametrize("corruption", ["one_band_at_1_3", "nan_edge_at_1_2"])
 def test_corrupt_journal_rows_are_refused(tmp_path, capsys, corruption):
     """A whole journal line gets the band-line checks of the dataset file:
@@ -353,6 +422,24 @@ def assert_matches_per_gap_oracles(ds):
 @pytest.mark.parametrize("order", [1, 5, 16])
 def test_gap_columns_match_per_gap_oracles(order, beta):
     assert_matches_per_gap_oracles(compute_butterfly(order, beta))
+
+
+@pytest.mark.parametrize("gap_fill", [True, False])
+def test_svg_at_order_30_equals_the_per_element_oracle(gap_fill):
+    ds = compute_butterfly(30, 1.0)
+    svg = "".join(butterfly_module._render_svg(ds, (333, 217), gap_fill))
+    assert svg == oracle_render_svg(ds, (333, 217), gap_fill)
+
+
+def test_component_rows_sort_by_float_in_fraction_order():
+    """Sorting by the float p/q gives the exact order at order 60, and the counts
+    and members of the per-gap oracle, which sorts by `Fraction`."""
+    ds = compute_butterfly(60, 1.0)
+    freqs = [row.freq for row in ds.rows if row.freq.q >= 2]
+    assert sorted(freqs, key=lambda f: f.alpha) == sorted(freqs, key=lambda f: f.fraction)
+    for hall in (1, 2, 3):
+        cc = component_count(ds, hall)
+        assert (cc.observed, cc.members) == oracle_component_count(ds, hall)
 
 
 def test_gap_columns_match_per_gap_oracles_with_error_rows(monkeypatch):

@@ -382,6 +382,24 @@ def test_config_hash_ignores_out(tmp_path, capsys):
     assert json.loads(out)["config_hash"] != docs[0]["config_hash"]
 
 
+def test_count_components_hashes_the_dataset_not_its_path(tmp_path, capsys):
+    def count_hash(path, hall=1):
+        code, out, _ = run(["count-components", "--dataset", str(path), "--hall", str(hall)],
+                           capsys)
+        assert code == 0
+        return json.loads(out)["config_hash"]
+
+    a, b = tmp_path / "a.csv", tmp_path / "copy" / "b.csv"
+    assert run(["butterfly", "--qmax", "5", "--beta", "1", "--out", str(a)], capsys)[0] == 0
+    b.parent.mkdir()
+    b.write_bytes(a.read_bytes())
+    beta_one = count_hash(a)
+    assert count_hash(b) == beta_one and count_hash(a, hall=2) != beta_one
+    # another dataset written over the same path
+    assert run(["butterfly", "--qmax", "5", "--beta", "0.5", "--out", str(a)], capsys)[0] == 0
+    assert count_hash(a) not in (beta_one, count_hash(b))
+
+
 def test_render_and_count_make_no_eigensolve(tmp_path, capsys, monkeypatch):
     import numpy as np
     ds_file = tmp_path / "fly.csv"
