@@ -66,11 +66,15 @@ def grid_nodes(ch, z) -> int:
 
 
 def _psi_count(A: float, B: float, C: float) -> int:
-    """The psi-trapezoid size of `averages`: `nodes` clipped to 2^22."""
+    """The psi-trapezoid size of `averages`: `nodes`, refused above 2^22."""
     width = strip(A, B, C)
     if width == 0:
         raise ValueError("averages require |A| > |B| + |C| (point off the spectrum)")
-    return nodes(width, 1 << 22) or 1 << 22
+    n = nodes(width, 1 << 22)
+    if n is None:
+        raise ValueError(f"A={A} is too close to the spectrum: its psi strip {width:.3g} "
+                         f"needs more than {1 << 22} nodes")
+    return n
 
 
 def averages(A: float, B: float, C: float, kinds):
@@ -85,7 +89,8 @@ def averages(A: float, B: float, C: float, kinds):
     sqrt(g (g + 2|B|)), g = |a| - |B| = M + |C| (1 + t y), M = |A| - |B| - |C|
     and t = sign(A C): 1 + t y = 2 cos^2(psi/2) or 2 sin^2(psi/2) keeps every
     digit of a small M, which a^2 - B^2 loses.  psi is a trapezoid of
-    `_psi_count` nodes, in chunks that bound the memory of narrow gaps.
+    `_psi_count` nodes, in chunks that bound the memory of narrow gaps; a
+    strip that needs more than 2^22 nodes raises ValueError.
     """
     kinds = tuple(kinds)
     n = _psi_count(A, B, C)

@@ -147,22 +147,17 @@ def _atomic_write(path, text):
         raise
 
 
-# pending rows that trigger a journal append
-_CHECKPOINT_EVERY = 32
-
-
 def compute_butterfly(order: int, beta: float, workers: int = 1,
                       min_width: float = 1e-9,
                       checkpoint_path: str | None = None) -> ButterflyDataset:
     """Band and gap rows for every reduced fraction up to the order.
 
     One work unit is a denominator with its missing numerators, largest
-    first.  With a checkpoint path, the band or error line of each finished
-    row, the first line of its `text`, is appended to a journal once
-    `_CHECKPOINT_EVERY` rows are pending and as the loop ends, normally or
-    by an exception such as KeyboardInterrupt, and reused on restart
-    provided the journal's configuration digest matches.  The dataset is
-    complete when no row is an error.
+    first.  With a checkpoint path, the band or error lines of a solved
+    denominator's rows, the first line of each row's `text`, are appended to
+    a journal as its rows are built, so an interrupt loses no finished
+    denominator, and reused on restart provided the journal's configuration
+    digest matches.  The dataset is complete when no row is an error.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -182,35 +177,24 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
         if (f.p, f.q) not in done:
             missing.setdefault(f.q, []).append(f.p)
     jobs = [(q, ps, beta) for q, ps in sorted(missing.items(), reverse=True)]
-    pending = []
 
     def note(payloads):  # of one denominator, its numerators in order
         rows = _build_rows([RationalFrequency(p, q) for p, q, _, _ in payloads],
                            {payload[:2]: payload for payload in payloads}, beta, min_width)
         done.update(((row.freq.p, row.freq.q), row) for row in rows)
         if checkpoint_path:
-            pending.extend(rows)
-            if len(pending) >= _CHECKPOINT_EVERY:
-                flush()
+            _flush_checkpoint(checkpoint_path, rows)
 
-    def flush():
-        rows, pending[:] = pending[:], []  # emptied first: a failed append is not retried
-        _flush_checkpoint(checkpoint_path, rows)
+    if workers == 1:
+        for job in jobs:
+            note(_denominator_payloads(job))
+    else:
+        # imported here: the pool loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
 
-    try:
-        if workers == 1:
-            for job in jobs:
-                note(_denominator_payloads(job))
-        else:
-            # imported here: the pool loads multiprocessing, which a serial run never needs
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for payloads in pool.map(_denominator_payloads, jobs, chunksize=1):
-                    note(payloads)
-    finally:
-        if pending:
-            flush()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for payloads in pool.map(_denominator_payloads, jobs, chunksize=1):
+                note(payloads)
     rows = tuple(done[(f.p, f.q)] for f in freqs)
     return ButterflyDataset(beta, order, rows, min_width,
                             provenance={"config": digest,

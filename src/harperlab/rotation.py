@@ -110,13 +110,7 @@ def rho_images(rep: RotationRep, beta: float):
 
     so that rho(u + beta v) = u* + beta v.
     """
-    u, v = rep.u, rep.v
-    eye = np.eye(rep.q)
-    a = u @ v + beta * eye
-    _check_cond(a, beta)
-    b = v.conj().T @ u.conj().T + beta * eye
-    core = np.linalg.solve(a, b)
-    return v @ u @ v @ core, v @ core
+    return _twisted(rep, rep.u, beta)
 
 
 def sigma_images(rep: RotationRep, beta: float):
@@ -132,13 +126,16 @@ def sigma_images(rep: RotationRep, beta: float):
     """
     if not 0 < beta < 1:
         raise ValueError(f"symmetry images need 0 < beta < 1, got beta={beta}")
-    u, v = rep.u, rep.v
-    eye = np.eye(rep.q)
-    a = u.conj().T @ v + beta * eye
+    return _twisted(rep, rep.u.conj().T, beta)
+
+
+def _twisted(rep, x, beta):
+    """(v x v c, v c), c = (x v + beta)^{-1} (v* x* + beta): rho's at x = u, sigma's at u*."""
+    v, eye = rep.v, np.eye(rep.q)
+    a = x @ v + beta * eye
     _check_cond(a, beta)
-    b = v.conj().T @ u + beta * eye
-    core = np.linalg.solve(a, b)
-    return v @ u.conj().T @ v @ core, v @ core
+    core = np.linalg.solve(a, v.conj().T @ x.conj().T + beta * eye)
+    return v @ x @ v @ core, v @ core
 
 
 def _check_cond(a, beta):

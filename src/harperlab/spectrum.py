@@ -449,11 +449,11 @@ def gap_tables(q: int, ps, beta: float, edges, min_width: float) -> list:
     int64 tables of rows (j, m, n, open), in array ops over the block.
 
     Gap j runs from edge 2j - 1 to edge 2j; it is open (1) if wider than
-    min_width, and the even-q central touching is reported closed (0); (m, n)
-    is its `gap_label`.  At beta = 0, or with no edges (an error row), no gaps.
+    min_width, and the even-q central touching is reported closed (0) at any
+    min_width; (m, n) is its `gap_label`.  At beta = 0, or with no edges (an error row), no gaps.
     """
-    is_open = edges[:, 2::2] - edges[:, 1:-1:2] > min_width
-    j = np.arange(1, is_open.shape[1] + 1)
+    j = np.arange(1, edges.shape[1] // 2)
+    is_open = (edges[:, 2::2] - edges[:, 1:-1:2] > min_width) & (2 * j != q)
     row, col = np.nonzero((is_open | (2 * j == q)) & (beta != 0.0))  # gap j = col + 1
     inv = np.array([pow(int(p), -1, q) for p in ps], dtype=np.int64)
     m, n = _labels(col + 1, np.asarray(ps, dtype=np.int64)[row], inv[row], q)

@@ -495,7 +495,7 @@ def oracle_row_gaps(row, beta, min_width):
         central = q % 2 == 0 and j == q // 2
         if hi - lo <= min_width and not central:
             continue
-        out.append((j, lo, hi, *oracle_gap_label(j, p, q), hi - lo > min_width))
+        out.append((j, lo, hi, *oracle_gap_label(j, p, q), hi - lo > min_width and not central))
     return out
 
 

@@ -315,7 +315,6 @@ def test_criterion_10_determinism(monkeypatch):
         return hl.corner_edges(q, ps, beta)
 
     computed = []
-    monkeypatch.setattr(butterfly_module, "_CHECKPOINT_EVERY", 3)
     with tempfile.TemporaryDirectory() as tmp:
         ck = os.path.join(tmp, "state.json")
         with monkeypatch.context() as m:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 
@@ -46,10 +47,9 @@ def rows_computed(monkeypatch, stop_after=None):
     return calls
 
 
-def interrupted_batch(monkeypatch, ck, order, beta, every, stop_after):
+def interrupted_batch(monkeypatch, ck, order, beta, stop_after):
     """Run a checkpointed batch that is interrupted after `stop_after` rows;
     the rows that finished."""
-    monkeypatch.setattr(butterfly_module, "_CHECKPOINT_EVERY", every)
     finished = rows_computed(monkeypatch, stop_after)
     with pytest.raises(KeyboardInterrupt):
         compute_butterfly(order, beta, checkpoint_path=str(ck))
@@ -110,9 +110,9 @@ def missing_rows(order, journalled):
 def test_checkpoint_resume_byte_identical(tmp_path, monkeypatch):
     ck = tmp_path / "state.json"
     full = serialize_dataset(compute_butterfly(6, 0.7))
-    finished = interrupted_batch(monkeypatch, ck, 6, 0.7, every=32, stop_after=5)
-    # the denominators 6 and 5 finished; all six rows were still pending and
-    # reach the journal as the interrupt leaves the loop
+    finished = interrupted_batch(monkeypatch, ck, 6, 0.7, stop_after=5)
+    # the denominators 6 and 5 finished, and each one's rows reached the
+    # journal as they were built, before the interrupted solve of 4 began
     assert finished == [(1, 6), (5, 6), (1, 5), (2, 5), (3, 5), (4, 5)]
     journalled = [(p[0], p[1]) for p in journal_lines(ck)[1:]]
     assert journalled == finished
@@ -126,7 +126,7 @@ def test_checkpoint_resume_byte_identical(tmp_path, monkeypatch):
 def test_checkpoint_resume_after_torn_line(tmp_path, monkeypatch):
     ck = tmp_path / "state.jsonl"
     full = serialize_dataset(compute_butterfly(6, 0.7))
-    interrupted_batch(monkeypatch, ck, 6, 0.7, every=2, stop_after=5)
+    interrupted_batch(monkeypatch, ck, 6, 0.7, stop_after=5)
     text = ck.read_text()
     ck.write_text(text[:-20])  # an append interrupted mid-line
     assert not ck.read_text().endswith("\n")
@@ -143,7 +143,6 @@ def test_checkpoint_resume_after_torn_line(tmp_path, monkeypatch):
 
 def test_journal_holds_header_and_one_line_per_row(tmp_path, monkeypatch):
     ck = tmp_path / "state.jsonl"
-    monkeypatch.setattr(butterfly_module, "_CHECKPOINT_EVERY", 3)
     ds = compute_butterfly(6, 0.7, checkpoint_path=str(ck))
     head, *payloads = journal_lines(ck)
     assert head == {"config": ds.provenance["config"], "journal": "lines"}
@@ -155,6 +154,40 @@ def test_journal_holds_header_and_one_line_per_row(tmp_path, monkeypatch):
     again = compute_butterfly(6, 0.7, checkpoint_path=str(ck))
     assert calls == []
     assert again.provenance["complete"] and ck.read_bytes() == before
+
+
+def test_journal_appends_each_denominator_as_it_is_solved(tmp_path, monkeypatch):
+    """`_flush_checkpoint` runs once per solved denominator, right after its solve,
+    in solve order (q down) with that denominator's rows.  An interrupt at the
+    k-th solve leaves the k - 1 finished denominators journalled and appends
+    nothing after it."""
+    solve, flush, events = corner_edges, butterfly_module._flush_checkpoint, []
+
+    def solved(q, ps, beta):
+        events.append(("solve", q))
+        if q == stop_at:
+            raise KeyboardInterrupt
+        return solve(q, ps, beta)
+
+    def appended(path, rows):
+        events.append(("append", [(row.freq.p, row.freq.q) for row in rows]))
+        flush(path, rows)
+
+    monkeypatch.setattr(butterfly_module, "corner_edges", solved)
+    monkeypatch.setattr(butterfly_module, "_flush_checkpoint", appended)
+    by_q = {}
+    for f in butterfly_fractions(8):
+        by_q.setdefault(f.q, []).append((f.p, f.q))
+    order = sorted(by_q, reverse=True)
+    for k in (1, 3, len(order) + 1):  # the last run is not interrupted
+        ck, events[:] = tmp_path / f"state-{k}.jsonl", []
+        stop_at = order[k - 1] if k <= len(order) else None
+        with pytest.raises(KeyboardInterrupt) if stop_at else contextlib.nullcontext():
+            compute_butterfly(8, 0.7, checkpoint_path=str(ck))
+        finished = order[:k - 1]
+        assert events == [e for q in finished for e in (("solve", q), ("append", by_q[q]))] + [
+            ("solve", q) for q in order[k - 1:k]]
+        assert [p[:2] for p in journal_lines(ck)[1:]] == [r for q in finished for r in by_q[q]]
 
 
 def tag_gap_csv(monkeypatch):
@@ -214,7 +247,6 @@ def stop_at_second_flush(monkeypatch):
 def test_resume_across_worker_counts_byte_identical(tmp_path, monkeypatch, first, then):
     ck = tmp_path / "state.jsonl"
     full = serialize_dataset(compute_butterfly(12, 0.7))
-    monkeypatch.setattr(butterfly_module, "_CHECKPOINT_EVERY", 3)
     with monkeypatch.context() as m:
         stop_at_second_flush(m)
         with pytest.raises(KeyboardInterrupt):

@@ -704,6 +704,18 @@ def test_psi_count_with_an_infinite_strip():
     assert g.lo < cp.s_star < g.hi and cp.g0_residual <= 1e-12
 
 
+def test_averages_refuse_a_strip_above_the_node_cap():
+    """At A = 4 + 1e-13, B = C = -2 the psi strip is 3.2e-7 and the rule asks
+    for 1.3e8 nodes; clipped to 2^22, m1 was 4.0e-2 off, so it is refused.
+    At 4 + 1e-9 (1.3e6 nodes) m1 is within 1e-12 of the 40-digit quadrature:
+    measured 3.3e-13."""
+    with pytest.raises(ValueError, match=r"psi strip 3\.17e-07 needs more than 4194304 nodes"):
+        averages(4 + 1e-13, -2.0, -2.0, ("m1",))
+    A = 4 + 1e-9
+    ref = oracle_torus_kernels(A, -2.0, -2.0)["m1"]
+    assert abs(averages(A, -2.0, -2.0, ("m1",))["m1"] - ref) <= 1e-12 * abs(ref)
+
+
 # (fraction, beta, widest or narrowest open gap, bound): relative error of
 # the trapezoid m1 at the gap midpoint against the elliptic closed form.
 # Measured 0, 0, 1.2e-16 and 0 (margins down to 2.5e-12 in the narrow gaps)

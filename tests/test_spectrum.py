@@ -508,6 +508,17 @@ def test_gaps_central_reported_closed():
     assert g.label == (0, 1)
 
 
+@pytest.mark.parametrize("q", [4, 6, 10, 20, 60])
+def test_central_gap_closed_at_any_min_width(q):
+    """The even-q central touching is reported closed even at min_width 0, below
+    its roundoff width (4.4e-17 at 1/4, beta 1), where `width > min_width`
+    alone read it open; every other gap is open there."""
+    edges = corner_edges(q, [1], 1.0)
+    table = gap_table(F(1, q), 1.0, list(zip(edges[0, 0::2], edges[0, 1::2])), 0.0)
+    assert table[:, 0].tolist() == list(range(1, q))
+    assert table[table[:, 3] == 0, 0].tolist() == [q // 2]
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
 def test_gap_tables_equal_gap_table_row_by_row(beta):
     """One `gap_tables` call per denominator gives each p/q, q <= 60, the table
