@@ -352,8 +352,6 @@ def _render_ppm(dataset, size, gap_fill):
     pixels = np.full((height, width, 3), 255, dtype=np.uint8)
     for row in sorted(dataset.rows, key=lambda r: r.freq.alpha):
         y = int(round((1.0 - row.freq.alpha) * (height - 1)))
-        if not 0 <= y < height:
-            continue
         cols = np.clip(((edge_array(row.bands) - elo) / (ehi - elo) * (width - 1)).astype(int),
                        0, width - 1)
         lo, hi = cols[0::2], cols[1::2]

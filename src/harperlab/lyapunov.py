@@ -64,8 +64,8 @@ class HessianRecord:
         return self.d2z * self.d2beta - self.dzdbeta ** 2
 
 
-# the transfer's phase cap, also its count on and near the spectrum
-_TRANSFER_CAP = 256
+# the transfer's phase count on the spectrum, where the strip is 0 and sizes nothing
+_SPECTRUM_PHASES = 256
 # the largest |D| whose square, and whose cube for the second-order kernels, is finite
 _ROOT2_MAX, _ROOT3_MAX = np.finfo(float).max ** (1.0 / 2), np.finfo(float).max ** (1.0 / 3)
 _BEYOND_RANGE = "the torus kernels leave the float64 range at q={}, E={}"
@@ -78,12 +78,17 @@ def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovV
     larger monodromy-eigenvalue modulus divided by the period, averaged over
     phases x.  The trace P(E) + c2 cos(2 pi q x) makes that average 1/q
     periodic with the strip `strip(P, c1, c2)`: `nodes` phases on [0, 1/q),
-    capped at `_TRANSFER_CAP`.  A monodromy or its squared trace outside the
-    float64 range raises ArithmeticError.
+    and `_SPECTRUM_PHASES` on the spectrum.  An energy whose strip needs more
+    than 2^16 phases is refused with ValueError, and a monodromy or its
+    squared trace outside the float64 range raises ArithmeticError.
     """
     p, q = freq.p, freq.q
     ch = chambers(freq, beta, verify=False)
-    n = nodes(strip(ch.P(energy), ch.c1, ch.c2), _TRANSFER_CAP) or _TRANSFER_CAP
+    width = strip(ch.P(energy), ch.c1, ch.c2)
+    n = nodes(width, 1 << 16) if width > 0 else _SPECTRUM_PHASES
+    if n is None:
+        raise ValueError(f"E={energy} is too close to the spectrum: its phase strip "
+                         f"{width:.3g} needs more than {1 << 16} phases")
     th = np.arange(n) / (n * q)
     dtype = complex if np.iscomplexobj(np.asarray(energy)) else float
     m00 = m11 = np.ones(n, dtype=dtype)  # each step builds new arrays
@@ -103,19 +108,14 @@ def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovV
     return LyapunovValue(float(beta), energy, val, "transfer")
 
 
-def _graded_nodes(bands: BandSet) -> np.ndarray:
-    """65 nodes per band, cosine-graded toward the edges: shape (q, 65)."""
-    shape = (1.0 - np.cos(np.pi * np.arange(65) / 64)) / 2.0
-    edges = np.asarray(bands.bands, dtype=float)
-    return edges[:, :1] + (edges[:, 1:] - edges[:, :1]) * shape
-
-
 @lru_cache(maxsize=256)
 def _ids_model(bands: BandSet):
-    """Graded nodes and their IDS values, both (q, 65) and read-only,
-    from one array-valued `ids` call over every band of the given set:
+    """65 nodes per band of the set, cosine-graded toward its edges, and their
+    IDS values, both (q, 65) and read-only, from one array-valued `ids` call:
     no eigensolve, as the edges are the caller's."""
-    nodes = _graded_nodes(bands)
+    shape = (1.0 - np.cos(np.pi * np.arange(65) / 64)) / 2.0
+    edges = np.asarray(bands.bands, dtype=float)
+    nodes = edges[:, :1] + (edges[:, 1:] - edges[:, :1]) * shape
     vals = ids(bands, nodes)
     nodes.flags.writeable = vals.flags.writeable = False
     return nodes, vals
@@ -126,22 +126,18 @@ def lyapunov_thouless(bands: BandSet, energy) -> LyapunovValue:
 
     The IDS is sampled on 65 graded nodes per band of the set and treated
     as piecewise linear; each panel integrates log|E - E'| in closed form,
-    so the singularity at E' = E costs nothing.
+    F(b) - F(a) with F(x) = Re((x - E)(log(E - x) - 1)), so the singularity
+    at E' = E costs nothing.  One array pass over the cached model: F at
+    every node, the panel slopes, panels of zero width dropped, one sum per
+    band, and the band sums added in band order.
     """
-    nodes_all, vals_all = _ids_model(bands)
+    nodes, vals = _ids_model(bands)
     E = complex(energy)
-    total = 0.0
-    for nodes, vals in zip(nodes_all, vals_all):
-        dN = np.diff(vals)
-        dx = np.diff(nodes)
-        keep = dx > 0
-        if not np.any(keep):
-            continue
-        a, b = nodes[:-1][keep], nodes[1:][keep]
-        rho = dN[keep] / dx[keep]
-        Fb = np.real((b - E) * (np.log(E - b + 0j) - 1.0))
-        Fa = np.real((a - E) * (np.log(E - a + 0j) - 1.0))
-        total += float(np.sum(rho * (Fb - Fa)))
+    F = np.real((nodes - E) * (np.log(E - nodes + 0j) - 1.0))
+    dx = np.diff(nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the zero-width panels, dropped here
+        panels = np.where(dx > 0, np.diff(vals) / dx * np.diff(F), 0.0)
+    total = float(np.cumsum(panels.sum(axis=1))[-1])  # cumsum adds in order, as a loop would
     return LyapunovValue(bands.beta, energy, total, "thouless")
 
 

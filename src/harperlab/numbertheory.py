@@ -102,13 +102,13 @@ def component_count(dataset, hall: int) -> ComponentCount:
 
     Rows are taken in order of p/q, so consecutive rows are Farey neighbours
     of the dataset's order; an open gap of the Hall number joins the previous
-    row's when their energy intervals overlap, a linear-interpolation model of
-    adjacency in the full fractal.  The prediction for the untruncated picture
-    is the cumulative totient Phi(2 hall).  The model splits runs wherever a
-    narrow gap moves by more than its width between neighbouring rows, or is
-    narrower than the table's `min_width`, so the observed count can exceed
-    the prediction and need not grow with the order.  A dataset with error
-    rows is refused: a missing row splits the chains it would have joined.
+    row's when their labels (m, hall) agree, as one labelled gap continues
+    across the fractal.  The prediction for the untruncated picture is the
+    cumulative totient Phi(2 hall).  A run splits where a row lacks the
+    label's open gap, which includes a gap narrower than the table's
+    `min_width`, so at a fixed `min_width` the count exceeds the prediction
+    once the Hall number's gaps get that narrow.  A dataset with error rows
+    is refused: a missing row splits the chains it would have joined.
     """
     if hall < 1:
         raise ValueError("component counting applies to positive Hall numbers")
@@ -121,19 +121,18 @@ def component_count(dataset, hall: int) -> ComponentCount:
     # exact: reduced p/q with q < 2**26 lie more than an ulp apart as floats
     rows.sort(key=lambda r: r.freq.alpha)
     # labels are distinct within a row, so a row has at most one gap of this Hall
-    # number, and a component is a run of such gaps on consecutive rows
+    # number, and a component is a run of such gaps with one label on consecutive rows
     chains, last = [], None
     for ridx, row in enumerate(rows):
-        j = row.table[(row.table[:, 2] == hall) & (row.table[:, 3] == 1), 0].tolist()
-        if not j:
+        jm = row.table[(row.table[:, 2] == hall) & (row.table[:, 3] == 1), :2].tolist()
+        if not jm:
             last = None
             continue
-        j = j[0]
-        lo, hi = row.bands[j - 1][1], row.bands[j][0]
-        if last is not None and last[0] <= hi and lo <= last[1]:
+        j, m = jm[0]
+        if m == last:
             chains[-1].append((ridx, j))
         else:
             chains.append([(ridx, j)])
-        last = (lo, hi)
+        last = m
     return ComponentCount(hall, dataset.order, dataset.beta, predicted,
                           len(chains), tuple(map(tuple, chains)))

@@ -214,11 +214,8 @@ class BandSet:
     def distance(self, E) -> float:
         """Distance from (possibly complex) E to the band union."""
         x, y = float(np.real(E)), float(np.imag(E))
-        best = np.inf
-        for lo, hi in self.bands:
-            dx = 0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
-            best = min(best, np.hypot(dx, y))
-        return best
+        lo, hi = np.asarray(self.bands, dtype=float).T
+        return float(np.min(np.hypot(np.maximum(np.maximum(lo - x, x - hi), 0.0), y)))
 
 
 def _tridiagonal_eigvalsh(diag, off) -> np.ndarray:

@@ -480,6 +480,34 @@ def interval_union_distance(a, b, samples=20001):
     return worst
 
 
+def oracle_band_distance(bands, z):
+    """Distance from (possibly complex) z to a union of (lo, hi) bands, one band at a time."""
+    x, y = float(np.real(z)), float(np.imag(z))
+    best = np.inf
+    for lo, hi in bands:
+        dx = 0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
+        best = min(best, np.hypot(dx, y))
+    return best
+
+
+def oracle_thouless_panels(nodes_all, vals_all, energy):
+    """The log-potential of a piecewise-linear IDS given by (q, k) nodes and values,
+    one band at a time: panels of zero width are skipped, the others integrate
+    log|E - x| in closed form."""
+    E = complex(energy)
+
+    def antiderivative(x):
+        return np.real((x - E) * (np.log(E - x + 0j) - 1.0))
+
+    total = 0.0
+    for nodes, vals in zip(nodes_all, vals_all):
+        keep = np.diff(nodes) > 0
+        a, b = nodes[:-1][keep], nodes[1:][keep]
+        total += float(np.sum(np.diff(vals)[keep] / (b - a)
+                              * (antiderivative(b) - antiderivative(a))))
+    return total
+
+
 # The per-gap butterfly writers that the gap-table columns replaced, kept as
 # oracles: each row's gaps are rebuilt one by one from its band edges, with
 # the brute-force label, and every gap is written, drawn or joined on its own.
@@ -592,7 +620,8 @@ def oracle_render_ppm(ds, size, gap_fill):
 
 
 def oracle_component_count(ds, hall):
-    """(observed, members) of the Hall-number components, by union-find over gap pairs."""
+    """(observed, members) of the Hall-number components, by union-find over gap pairs
+    of one label on consecutive rows."""
     rows = sorted((row for row in ds.rows if row.freq.q >= 2),
                   key=lambda r: Fraction(r.freq.p, r.freq.q))
     gaps = [[g for g in oracle_row_gaps(row, ds.beta, ds.min_width) if g[4] == hall and g[5]]
@@ -609,7 +638,7 @@ def oracle_component_count(ds, hall):
     for ridx in range(len(rows) - 1):
         for g1 in gaps[ridx]:
             for g2 in gaps[ridx + 1]:
-                if g1[1] <= g2[2] and g2[1] <= g1[2]:
+                if g1[3] == g2[3]:
                     r1, r2 = find((ridx, g1[0])), find((ridx + 1, g2[0]))
                     if r1 != r2:
                         parent[r1] = r2

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from harperlab import RationalFrequency, band_edges, chambers, gaps, ids
+from harperlab import (RationalFrequency, band_edges, build_phi, chambers, coefficient_sheet,
+                       gaps, ids, recursion_sheets, symmetrized_sheet)
 from harperlab.cli import main
 from harperlab.spectrum import _fmt
 
@@ -445,3 +446,41 @@ def test_bad_dataset_files_exit_two(tmp_path, capsys, command):
         code, _, err = run([command, "--dataset", str(ds_file), *extra], capsys)
         assert code == 2
         assert err.startswith("error:") and match in err
+
+
+def test_coeffs_and_decay_of_phi(capsys):
+    """`--kind phi` prints, after the run header, the sheet `build_phi` makes
+    from the coefficient sheet and the symmetrized recursion sheet."""
+    freq, argv = RationalFrequency(5, 8), ["--alpha", "5/8", "--beta", "0.5", "--z", "4",
+                                           "--window", "4", "--kind", "phi"]
+    code, out, _ = run(["coeffs", *argv], capsys)
+    want = build_phi(coefficient_sheet(freq, 0.5, 4.0, window=4),
+                     symmetrized_sheet(*recursion_sheets(freq, 0.5, 4.0, window=4)))
+    assert code == 0
+    assert out.startswith("# harperlab=") and out.split("\n", 1)[1] == want.to_csv()
+    code, out, _ = run(["decay", *argv], capsys)
+    assert code == 0 and len(json.loads(out)["rows"]) == 10
+
+
+def test_custom_continued_fraction_runs_its_convergents(capsys):
+    """[0; 2, 1, 3] expands to 0/1, 1/2, 1/3 and 4/11, whose band lines are
+    those of the four `--alpha` runs; without `--cf-terms` the run exits 2."""
+    def band_lines(argv):
+        code, out, _ = run(["spectrum", *argv, "--beta", "0.5"], capsys)
+        assert code == 0
+        return out.splitlines()[2:]
+
+    want = [ln for a in ("0/1", "1/2", "1/3", "4/11") for ln in band_lines(["--alpha", a])]
+    assert band_lines(["--irrational", "custom-cf", "--cf-terms", "0,2,1,3"]) == want
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--irrational", "custom-cf", "--beta", "0.5"])
+    assert exc.value.code == 2
+    assert "--cf-terms" in capsys.readouterr().err
+
+
+def test_critical_scan_skips_the_closed_central_gap(capsys):
+    """3/8 has seven gaps; the central one, n = 4, is closed and not scanned."""
+    code, out, _ = run(["critical-scan", "--alpha", "3/8", "--beta", "0.7"], capsys)
+    rows = json.loads(out)["rows"]
+    assert code == 0 and len(rows) == 6
+    assert all(row["n"] != 4 for row in rows)

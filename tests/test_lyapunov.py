@@ -13,9 +13,9 @@ from harperlab import (RationalFrequency, band_edges, chambers, critical_scan,
 from harperlab import lyapunov, spectrum
 from harperlab._torus import _psi_count, averages
 from harperlab.lyapunov import _trace_sum
-from conftest import (center_eigenvalues, oracle_average_inverse, oracle_moment,
-                      oracle_orbit_transfer, oracle_torus_kernels, oracle_trace,
-                      vanishing_scan)
+from conftest import (center_eigenvalues, oracle_average_inverse, oracle_band_distance,
+                      oracle_moment, oracle_orbit_transfer, oracle_thouless_panels,
+                      oracle_torus_kernels, oracle_trace, vanishing_scan)
 
 F = RationalFrequency
 
@@ -134,6 +134,58 @@ def test_cold_thouless_solves_no_corners_beyond_its_band_set(monkeypatch):
     lo, hi = max(bands.gap_intervals(), key=lambda g: g[1] - g[0])
     assert lyapunov_thouless(bands, (lo + hi) / 2).value > 0
     assert calls[0] == 2
+
+
+def test_thouless_drops_zero_width_panels_like_a_per_band_loop():
+    """At 1/128, beta 1, bands narrower than their 64 panels can resolve hold
+    panels of zero width.  The one array pass over the model drops them and
+    matches a per-band loop that skips them, within 1e-14 relative (measured
+    4.0e-16), in and beyond the gaps and off the axis."""
+    freq = F(1, 128)
+    bands = spectrum.corner_bands(freq, 1.0)
+    nodes, vals = lyapunov._ids_model(bands)
+    assert np.count_nonzero(np.diff(nodes) == 0) > 0
+    lo, hi = bands.hull
+    zs = ([g.midpoint for g in gaps(freq, 1.0) if g.is_open]
+          + [lo - 1.0, lo - 1e-3, hi + 1e-3, hi + 1.0, 0.3 + 0.2j, 1.7 - 1e-3j, lo + 0.5j])
+    for z in zs:
+        want = oracle_thouless_panels(nodes, vals, z)
+        assert abs(lyapunov_thouless(bands, z).value - want) <= 1e-14 * abs(want), z
+
+
+_THIN_BANDS = pytest.mark.xfail(strict=True, reason=(
+    "bands narrower than 1e-13 collapse their 65 graded nodes onto a few floats: "
+    "rho (F(b) - F(a)) cancels, a zero-width panel holding the band's IDS step is "
+    "dropped, and a band of exactly zero width gets no IDS step, as `ids` reads k/q "
+    "at its one node"))
+
+
+@pytest.mark.parametrize("q", [pytest.param(q, marks=_THIN_BANDS) for q in (32, 64, 128)])
+def test_thouless_at_thin_bands(q):
+    """At every open-gap midpoint wider than 1e-3 of 1/q, beta 1, the Thouless
+    route is within 1e-4 of `log_potential`.  Measured off by 0.12, 0.18 and
+    0.34 at q = 32, 64 and 128, which have 4, 28 and 84 bands narrower than
+    1e-13; 7.8e-6 at 5/32 and 7.4e-6 at 3/16, which have none."""
+    freq = F(1, q)
+    ch, bands = chambers(freq, 1.0, verify=False), spectrum.corner_bands(freq, 1.0)
+    for g in gaps(freq, 1.0):
+        if g.is_open and g.width > 1e-3:
+            assert abs(lyapunov_thouless(bands, g.midpoint).value
+                       - log_potential(ch, g.midpoint)) <= 1e-4, g.j
+
+
+def test_band_distance_is_the_per_band_distance():
+    """`BandSet.distance` equals a per-band loop bit for bit at real and complex
+    z inside bands, at their edges, between them and beyond the hull."""
+    for pq, beta in (((1, 1), 0.5), ((2, 5), 0.7), ((3, 8), 1.0), ((21, 34), 0.5), ((1, 128), 1.0)):
+        bands = spectrum.corner_bands(F(*pq), beta)
+        edges = np.asarray(bands.bands)
+        xs = np.concatenate([edges.ravel(), edges.mean(axis=1),
+                             (edges[:-1, 1] + edges[1:, 0]) / 2, edges[0, :1] - [2.0, 1e-9],
+                             edges[-1, 1:] + [1e-9, 2.0]])
+        for x in xs:
+            for z in (float(x), complex(x, 1e-3), complex(x, -0.7)):
+                assert bands.distance(z) == oracle_band_distance(bands.bands, z), (pq, z)
 
 
 def test_trace_far_field_expansion():
@@ -783,6 +835,36 @@ def test_transfer_samples_one_period_at_even_q(p, q):
             for e in (g.midpoint, g.lo + 0.05 * g.width):
                 assert abs(lyapunov_transfer(freq, 1.0, e).value
                            - log_potential(ch, e)) <= 1e-11, g.j
+
+
+def test_transfer_sizes_its_phases_by_the_strip_or_refuses():
+    """At every open-gap midpoint of 5/8, 8/13 and 21/34, beta 1.5, 2 and 3,
+    the transfer is within 1e-12 of `log_potential` (measured 1.35e-13), or
+    it refuses and states the strip: 29 of 150 need more than 2^16 phases.
+    A fixed cap of 256 phases answered all of them, up to 1.2e-3 off.  At
+    21/34, beta 3, gap 30, the float P puts the midpoint on the spectrum, so
+    `log_potential` refuses and there is nothing to compare."""
+    points = refused = unchecked = 0
+    for pq in ((5, 8), (8, 13), (21, 34)):
+        for beta in (1.5, 2.0, 3.0):
+            freq, ch = F(*pq), chambers(F(*pq), beta, verify=False)
+            for g in gaps(freq, beta):
+                if not g.is_open:
+                    continue
+                points += 1
+                try:
+                    value = lyapunov_transfer(freq, beta, g.midpoint).value
+                except ValueError as exc:
+                    assert "its phase strip" in str(exc) and "more than 65536 phases" in str(exc)
+                    refused += 1
+                    continue
+                try:
+                    reference = log_potential(ch, g.midpoint)
+                except ValueError:
+                    unchecked += 1
+                    continue
+                assert abs(value - reference) <= 1e-12, (pq, beta, g.j)
+    assert (points, refused, unchecked) == (150, 29, 1)
 
 
 def test_derivatives_refuse_data_of_another_fraction_or_coupling():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harperlab import (component_count, compute_butterfly, farey, franel_sum,
-                       franel_table, phi_cumulative, totients)
+                       franel_table, parse_dataset, phi_cumulative, serialize_dataset,
+                       totients)
 
 
 def test_farey_order_one():
@@ -183,3 +184,15 @@ def test_component_count_rejects_nonpositive_hall():
     ds = compute_butterfly(4, 1.0)
     with pytest.raises(ValueError):
         component_count(ds, 0)
+
+
+@pytest.mark.parametrize("beta, n_max", [(0.5, 9), (1.0, 10), (2.0, 10)])
+def test_component_count_by_label_at_order_60_reads_phi_2n(tmp_path, beta, n_max):
+    """Read back from the dataset file, the label count equals Phi(2n) for every
+    Hall number n up to n_max; the energy-overlap rule read 36 to 268 at beta 1,
+    n = 5..10, against Phi(2n) = 32 to 128."""
+    path = tmp_path / "ds.csv"
+    path.write_text(serialize_dataset(compute_butterfly(60, beta)))
+    ds = parse_dataset(path.read_text())
+    observed = [component_count(ds, n).observed for n in range(1, n_max + 1)]
+    assert observed == [phi_cumulative(2 * n) for n in range(1, n_max + 1)]
