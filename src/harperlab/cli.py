@@ -502,7 +502,7 @@ def run_selftest() -> int:
             lt = lyapunov_transfer(freq, 0.5, z).value
             lh = lyapunov_thouless(bands, z).value
             lr = lyapunov_trace(freq, 0.5, z).value
-            assert abs(lt - lh) < 2e-3 and abs(lh - lr) < 1e-3
+            assert abs(lt - lh) < 1e-10 and abs(lh - lr) < 1e-10
 
     def coeffs():
         freq = RationalFrequency(1, 3)

@@ -25,7 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .rationals import TWO_PI, RationalFrequency
-from .spectrum import BandSet, ChambersData, band_edges, chambers, harper_matrix, ids
+from .spectrum import (BandSet, ChambersData, _endpoint_rule, band_edges, chambers, harper_matrix,
+                       ids)
 from ._torus import averages, grid_nodes, nodes, strip
 
 
@@ -69,6 +70,10 @@ _SPECTRUM_PHASES = 256
 # the largest |D| whose square, and whose cube for the second-order kernels, is finite
 _ROOT2_MAX, _ROOT3_MAX = np.finfo(float).max ** (1.0 / 2), np.finfo(float).max ** (1.0 / 3)
 _BEYOND_RANGE = "the torus kernels leave the float64 range at q={}, E={}"
+# the Thouless rule on [0, 1]: `_endpoint_rule(24)` mapped again by u -> (1 - cos pi u)/2
+_PIECE_U, _PIECE_W = _endpoint_rule(24)
+_PIECE_U, _PIECE_W = (np.sin(np.pi * _PIECE_U / 2) ** 2,
+                      np.pi / 2 * np.sin(np.pi * _PIECE_U) * _PIECE_W)
 
 
 def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovValue:
@@ -108,37 +113,42 @@ def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovV
     return LyapunovValue(float(beta), energy, val, "transfer")
 
 
-@lru_cache(maxsize=256)
-def _ids_model(bands: BandSet):
-    """65 nodes per band of the set, cosine-graded toward its edges, and their
-    IDS values, both (q, 65) and read-only, from one array-valued `ids` call:
-    no eigensolve, as the edges are the caller's."""
-    shape = (1.0 - np.cos(np.pi * np.arange(65) / 64)) / 2.0
-    edges = np.asarray(bands.bands, dtype=float)
-    nodes = edges[:, :1] + (edges[:, 1:] - edges[:, :1]) * shape
-    vals = ids(bands, nodes)
-    nodes.flags.writeable = vals.flags.writeable = False
-    return nodes, vals
-
-
 def lyapunov_thouless(bands: BandSet, energy) -> LyapunovValue:
-    """Log-potential of the density of states.
+    """Log-potential of the density of states, L(E) = int log|E - x| dN(x).
 
-    The IDS is sampled on 65 graded nodes per band of the set and treated
-    as piecewise linear; each panel integrates log|E - E'| in closed form,
-    F(b) - F(a) with F(x) = Re((x - E)(log(E - x) - 1)), so the singularity
-    at E' = E costs nothing.  One array pass over the cached model: F at
-    every node, the panel slopes, panels of zero width dropped, one sum per
-    band, and the band sums added in band order.
+    Integrated by parts on each band k with ends lo, hi and c = N(x0) at
+    x0 = Re E clipped to the band: (c - k/q) log|E - lo| + ((k+1)/q - c)
+    log|E - hi| - int (N - c) Re 1/(x - E) dx, where a term of weight 0 and
+    a node at x = E add 0.  c is exactly k/q at lo and (k+1)/q at hi, so a
+    band of zero float width keeps its step; E on one raises ValueError.
+    Cuts at x0, x0 +- |Im E| and the van Hove energies, the eigenvalues of
+    the mixed corners H(0, pi/q) and H(pi/q, 0), leave pieces whose 24
+    nodes `_PIECE_U` crowd both ends like u^4, with N from one `ids` call.
     """
-    nodes, vals = _ids_model(bands)
-    E = complex(energy)
-    F = np.real((nodes - E) * (np.log(E - nodes + 0j) - 1.0))
-    dx = np.diff(nodes)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the zero-width panels, dropped here
-        panels = np.where(dx > 0, np.diff(vals) / dx * np.diff(F), 0.0)
-    total = float(np.cumsum(panels.sum(axis=1))[-1])  # cumsum adds in order, as a loop would
-    return LyapunovValue(bands.beta, energy, total, "thouless")
+    E, q, y = complex(energy), bands.q, abs(complex(energy).imag)
+    lo, hi = np.asarray(bands.bands, dtype=float).T
+    if np.any((lo == hi) & (lo == E)):
+        raise ValueError(f"E={energy} lies on a band of zero float width")
+    x0 = np.clip(E.real, lo, hi)
+    mixed = harper_matrix(bands.freq, bands.beta, [0.0, np.pi / q], [np.pi / q, 0.0]).real
+    hove = np.sort(np.linalg.eigvalsh(mixed), axis=None).reshape(q, 2)  # two per band
+    cuts = np.sort(np.clip(np.column_stack([lo, hove, x0 - y, x0, x0 + y, hi]),
+                           lo[:, None], hi[:, None]), axis=1)
+    width = np.diff(cuts, axis=1)
+    band, piece = np.nonzero(width > 0)
+    x = cuts[band, piece, None] + width[band, piece, None] * _PIECE_U
+    inside = (lo < x0) & (x0 < hi)
+    N = ids(bands, np.concatenate([x.ravel(), x0[inside]]))
+    c = np.where(x0 < hi, np.arange(q), np.arange(1, q + 1)) / q
+    c[inside] = N[x.size:]
+    dx = x - E.real
+    den = dx * dx + y * y  # Re 1/(x - E) = dx / den
+    f = (N[:x.size].reshape(x.shape) - c[band, None]) * dx
+    inner = width[band, piece] @ (np.divide(f, den, out=np.zeros_like(f), where=den > 0) @ _PIECE_W)
+    w = np.stack([c - np.arange(q) / q, np.arange(1, q + 1) / q - c])
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 at an end of weight 0
+        ends = np.where(w > 0, w * np.log(np.abs(E - np.stack([lo, hi]))), 0.0)
+    return LyapunovValue(bands.beta, energy, float(ends.sum() - inner), "thouless")
 
 
 def lyapunov_trace(freq: RationalFrequency, beta: float, z) -> LyapunovValue:

@@ -88,6 +88,18 @@ def oracle_center_jet(p, q, beta, energy, partials=True, dps=50):
         return (in_e[0], in_e[1], in_e[2], in_b[1], mp.diff(det, (e0, b0), (1, 1)), in_b[2])
 
 
+def oracle_continuant(p, q, beta, energy, dps=50):
+    """P(E) as an mpf at dps digits, O(q): the trace of the product of the mpmath
+    matrices [[E - V_j, -beta^2], [1, 0]] over V_j = 2 cos(t + 2 pi (j p mod q)/q)
+    at the center phase t = pi/(2q)."""
+    with mp.workdps(dps):
+        e, s, t = mp.mpf(energy), mp.mpf(beta) ** 2, mp.pi / (2 * q)
+        m = mp.eye(2)
+        for j in range(q):
+            m = mp.matrix([[e - 2 * mp.cos(t + 2 * mp.pi * ((j * p) % q) / q), -s], [1, 0]]) * m
+        return m[0, 0] + m[1, 1]
+
+
 def oracle_band_sweep(p, q, beta, n=32):
     """Dense eigensolve over an n x n grid of the reduced phase domain.
 
@@ -488,24 +500,6 @@ def oracle_band_distance(bands, z):
         dx = 0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
         best = min(best, np.hypot(dx, y))
     return best
-
-
-def oracle_thouless_panels(nodes_all, vals_all, energy):
-    """The log-potential of a piecewise-linear IDS given by (q, k) nodes and values,
-    one band at a time: panels of zero width are skipped, the others integrate
-    log|E - x| in closed form."""
-    E = complex(energy)
-
-    def antiderivative(x):
-        return np.real((x - E) * (np.log(E - x + 0j) - 1.0))
-
-    total = 0.0
-    for nodes, vals in zip(nodes_all, vals_all):
-        keep = np.diff(nodes) > 0
-        a, b = nodes[:-1][keep], nodes[1:][keep]
-        total += float(np.sum(np.diff(vals)[keep] / (b - a)
-                              * (antiderivative(b) - antiderivative(a))))
-    return total
 
 
 # The per-gap butterfly writers that the gap-table columns replaced, kept as

@@ -120,7 +120,7 @@ def test_criterion_04_flatness_and_three_method_agreement():
         tr = hl.lyapunov_trace(freq, beta, z).value
         worst_tt = max(worst_tt, abs(t - th))
         worst_tr = max(worst_tr, abs(th - tr))
-    assert worst_tt <= 2e-3 and worst_tr <= 2e-3
+    assert worst_tt <= 1e-10 and worst_tr <= 1e-10
     _report(4, f"band-median |L| <= {worst_flat:.2e}; three-method spread at "
                f"{len(pts)} points: |transfer-thouless| <= {worst_tt:.2e}, "
                f"|thouless-trace| <= {worst_tr:.2e}")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from harperlab import (RationalFrequency, band_edges, build_phi, chambers, coefficient_sheet,
-                       gaps, ids, recursion_sheets, symmetrized_sheet)
+                       corner_bands, gaps, ids, recursion_sheets, symmetrized_sheet)
 from harperlab.cli import main
 from harperlab.spectrum import _fmt
 
@@ -84,8 +84,20 @@ def test_lyapunov_all_methods_deep_in_gap(capsys):
     vals = {ln.split(",")[0]: float(ln.split(",")[-1])
             for ln in out.strip().splitlines()[2:]}
     assert set(vals) == {"transfer", "thouless", "trace"}
-    assert max(vals.values()) - min(vals.values()) <= 1e-5
+    assert max(vals.values()) - min(vals.values()) <= 1e-10
     assert abs(vals["trace"] - vals["transfer"]) <= 1e-12
+
+
+def test_lyapunov_thouless_at_band_edges(capsys):
+    # the top of band 3 of 5/8 at beta 0.5 prints a finite value; the one
+    # float edge of a band of zero float width of 1/128 at beta 1 exits 2
+    top, flat = corner_bands(RationalFrequency(5, 8), 0.5).bands[2][1], -1.1102801363588721
+    assert (flat, flat) in corner_bands(RationalFrequency(1, 128), 1.0).bands
+    argv = ["lyapunov", "--method", "thouless", "--alpha"]
+    code, out, _ = run(argv + ["5/8", "--beta", "0.5", "--z", repr(top)], capsys)
+    assert code == 0 and np.isfinite(float(out.strip().splitlines()[-1].split(",")[-1]))
+    code, out, err = run(argv + ["1/128", "--beta", "1", "--z", repr(flat)], capsys)
+    assert code == 2 and f"error: E={flat!r} lies on a band of zero float width" in err
 
 
 def test_gradient_json(capsys):

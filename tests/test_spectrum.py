@@ -17,7 +17,7 @@ from harperlab.spectrum import (_band_measure, _fmt, _verify_phase_independence,
                                gap_table, gap_tables)
 from conftest import (center_eigenvalues, interval_union_distance, oracle_band_measure,
                       oracle_band_sweep, oracle_center_jet, oracle_chern_numbers,
-                      oracle_corner_edges, oracle_gap_label, oracle_harper, oracle_ids_counting)
+                      oracle_continuant, oracle_corner_edges, oracle_gap_label, oracle_harper, oracle_ids_counting)
 
 
 def F(p, q):
@@ -139,7 +139,8 @@ def test_jet_against_mpmath_determinant():
     """P and its five partials at nine gap midpoints against a 50-digit
     determinant of the center-phase matrix differentiated by mp.diff; the
     widest or the narrowest open gap of each fraction, all partials up to
-    q = 34, P alone at q = 55."""
+    q = 34, P alone at q = 55.  The 50-digit continuant oracle gives the
+    determinant's P there within 1e-40 relative."""
     points = [((3, 7), 0.5, max), ((5, 8), 1.0, min), ((8, 13), 0.3, max),
               ((8, 13), 1.0, min), ((13, 21), 0.5, min), ((13, 21), 1.0, max),
               ((21, 34), 1.0, min), ((34, 55), 0.5, min), ((34, 55), 1.0, max)]
@@ -147,6 +148,7 @@ def test_jet_against_mpmath_determinant():
     for (p, q), beta, pick in points:
         g = pick((g for g in gaps(F(p, q), beta) if g.is_open), key=lambda g: g.width)
         ref = oracle_center_jet(p, q, beta, g.midpoint, partials=q <= 34)
+        assert abs(oracle_continuant(p, q, beta, g.midpoint) - ref[0]) <= 1e-40 * abs(ref[0])
         got = chambers(F(p, q), beta, verify=False).jet(g.midpoint)
         errs = [float(abs(mpmath.mpf(x) - r) / abs(ref[0])) for x, r in zip(got, ref)]
         worst[:len(errs)] = np.maximum(worst[:len(errs)], errs)

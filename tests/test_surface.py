@@ -21,7 +21,7 @@ def test_surface_prints_metric_lines_and_counts_the_parser_commands():
     assert all(matches)
     metrics = {m.group(1): int(m.group(2)) for m in matches}
     assert list(metrics) == ["src_lines", "defaulted_params", "cli_commands", "cli_options",
-                             "public_names"]
+                             "public_names", "tests_lines"]
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert metrics["cli_commands"] == len(sub.choices)
     # every public name of the package that is not one of its modules is an import
@@ -29,3 +29,5 @@ def test_surface_prints_metric_lines_and_counts_the_parser_commands():
                 if not n.startswith("_") and not inspect.ismodule(getattr(harperlab, n))]
     assert metrics["public_names"] == len(exported)
     assert metrics["cli_options"] > metrics["cli_commands"] and metrics["src_lines"] > 0
+    assert metrics["tests_lines"] == sum(p.read_text().count("\n")
+                                         for p in Path(__file__).parent.glob("*.py"))

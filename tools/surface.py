@@ -11,8 +11,9 @@ format `tools/bench_record.py` reads:
 * `defaulted_params`: positional and keyword-only parameters with a
   default, over every function and lambda in those modules (AST walk);
 * `cli_commands`: subcommands of `harperlab`;
-* `cli_options`: options summed over the subcommands, without `-h`.
-* `public_names`: names that `harperlab/__init__.py` imports (AST walk).
+* `cli_options`: options summed over the subcommands, without `-h`;
+* `public_names`: names that `harperlab/__init__.py` imports (AST walk);
+* `tests_lines`: newline count over `tests/*.py`.
 
 Standard library plus harperlab only.
 """
@@ -24,7 +25,8 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def source_counts(package: Path):
@@ -62,7 +64,9 @@ def main() -> int:
     commands, options = cli_counts(build_parser())
     for name, value in (("src_lines", lines), ("defaulted_params", defaulted),
                         ("cli_commands", commands), ("cli_options", options),
-                        ("public_names", public_names(SRC / "harperlab" / "__init__.py"))):
+                        ("public_names", public_names(SRC / "harperlab" / "__init__.py")),
+                        ("tests_lines", sum(p.read_text().count("\n")
+                                            for p in sorted((ROOT / "tests").glob("*.py"))))):
         print(f"# {name} = {value}")
     return 0
 
