@@ -9,8 +9,8 @@ engine with Hall-conductance rendering.
 __version__ = "0.1.0"
 
 from .rationals import RationalFrequency, convergents, named_continued_fraction
-from .rotation import (NeumannExpansion, RotationRep, build_rep, build_uv, hamiltonian,
-                       lam_phase, max_norm, monomial, neumann_inverse, rho_images, sigma_images)
+from .rotation import (RotationRep, build_rep, build_uv, hamiltonian, lam_phase, max_norm,
+                       monomial, rho_images, sigma_images)
 from .spectrum import (BandSet, ChambersData, ChambersError, DualityReport,
                        GapRecord, GapTrack, band_edges, chambers, corner_bands,
                        corner_edges, dual_check, gap_label, gaps, harper_matrix,

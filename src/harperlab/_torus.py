@@ -6,7 +6,9 @@ log|D| over the phase torus, with A the characteristic polynomial value and
 (B, C) the two cosine amplitudes.  The phi-average has closed forms; the
 remaining psi-integral is a trapezoid sized by the half-width of its
 analyticity strip, one rule (`strip`, `nodes`) that also sizes the phases
-of the transfer route and, as `grid_nodes`, the trace and sheet grids.
+of the transfer route and, as `grid_nodes`, the trace and sheet grids,
+and that alone refuses a point.  The float range adds no threshold: the
+kernels are homogeneous in D, and `averages` scales a large D back.
 """
 
 from __future__ import annotations
@@ -44,37 +46,30 @@ def strip(A, B: float, C: float) -> float:
     return math.log1p(eps + math.sqrt(eps * (eps + 2.0))) if eps > 0 else 0.0  # inf past overflow
 
 
-def nodes(width: float, cap: int) -> int | None:
+def nodes(width: float, cap: int, name: str, value) -> int:
     """max(8, ceil(40/width)) trapezoid nodes, whose error falls like
-    exp(-n width) in a strip of that half-width; None above cap."""
-    return max(8, math.ceil(40.0 / width)) if width * cap >= 40.0 else None
+    exp(-n width) in a strip of that half-width.  Above cap, the spectrum
+    (width 0) included, the point name=value is refused with its strip."""
+    if width * cap < 40.0:
+        raise ValueError(f"{name}={value} {'lies in' if width == 0 else 'is too close to'} the "
+                         f"spectrum: its phase strip {width:.3g} needs more than {cap} nodes")
+    return max(8, math.ceil(40.0 / width))
 
 
 GRID_CAP = 512  # the most nodes per axis of an n x n phase grid, the trace's and the sheets'
+_SCALE_EXP = 340  # `averages` scales a larger D into [2^339, 2^340), where root^3 < 2^1020
 
 
 def grid_nodes(ch, z) -> int:
-    """`nodes` of the narrower strip of det(z - h) = P(z) + c1 cos(q t1) + c2 cos(q t2);
-    above `GRID_CAP`, the spectrum (strip 0) included, z is refused with its strip."""
+    """`nodes` of the narrower strip of det(z - h) = P(z) + c1 cos(q t1) + c2 cos(q t2),
+    refused above `GRID_CAP`."""
     P = ch.P(z)
-    width = min(strip(P, ch.c1, ch.c2), strip(P, ch.c2, ch.c1))
-    n = nodes(width, GRID_CAP)
-    if n is None:
-        raise ValueError(f"z={z} {'lies in' if width == 0 else 'is too close to'} the spectrum: "
-                         f"its phase strip {width:.3g} needs more than {GRID_CAP} nodes")
-    return n
+    return nodes(min(strip(P, ch.c1, ch.c2), strip(P, ch.c2, ch.c1)), GRID_CAP, "z", z)
 
 
 def _psi_count(A: float, B: float, C: float) -> int:
     """The psi-trapezoid size of `averages`: `nodes`, refused above 2^22."""
-    width = strip(A, B, C)
-    if width == 0:
-        raise ValueError("averages require |A| > |B| + |C| (point off the spectrum)")
-    n = nodes(width, 1 << 22)
-    if n is None:
-        raise ValueError(f"A={A} is too close to the spectrum: its psi strip {width:.3g} "
-                         f"needs more than {1 << 22} nodes")
-    return n
+    return nodes(strip(A, B, C), 1 << 22, "A", A)
 
 
 def averages(A: float, B: float, C: float, kinds):
@@ -90,10 +85,15 @@ def averages(A: float, B: float, C: float, kinds):
     and t = sign(A C): 1 + t y = 2 cos^2(psi/2) or 2 sin^2(psi/2) keeps every
     digit of a small M, which a^2 - B^2 loses.  psi is a trapezoid of
     `_psi_count` nodes, in chunks that bound the memory of narrow gaps; a
-    strip that needs more than 2^22 nodes raises ValueError.
+    strip that needs more than 2^22 nodes, the spectrum included, raises
+    ValueError.  From |A| + |B| + |C| = 2^340 on, D is divided by the power
+    of 2 s that brings that sum into [2^339, 2^340), and the homogeneous
+    kernels are scaled back: m1, n1 by 1/s, m2, n2, k2 by 1/s^2, log by + log s.
     """
     kinds = tuple(kinds)
     n = _psi_count(A, B, C)
+    s = math.ldexp(1.0, max(math.frexp(abs(A) + abs(B) + abs(C))[1] - _SCALE_EXP, 0))
+    A, B, C = A / s, B / s, C / s
     sign = math.copysign(1.0, A)
     t = 1.0 if sign * C >= 0 else -1.0
     half = np.cos if t > 0 else np.sin
@@ -105,4 +105,5 @@ def averages(A: float, B: float, C: float, kinds):
         root = np.sqrt(g * (g + 2.0 * Ba))
         for k in kinds:
             acc[k] += float(_KERNELS[k](y, g, Ba, root).sum())
-    return {k: (sign if k in ('m1', 'n1') else 1.0) * acc[k] / n for k in kinds}
+    out = {k: (sign / s if k in ('m1', 'n1') else 1.0 / s / s) * acc[k] / n for k in kinds}
+    return out | {'log': acc['log'] / n + math.log(s)} if 'log' in out else out

@@ -19,6 +19,7 @@ each gap and reports the coupling derivative there as the margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,9 +68,6 @@ class HessianRecord:
 
 # the transfer's phase count on the spectrum, where the strip is 0 and sizes nothing
 _SPECTRUM_PHASES = 256
-# the largest |D| whose square, and whose cube for the second-order kernels, is finite
-_ROOT2_MAX, _ROOT3_MAX = np.finfo(float).max ** (1.0 / 2), np.finfo(float).max ** (1.0 / 3)
-_BEYOND_RANGE = "the torus kernels leave the float64 range at q={}, E={}"
 # the Thouless rule on [0, 1]: `_endpoint_rule(24)` mapped again by u -> (1 - cos pi u)/2
 _PIECE_U, _PIECE_W = _endpoint_rule(24)
 _PIECE_U, _PIECE_W = (np.sin(np.pi * _PIECE_U / 2) ** 2,
@@ -79,21 +77,18 @@ _PIECE_U, _PIECE_W = (np.sin(np.pi * _PIECE_U / 2) ** 2,
 def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovValue:
     """Lyapunov exponent from the transfer cocycle at rational frequency.
 
-    The product over one period is exact and the growth rate is log of the
-    larger monodromy-eigenvalue modulus divided by the period, averaged over
-    phases x.  The trace P(E) + c2 cos(2 pi q x) makes that average 1/q
-    periodic with the strip `strip(P, c1, c2)`: `nodes` phases on [0, 1/q),
-    and `_SPECTRUM_PHASES` on the spectrum.  An energy whose strip needs more
-    than 2^16 phases is refused with ValueError, and a monodromy or its
-    squared trace outside the float64 range raises ArithmeticError.
+    The product over one period is exact; with t its trace, its eigenvalues
+    are exp(+-arccosh(t/2)), so the growth rate is |Re arccosh(t/2)| / q,
+    which the complex arccosh gives without squaring t, averaged over phases
+    x.  The trace P(E) + c2 cos(2 pi q x) makes that average 1/q periodic
+    with the strip `strip(P, c1, c2)`: `nodes` phases on [0, 1/q), refused
+    above 2^16, and `_SPECTRUM_PHASES` on the spectrum.  A monodromy outside
+    the float64 range raises ArithmeticError.
     """
     p, q = freq.p, freq.q
     ch = chambers(freq, beta, verify=False)
     width = strip(ch.P(energy), ch.c1, ch.c2)
-    n = nodes(width, 1 << 16) if width > 0 else _SPECTRUM_PHASES
-    if n is None:
-        raise ValueError(f"E={energy} is too close to the spectrum: its phase strip "
-                         f"{width:.3g} needs more than {1 << 16} phases")
+    n = nodes(width, 1 << 16, "E", energy) if width > 0 else _SPECTRUM_PHASES
     th = np.arange(n) / (n * q)
     dtype = complex if np.iscomplexobj(np.asarray(energy)) else float
     m00 = m11 = np.ones(n, dtype=dtype)  # each step builds new arrays
@@ -102,12 +97,7 @@ def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovV
         for m in range(q):
             a = energy - 2.0 * beta * np.cos(TWO_PI * (th + m * p / q))
             m00, m01, m10, m11 = a * m00 - m10, a * m01 - m11, m00, m01
-        tr = m00 + m11
-        # eigenvalues t/2 +- sqrt(t^2/4 - 1); unit modulus pair contributes zero
-        half = np.asarray(tr, dtype=complex) / 2.0
-        disc = np.sqrt(half * half - 1.0)
-        rho = np.maximum(np.abs(half + disc), np.abs(half - disc))
-        val = float(np.mean(np.log(np.maximum(rho, 1.0)))) / q
+        val = float(np.mean(np.abs(np.arccosh((m00 + m11) / 2.0 + 0j).real))) / q
     if not np.isfinite(val):
         raise ArithmeticError(f"the monodromy leaves the float64 range at q={q}, E={energy}")
     return LyapunovValue(float(beta), energy, val, "transfer")
@@ -195,22 +185,14 @@ def log_potential(ch: ChambersData, z: float) -> float:
     collapses to a single analytic integral once the first cosine is
     averaged in closed form.
     """
-    return _averages(ch, z, ch.P(z), ("log",))["log"] / ch.q
-
-
-def _averages(ch: ChambersData, z: float, P: float, kinds) -> dict:
-    """`averages` of D = P(z) + c1 x + c2 y, refused where D^2 inside it would overflow."""
-    if abs(P) + abs(ch.c1) + abs(ch.c2) >= _ROOT2_MAX:
-        raise ArithmeticError(_BEYOND_RANGE.format(ch.q, z))
-    return averages(P, ch.c1, ch.c2, kinds)
+    return averages(ch.P(z), ch.c1, ch.c2, ("log",))["log"] / ch.q
 
 
 @lru_cache(maxsize=8)
 def _point(ch: ChambersData, z: float):
     """The one evaluation at real z that `gradient` and `hessian` share: jet and torus averages."""
     jet = ch.jet(z)
-    second = abs(jet[0]) + abs(ch.c1) + abs(ch.c2) < _ROOT3_MAX  # else `hessian` refuses
-    return jet, _averages(ch, z, jet[0], ("m1", "n1", "m2", "n2", "k2") if second else ("m1", "n1"))
+    return jet, averages(jet[0], ch.c1, ch.c2, ("m1", "n1", "m2", "n2", "k2"))
 
 
 def _resolve(freq, beta, ch):
@@ -255,21 +237,21 @@ def hessian(freq: RationalFrequency, beta: float, z: float,
     both variables would sit.  The band-distance refusal is the one of
     `gradient` (edge_distance=0 skips it; with `ch` supplied no eigensolve
     runs), and so is the one evaluation at (ch, z), which the two share.
-    From |P| + |c1| + |c2| = 5.6e102 on it raises ArithmeticError.
+    An entry outside the float64 range raises ArithmeticError.
     """
     ch = _resolve(freq, beta, ch)
     if edge_distance > 0 and band_edges(ch).distance(z) < edge_distance:
         raise ValueError(f"z={z} is within {edge_distance} of a band edge")
     q = freq.q
     (_, dP, d2P, dbP, dbdP, d2bP), av = _point(ch, float(z))
-    if "k2" not in av:
-        raise ArithmeticError(_BEYOND_RANGE.format(ch.q, z))
     dc2 = -2.0 * q * beta ** (q - 1)
     d2c2 = -2.0 * q * (q - 1) * beta ** max(q - 2, 0)  # zero at q = 1, where 0.0 ** -1 raises
     d2z = (d2P * av["m1"] - dP * dP * av["m2"]) / q
     dzdb = (dbdP * av["m1"] - dP * (dbP * av["m2"] + dc2 * av["n2"])) / q
     d2b = (d2bP * av["m1"] + d2c2 * av["n1"]
-           - (dbP ** 2 * av["m2"] + 2.0 * dbP * dc2 * av["n2"] + dc2 ** 2 * av["k2"])) / q
+           - (dbP * dbP * av["m2"] + 2.0 * dbP * dc2 * av["n2"] + dc2 * dc2 * av["k2"])) / q
+    if not all(map(math.isfinite, (d2z, dzdb, d2b))):
+        raise ArithmeticError(f"the Hessian leaves the float64 range at q={q}, E={z}")
     return HessianRecord(float(beta), float(z), d2z, dzdb, d2b)
 
 

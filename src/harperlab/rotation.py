@@ -146,40 +146,3 @@ def _check_cond(a, beta):
             f"u*v + beta nearly singular at beta={beta} (cond={cond:.3e}); "
             "-beta approaches an eigenvalue of the unitary"
         )
-
-
-@dataclass(frozen=True)
-class NeumannExpansion:
-    element: np.ndarray
-    errors: tuple
-    observed_ratio: float
-
-
-def neumann_inverse(rep: RotationRep, beta: float, n_terms: int) -> NeumannExpansion:
-    """Partial geometric series for (u* v + beta)^{-1}.
-
-    The series sum_n (-beta)^n (v* u)^{n+1} converges for beta < 1 with
-    ratio exactly beta; the returned record carries the error of each
-    partial sum against the direct inverse and the fitted ratio.
-    """
-    if not 0 < beta < 1:
-        raise ValueError(f"series requires 0 < beta < 1, got beta={beta}")
-    if n_terms < 0:
-        raise ValueError("n_terms must be >= 0")
-    u, v = rep.u, rep.v
-    eye = np.eye(rep.q)
-    target = np.linalg.inv(u.conj().T @ v + beta * eye)
-    t = v.conj().T @ u
-    partial = np.zeros_like(target)
-    term = t.copy()
-    errors = []
-    for n in range(n_terms + 1):
-        partial = partial + (-beta) ** n * term
-        term = term @ t
-        errors.append(float(np.max(np.abs(partial - target))))
-    if len(errors) >= 2 and errors[-1] > 0 and errors[0] > 0:
-        k = len(errors) - 1
-        ratio = (errors[-1] / errors[0]) ** (1.0 / k)
-    else:
-        ratio = 0.0
-    return NeumannExpansion(partial, tuple(errors), ratio)

@@ -338,6 +338,15 @@ def test_gradient_beyond_float_range_exits_two(capsys):
     assert "NaN" not in out
 
 
+def test_transfer_at_q_610_answers_where_its_squared_trace_overflowed(capsys):
+    # P(3.2) at 377/610, beta = 1, is 3.4e232: the trace squared would overflow,
+    # the square-free multiplier does not
+    code, out, err = run(["lyapunov", "--alpha", "377/610", "--beta", "1", "--z", "3.2",
+                          "--method", "transfer"], capsys)
+    assert code == 0 and not err
+    assert out.strip().splitlines()[-1] == "transfer,1,3.2,0.87773933313514751"
+
+
 def test_transfer_beyond_float_range_exits_two(capsys):
     # P at 377/610, beta = 1, z = 4.5 leaves float64: exit 2, no NaN
     code, out, err = run(["lyapunov", "--alpha", "377/610", "--beta", "1", "--z", "4.5",
@@ -378,7 +387,7 @@ def test_critical_scan_keeps_the_gaps_that_scan(capsys):
     doc = json.loads(out)
     assert len(doc["rows"]) == 49
     assert [(e["p"], e["q"], e["j"]) for e in doc["errors"]] == [(34, 55, 30)]
-    assert "averages require" in doc["errors"][0]["error"]
+    assert "lies in the spectrum" in doc["errors"][0]["error"]
     assert err == "1 of 50 gaps failed\n"
 
 

@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 import warnings
 
 import numpy as np
@@ -585,55 +584,120 @@ def test_scan_with_chambers_runs_no_eigensolve(monkeypatch):
 
 
 def test_transfer_beyond_float_range_is_refused():
-    # at 377/610, beta = 1, P(4.5), which sizes the phases, overflows float64;
-    # at E = 3.2 P fits and the squared monodromy trace overflows
+    """At 377/610, beta = 1, P(4.5), which sizes the phases, overflows
+    float64 and is refused.  At E = 3.2 P fits; the squared monodromy trace
+    would not, and the square-free multiplier |Re arccosh(t/2)| answers
+    there, 2.0e-15 from `log_potential`."""
+    freq, beta = F(377, 610), 1.0
     with pytest.raises(ArithmeticError, match=r"q=610, E=4\.5"):
-        lyapunov_transfer(F(377, 610), 1.0, 4.5)
-    with pytest.raises(ArithmeticError, match=r"monodromy leaves the float64 range at q=610, E=3\.2"):
-        lyapunov_transfer(F(377, 610), 1.0, 3.2)
+        lyapunov_transfer(freq, beta, 4.5)
+    ch = chambers(freq, beta, verify=False)
+    assert abs(lyapunov_transfer(freq, beta, 3.2).value - log_potential(ch, 3.2)) <= 1e-13
 
 
-def test_torus_kernels_beyond_float_range_are_refused():
-    """|P| is 3e215 at hull top + 0.5 and 3.6e140 at the midpoint of gap 233
-    (377/610, beta = 1): D^2 overflows for the log kernel at the first,
-    root^3 for the second-order kernels at the second, where the
-    first-order ones still fit."""
+def test_torus_kernels_beyond_the_square_root_of_the_float_range():
+    """|P| is 3e215 at hull top + 0.5 and 4.8e140 at s* of gap 233
+    (377/610, beta = 1), beyond where D^2, or root^3, is finite: scaled by
+    a power of 2, `log_potential` agrees with the transfer at the first,
+    and at the second m1, m2, k2 and log match the 40-digit quadrature fed
+    the same float (A, B, C) as closely as at small |P|.  n1 and n2 are odd
+    in y and cancel to C/A = 4e-141 of m1 and m2, below the roundoff of any
+    float sum of their terms, so they are checked at the scale of m1, m2."""
     freq, beta = F(377, 610), 1.0
     ch = chambers(freq, beta, verify=False)
     bands = band_edges(ch)
     top = bands.hull[1] + 0.5
-    with pytest.raises(ArithmeticError, match=f"q=610, E={top}"):
-        log_potential(ch, top)
-    z = [g for g in gaps(freq, beta, band_set=bands) if g.j == 233][0].midpoint
-    assert abs(ch.P(z)) > 1e140
-    g = gradient(freq, beta, z, ch=ch, edge_distance=0.0)
-    assert math.isfinite(g.g0) and math.isfinite(g.g1) and g.g0 != 0.0
-    with pytest.raises(ArithmeticError, match=f"q=610, E={z}"):
-        hessian(freq, beta, z, ch=ch, edge_distance=0.0)
+    assert abs(ch.P(top)) > 1e200
+    assert abs(log_potential(ch, top) - lyapunov_transfer(freq, beta, top).value) <= 1e-13
+    g = [g for g in gaps(freq, beta, band_set=bands) if g.j == 233][0]
+    A = ch.P(critical_scan(freq, beta, g, ch=ch).s_star)
+    assert abs(A) > 1e140
+    got = averages(A, ch.c1, ch.c2, ("m1", "n1", "m2", "n2", "k2", "log"))
+    ref = oracle_torus_kernels(A, ch.c1, ch.c2)
+    for k in ("m1", "m2", "k2", "log"):
+        assert abs(got[k] - ref[k]) <= 1e-14 * abs(ref[k]), k
+    for k, scale in (("n1", "m1"), ("n2", "m2")):
+        assert abs(got[k] - ref[k]) <= 1e-13 * abs(ref[scale]), k
 
 
 @pytest.mark.parametrize("first", ["hessian", "gradient"])
-def test_shared_evaluation_keeps_the_float_range_boundary(first):
-    """At the midpoint of gap 233 of 377/610, beta = 1, |P| = 3.6e140 lies
-    between the root^3 and the D^2 limits: whichever call fills the shared
-    evaluation, `hessian` refuses with the torus-kernel message and
-    `gradient` answers with the same numbers."""
+def test_shared_evaluation_is_the_same_whichever_call_fills_it(first):
+    """At the midpoint of gap 233 of 377/610, beta = 1, |P| = 3.6e140:
+    whichever of `gradient` and `hessian` fills the shared evaluation, both
+    answer, with the same numbers as cold calls."""
     freq, beta = F(377, 610), 1.0
     ch = chambers(freq, beta, verify=False)
     z = [g for g in gaps(freq, beta, band_set=band_edges(ch)) if g.j == 233][0].midpoint
-    refusal = re.escape(f"the torus kernels leave the float64 range at q=610, E={z}")
+    calls = {"gradient": gradient, "hessian": hessian}
+    other = "gradient" if first == "hessian" else "hessian"
     lyapunov._point.cache_clear()
-    if first == "gradient":
-        g = gradient(freq, beta, z, ch=ch, edge_distance=0.0)
-    with pytest.raises(ArithmeticError, match=refusal):
-        hessian(freq, beta, z, ch=ch, edge_distance=0.0)
-    if first == "hessian":
-        g = gradient(freq, beta, z, ch=ch, edge_distance=0.0)
+    warm = {name: calls[name](freq, beta, z, ch=ch, edge_distance=0.0) for name in (first, other)}
+    assert all(map(math.isfinite, (warm["gradient"].g0, warm["gradient"].g1,
+                                   warm["hessian"].determinant)))
+    for name, fn in calls.items():
+        lyapunov._point.cache_clear()
+        assert repr(fn(freq, beta, z, ch=ch, edge_distance=0.0)) == repr(warm[name])
+
+
+def test_hessian_refuses_entries_beyond_the_float_range():
+    """At 377/610, beta = 1, E = 3.2, P = 3.4e232 fits, and so does m1, so
+    `gradient` answers; but P'^2 overflows and m2 = 1/P^2 underflows, so
+    the Hessian's entries are not finite and `hessian` refuses, naming q
+    and E."""
+    freq, beta = F(377, 610), 1.0
+    ch = chambers(freq, beta, verify=False)
+    g = gradient(freq, beta, 3.2, ch=ch, edge_distance=0.0)
     assert math.isfinite(g.g0) and math.isfinite(g.g1) and g.g0 != 0.0
-    with pytest.raises(ArithmeticError, match=refusal):
-        hessian(freq, beta, z, ch=ch, edge_distance=0.0)
-    lyapunov._point.cache_clear()
-    assert repr(gradient(freq, beta, z, ch=ch, edge_distance=0.0)) == repr(g)
+    with pytest.raises(ArithmeticError, match=r"the Hessian leaves the float64 range at q=610, E=3\.2"):
+        hessian(freq, beta, 3.2, ch=ch, edge_distance=0.0)
+
+
+def test_averages_scale_covariantly_across_2_to_the_340():
+    """D scaled by 2^400 crosses the scaling threshold 2^340: m1, n1 come
+    back scaled by 2^-400 and m2, n2, k2 by 2^-800 bit for bit, and log
+    shifted by 400 log 2 within 1e-15 relative."""
+    rng = np.random.default_rng(340)
+    k = 400
+    for _ in range(40):
+        B, C = rng.uniform(-2.0, 2.0, 2)
+        A = rng.choice([-1.0, 1.0]) * (abs(B) + abs(C)) * (1.0 + 10.0 ** rng.uniform(-9, 1))
+        base = averages(A, B, C, ("m1", "n1", "m2", "n2", "k2", "log"))
+        big = averages(*(math.ldexp(x, k) for x in (A, B, C)),
+                       ("m1", "n1", "m2", "n2", "k2", "log"))
+        for name in ("m1", "n1"):
+            assert big[name] == math.ldexp(base[name], -k), (A, B, C, name)
+        for name in ("m2", "n2", "k2"):
+            assert big[name] == math.ldexp(base[name], -2 * k), (A, B, C, name)
+        want = base["log"] + k * math.log(2.0)
+        assert abs(big["log"] - want) <= 1e-15 * abs(want), (A, B, C)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+def test_q_610_transfer_agrees_with_log_potential(beta):
+    """At 377/610 P reaches 1e215 at hull top + 0.5; there and at the
+    midpoint of the widest open gap the transfer and `log_potential` agree
+    (measured at most 2.4e-15 apart)."""
+    freq = F(377, 610)
+    ch = chambers(freq, beta, verify=False)
+    bands = band_edges(ch)
+    widest = max((g for g in gaps(freq, beta, band_set=bands) if g.is_open), key=lambda g: g.width)
+    for z in (bands.hull[1] + 0.5, widest.midpoint):
+        assert abs(lyapunov_transfer(freq, beta, z).value - log_potential(ch, z)) <= 1e-13, z
+
+
+def test_q_610_mirror_gaps_scan_with_their_hessians():
+    """Gaps 233 and 377 of 377/610, beta = 1, are mirror images under
+    E -> -E, with |P(s*)| = 4.8e140: `critical_scan` and `hessian` answer at
+    both, s* opposite, g1 and the Hessian determinant equal."""
+    freq, beta = F(377, 610), 1.0
+    ch = chambers(freq, beta, verify=False)
+    by_j = {g.j: g for g in gaps(freq, beta, band_set=band_edges(ch))}
+    cp, cq = (critical_scan(freq, beta, by_j[j], ch=ch) for j in (233, 377))
+    h, k = (hessian(freq, beta, c.s_star, ch=ch, edge_distance=0.0) for c in (cp, cq))
+    assert abs(cp.s_star + cq.s_star) <= 1e-15
+    assert abs(cp.g1_abs - cq.g1_abs) <= 1e-13 * cq.g1_abs
+    assert abs(h.determinant - k.determinant) <= 1e-10 * abs(k.determinant)
+    assert cp.g0_residual <= 1e-12 and cq.g0_residual <= 1e-12
 
 
 def test_warm_hessian_equals_cold_and_gradient_equals_its_formula():
@@ -651,7 +715,7 @@ def test_warm_hessian_equals_cold_and_gradient_equals_its_formula():
             try:
                 cp = critical_scan(freq, beta, g, ch=ch)
             except ValueError as err:
-                assert "averages require |A| > |B| + |C|" in str(err)
+                assert "lies in the spectrum" in str(err)
                 refused.append((p, q, beta, g.j))
                 continue
             s = cp.s_star
@@ -749,7 +813,7 @@ def test_averages_refuse_a_strip_above_the_node_cap():
     for 1.3e8 nodes; clipped to 2^22, m1 was 4.0e-2 off, so it is refused.
     At 4 + 1e-9 (1.3e6 nodes) m1 is within 1e-12 of the 40-digit quadrature:
     measured 3.3e-13."""
-    with pytest.raises(ValueError, match=r"psi strip 3\.17e-07 needs more than 4194304 nodes"):
+    with pytest.raises(ValueError, match=r"phase strip 3\.17e-07 needs more than 4194304 nodes"):
         averages(4 + 1e-13, -2.0, -2.0, ("m1",))
     A = 4 + 1e-9
     ref = oracle_torus_kernels(A, -2.0, -2.0)["m1"]
@@ -843,7 +907,7 @@ def test_transfer_sizes_its_phases_by_the_strip_or_refuses():
                 try:
                     value = lyapunov_transfer(freq, beta, g.midpoint).value
                 except ValueError as exc:
-                    assert "its phase strip" in str(exc) and "more than 65536 phases" in str(exc)
+                    assert "its phase strip" in str(exc) and "more than 65536 nodes" in str(exc)
                     refused += 1
                     continue
                 try:

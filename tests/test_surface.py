@@ -1,8 +1,10 @@
 import argparse
 import importlib.util
 import inspect
+import io
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import harperlab
@@ -21,7 +23,7 @@ def test_surface_prints_metric_lines_and_counts_the_parser_commands():
     assert all(matches)
     metrics = {m.group(1): int(m.group(2)) for m in matches}
     assert list(metrics) == ["src_lines", "defaulted_params", "cli_commands", "cli_options",
-                             "public_names", "tests_lines"]
+                             "public_names", "tests_lines", "raise_sites"]
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert metrics["cli_commands"] == len(sub.choices)
     # every public name of the package that is not one of its modules is an import
@@ -31,3 +33,8 @@ def test_surface_prints_metric_lines_and_counts_the_parser_commands():
     assert metrics["cli_options"] > metrics["cli_commands"] and metrics["src_lines"] > 0
     assert metrics["tests_lines"] == sum(p.read_text().count("\n")
                                          for p in Path(__file__).parent.glob("*.py"))
+    # a `raise` keyword token opens every raise statement, and only those
+    assert metrics["raise_sites"] == sum(
+        tok.type == tokenize.NAME and tok.string == "raise"
+        for p in (TOOLS.parent / "src" / "harperlab").rglob("*.py")
+        for tok in tokenize.generate_tokens(io.StringIO(p.read_text()).readline))

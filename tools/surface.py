@@ -13,7 +13,9 @@ format `tools/bench_record.py` reads:
 * `cli_commands`: subcommands of `harperlab`;
 * `cli_options`: options summed over the subcommands, without `-h`;
 * `public_names`: names that `harperlab/__init__.py` imports (AST walk);
-* `tests_lines`: newline count over `tests/*.py`.
+* `tests_lines`: newline count over `tests/*.py`;
+* `raise_sites`: `raise` statements over the modules of `src/harperlab`
+  (AST walk), the places where the library refuses.
 
 Standard library plus harperlab only.
 """
@@ -30,8 +32,8 @@ SRC = ROOT / "src"
 
 
 def source_counts(package: Path):
-    """(lines, defaulted parameters) over the package's modules."""
-    lines = defaulted = 0
+    """(lines, defaulted parameters, raise statements) over the package's modules."""
+    lines = defaulted = raises = 0
     for path in sorted(package.rglob("*.py")):
         text = path.read_text()
         lines += text.count("\n")
@@ -39,7 +41,8 @@ def source_counts(package: Path):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 defaulted += len(node.args.defaults)
                 defaulted += sum(d is not None for d in node.args.kw_defaults)
-    return lines, defaulted
+            raises += isinstance(node, ast.Raise)
+    return lines, defaulted, raises
 
 
 def public_names(init: Path) -> int:
@@ -60,13 +63,14 @@ def main() -> int:
     sys.path.insert(0, str(SRC))
     from harperlab.cli import build_parser
 
-    lines, defaulted = source_counts(SRC / "harperlab")
+    lines, defaulted, raises = source_counts(SRC / "harperlab")
     commands, options = cli_counts(build_parser())
     for name, value in (("src_lines", lines), ("defaulted_params", defaulted),
                         ("cli_commands", commands), ("cli_options", options),
                         ("public_names", public_names(SRC / "harperlab" / "__init__.py")),
                         ("tests_lines", sum(p.read_text().count("\n")
-                                            for p in sorted((ROOT / "tests").glob("*.py"))))):
+                                            for p in sorted((ROOT / "tests").glob("*.py")))),
+                        ("raise_sites", raises)):
         print(f"# {name} = {value}")
     return 0
 
