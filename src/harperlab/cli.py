@@ -48,91 +48,63 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"harperlab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_freq(p):
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--alpha", help="rational frequency p/q")
-        g.add_argument("--irrational", choices=("golden", "sqrt2", "e-based", "custom-cf"),
-                       help="irrational target, expanded to convergents")
-        p.add_argument("--cf-terms", help="comma-separated terms for --irrational custom-cf")
-        p.add_argument("--depth", type=int, default=8,
-                       help="continued-fraction depth for --irrational")
+    # the options several subcommands share, each declared once as a parent parser
+    freq = argparse.ArgumentParser(add_help=False)
+    g = freq.add_mutually_exclusive_group(required=True)
+    g.add_argument("--alpha", help="rational frequency p/q")
+    g.add_argument("--irrational", choices=("golden", "sqrt2", "e-based", "custom-cf"),
+                   help="irrational target, expanded to convergents")
+    freq.add_argument("--cf-terms", help="comma-separated terms for --irrational custom-cf")
+    freq.add_argument("--depth", type=int, default=8,
+                      help="continued-fraction depth for --irrational")
+    beta = argparse.ArgumentParser(add_help=False)
+    beta.add_argument("--beta", type=finite, required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    def add_out(p):
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
+    sub.add_parser("spectrum", parents=[freq, beta, out])
 
-    p = sub.add_parser("spectrum")
-    add_freq(p)
-    p.add_argument("--beta", type=finite, required=True)
-    add_out(p)
-
-    p = sub.add_parser("gaps")
-    add_freq(p)
-    p.add_argument("--beta", type=finite, required=True)
+    p = sub.add_parser("gaps", parents=[freq, beta, out])
     p.add_argument("--min-width", type=finite, default=1e-9)
-    add_out(p)
 
-    p = sub.add_parser("ids")
-    add_freq(p)
-    p.add_argument("--beta", type=finite, required=True)
+    p = sub.add_parser("ids", parents=[freq, beta, out])
     p.add_argument("--energies", required=True,
                    help="comma-separated energies, or lo:hi:n for a grid")
-    add_out(p)
 
-    p = sub.add_parser("label")
-    add_freq(p)
+    p = sub.add_parser("label", parents=[freq, out])
     p.add_argument("--j", type=int, default=None, help="gap index (default: all)")
-    add_out(p)
 
-    p = sub.add_parser("lyapunov")
-    add_freq(p)
-    p.add_argument("--beta", type=finite, required=True)
+    p = sub.add_parser("lyapunov", parents=[freq, beta, out])
     p.add_argument("--z", type=str, required=True, help="energy (complex ok for trace)")
     p.add_argument("--method", choices=("transfer", "thouless", "trace", "all"),
                    default="all")
-    add_out(p)
 
     for name in ("gradient", "hessian"):
-        p = sub.add_parser(name)
-        add_freq(p)
-        p.add_argument("--beta", type=finite, required=True)
+        p = sub.add_parser(name, parents=[freq, beta, out])
         p.add_argument("--z", type=finite, required=True)
-        add_out(p)
 
-    p = sub.add_parser("critical-scan")
-    add_freq(p)
-    p.add_argument("--beta", type=finite, required=True)
+    p = sub.add_parser("critical-scan", parents=[freq, beta, out])
     p.add_argument("--min-width", type=finite, default=1e-9)
     p.add_argument("--margin-threshold", type=finite, default=1e-8)
-    add_out(p)
 
-    p = sub.add_parser("coeffs")
-    add_freq(p)
-    p.add_argument("--beta", type=finite, required=True)
+    p = sub.add_parser("coeffs", parents=[freq, beta, out])
     p.add_argument("--z", type=finite, required=True)
     p.add_argument("--window", type=int, default=12)
     p.add_argument("--kind", choices=("c", "d", "phi", "R+", "R-"), default="c")
-    add_out(p)
 
-    p = sub.add_parser("decay")
-    add_freq(p)
-    p.add_argument("--beta", type=finite, required=True)
+    p = sub.add_parser("decay", parents=[freq, beta, out])
     p.add_argument("--z", type=finite, required=True)
     p.add_argument("--window", type=int, default=12)
     p.add_argument("--kind", choices=("c", "d", "R+", "R-", "phi"), default="d")
     p.add_argument("--offsets", default="-2,-1,0,1,2")
-    add_out(p)
 
-    p = sub.add_parser("sigma-check")
-    add_freq(p)
-    p.add_argument("--beta", type=finite, required=True)
+    p = sub.add_parser("sigma-check", parents=[freq, beta, out])
     p.add_argument("--theta1", type=finite, default=0.0)
     p.add_argument("--theta2", type=finite, default=0.0)
     p.add_argument("--tol", type=finite, default=1e-10)
-    add_out(p)
 
-    p = sub.add_parser("butterfly")
+    p = sub.add_parser("butterfly", parents=[beta])
     p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--beta", type=finite, required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--min-width", type=finite, default=1e-9)
     p.add_argument("--checkpoint", default=None)
@@ -146,25 +118,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-gap-fill", action="store_true")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("track")
-    add_freq(p)
+    p = sub.add_parser("track", parents=[freq, out])
     p.add_argument("--beta-grid", required=True, help="lo:hi:n or comma list")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_out(p)
 
-    p = sub.add_parser("franel")
+    p = sub.add_parser("franel", parents=[out])
     p.add_argument("--nmax", type=int, required=True)
-    add_out(p)
 
-    p = sub.add_parser("farey")
+    p = sub.add_parser("farey", parents=[out])
     p.add_argument("--order", type=int, required=True)
-    add_out(p)
 
-    p = sub.add_parser("count-components")
+    p = sub.add_parser("count-components", parents=[out])
     p.add_argument("--dataset", required=True, help="butterfly dataset file")
     p.add_argument("--hall", type=int, required=True)
-    add_out(p)
 
     sub.add_parser("selftest")
     return ap
@@ -178,17 +145,15 @@ def _parse_grid(text):
 
 
 def _resolve_freqs(args, parser):
-    if getattr(args, "alpha", None):
+    """The run's fractions: the one --alpha, or the distinct convergents of --irrational."""
+    if args.alpha is not None:
         return [RationalFrequency.from_string(args.alpha)]
-    name = getattr(args, "irrational", None)
-    if not name:
-        parser.error("one of --alpha or --irrational is required")
-    if name == "custom-cf":
+    if args.irrational == "custom-cf":
         if not args.cf_terms:
             parser.error("--irrational custom-cf requires --cf-terms")
         terms = [int(t) for t in args.cf_terms.split(",")]
     else:
-        terms = named_continued_fraction(name, args.depth)
+        terms = named_continued_fraction(args.irrational, args.depth)
     out = []
     seen = set()
     for f in convergents(terms, args.depth):
@@ -208,11 +173,23 @@ def _out_path(path: str) -> str:
 
 
 def _emit(args, text):
-    if getattr(args, "out", None):
+    if args.out:
         with open(_out_path(args.out), "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv(args, header, columns, rows) -> int:
+    """Write a CSV artifact: the run's header line, the column line and one line per row."""
+    _emit(args, "\n".join([header, columns, *rows]) + "\n")
+    return 0
+
+
+def _write_json(args, run_hash, **fields) -> int:
+    """Write a JSON artifact: the run's config hash, then the fields in order."""
+    _emit(args, json.dumps({"config_hash": run_hash, **fields}, indent=2) + "\n")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -220,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args, parser)
-    except (ValueError, ArithmeticError, FileNotFoundError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -231,18 +208,21 @@ def _dispatch(args, parser) -> int:
     run_hash = _config_hash({**{k: v for k, v in vars(args).items() if k != "out"},
                              "tool_version": __version__})
     header = f"# harperlab={__version__},config_hash={run_hash}"
+    if hasattr(args, "alpha"):
+        freqs = _resolve_freqs(args, parser)
+        freq = freqs[-1]  # a single-frequency command runs at the last convergent
+
     if cmd == "spectrum":
-        lines = [header, "p,q,beta,band,lo,hi"]
-        for freq in _resolve_freqs(args, parser):
+        rows = []
+        for freq in freqs:
             bands = corner_bands(freq, args.beta)
             for i, (lo, hi) in enumerate(bands.bands, start=1):
-                lines.append(f"{freq.p},{freq.q},{_fmt(args.beta)},{i},{_fmt(lo)},{_fmt(hi)}")
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
+                rows.append(f"{freq.p},{freq.q},{_fmt(args.beta)},{i},{_fmt(lo)},{_fmt(hi)}")
+        return _write_csv(args, header, "p,q,beta,band,lo,hi", rows)
 
     if cmd == "gaps":
         text = [f"{header}\n{GAP_CSV_HEADER}\n"]
-        for freq in _resolve_freqs(args, parser):
+        for freq in freqs:
             bands = corner_bands(freq, args.beta).bands
             table = gap_table(freq, args.beta, bands, args.min_width)
             text.append(gap_csv(freq, _fmt(args.beta), bands, table)[1])
@@ -250,28 +230,23 @@ def _dispatch(args, parser) -> int:
         return 0
 
     if cmd == "ids":
-        freq = _resolve_freqs(args, parser)[-1]
         bands = corner_bands(freq, args.beta)
-        lines = [header, "E,N"]
+        rows = []
         grid = _parse_grid(args.energies)
         for e, n in zip(grid, ids(bands, np.asarray(grid, dtype=float))):
-            lines.append(f"{_fmt(e)},{_fmt(n)}")
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
+            rows.append(f"{_fmt(e)},{_fmt(n)}")
+        return _write_csv(args, header, "E,N", rows)
 
     if cmd == "label":
-        freq = _resolve_freqs(args, parser)[-1]
-        lines = [header, "j,ids_num,ids_den,m,n"]
+        rows = []
         indices = [args.j] if args.j is not None else list(range(1, freq.q))
         for j in indices:
             m, n = gap_label(j, freq)
             g = math.gcd(j, freq.q)  # the IDS j/q in lowest terms, as `gaps` prints it
-            lines.append(f"{j},{j // g},{freq.q // g},{m},{n}")
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
+            rows.append(f"{j},{j // g},{freq.q // g},{m},{n}")
+        return _write_csv(args, header, "j,ids_num,ids_den,m,n", rows)
 
     if cmd == "lyapunov":
-        freq = _resolve_freqs(args, parser)[-1]
         z = complex(args.z)
         if not np.isfinite(z):
             raise ValueError(f"--z {args.z!r} is not a finite number")
@@ -283,34 +258,24 @@ def _dispatch(args, parser) -> int:
             rows.append(lyapunov_thouless(corner_bands(freq, args.beta), zr))
         if args.method in ("trace", "all"):
             rows.append(lyapunov_trace(freq, args.beta, zr))
-        lines = [header, "method,beta,z,value"]
+        lines = []
         for r in rows:
             lines.append(f"{r.method},{_fmt(r.beta)},{r.z},{_fmt(r.value)}")
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
+        return _write_csv(args, header, "method,beta,z,value", lines)
 
     if cmd == "gradient":
-        freq = _resolve_freqs(args, parser)[-1]
         g = gradient(freq, args.beta, args.z)
-        _emit(args, json.dumps({"config_hash": run_hash,
-                                "p": freq.p, "q": freq.q, "beta": args.beta,
-                                "z": args.z, "g0": g.g0, "g1": g.g1,
-                                "dL_dbeta": 2 * g.g1}, indent=2) + "\n")
-        return 0
+        return _write_json(args, run_hash, p=freq.p, q=freq.q, beta=args.beta, z=args.z,
+                           g0=g.g0, g1=g.g1, dL_dbeta=2 * g.g1)
 
     if cmd == "hessian":
-        freq = _resolve_freqs(args, parser)[-1]
         h = hessian(freq, args.beta, args.z)
-        _emit(args, json.dumps({"config_hash": run_hash,
-                                "p": freq.p, "q": freq.q, "beta": args.beta,
-                                "z": args.z, "d2z": h.d2z, "dzdbeta": h.dzdbeta,
-                                "d2beta": h.d2beta, "det": h.determinant},
-                               indent=2) + "\n")
-        return 0
+        return _write_json(args, run_hash, p=freq.p, q=freq.q, beta=args.beta, z=args.z,
+                           d2z=h.d2z, dzdbeta=h.dzdbeta, d2beta=h.d2beta, det=h.determinant)
 
     if cmd == "critical-scan":
         rows, errors = [], []
-        for freq in _resolve_freqs(args, parser):
+        for freq in freqs:
             ch = chambers(freq, args.beta, verify=False)
             for g in gaps(freq, args.beta, min_width=args.min_width):
                 if not g.is_open:
@@ -328,21 +293,18 @@ def _dispatch(args, parser) -> int:
                              "hessian_det": hs.determinant, "hessian_d2z": hs.d2z,
                              "hessian_d2beta": hs.d2beta,
                              "margin_ok": cp.margin_ok(args.margin_threshold)})
-        _emit(args, json.dumps({"config_hash": run_hash, "rows": rows, "errors": errors},
-                               indent=2) + "\n")
+        _write_json(args, run_hash, rows=rows, errors=errors)
         if errors:
             print(f"{len(errors)} of {len(rows) + len(errors)} gaps failed", file=sys.stderr)
             return EXIT_PARTIAL
         return 0
 
     if cmd == "coeffs":
-        freq = _resolve_freqs(args, parser)[-1]
         sheet = _make_sheet(freq, args.beta, args.z, args.window, args.kind)
         _emit(args, f"{header}\n" + sheet.to_csv())
         return 0
 
     if cmd == "decay":
-        freq = _resolve_freqs(args, parser)[-1]
         sheet = _make_sheet(freq, args.beta, args.z, args.window, args.kind)
         rows = []
         for slope in (1, -1):
@@ -351,12 +313,9 @@ def _dispatch(args, parser) -> int:
                 rows.append({"slope": slope, "offset": k, "rho": est.rho,
                              "fit_residual": est.fit_residual,
                              "n_points": est.n_points, "all_zero": est.all_zero})
-        _emit(args, json.dumps({"config_hash": run_hash,
-                                "kind": sheet.kind, "rows": rows}, indent=2) + "\n")
-        return 0
+        return _write_json(args, run_hash, kind=sheet.kind, rows=rows)
 
     if cmd == "sigma-check":
-        freq = _resolve_freqs(args, parser)[-1]
         report = sigma_check_report(freq, args.beta, args.theta1, args.theta2)
         report["config_hash"] = run_hash
         report["pass"] = max(v for k, v in report.items()
@@ -384,28 +343,24 @@ def _dispatch(args, parser) -> int:
         return 0
 
     if cmd == "track":
-        freq = _resolve_freqs(args, parser)[-1]
         tr = track_gap((args.m, args.n), freq, _parse_grid(args.beta_grid))
-        lines = [header, "beta,width,open"]
+        rows = []
         for b, w, o in zip(tr.beta_grid, tr.widths, tr.open_flags):
-            lines.append(f"{_fmt(b)},{_fmt(w)},{int(o)}")
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
+            rows.append(f"{_fmt(b)},{_fmt(w)},{int(o)}")
+        return _write_csv(args, header, "beta,width,open", rows)
 
     if cmd == "franel":
-        lines = [header, "n,sum,n_times_sum"]
+        rows = []
         for row in franel_table(args.nmax):
-            lines.append(f"{row.n},{_fmt(row.total_float)},{_fmt(row.n_times_total)}")
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
+            rows.append(f"{row.n},{_fmt(row.total_float)},{_fmt(row.n_times_total)}")
+        return _write_csv(args, header, "n,sum,n_times_sum", rows)
 
     if cmd == "farey":
         seq = farey(args.order)
-        lines = [header, "numerator,denominator"]
+        rows = []
         for f in seq.fractions:
-            lines.append(f"{f.numerator},{f.denominator}")
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
+            rows.append(f"{f.numerator},{f.denominator}")
+        return _write_csv(args, header, "numerator,denominator", rows)
 
     if cmd == "count-components":
         with open(args.dataset) as fh:
@@ -414,12 +369,9 @@ def _dispatch(args, parser) -> int:
         # the dataset's own digest, not its path: a copy hashes alike, a new file anew
         run_hash = _config_hash({"dataset": ds.provenance["config"], "hall": args.hall,
                                  "tool_version": __version__})
-        _emit(args, json.dumps({"config_hash": run_hash, "k": cc.hall,
-                                "Q": cc.order, "beta": cc.beta,
-                                "predicted": cc.predicted, "observed": cc.observed,
-                                "component_members": [list(map(list, m)) for m in cc.members]},
-                               indent=2) + "\n")
-        return 0
+        return _write_json(args, run_hash, k=cc.hall, Q=cc.order, beta=cc.beta,
+                           predicted=cc.predicted, observed=cc.observed,
+                           component_members=[list(map(list, m)) for m in cc.members])
 
     return run_selftest()  # "selftest", the one command left: argparse accepts no other
 
@@ -464,16 +416,7 @@ def sigma_check_report(freq, beta, theta1, theta2) -> dict:
 
 
 def run_selftest() -> int:
-    """Quick pass over the headline invariants; prints one line per check."""
-    checks = []
-
-    def check(name, fn):
-        try:
-            fn()
-            checks.append((name, True, ""))
-        except Exception as exc:
-            checks.append((name, False, str(exc)))
-
+    """Quick pass over the headline invariants; prints one line per check as it ends."""
     def algebra():
         for q in (2, 3, 5, 8):
             freq = RationalFrequency(1 if q == 2 else q - 3 or 1, q)
@@ -532,21 +475,20 @@ def run_selftest() -> int:
         cc = component_count(back, 1)
         assert cc.observed <= cc.predicted
 
-    check("rotation algebra identities", algebra)
-    check("spectra, duality, labels", spectra)
-    check("lyapunov three methods", lyap)
-    check("coefficient sheets", coeffs)
-    check("number theory", numbers)
-    check("butterfly batch", batch)
-
-    failed = 0
-    for name, ok, msg in checks:
-        status = "PASS" if ok else "FAIL"
-        extra = f" ({msg})" if msg else ""
-        print(f"[{status}] {name}{extra}")
-        failed += 0 if ok else 1
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return 0 if failed == 0 else 1
+    checks = (("rotation algebra identities", algebra), ("spectra, duality, labels", spectra),
+              ("lyapunov three methods", lyap), ("coefficient sheets", coeffs),
+              ("number theory", numbers), ("butterfly batch", batch))
+    passed = 0
+    for name, check in checks:
+        try:
+            check()
+        except Exception as exc:
+            print(f"[FAIL] {name}" + (f" ({exc})" if str(exc) else ""))
+        else:
+            print(f"[PASS] {name}")
+            passed += 1
+    print(f"{passed}/{len(checks)} checks passed")
+    return 0 if passed == len(checks) else 1
 
 
 if __name__ == "__main__":

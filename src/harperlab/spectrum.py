@@ -215,7 +215,12 @@ class BandSet:
         """Distance from (possibly complex) E to the band union."""
         x, y = float(np.real(E)), float(np.imag(E))
         lo, hi = np.asarray(self.bands, dtype=float).T
-        return float(np.min(np.hypot(np.maximum(np.maximum(lo - x, x - hi), 0.0), y)))
+        return float(np.min(np.hypot(_outside(x, lo, hi), y)))
+
+
+def _outside(x, lo, hi):
+    """How far x lies outside [lo, hi], max(lo - x, x - hi, 0), broadcast over arrays."""
+    return np.maximum(np.maximum(lo - x, x - hi), 0.0)
 
 
 def _tridiagonal_eigvalsh(diag, off) -> np.ndarray:
@@ -489,22 +494,16 @@ class DualityReport:
 
 
 def hausdorff_intervals(a, b) -> float:
-    """Hausdorff distance between two closed unions of intervals."""
+    """Hausdorff distance between two closed unions of intervals (inf if one alone is empty)."""
     def sup_dist(src, dst):
-        worst = 0.0
         # candidate maximizers: endpoints of src, and dst-gap midpoints inside src
-        cands = [x for lo, hi in src for x in (lo, hi)]
-        for i in range(len(dst) - 1):
-            mid = 0.5 * (dst[i][1] + dst[i + 1][0])
-            if any(lo <= mid <= hi for lo, hi in src):
-                cands.append(mid)
-        for x in cands:
-            d = min(0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
-                    for lo, hi in dst)
-            worst = max(worst, d)
-        return worst
-    a = sorted(tuple(map(float, iv)) for iv in a)
-    b = sorted(tuple(map(float, iv)) for iv in b)
+        mids = 0.5 * (dst[:-1, 1] + dst[1:, 0])
+        inside = ((src[:, :1] <= mids) & (mids <= src[:, 1:])).any(axis=0)
+        x = np.concatenate([src.ravel(), mids[inside]])
+        dist = np.min(_outside(x[:, None], dst[:, 0], dst[:, 1]), axis=1, initial=np.inf)
+        return float(np.max(dist, initial=0.0))
+    a = np.array(sorted(tuple(map(float, iv)) for iv in a), dtype=float).reshape(-1, 2)
+    b = np.array(sorted(tuple(map(float, iv)) for iv in b), dtype=float).reshape(-1, 2)
     return max(sup_dist(a, b), sup_dist(b, a))
 
 

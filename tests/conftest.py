@@ -496,6 +496,29 @@ def interval_union_distance(a, b, samples=20001):
     return worst
 
 
+def hausdorff_intervals_loop(a, b):
+    """Hausdorff distance between interval unions, one candidate and one interval at a time.
+
+    The loop that `hausdorff_intervals` replaced, kept as its reference: the
+    candidate maximizers are the edges of one union and the gap midpoints of
+    the other that lie in it."""
+    def sup_dist(src, dst):
+        worst = 0.0
+        cands = [x for lo, hi in src for x in (lo, hi)]
+        for i in range(len(dst) - 1):
+            mid = 0.5 * (dst[i][1] + dst[i + 1][0])
+            if any(lo <= mid <= hi for lo, hi in src):
+                cands.append(mid)
+        for x in cands:
+            d = min(0.0 if lo <= x <= hi else min(abs(x - lo), abs(x - hi))
+                    for lo, hi in dst)
+            worst = max(worst, d)
+        return worst
+    a = sorted(tuple(map(float, iv)) for iv in a)
+    b = sorted(tuple(map(float, iv)) for iv in b)
+    return max(sup_dist(a, b), sup_dist(b, a))
+
+
 def oracle_band_distance(bands, z):
     """Distance from (possibly complex) z to a union of (lo, hi) bands, one band at a time."""
     x, y = float(np.real(z)), float(np.imag(z))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -286,6 +287,46 @@ def test_selftest_exit_zero(capsys):
     assert main(["selftest"]) == 0
 
 
+def _boom(nmax):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("franel_table, line", [
+    (_boom, "[FAIL] number theory (boom)"),
+    (lambda nmax: [SimpleNamespace(total=0)], "[FAIL] number theory"),
+], ids=["message", "bare-assert"])
+def test_selftest_reports_a_failing_check_and_exits_one(capsys, monkeypatch, franel_table, line):
+    """A failing check prints its message in parentheses, or none if it is empty."""
+    monkeypatch.setattr("harperlab.cli.franel_table", franel_table)
+    code, out, _ = run(["selftest"], capsys)
+    assert code == 1
+    assert out.splitlines() == ["[PASS] rotation algebra identities",
+                                "[PASS] spectra, duality, labels",
+                                "[PASS] lyapunov three methods", "[PASS] coefficient sheets",
+                                line, "[PASS] butterfly batch", "5/6 checks passed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--dataset", "DIR", "--out", "x.svg"],
+    ["farey", "--order", "3", "--out", "DIR"],
+    ["butterfly", "--qmax", "3", "--beta", "1", "--checkpoint", "DIR", "--out", "x.csv"],
+], ids=["render-dataset", "farey-out", "butterfly-checkpoint"])
+def test_a_directory_for_a_file_exits_two(tmp_path, capsys, monkeypatch, argv):
+    """Every file-system refusal, not only a missing file, is one error line and status 2."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "DIR").mkdir()
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Is a directory" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["DIR"]
+
+
+def test_an_empty_alpha_is_refused_as_an_unparsable_frequency(capsys):
+    code, out, err = run(["spectrum", "--alpha", "", "--beta", "0.5"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: cannot parse frequency ''; expected 'p/q'\n"
+
+
 def test_output_dir_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HARPERLAB_OUT_DIR", str(tmp_path / "artifacts"))
     code, _, _ = run(["farey", "--order", "3", "--out", "f.csv"], capsys)
@@ -402,6 +443,19 @@ def test_config_hash_ignores_out(tmp_path, capsys):
     assert len(docs[0]["config_hash"]) == 16
     code, out, _ = run(["gradient", "--alpha", "1/3", "--beta", "0.6", "--z", "4.2"], capsys)
     assert json.loads(out)["config_hash"] != docs[0]["config_hash"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["spectrum", "--alpha", "1/3", "--beta", "0.5"], "a9a68ae08849e419"),
+    (["gradient", "--alpha", "1/3", "--beta", "0.5", "--z", "4.2"], "dfb5dd9e80e9af41"),
+    (["label", "--irrational", "golden", "--depth", "5"], "7b8853b480124655"),
+], ids=["spectrum", "gradient", "label"])
+def test_config_hashes_are_pinned(capsys, argv, digest):
+    """The hash covers the name and value of every parsed option and the tool
+    version: declaring an option in another place must not move it."""
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert f"config_hash={digest}\n" in out or f'"config_hash": "{digest}"' in out
 
 
 def test_count_components_hashes_the_dataset_not_its_path(tmp_path, capsys):

@@ -15,7 +15,8 @@ from harperlab.butterfly import (butterfly_fractions, compute_butterfly, parse_d
                                  serialize_dataset)
 from harperlab.spectrum import (_band_measure, _fmt, _verify_phase_independence, gap_csv,
                                gap_table, gap_tables)
-from conftest import (center_eigenvalues, interval_union_distance, oracle_band_measure,
+from conftest import (center_eigenvalues, hausdorff_intervals_loop, interval_union_distance,
+                      oracle_band_measure,
                       oracle_band_sweep, oracle_center_jet, oracle_chern_numbers,
                       oracle_continuant, oracle_corner_edges, oracle_gap_label, oracle_harper, oracle_ids_counting)
 
@@ -609,6 +610,31 @@ def test_hausdorff_intervals_basics():
     assert abs(hausdorff_intervals(a, b) - 0.5) <= 1e-15
     c = [(0.1, 1.0), (2.0, 3.4)]
     assert abs(hausdorff_intervals(a, c) - 0.4) <= 1e-15
+    assert hausdorff_intervals([], []) == 0.0
+    assert hausdorff_intervals(a, []) == hausdorff_intervals([], a) == math.inf
+
+
+def test_hausdorff_intervals_equals_the_reference_loop():
+    """The array pass returns the loop's float, ==, on random unions with touching,
+    overlapping and point intervals, and on the dual_check pairs up to 377/610."""
+    rng = np.random.default_rng(2028)
+
+    def union():
+        n = rng.integers(1, 9)
+        # edges on a 0.1 grid make shared endpoints and touching intervals common
+        los = np.where(rng.random(n) < 0.5, rng.uniform(-4, 4, n),
+                       np.round(rng.uniform(-4, 4, n), 1))
+        widths = np.choose(rng.integers(0, 3, n), [np.zeros(n), np.round(rng.uniform(0, 1, n), 1),
+                                                   rng.uniform(0, 2, n)])
+        return list(zip(los.tolist(), (los + widths).tolist()))
+
+    for _ in range(1000):
+        a, b = union(), union()
+        assert hausdorff_intervals(a, b) == hausdorff_intervals_loop(a, b)
+    for f in (F(1, 3), F(2, 5), F(8, 13), F(34, 55), F(144, 233), F(377, 610)):
+        bands = corner_bands(f, 0.5).bands
+        dual = [(0.5 * lo, 0.5 * hi) for lo, hi in corner_bands(f, 2.0).bands]
+        assert hausdorff_intervals(bands, dual) == hausdorff_intervals_loop(bands, dual)
 
 
 def test_hausdorff_matches_sampled_oracle():

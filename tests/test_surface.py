@@ -2,12 +2,14 @@ import argparse
 import importlib.util
 import inspect
 import io
+import re
 import subprocess
 import sys
 import tokenize
 from pathlib import Path
 
 import harperlab
+from harperlab import convergents
 from harperlab.cli import build_parser
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -38,3 +40,20 @@ def test_surface_prints_metric_lines_and_counts_the_parser_commands():
         tok.type == tokenize.NAME and tok.string == "raise"
         for p in (TOOLS.parent / "src" / "harperlab").rglob("*.py")
         for tok in tokenize.generate_tokens(io.StringIO(p.read_text()).readline))
+
+
+def test_unreached_lists_the_statements_a_test_run_never_executes():
+    tests = Path(__file__).resolve().parent
+    run = subprocess.run([sys.executable, str(TOOLS / "unreached.py"), "-q",
+                          str(tests / "test_rationals.py")], capture_output=True, text=True,
+                         cwd=tests.parent)
+    assert run.returncode == 0, run.stdout + run.stderr
+    report = run.stdout[run.stdout.index("# unreached = "):].splitlines()
+    metric = bench_record.METRIC.match(report[0])
+    assert metric.group(1) == "unreached" and int(metric.group(2)) == len(report) - 1
+    assert all(re.fullmatch(r"src/harperlab/\w+\.py:\d+: \S.*", ln) for ln in report[1:])
+    # every call of `convergents` runs its first statement; test_rationals never runs the CLI
+    lines, first = inspect.getsourcelines(convergents)
+    ran = first + next(i for i, ln in enumerate(lines) if "terms = list(cf_terms)" in ln)
+    assert f"src/harperlab/rationals.py:{ran}: terms = list(cf_terms)" not in "\n".join(report)
+    assert any(ln.startswith("src/harperlab/cli.py:") for ln in report)
