@@ -15,7 +15,6 @@ import itertools
 import json
 import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -134,19 +133,6 @@ def _build_rows(freqs, payloads, beta, min_width):
     return tuple(rows)
 
 
-def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def compute_butterfly(order: int, beta: float, workers: int = 1,
                       min_width: float = 1e-9,
                       checkpoint_path: str | None = None) -> ButterflyDataset:
@@ -206,22 +192,26 @@ def _resume_journal(path, digest):
 
     The journal is a header line with the configuration digest and the line
     format, then the dataset file's band and error lines.  A missing file or
-    another header (a journal of JSON payloads has one) starts it afresh; a
-    torn last line (an interrupted append) is dropped and the journal rewritten
-    without it.  A line the dataset parser refuses raises ValueError naming it.
+    another header (a journal of JSON payloads has one) starts it afresh, the
+    header written in place.  A torn last line (an interrupted append) is cut
+    off after the last newline once the whole lines parse.  A line the dataset
+    parser refuses raises ValueError naming it.
     """
-    header, lines = json.dumps({"config": digest, "journal": "lines"}) + "\n", []
+    header, lines = (json.dumps({"config": digest, "journal": "lines"}) + "\n").encode(), []
     if os.path.exists(path):
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             lines = fh.readlines()
-    clean = lines[:1] == [header]
-    kept = [ln for ln in lines[1:] if clean and ln.endswith("\n")]
+    if lines[:1] != [header]:
+        with open(path, "wb") as fh:
+            fh.write(header)
+        return {}
+    whole = [ln for ln in lines[1:] if ln.endswith(b"\n")]
     try:
-        done = _read_payloads(kept)
+        done = _read_payloads([ln.decode() for ln in whole])
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
-    if not (clean and lines[-1].endswith("\n")):
-        _atomic_write(path, header + "".join(kept))
+    if not lines[-1].endswith(b"\n"):  # a torn tail: cut off after the last newline
+        os.truncate(path, len(header) + sum(map(len, whole)))
     return done
 
 

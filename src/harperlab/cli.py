@@ -22,7 +22,7 @@ from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, band_edges, chambers,
                        track_gap)
 from .lyapunov import (critical_scan, gradient, hessian, lyapunov_thouless,
                        lyapunov_trace, lyapunov_transfer)
-from .coefficients import (build_phi, coefficient_sheet, decay_rate,
+from .coefficients import (SHEET_KINDS, build_phi, coefficient_sheet, decay_rate,
                            recursion_sheets, symmetrized_sheet, system_residual,
                            vanishing_probe)
 from .numbertheory import component_count, farey, franel_table, phi_cumulative
@@ -90,12 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", parents=[freq, beta, out])
     p.add_argument("--z", type=finite, required=True)
     p.add_argument("--window", type=int, default=12)
-    p.add_argument("--kind", choices=("c", "d", "phi", "R+", "R-"), default="c")
+    p.add_argument("--kind", choices=SHEET_KINDS, default="c")
 
     p = sub.add_parser("decay", parents=[freq, beta, out])
     p.add_argument("--z", type=finite, required=True)
     p.add_argument("--window", type=int, default=12)
-    p.add_argument("--kind", choices=("c", "d", "R+", "R-", "phi"), default="d")
+    p.add_argument("--kind", choices=SHEET_KINDS, default="d")
     p.add_argument("--offsets", default="-2,-1,0,1,2")
 
     p = sub.add_parser("sigma-check", parents=[freq, beta, out])

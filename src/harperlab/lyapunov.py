@@ -190,15 +190,30 @@ def log_potential(ch: ChambersData, z: float) -> float:
 
 @lru_cache(maxsize=8)
 def _point(ch: ChambersData, z: float):
-    """The one evaluation at real z that `gradient` and `hessian` share: jet and torus averages."""
-    jet = ch.jet(z)
-    return jet, averages(jet[0], ch.c1, ch.c2, ("m1", "n1", "m2", "n2", "k2"))
+    """(g0, g1, d2z, dzdb, d2b) at real z from one order-2 `jet` and one torus pass, shared by
+    `gradient`, `hessian` and `critical_scan`; dc2, d2c2 are beta-derivatives of c2 = -2 beta^q."""
+    q, beta = ch.q, ch.beta
+    P, dP, d2P, dbP, dbdP, d2bP = ch.jet(z)
+    m1, n1, m2, n2, k2 = averages(P, ch.c1, ch.c2, ("m1", "n1", "m2", "n2", "k2")).values()
+    dc2 = -2.0 * q * beta ** (q - 1)
+    d2c2 = -2.0 * q * (q - 1) * beta ** max(q - 2, 0)  # zero at q = 1, where 0.0 ** -1 raises
+    return (dP * m1 / q, 0.5 * ((dbP * m1 + dc2 * n1) / q), (d2P * m1 - dP * dP * m2) / q,
+            (dbdP * m1 - dP * (dbP * m2 + dc2 * n2)) / q,
+            (d2bP * m1 + d2c2 * n1 - (dbP * dbP * m2 + 2.0 * dbP * dc2 * n2 + dc2 * dc2 * k2)) / q)
 
 
 def _resolve(freq, beta, ch):
     if ch is not None and (ch.freq, ch.beta) != (freq, beta):
         raise ValueError(f"ch is built for {ch.freq} at beta={ch.beta}, not {freq} at beta={beta}")
     return chambers(freq, beta, verify=False) if ch is None else ch
+
+
+def _gap_point(freq, beta, z, ch, edge_distance):
+    """`_point` of the resolved `ch` at z, refused closer than edge_distance to a band."""
+    ch = _resolve(freq, beta, ch)
+    if edge_distance > 0 and band_edges(ch).distance(z) < edge_distance:
+        raise ValueError(f"z={z} is within {edge_distance} of a band edge")
+    return _point(ch, float(z))
 
 
 def gradient(freq: RationalFrequency, beta: float, z: float,
@@ -214,15 +229,8 @@ def gradient(freq: RationalFrequency, beta: float, z: float,
     supplied the call runs no eigensolve.  A gradient and a Hessian at the
     same (ch, z) share one evaluation: one order-2 `jet` and one torus pass.
     """
-    ch = _resolve(freq, beta, ch)
-    if edge_distance > 0 and band_edges(ch).distance(z) < edge_distance:
-        raise ValueError(f"z={z} is within {edge_distance} of a band edge")
-    q = freq.q
-    (_, dP, _, dbP, _, _), av = _point(ch, float(z))
-    g0 = dP * av["m1"] / q
-    dc2 = -2.0 * q * beta ** (q - 1)
-    two_g1 = (dbP * av["m1"] + dc2 * av["n1"]) / q
-    return GradientRecord(float(beta), float(z), float(g0), float(0.5 * two_g1))
+    g0, g1, *_ = _gap_point(freq, beta, z, ch, edge_distance)
+    return GradientRecord(float(beta), float(z), g0, g1)
 
 
 def hessian(freq: RationalFrequency, beta: float, z: float,
@@ -239,19 +247,9 @@ def hessian(freq: RationalFrequency, beta: float, z: float,
     runs), and so is the one evaluation at (ch, z), which the two share.
     An entry outside the float64 range raises ArithmeticError.
     """
-    ch = _resolve(freq, beta, ch)
-    if edge_distance > 0 and band_edges(ch).distance(z) < edge_distance:
-        raise ValueError(f"z={z} is within {edge_distance} of a band edge")
-    q = freq.q
-    (_, dP, d2P, dbP, dbdP, d2bP), av = _point(ch, float(z))
-    dc2 = -2.0 * q * beta ** (q - 1)
-    d2c2 = -2.0 * q * (q - 1) * beta ** max(q - 2, 0)  # zero at q = 1, where 0.0 ** -1 raises
-    d2z = (d2P * av["m1"] - dP * dP * av["m2"]) / q
-    dzdb = (dbdP * av["m1"] - dP * (dbP * av["m2"] + dc2 * av["n2"])) / q
-    d2b = (d2bP * av["m1"] + d2c2 * av["n1"]
-           - (dbP * dbP * av["m2"] + 2.0 * dbP * dc2 * av["n2"] + dc2 * dc2 * av["k2"])) / q
+    _, _, d2z, dzdb, d2b = _gap_point(freq, beta, z, ch, edge_distance)
     if not all(map(math.isfinite, (d2z, dzdb, d2b))):
-        raise ArithmeticError(f"the Hessian leaves the float64 range at q={q}, E={z}")
+        raise ArithmeticError(f"the Hessian leaves the float64 range at q={freq.q}, E={z}")
     return HessianRecord(float(beta), float(z), d2z, dzdb, d2b)
 
 
@@ -282,25 +280,22 @@ def critical_scan(freq: RationalFrequency, beta: float, gap,
     +inf at the left edge to -inf at the right edge through a single root.
     Brent's method on P' is therefore bracket-safe at any gap width.  The
     bracket is the gap's own (lo, hi), so no band edges are recomputed: with
-    `ch` supplied the scan runs no eigensolve.  The closing `gradient(s*)`
-    evaluates s* once for it and for a `hessian(s*)` with the same `ch`.
+    `ch` supplied the scan runs no eigensolve.  g0 and g1 at s* come from
+    the evaluation that a following `hessian(s*)` with the same `ch` reads.
     """
     ch = _resolve(freq, beta, ch)
     lo, hi = float(gap.lo), float(gap.hi)
     if hi - lo <= 0 or not getattr(gap, "is_open", True):
         raise ValueError(f"gap {gap.label} at {freq} is closed")
-    width = hi - lo
-    eps = width * 1e-9
-    f = ch.dP
+    eps = (hi - lo) * 1e-9
     a, b = lo + eps, hi - eps
-    fa, fb = f(a), f(b)
-    if fa * fb > 0:  # should not happen: P' has exactly one simple zero here
-        raise RuntimeError(f"no sign change of dP across gap {gap.label} at {freq}; "
-                           f"values ({fa:.3e}, {fb:.3e})")
-    s_star = _brent(f, a, b, fa, fb)
-    grad = gradient(freq, beta, s_star, ch=ch, edge_distance=0.0)
+    try:
+        s_star = _brent(ch.dP, a, b, ch.dP(a), ch.dP(b))
+    except ValueError as exc:  # `_brent`'s refusal, told which gap it was
+        raise ValueError(f"gap {gap.label} at {freq}: {exc}") from None
+    g0, g1, *_ = _point(ch, float(s_star))
     return CriticalPoint(freq, float(beta), gap.j, gap.label, lo, hi,
-                         float(s_star), abs(grad.g0), abs(grad.g1))
+                         float(s_star), abs(g0), abs(g1))
 
 
 _BRENT_MAXITER = 100

@@ -20,6 +20,7 @@ import cmath
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -160,8 +161,12 @@ def chambers(freq: RationalFrequency, beta: float, verify: bool = True) -> Chamb
     if not 0 <= beta < np.inf:
         raise ValueError(f"coupling must be finite and nonnegative, got {beta}")
     q = freq.q
+    try:  # ldexp(x, 1) is 2x exactly, and raises where 2x leaves the float64 range
+        c2 = -math.ldexp(float(beta) ** q, 1)
+    except OverflowError:
+        raise ArithmeticError(f"-2 beta^q leaves the float64 range at q={q}, beta={beta}") from None
     data = ChambersData(freq, float(beta), tuple(_potential(freq, np.pi / (2.0 * q)).tolist()),
-                        -2.0, -2.0 * beta ** q)
+                        -2.0, c2)
     if verify:
         _verify_phase_independence(data)
     return data
@@ -512,8 +517,6 @@ def dual_check(freq: RationalFrequency, beta: float) -> DualityReport:
     if beta <= 0:
         raise ValueError("coupling must be positive")
     bands = corner_bands(freq, beta)
-    if beta == 1.0:
-        return DualityReport(freq, beta, 0.0)
     dual = corner_bands(freq, 1.0 / beta)
     scaled = [(beta * lo, beta * hi) for lo, hi in dual.bands]
     return DualityReport(freq, float(beta), hausdorff_intervals(bands.bands, scaled))
@@ -542,7 +545,7 @@ def label_to_index(label, freq: RationalFrequency) -> int:
 
 
 def track_gap(label, freq: RationalFrequency, beta_grid, min_width: float = 1e-9) -> GapTrack:
-    """Width of one labelled gap across a strictly increasing coupling grid."""
+    """Width of one labelled gap across an increasing coupling grid, open as `gap_table` says."""
     grid = [float(b) for b in beta_grid]
     if not grid:
         raise ValueError("beta grid must not be empty")
@@ -551,9 +554,11 @@ def track_gap(label, freq: RationalFrequency, beta_grid, min_width: float = 1e-9
     if any(not 0 < b for b in grid):
         raise ValueError("beta grid must be positive")
     j = label_to_index(label, freq)
-    widths = []
+    widths, flags = [], []
     for beta in grid:
-        lo, hi = corner_bands(freq, beta).gap_intervals()[j - 1]
+        bs = corner_bands(freq, beta)
+        lo, hi = bs.gap_intervals()[j - 1]
         widths.append(max(hi - lo, 0.0))
-    return GapTrack(freq, tuple(label), j, tuple(grid), tuple(widths),
-                    tuple(w > min_width for w in widths))
+        table = gap_table(freq, beta, bs.bands, min_width)
+        flags.append(j in table[table[:, 3] == 1, 0])
+    return GapTrack(freq, tuple(label), j, tuple(grid), tuple(widths), tuple(flags))

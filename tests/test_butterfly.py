@@ -141,6 +141,35 @@ def test_checkpoint_resume_after_torn_line(tmp_path, monkeypatch):
     assert len(journal_lines(ck)) == 1 + len(resumed.rows)
 
 
+def test_resume_replaces_a_missing_or_foreign_header_in_place(tmp_path):
+    """A missing journal, or one under another configuration's header, becomes the
+    header alone, with no other file left in its directory."""
+    ck = tmp_path / "state.jsonl"
+    header = json.dumps({"config": "0123456789abcdef", "journal": "lines"}) + "\n"
+    assert butterfly_module._resume_journal(str(ck), "0123456789abcdef") == {}
+    assert ck.read_text() == header
+    ck.write_text(json.dumps({"config": "fedcba9876543210", "journal": "lines"})
+                  + "\n# bands,1,2,-2,0,0,2\n# bands,1,3")
+    assert butterfly_module._resume_journal(str(ck), "0123456789abcdef") == {}
+    assert ck.read_text() == header
+    assert [f.name for f in tmp_path.iterdir()] == [ck.name]
+
+
+def test_resume_cuts_a_torn_tail_in_place(tmp_path, monkeypatch):
+    """A torn last line is cut off: the journal is then its header and the whole
+    lines, byte for byte, whose rows are reused, and no other file is left."""
+    ck = tmp_path / "state.jsonl"
+    interrupted_batch(monkeypatch, ck, 6, 0.7, stop_after=5)
+    text = ck.read_text()[:-20]
+    ck.write_text(text)
+    digest = json.loads(text.splitlines()[0])["config"]
+    done = butterfly_module._resume_journal(str(ck), digest)
+    assert ck.read_text() == text[:text.rindex("\n") + 1]
+    assert sorted(done) == sorted(journal_row(ln)[:2] for ln in text.splitlines()[1:-1])
+    assert len(done) == 5
+    assert [f.name for f in tmp_path.iterdir()] == [ck.name]
+
+
 def test_journal_holds_header_and_one_line_per_row(tmp_path, monkeypatch):
     ck = tmp_path / "state.jsonl"
     ds = compute_butterfly(6, 0.7, checkpoint_path=str(ck))

@@ -559,3 +559,21 @@ def test_critical_scan_skips_the_closed_central_gap(capsys):
     rows = json.loads(out)["rows"]
     assert code == 0 and len(rows) == 6
     assert all(row["n"] != 4 for row in rows)
+
+
+@pytest.mark.parametrize("argv", [["lyapunov", "--z", "0.5"], ["critical-scan"],
+                                  ["coeffs", "--z", "4.2"], ["ids", "--energies=-4:4:3"]],
+                         ids=["lyapunov", "critical-scan", "coeffs", "ids"])
+def test_a_coupling_power_beyond_the_float_range_exits_two(argv, capsys):
+    """At 987/1597, beta 2, c2 = -2 beta^q overflows: one error line naming q and beta."""
+    code, out, err = run(argv + ["--alpha", "987/1597", "--beta", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: -2 beta^q leaves the float64 range at q=1597, beta=2.0\n"
+
+
+def test_sigma_check_at_a_singular_twist_exits_two(capsys):
+    """At 1/3, theta1 = pi/3, beta 1, -beta is an eigenvalue of u v (cond 5.6e15)."""
+    code, out, err = run(["sigma-check", "--alpha", "1/3", "--beta", "1",
+                          "--theta1", "1.0471975511965976"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: u*v + beta nearly singular at beta=1.0 (cond=")

@@ -409,7 +409,7 @@ def test_critical_scan_root_is_the_brent_step_on_the_gap_bracket():
 
 def test_bracket_search_reads_no_beta_partial(monkeypatch):
     """At 34/55, beta = 0.5, the sign check at the bracket ends and every
-    Brent step of each open gap call `jet` at order 1; `gradient` at s*
+    Brent step of each open gap call `jet` at order 1; the evaluation at s*
     makes the one order-2 call."""
     freq, beta = F(34, 55), 0.5
     ch = chambers(freq, beta, verify=False)
@@ -585,12 +585,17 @@ def test_scan_with_chambers_runs_no_eigensolve(monkeypatch):
 
 def test_transfer_beyond_float_range_is_refused():
     """At 377/610, beta = 1, P(4.5), which sizes the phases, overflows
-    float64 and is refused.  At E = 3.2 P fits; the squared monodromy trace
-    would not, and the square-free multiplier |Re arccosh(t/2)| answers
-    there, 2.0e-15 from `log_potential`."""
+    float64 and is refused.  At 610/987, beta 0.5, E = 2.646251256281407
+    the float P is finite (1.2e308), but the monodromy of some phases is
+    not, and the transfer refuses.  At E = 3.2 of 377/610 P fits; the
+    squared monodromy trace would not, and the square-free multiplier
+    |Re arccosh(t/2)| answers there, 2.0e-15 from `log_potential`."""
     freq, beta = F(377, 610), 1.0
     with pytest.raises(ArithmeticError, match=r"q=610, E=4\.5"):
         lyapunov_transfer(freq, beta, 4.5)
+    assert math.isfinite(chambers(F(610, 987), 0.5, verify=False).P(2.646251256281407))
+    with pytest.raises(ArithmeticError, match=r"monodromy leaves the float64 range at q=987"):
+        lyapunov_transfer(F(610, 987), 0.5, 2.646251256281407)
     ch = chambers(freq, beta, verify=False)
     assert abs(lyapunov_transfer(freq, beta, 3.2).value - log_potential(ch, 3.2)) <= 1e-13
 
@@ -641,13 +646,16 @@ def test_shared_evaluation_is_the_same_whichever_call_fills_it(first):
 
 def test_hessian_refuses_entries_beyond_the_float_range():
     """At 377/610, beta = 1, E = 3.2, P = 3.4e232 fits, and so does m1, so
-    `gradient` answers; but P'^2 overflows and m2 = 1/P^2 underflows, so
-    the Hessian's entries are not finite and `hessian` refuses, naming q
-    and E."""
+    `gradient` answers, with its repr pinned; but P'^2 overflows and
+    m2 = 1/P^2 underflows, so the Hessian's entries are not finite and
+    `hessian` refuses, naming q and E."""
     freq, beta = F(377, 610), 1.0
     ch = chambers(freq, beta, verify=False)
+    lyapunov._point.cache_clear()
     g = gradient(freq, beta, 3.2, ch=ch, edge_distance=0.0)
     assert math.isfinite(g.g0) and math.isfinite(g.g1) and g.g0 != 0.0
+    assert repr(g) == ("GradientRecord(beta=1.0, z=3.2, g0=0.5936852069082804, "
+                       "g1=-0.22494816552662464)")
     with pytest.raises(ArithmeticError, match=r"the Hessian leaves the float64 range at q=610, E=3\.2"):
         hessian(freq, beta, 3.2, ch=ch, edge_distance=0.0)
 
@@ -733,8 +741,8 @@ def test_warm_hessian_equals_cold_and_gradient_equals_its_formula():
 
 
 def test_scan_and_hessian_make_one_order_2_jet_and_one_averages_call(monkeypatch):
-    """The bracket search calls `jet` at order 1 only; the closing gradient
-    makes the one order-2 call and the one torus pass, which `hessian` then
+    """The bracket search calls `jet` at order 1 only; the closing evaluation
+    at s* makes the one order-2 call and the one torus pass, which `hessian` then
     reads.  A cold `hessian` and a following `gradient` do the same."""
     freq, beta = F(55, 89), 1.0
     ch = chambers(freq, beta, verify=False)
@@ -932,3 +940,74 @@ def test_derivatives_refuse_data_of_another_fraction_or_coupling():
             critical_scan(freq, beta, g, ch=other)
     ch = chambers(freq, beta, verify=False)
     assert gradient(freq, beta, g.midpoint, ch=ch) == gradient(freq, beta, g.midpoint)
+
+
+# (p, q, beta, j of the widest open gap): its s* scan, then gradient and hessian at the
+# gap midpoint with the default edge check, and the hessian at s* that reads the scan's
+# evaluation
+PINNED_GAP_POINTS = {
+    (2, 5, 0.7, 2): (
+        "(-0.8140324221431405, 1.4832993992000526e-16, 0.2649678474811184)",
+        "GradientRecord(beta=0.7, z=-0.8053584531882886, g0=-0.007058198611977491, "
+        "g1=0.26343476666296195)",
+        "HessianRecord(beta=0.7, z=-0.8053584531882886, d2z=-0.8132243932912715, "
+        "dzdbeta=-0.3485023187068845, d2beta=-0.21598692051030338)",
+        "HessianRecord(beta=0.7, z=-0.8140324221431405, d2z=-0.8143114845084186, "
+        "dzdbeta=-0.3585228628156204, d2beta=-0.22321252863135257)"),
+    (5, 8, 1.0, 5): (
+        "(1.119116014207426, 1.5605420533527875e-18, 0.24999999999999997)",
+        "GradientRecord(beta=1.0, z=1.065862885661271, g0=0.030313930834978957, "
+        "g1=0.24192237655112322)",
+        "HessianRecord(beta=1.0, z=1.065862885661271, d2z=-0.5659856118450164, "
+        "dzdbeta=0.28647456332445514, d2beta=-0.2784896130951011)",
+        "HessianRecord(beta=1.0, z=1.119116014207426, d2z=-0.5740518378030123, "
+        "dzdbeta=0.32121530233527734, d2beta=-0.30691005016082107)"),
+    (13, 21, 1.5, 8): (
+        "(-1.3673323958130807, 1.095389539663596e-16, 0.2150897619483469)",
+        "GradientRecord(beta=1.5, z=-1.3252956837439573, g0=-0.01583069403570021, "
+        "g1=0.2104063917879301)",
+        "HessianRecord(beta=1.5, z=-1.3252956837439573, d2z=-0.37523956859932056, "
+        "dzdbeta=-0.21650906629042418, d2beta=-0.26744139320010635)",
+        "HessianRecord(beta=1.5, z=-1.3673323958130807, d2z=-0.3784081737710644, "
+        "dzdbeta=-0.22944091895684646, d2beta=-0.2800960724927257)"),
+}
+
+
+@pytest.mark.parametrize("p, q, beta, j", list(PINNED_GAP_POINTS),
+                         ids=["2/5", "5/8", "13/21"])
+def test_gap_point_derivatives_are_pinned(p, q, beta, j):
+    """The scan, the gradient and both Hessians at the widest gap keep their reprs
+    (numpy 2.4, glibc libm), whichever evaluation order fills the shared cache."""
+    freq = F(p, q)
+    ch = chambers(freq, beta, verify=False)
+    g = widest_gap(freq, beta)
+    assert g.j == j
+    lyapunov._point.cache_clear()
+    cp = critical_scan(freq, beta, g, ch=ch)
+    got = (repr((cp.s_star, cp.g0_residual, cp.g1_abs)), repr(gradient(freq, beta, g.midpoint)),
+           repr(hessian(freq, beta, g.midpoint)),
+           repr(hessian(freq, beta, cp.s_star, ch=ch, edge_distance=0.0)))
+    assert got == PINNED_GAP_POINTS[p, q, beta, j]
+
+
+def test_trace_agrees_or_refuses_with_the_strip_at_beta_above_one():
+    """At the open-gap midpoints of 5/8 and 8/13, beta 1.5, 2 and 3, the trace
+    route either agrees with `log_potential` and the transfer within 1e-13 or
+    refuses with the strip wording of `_torus.nodes` (measured: 40 answered,
+    14 refused, at most 4.4e-15 apart)."""
+    answered = refused = 0
+    for (p, q), beta in itertools.product([(5, 8), (8, 13)], [1.5, 2.0, 3.0]):
+        freq = F(p, q)
+        ch = chambers(freq, beta, verify=False)
+        for g in (g for g in gaps(freq, beta) if g.is_open):
+            z = g.midpoint
+            try:
+                value = lyapunov_trace(freq, beta, z).value
+            except ValueError as err:
+                assert "the spectrum: its phase strip" in str(err) and "nodes" in str(err)
+                refused += 1
+                continue
+            answered += 1
+            for other in (log_potential(ch, z), lyapunov_transfer(freq, beta, z).value):
+                assert abs(value - other) <= 1e-13, (p, q, beta, g.j)
+    assert (answered, refused) == (40, 14)

@@ -687,3 +687,16 @@ def test_larger_denominators_stay_consistent():
         mirrored = sorted((-h, -l) for l, h in bands.bands)
         for (l1, h1), (l2, h2) in zip(bands.bands, mirrored):
             assert abs(l1 - l2) <= 1e-9 and abs(h1 - h2) <= 1e-9
+
+
+@pytest.mark.parametrize("p, q, label", [(1, 4, (0, 2)), (3, 8, (-1, 4)), (5, 12, (-2, 6))])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_track_gap_reports_the_central_gap_closed_as_gaps_does(p, q, label, beta):
+    """The even-q central gap touches at every coupling; its roundoff width
+    (up to 1.1e-15 here) exceeds min_width 0, yet `track_gap`, like `gaps`,
+    reports it closed: both read one `gap_table`."""
+    freq = F(p, q)
+    track = track_gap(label, freq, [beta], min_width=0.0)
+    assert track.j == q // 2 and track.widths[0] > 0.0
+    assert [g.is_open for g in gaps(freq, beta, min_width=0.0) if g.j == track.j] == [False]
+    assert track.open_flags == (False,)
