@@ -332,8 +332,11 @@ def _band_measure(ch: ChambersData, E: np.ndarray) -> np.ndarray:
     a, b = np.arccos(np.clip(np.divide(num, m, out=np.sign(num), where=np.abs(num) < m),
                              -1.0, 1.0))
     length = b - a
-    t = (P[:, None] + ch.c2 * np.cos(a[:, None] + length[:, None] * _PIECE_U)) / 2.0
-    inner = np.sum(_PIECE_W * np.arccos(np.clip(t, -1.0, 1.0)), axis=-1)
+    t = length[:, None] * _PIECE_U  # the one (n, 32) buffer; every step below runs in place
+    np.cos(np.add(t, a[:, None], out=t), out=t)
+    np.add(np.multiply(t, ch.c2, out=t), P[:, None], out=t)
+    np.arccos(np.clip(np.divide(t, 2.0, out=t), -1.0, 1.0, out=t), out=t)
+    inner = np.multiply(t, _PIECE_W, out=t).sum(axis=-1)
     return (np.pi - a - length * inner / np.pi) / np.pi
 
 
