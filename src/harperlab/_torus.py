@@ -6,9 +6,11 @@ log|D| over the phase torus, with A the characteristic polynomial value and
 (B, C) the two cosine amplitudes.  The phi-average has closed forms; the
 remaining psi-integral is a trapezoid sized by the half-width of its
 analyticity strip, one rule (`strip`, `nodes`) that also sizes the phases
-of the transfer route and, as `grid_nodes`, the trace and sheet grids,
-and that alone refuses a point.  The float range adds no threshold: the
-kernels are homogeneous in D, and `averages` scales a large D back.
+of the transfer route and, as `grid_nodes`, each axis of the trace and
+sheet grids by its own strip, and that alone refuses a point.  Only the
+psi-kernels keep a floor of 8 nodes, for their cos psi and cos 2 psi.  The
+float range adds no threshold: the kernels are homogeneous in D, and
+`averages` scales a large D back.
 """
 
 from __future__ import annotations
@@ -47,29 +49,32 @@ def strip(A, B: float, C: float) -> float:
 
 
 def nodes(width: float, cap: int, name: str, value) -> int:
-    """max(8, ceil(40/width)) trapezoid nodes, whose error falls like
+    """ceil(40/width) trapezoid nodes, at least 1, whose error falls like
     exp(-n width) in a strip of that half-width.  Above cap, the spectrum
     (width 0) included, the point name=value is refused with its strip."""
     if width * cap < 40.0:
         raise ValueError(f"{name}={value} {'lies in' if width == 0 else 'is too close to'} the "
                          f"spectrum: its phase strip {width:.3g} needs more than {cap} nodes")
-    return max(8, math.ceil(40.0 / width))
+    return max(1, math.ceil(40.0 / width))
 
 
-GRID_CAP = 512  # the most nodes per axis of an n x n phase grid, the trace's and the sheets'
+GRID_CAP = 512  # the most strip nodes of a phase grid's narrower axis, the trace's and the sheets'
 _SCALE_EXP = 340  # `averages` scales a larger D into [2^339, 2^340), where root^3 < 2^1020
 
 
-def grid_nodes(ch, z) -> int:
-    """`nodes` of the narrower strip of det(z - h) = P(z) + c1 cos(q t1) + c2 cos(q t2),
-    refused above `GRID_CAP`."""
+def grid_nodes(ch, z) -> tuple[int, int]:
+    """(n1, n2), the `nodes` of each phase's own strip in det(z - h) = P(z) + c1 cos(q t1)
+    + c2 cos(q t2), refused when the narrower strip needs more than `GRID_CAP`."""
     P = ch.P(z)
-    return nodes(min(strip(P, ch.c1, ch.c2), strip(P, ch.c2, ch.c1)), GRID_CAP, "z", z)
+    widths = strip(P, ch.c2, ch.c1), strip(P, ch.c1, ch.c2)
+    nodes(min(widths), GRID_CAP, "z", z)  # the narrower strip refuses, and is named
+    return nodes(widths[0], GRID_CAP, "z", z), nodes(widths[1], GRID_CAP, "z", z)
 
 
 def _psi_count(A: float, B: float, C: float) -> int:
-    """The psi-trapezoid size of `averages`: `nodes`, refused above 2^22."""
-    return nodes(strip(A, B, C), 1 << 22, "A", A)
+    """The psi-trapezoid size of `averages`: `nodes`, at least 8 for the cos psi and cos 2 psi
+    of the y and y^2 numerators, refused above 2^22."""
+    return max(8, nodes(strip(A, B, C), 1 << 22, "A", A))
 
 
 def averages(A: float, B: float, C: float, kinds):

@@ -146,36 +146,41 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z) -> LyapunovValue:
 
     Each phase row takes one batched `slogdet` of h - z, which costs an LU
     factorization per node where the eigenvalues would cost an eigensolve.
-    The spectrum is 2 pi / q periodic in each phase, so the n x n grid
-    t_k = 2 pi k / (n q) lives on the fundamental domain.  n is `grid_nodes`,
-    the strip rule for det(z - h) = P(z) + c1 cos(q t1) + c2 cos(q t2); z is
-    refused above `GRID_CAP` nodes, the spectrum included.  The spectrum
-    is also even in each phase separately: complex conjugation maps
-    H(t1, t2) to H(t1, -t2), and the reflection j -> -j maps t1 to -t1.  So
-    indices k and n - k carry the same eigenvalues, and only k = 0..n//2 is
-    factored on each axis, with weight 2 on interior indices and 1 on k = 0
-    and, for even n, k = n/2: (n//2 + 1)^2 determinants instead of n^2.
+    The spectrum is 2 pi / q periodic in each phase, so the n1 x n2 grid
+    t_k = 2 pi k / (n q) lives on the fundamental domain.  (n1, n2) is
+    `grid_nodes`, the strip rule on each phase of det(z - h) = P(z) +
+    c1 cos(q t1) + c2 cos(q t2), with no floor; z is refused when the
+    narrower strip needs more than `GRID_CAP` nodes, the spectrum included.
+    The spectrum is also even in each phase separately: complex conjugation
+    maps H(t1, t2) to H(t1, -t2), and the reflection j -> -j maps t1 to -t1.
+    So on an axis of n nodes indices k and n - k carry the same eigenvalues,
+    and only k = 0..n//2 is factored, with weight 2 on interior indices and
+    1 on k = 0 and, for even n, k = n/2: (n1//2 + 1)(n2//2 + 1)
+    determinants instead of n1 n2.
     Neither the LU nor the symmetries use the determinant decomposition,
     which only sizes the grid, so the value stays independent of the other
     two routes.
     """
-    n = grid_nodes(chambers(freq, beta, verify=False), z)
-    return LyapunovValue(float(beta), z, _trace_sum(freq, beta, z, n), "trace")
+    n1, n2 = grid_nodes(chambers(freq, beta, verify=False), z)
+    return LyapunovValue(float(beta), z, _trace_sum(freq, beta, z, n1, n2), "trace")
 
 
-def _trace_sum(freq: RationalFrequency, beta: float, z, n: int) -> float:
-    """The mirror-folded n x n grid sum of `lyapunov_trace`."""
+def _trace_sum(freq: RationalFrequency, beta: float, z, n1: int, n2: int) -> float:
+    """The mirror-folded n1 x n2 grid sum of `lyapunov_trace`."""
     q = freq.q
-    k = np.arange(n // 2 + 1)
-    t = TWO_PI * k / (n * q)
-    w = np.where((k == 0) | (2 * k == n), 1.0, 2.0)  # k and n - k fold onto one node
+
+    def axis(n):  # nodes k = 0..n//2 of one phase; k and n - k fold onto one node
+        k = np.arange(n // 2 + 1)
+        return TWO_PI * k / (n * q), np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+
+    (t1, w1), (t2, w2) = axis(n1), axis(n2)
     j = np.arange(q)
     total = 0.0
-    for a, wa in zip(t, w):
-        h = harper_matrix(freq, beta, a, t)
+    for a, wa in zip(t1, w1):
+        h = harper_matrix(freq, beta, a, t2)
         h[:, j, j] -= z
-        total += wa * float(w @ np.linalg.slogdet(h).logabsdet) / q
-    return total / (n * n)
+        total += wa * float(w2 @ np.linalg.slogdet(h).logabsdet) / q
+    return total / (n1 * n2)
 
 
 def log_potential(ch: ChambersData, z: float) -> float:

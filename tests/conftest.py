@@ -204,26 +204,26 @@ def oracle_orbit_transfer(alpha, beta, energy, n_theta, n_steps):
     return float(np.mean(total)) / n_steps
 
 
-def oracle_trace(p, q, beta, z, n):
-    """tau(log|h - z|) summed over all n x n phases t_k = 2 pi k / (n q).
+def oracle_trace(p, q, beta, z, n1, n2):
+    """tau(log|h - z|) summed over all n1 x n2 phases t_k = 2 pi k / (n q).
 
     No symmetry of the grid is used: every phase pair gets its own
     uniform-gauge eigensolve, and the terms are summed with fsum.
     """
-    t = TWO_PI * np.arange(n) / (n * q)
+    t1, t2 = TWO_PI * np.arange(n1) / (n1 * q), TWO_PI * np.arange(n2) / (n2 * q)
     terms = []
-    for a in t:
-        hs = np.array([oracle_harper(p, q, beta, a, b) for b in t])
+    for a in t1:
+        hs = np.array([oracle_harper(p, q, beta, a, b) for b in t2])
         terms.extend(np.log(np.abs(np.linalg.eigvalsh(hs) - z)).ravel().tolist())
-    return math.fsum(terms) / (n * n * q)
+    return math.fsum(terms) / (n1 * n2 * q)
 
 
 def oracle_grid_size(p, q, beta, z, window):
-    """The library's sheet grid: n x n, n = max(8, ceil(40 / w)) + ceil(window / q) + 1
-    raised to the first size coprime to q, where w = arccosh(min((|P| - |c1|) / |c2|,
-    (|P| - |c2|) / |c1|)) is the narrower strip of det(z - h) = P + c1 cos(q t1) +
-    c2 cos(q t2).  P, c1 and c2 come from three dense determinants at phases where
-    q t is 0 or pi/2, not from the recurrence."""
+    """The library's sheet grid (n1, n2): each n = ceil(40 / w) + ceil(window / q) + 1
+    raised to the first size coprime to q, where w is that phase's own strip in
+    det(z - h) = P + c1 cos(q t1) + c2 cos(q t2): w1 = arccosh((|P| - |c2|) / |c1|) for
+    t1 and w2 = arccosh((|P| - |c1|) / |c2|) for t2.  P, c1 and c2 come from three
+    dense determinants at phases where q t is 0 or pi/2, not from the recurrence."""
     quarter = math.pi / (2 * q)
 
     def det(t1, t2):
@@ -231,22 +231,23 @@ def oracle_grid_size(p, q, beta, z, window):
 
     P = det(quarter, quarter)
     c1, c2 = det(0.0, quarter) - P, det(quarter, 0.0) - P
-    w = math.acosh(min((abs(P) - abs(c1)) / abs(c2), (abs(P) - abs(c2)) / abs(c1)))
-    n = max(8, math.ceil(40.0 / w)) + math.ceil(window / q) + 1
-    while math.gcd(n, q) != 1:
-        n += 1
-    return n
+    sizes = []
+    for w in (math.acosh((abs(P) - abs(c2)) / abs(c1)), math.acosh((abs(P) - abs(c1)) / abs(c2))):
+        n = math.ceil(40.0 / w) + math.ceil(window / q) + 1
+        while math.gcd(n, q) != 1:
+            n += 1
+        sizes.append(n)
+    return tuple(sizes)
 
 
-def oracle_coefficient_sheet(p, q, beta, z, window, n):
+def oracle_coefficient_sheet(p, q, beta, z, window, n1, n2):
     """The coefficient sheet c(p, qe) as a (2 window + 1)^2 array, entry by entry.
 
-    Every node of the full n x n phase grid gets its own inverse of the
+    Every node of the full n1 x n2 phase grid gets its own inverse of the
     uniform-gauge matrix, all q x q clock/shift traces are kept as one
-    (q, q, n, n) array, and each entry is its own 2-d Fourier sum, without
+    (q, q, n1, n2) array, and each entry is its own 2-d Fourier sum, without
     the conjugate symmetry in t2.
     """
-    n1 = n2 = n
     t1, t2 = TWO_PI * np.arange(n1) / n1, TWO_PI * np.arange(n2) / n2
     j = np.arange(q)
     omega_pow = np.exp(2j * np.pi * ((np.outer(j, np.arange(q)) * p) % q) / q)  # [j, m]

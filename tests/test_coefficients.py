@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -52,22 +53,23 @@ def test_sheet_rejects_z_in_spectrum(monkeypatch):
 
 
 # sheet points checked against the full-grid oracle; where `grid` is given it
-# states the default grid at that point, so the cases cover odd and even n,
-# which the fold treats apart; the first two are the `resolvent` benchmark's
+# states the default grid (n1, n2) at that point, so the cases cover odd and
+# even n on each axis, which the fold treats apart, and t2 the narrower axis
+# (2/3, beta 2); the first two are the `resolvent` benchmark's
 ORACLE_POINTS = [
     (5, 8, 0.5, 4.0, 24, None),
     (8, 13, 0.5, 4.0, 24, None),
     (1, 2, 0.5, -3.5, 6, None),
     (0, 1, 0.5, 4.0, 5, None),
     (1, 1, 0.5, 4.0, 5, None),
-    (3, 7, 0.4, 4.1, 5, (10, 10)),
-    (3, 7, 0.4, -4.1, 5, (10, 10)),
-    (2, 5, 0.7, 3.9, 4, (11, 11)),
-    (1, 3, 0.5, 4.2, 3, (13, 13)),
+    (3, 7, 0.4, 4.1, 5, (8, 5)),
+    (3, 7, 0.4, -4.1, 5, (8, 5)),
+    (2, 5, 0.7, 3.9, 4, (9, 7)),
+    (1, 3, 0.5, 4.2, 3, (13, 10)),
     (2, 5, 0.5, "gap", 6, None),
     (3, 5, 1.5, "gap", 6, None),
-    (2, 3, 2.0, "gap", 6, (59, 59)),
-    (4, 9, 0.6, "gap", 4, (16, 16)),
+    (2, 3, 2.0, "gap", 6, (25, 59)),
+    (4, 9, 0.6, "gap", 4, (16, 8)),
 ]
 
 
@@ -78,11 +80,11 @@ def test_sheet_equals_the_full_grid_oracle(p, q, beta, z, window, grid):
     self-dual point."""
     if z == "gap":
         z = widest_gap(F(p, q), beta).midpoint
-    n = oracle_grid_size(p, q, beta, z, window)
+    n1, n2 = oracle_grid_size(p, q, beta, z, window)
     if grid is not None:
-        assert (n, n) == grid
+        assert (n1, n2) == grid
     got = coefficient_sheet(F(p, q), beta, z, window=window).values
-    want = oracle_coefficient_sheet(p, q, beta, z, window, n)
+    want = oracle_coefficient_sheet(p, q, beta, z, window, n1, n2)
     assert np.max(np.abs(want.imag)) <= 1e-10
     assert np.max(np.abs(got - want.real)) <= 1e-13 * np.max(np.abs(want.real))
 
@@ -94,22 +96,22 @@ def test_sheet_is_converged_on_its_grid(p, q, beta, z, window):
     1e-14 of the largest."""
     if z == "gap":
         z = widest_gap(F(p, q), beta).midpoint
-    n = 3 * oracle_grid_size(p, q, beta, z, window)
-    while math.gcd(n, q) != 1:
-        n += 1
+    n1, n2 = (next(n for n in itertools.count(3 * m) if math.gcd(n, q) == 1)
+              for m in oracle_grid_size(p, q, beta, z, window))
     got = coefficient_sheet(F(p, q), beta, z, window=window).values
-    want = oracle_coefficient_sheet(p, q, beta, z, window, n).real
+    want = oracle_coefficient_sheet(p, q, beta, z, window, n1, n2).real
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("grid", [(3, 7, 3, 10), (3, 7, 15, 12), (1, 3, 3, 14), (2, 5, 4, 11),
-                                  (2, 3, 6, 16)])
+@pytest.mark.parametrize("grid", [(3, 7, 3, 6, 8), (3, 7, 15, 8, 10), (1, 3, 3, 10, 14),
+                                  (2, 5, 4, 7, 11), (2, 3, 6, 11, 16)])
 def test_sheet_inverts_a_quarter_grid(monkeypatch, grid):
     """Each case is a default grid at beta 2, z = 7, the sheet point
-    (p, q, window) and its size n, the strip rule's size: only the nodes
-    a, b = 0..n//2 are inverted, for even and odd n."""
-    p, q, window, n = grid
-    assert oracle_grid_size(p, q, 2.0, 7.0, window) == n
+    (p, q, window) and its size (n1, n2), each axis sized by its own strip:
+    only the nodes a = 0..n1//2 and b = 0..n2//2 are inverted, for even and
+    odd n on either axis."""
+    p, q, window, n1, n2 = grid
+    assert oracle_grid_size(p, q, 2.0, 7.0, window) == (n1, n2)
     inv, count = np.linalg.inv, [0]
 
     def counting(a):
@@ -118,7 +120,7 @@ def test_sheet_inverts_a_quarter_grid(monkeypatch, grid):
 
     monkeypatch.setattr(np.linalg, "inv", counting)
     coefficient_sheet(F(p, q), 2.0, 7.0, window=window)
-    assert count[0] == (n // 2 + 1) ** 2
+    assert count[0] == (n1 // 2 + 1) * (n2 // 2 + 1)
 
 
 @pytest.mark.parametrize("window", [-1, -2])
