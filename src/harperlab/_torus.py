@@ -6,11 +6,12 @@ log|D| over the phase torus, with A the characteristic polynomial value and
 (B, C) the two cosine amplitudes.  The phi-average has closed forms; the
 remaining psi-integral is a trapezoid sized by the half-width of its
 analyticity strip, one rule (`strip`, `nodes`) that also sizes the phases
-of the transfer route and, as `grid_nodes`, each axis of the trace and
-sheet grids by its own strip, and that alone refuses a point.  Only the
-psi-kernels keep a floor of 8 nodes, for their cos psi and cos 2 psi.  The
-float range adds no threshold: the kernels are homogeneous in D, and
-`averages` scales a large D back.
+of the transfer route, as `grid_nodes` each axis of the trace and sheet
+grids, and the in-band measure of `spectrum.ids` wherever it has no kink,
+and that alone refuses a point.  Only the psi-kernels keep a floor of 8
+nodes, for their cos psi and cos 2 psi.  The float range adds no
+threshold: the kernels are homogeneous in D, and `averages` scales a
+large D back.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 
 import numpy as np
 
+STRIP_EFOLDS = 40.0  # n x width of every strip-sized trapezoid: its error falls like exp(-40)
 # each kernel at the psi nodes, from y = cos(psi), g = |A + C y| - |B|, |B| and
 # the root of the phi-average; m1 and n1 also carry the sign of A
 _KERNELS = {
@@ -49,13 +51,13 @@ def strip(A, B: float, C: float) -> float:
 
 
 def nodes(width: float, cap: int, name: str, value) -> int:
-    """ceil(40/width) trapezoid nodes, at least 1, whose error falls like
-    exp(-n width) in a strip of that half-width.  Above cap, the spectrum
+    """ceil(STRIP_EFOLDS/width) trapezoid nodes, at least 1, whose error falls
+    like exp(-n width) in a strip of that half-width.  Above cap, the spectrum
     (width 0) included, the point name=value is refused with its strip."""
-    if width * cap < 40.0:
+    if width * cap < STRIP_EFOLDS:
         raise ValueError(f"{name}={value} {'lies in' if width == 0 else 'is too close to'} the "
                          f"spectrum: its phase strip {width:.3g} needs more than {cap} nodes")
-    return max(1, math.ceil(40.0 / width))
+    return max(1, math.ceil(STRIP_EFOLDS / width))
 
 
 GRID_CAP = 512  # the most strip nodes of a phase grid's narrower axis, the trace's and the sheets'

@@ -82,8 +82,9 @@ def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovV
     which the complex arccosh gives without squaring t, averaged over phases
     x.  The trace P(E) + c2 cos(2 pi q x) makes that average 1/q periodic
     with the strip `strip(P, c1, c2)`: `nodes` phases on [0, 1/q), refused
-    above 2^16, and `_SPECTRUM_PHASES` on the spectrum.  A monodromy outside
-    the float64 range raises ArithmeticError.
+    above 2^16, and `_SPECTRUM_PHASES` on the spectrum.  One cos gives the
+    potentials of up to 2^20 (step, phase) pairs at once.  A monodromy
+    outside the float64 range raises ArithmeticError.
     """
     p, q = freq.p, freq.q
     ch = chambers(freq, beta, verify=False)
@@ -94,9 +95,9 @@ def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovV
     m00 = m11 = np.ones(n, dtype=dtype)  # each step builds new arrays
     m01 = m10 = np.zeros(n, dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-        for m in range(q):
-            a = energy - 2.0 * beta * np.cos(TWO_PI * (th + m * p / q))
-            m00, m01, m10, m11 = a * m00 - m10, a * m01 - m11, m00, m01
+        for shift in np.array_split(np.arange(q) * p / q, -(-q * n // (1 << 20))):
+            for a in energy - 2.0 * beta * np.cos(TWO_PI * (th + shift[:, None])):
+                m00, m01, m10, m11 = a * m00 - m10, a * m01 - m11, m00, m01
         val = float(np.mean(np.abs(np.arccosh((m00 + m11) / 2.0 + 0j).real))) / q
     if not np.isfinite(val):
         raise ArithmeticError(f"the monodromy leaves the float64 range at q={q}, E={energy}")

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._torus import STRIP_EFOLDS
 from .rationals import TWO_PI, RationalFrequency
 
 
@@ -321,23 +322,34 @@ def _band_measure(ch: ChambersData, E: np.ndarray) -> np.ndarray:
     pieces contribute their lengths exactly (Thouless, J. Phys. C 5, 77
     (1972)).  The piece [a, b] has square-root ends at the kinks and takes
     32-node Gauss-Legendre after psi = a + (b - a)(1 - cos theta)/2.  A
-    kink is placed only where |+-2 - P| < |c2|, so c2 = 0 and a c2 lost
-    against P integrate the whole fold with no division.  The cost is one
-    `jet` over E and len(E) x 32 arccos; the sum over nodes runs per
-    energy, so an entry does not depend on the other energies.
+    kink is placed only where |+-2 - P| < |c2|.  Without one, t is analytic
+    in a strip arccosh((2 - |P|)/|c2|) wide, and the n-node periodic
+    trapezoid of `_torus.nodes` replaces that rule where n//2 + 1 <= 32.
+    At most 32 arccos per energy, summed per energy: entries are independent.
     """
     P = ch.P(E)
-    num = np.stack([P + 2.0, P - 2.0])  # cos psi = num / |c2| at the kinks a, b
-    m = -ch.c2
+    m, room = -ch.c2, 2.0 - np.abs(P)
+    with np.errstate(divide="ignore", over="ignore"):  # c2 = 0 or subnormal: an infinite strip
+        width = np.arccosh(np.divide(room, m, out=np.ones_like(P), where=room > m))
+        n = np.maximum(np.ceil(STRIP_EFOLDS / width), 1.0)  # inf at a kink (width 0)
+    fold = n < 2 * len(_PIECE_U)  # n//2 + 1 <= 32 trapezoid nodes
+    out, k = np.empty_like(P), (n[fold] // 2 + 1).astype(np.intp)
+    first = np.cumsum(k) - k
+    j, nj = np.arange(k.sum()) - np.repeat(first, k), np.repeat(n[fold], k)  # j = 0..n//2
+    t = np.arccos((np.repeat(P[fold], k) + ch.c2 * np.cos(TWO_PI * j / nj)) / 2.0)
+    t *= np.where((j == 0) | (2 * j == nj), 1.0, 2.0)  # psi = 0, pi once, the others twice
+    out[fold] = 1.0 - np.add.reduceat(t, first) / (n[fold] * np.pi)
+    num = np.stack([P[~fold] + 2.0, P[~fold] - 2.0])  # cos psi = num / |c2| at the kinks a, b
     a, b = np.arccos(np.clip(np.divide(num, m, out=np.sign(num), where=np.abs(num) < m),
                              -1.0, 1.0))
     length = b - a
-    t = length[:, None] * _PIECE_U  # the one (n, 32) buffer; every step below runs in place
+    t = length[:, None] * _PIECE_U  # the one (len, 32) buffer; every step below runs in place
     np.cos(np.add(t, a[:, None], out=t), out=t)
-    np.add(np.multiply(t, ch.c2, out=t), P[:, None], out=t)
+    np.add(np.multiply(t, ch.c2, out=t), P[~fold, None], out=t)
     np.arccos(np.clip(np.divide(t, 2.0, out=t), -1.0, 1.0, out=t), out=t)
     inner = np.multiply(t, _PIECE_W, out=t).sum(axis=-1)
-    return (np.pi - a - length * inner / np.pi) / np.pi
+    out[~fold] = (np.pi - a - length * inner / np.pi) / np.pi
+    return out
 
 
 def ids(bands: BandSet, E):
@@ -352,9 +364,9 @@ def ids(bands: BandSet, E):
     the bottom of band i counts i - 1 bands and its top counts i, so a
     point where bands i and i+1 touch counts i.  An array gives an array of
     the same shape whose entries equal the scalar calls bitwise.  The
-    in-band measure is a kink-split 32-node rule (`_band_measure`): one
-    `jet` pass over all in-band energies and len(E) x 32 floats at once, so
-    a whole graded node set of every band fits one call.
+    in-band measure (`_band_measure`) is a strip-sized trapezoid or a
+    kink-split 32-node rule: one `jet` pass over all in-band energies and at
+    most 32 floats each, so a whole graded node set fits one call.
     """
     q = bands.q
     x = np.asarray(E, dtype=float)

@@ -204,6 +204,21 @@ def oracle_orbit_transfer(alpha, beta, energy, n_theta, n_steps):
     return float(np.mean(total)) / n_steps
 
 
+def oracle_transfer_steps(p, q, beta, energy, n):
+    """The transfer route's average over the n phases x = k/(n q), with each
+    step's potential energy - 2 beta cos(2 pi (x + m p/q)) computed in its
+    own step of the monodromy product: |Re arccosh(t/2)|/q at its trace t."""
+    th = np.arange(n) / (n * q)
+    dtype = complex if np.iscomplexobj(np.asarray(energy)) else float
+    m00 = m11 = np.ones(n, dtype=dtype)
+    m01 = m10 = np.zeros(n, dtype=dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(q):
+            a = energy - 2.0 * beta * np.cos(TWO_PI * (th + m * p / q))
+            m00, m01, m10, m11 = a * m00 - m10, a * m01 - m11, m00, m01
+        return float(np.mean(np.abs(np.arccosh((m00 + m11) / 2.0 + 0j).real))) / q
+
+
 def oracle_trace(p, q, beta, z, n1, n2):
     """tau(log|h - z|) summed over all n1 x n2 phases t_k = 2 pi k / (n q).
 

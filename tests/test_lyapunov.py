@@ -11,10 +11,11 @@ from harperlab import (RationalFrequency, band_edges, chambers, critical_scan,
                        lyapunov_thouless, lyapunov_trace, lyapunov_transfer,
                        build_rep, hamiltonian)
 from harperlab import lyapunov, spectrum
-from harperlab._torus import GRID_CAP, _psi_count, averages, grid_nodes, strip
+from harperlab._torus import GRID_CAP, _psi_count, averages, grid_nodes, nodes, strip
 from harperlab.lyapunov import _trace_sum
 from conftest import (center_eigenvalues, oracle_average_inverse, oracle_band_distance,
                       oracle_continuant, oracle_moment, oracle_orbit_transfer,
+                      oracle_transfer_steps,
                       oracle_torus_kernels, oracle_trace, vanishing_scan)
 
 F = RationalFrequency
@@ -971,6 +972,40 @@ def test_transfer_samples_one_period_at_even_q(p, q):
             for e in (g.midpoint, g.lo + 0.05 * g.width):
                 assert abs(lyapunov_transfer(freq, 1.0, e).value
                            - log_potential(ch, e)) <= 1e-11, g.j
+
+
+@pytest.mark.parametrize("p, q, beta", [(1, 1, 0.7), (2, 5, 1.5), (8, 13, 0.5), (21, 34, 0.5),
+                                        (55, 89, 0.5)])
+def test_transfer_potentials_built_once_equal_the_per_step_loop(p, q, beta):
+    """The (q, n) potentials taken from one cos before the q-step loop give the
+    transfer of the per-step loop `repr` for `repr`: at real E (open-gap
+    midpoints, hull +- 0.5), at complex E, and on the spectrum (band
+    means), where the strip is 0 and the route takes 256 phases."""
+    freq, ch = F(p, q), chambers(F(p, q), beta, verify=False)
+    bands = band_edges(ch)
+    lo, hi = bands.hull
+    real = [g.midpoint for g in gaps(freq, beta) if g.is_open][:6] + [lo - 0.5, hi + 0.5]
+    on = [0.5 * (a + b) for a, b in bands.bands][:6]
+    for e in real + [0.3 + 0.2j, -1.1 + 0.05j] + on:
+        width = strip(ch.P(e), ch.c1, ch.c2)
+        assert (width == 0) == (e in on)
+        n = nodes(width, 1 << 16, "E", e) if width else 256
+        assert repr(lyapunov_transfer(freq, beta, e).value) == repr(
+            oracle_transfer_steps(p, q, beta, e, n)), e
+
+
+@pytest.mark.parametrize("p, q", [(13, 21), (21, 34)])
+def test_transfer_potentials_in_blocks_equal_the_per_step_loop(p, q):
+    """Above 2^20 (step, phase) pairs one cos builds the potentials of each
+    block of steps, still `repr`-equal to the per-step loop: at beta 1 just
+    above the hull top, halving the offset until q n > 2^20 (57246 phases
+    at 13/21 and 32442 at 21/34, 3.0e-10 above the top)."""
+    freq, ch = F(p, q), chambers(F(p, q), 1.0, verify=False)
+    top, d = band_edges(ch).hull[1], 1e-2
+    while (n := nodes(strip(ch.P(top + d), ch.c1, ch.c2), 1 << 16, "E", top + d)) * q <= 1 << 20:
+        d /= 2
+    assert repr(lyapunov_transfer(freq, 1.0, top + d).value) == repr(
+        oracle_transfer_steps(p, q, 1.0, top + d, n))
 
 
 def test_transfer_sizes_its_phases_by_the_strip_or_refuses():
