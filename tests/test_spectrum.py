@@ -418,7 +418,7 @@ def strip_count(P, c2):
     room = 2.0 - abs(P)
     if not room > abs(c2):
         return None
-    return max(1, math.ceil(40.0 / math.acosh(room / abs(c2)))) if c2 else 1
+    return math.ceil(40.0 / math.acosh(room / abs(c2)))
 
 
 @pytest.mark.parametrize("p, q, beta", [(8, 13, 0.5), (21, 34, 0.5), (55, 89, 0.5),
