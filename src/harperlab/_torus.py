@@ -7,11 +7,10 @@ log|D| over the phase torus, with A the characteristic polynomial value and
 remaining psi-integral is a trapezoid sized by the half-width of its
 analyticity strip, one rule (`strip`, `nodes`) that also sizes the phases
 of the transfer route, as `grid_nodes` each axis of the trace and sheet
-grids, and the in-band measure of `spectrum.ids` wherever it has no kink,
-and that alone refuses a point.  Only the psi-kernels keep a floor of 8
-nodes, for their cos psi and cos 2 psi.  The float range adds no
-threshold: the kernels are homogeneous in D, and `averages` scales a
-large D back.
+grids, and the in-band measure of `spectrum.ids` wherever it has no kink.
+The psi-kernels take at least 8 nodes (for cos psi and cos 2 psi), above
+64 a sinh-graded rule with no cap.  The float range adds no threshold: the
+kernels are homogeneous in D, and `averages` scales a large D back.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ def strip(A, B: float, C: float) -> float:
     if isinstance(A, complex) and A.imag:
         t = max(-1.0, min(1.0, -A.real / abs(B))) if B else 0.0
         return abs(cmath.acos(-(A + abs(B) * t) / abs(C)).imag)
-    eps = (abs(A) - abs(B) - abs(C)) / abs(C)
+    eps = (abs(A) - max(abs(B), abs(C)) - min(abs(B), abs(C))) / abs(C)
     return math.log1p(eps + math.sqrt(eps * (eps + 2.0))) if eps > 0 else 0.0  # inf past overflow
 
 
@@ -62,6 +61,7 @@ def nodes(width: float, cap: int, name: str, value) -> int:
 
 GRID_CAP = 512  # the most strip nodes of a phase grid's narrower axis, the trace's and the sheets'
 _SCALE_EXP = 340  # `averages` scales a larger D into [2^339, 2^340), where root^3 < 2^1020
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(12)  # on each panel of the graded psi-rule
 
 
 def grid_nodes(ch, z) -> tuple[int, int]:
@@ -73,12 +73,6 @@ def grid_nodes(ch, z) -> tuple[int, int]:
     return nodes(widths[0], GRID_CAP, "z", z), nodes(widths[1], GRID_CAP, "z", z)
 
 
-def _psi_count(A: float, B: float, C: float) -> int:
-    """The psi-trapezoid size of `averages`: `nodes`, at least 8 for the cos psi and cos 2 psi
-    of the y and y^2 numerators, refused above 2^22."""
-    return max(8, nodes(strip(A, B, C), 1 << 22, "A", A))
-
-
 def averages(A: float, B: float, C: float, kinds):
     """Torus averages of the requested kernels.
 
@@ -86,31 +80,37 @@ def averages(A: float, B: float, C: float, kinds):
       'm1' -> <1/D>        'n1' -> <y/D>
       'm2' -> <1/D^2>      'n2' -> <y/D^2>      'k2' -> <y^2/D^2>
       'log' -> <log|D|>
-    where x = cos(phi), y = cos(psi), D = A + B x + C y.  The phi-average
-    is exact, with the root sqrt(a^2 - B^2), a = A + C y, written as
-    sqrt(g (g + 2|B|)), g = |a| - |B| = M + |C| (1 + t y), M = |A| - |B| - |C|
-    and t = sign(A C): 1 + t y = 2 cos^2(psi/2) or 2 sin^2(psi/2) keeps every
-    digit of a small M, which a^2 - B^2 loses.  psi is a trapezoid of
-    `_psi_count` nodes, in chunks that bound the memory of narrow gaps; a
-    strip that needs more than 2^22 nodes, the spectrum included, raises
-    ValueError.  From |A| + |B| + |C| = 2^340 on, D is divided by the power
-    of 2 s that brings that sum into [2^339, 2^340), and the homogeneous
-    kernels are scaled back: m1, n1 by 1/s, m2, n2, k2 by 1/s^2, log by + log s.
+    where x = cos(phi), y = cos(psi), D = A + B x + C y.  The phi-average is
+    exact, with the root sqrt(a^2 - B^2), a = A + C y, written as
+    sqrt(g (g + 2|B|)), g = |a| - |B| = M + |C| h, M = |A| - |B| - |C| with
+    the larger of |B|, |C| taken off first, h = 1 + t y = 2 sin^2(v/2), t =
+    sign(A C), v the psi-distance from the end where g is least: this keeps
+    every digit of a small M, which a^2 - B^2 loses.  psi is the trapezoid of
+    max(8, `nodes`) nodes up to 64, else the sinh map v = d sinh(u), d =
+    (2M/|C|)^(1/2) (Johnston and Elliott 2005), with 12-node Gauss-Legendre
+    on unit panels of u in [0, asinh(pi/d)], weights summing to 1.  Strip 0,
+    the spectrum, raises ValueError.  From |A| + |B| + |C| = 2^340 on, D is
+    divided by the power of 2 s that brings that sum into [2^339, 2^340),
+    and m1, n1 are scaled back by 1/s, m2, n2, k2 by 1/s^2, log by + log s.
     """
     kinds = tuple(kinds)
-    n = _psi_count(A, B, C)
+    width = strip(A, B, C)
     s = math.ldexp(1.0, max(math.frexp(abs(A) + abs(B) + abs(C))[1] - _SCALE_EXP, 0))
-    A, B, C = A / s, B / s, C / s
     sign = math.copysign(1.0, A)
     t = 1.0 if sign * C >= 0 else -1.0
-    half = np.cos if t > 0 else np.sin
-    Ba, M = abs(B), abs(A) - abs(B) - abs(C)
-    acc = dict.fromkeys(kinds, 0.0)
-    for start in range(0, n, 1 << 20):
-        h = 2.0 * half(np.pi * np.arange(start, min(start + (1 << 20), n)) / n) ** 2  # 1 + t y
-        y, g = t * (h - 1.0), M + abs(C) * h
-        root = np.sqrt(g * (g + 2.0 * Ba))
-        for k in kinds:
-            acc[k] += float(_KERNELS[k](y, g, Ba, root).sum())
+    Ba, Ca = abs(B) / s, abs(C) / s
+    M = abs(A) / s - max(Ba, Ca) - min(Ba, Ca)
+    if 0 < width * 64 < STRIP_EFOLDS:  # where the trapezoid would take more than 64 nodes
+        d = math.sqrt(2.0 * M / Ca)
+        end = math.asinh(math.pi / d)
+        u = (np.arange(math.ceil(end))[:, None] + 0.5 * (_PANEL_X + 1.0)) * (end / math.ceil(end))
+        h, w = 2.0 * np.sin(0.5 * d * np.sinh(u)) ** 2, _PANEL_W * np.cosh(u)
+        n, total = float(w.sum()), w.ravel().dot  # the weights normalised to sum 1
+    else:  # h at psi = 2 pi k/n; strip 0, the spectrum, is refused here
+        n, total = max(8, nodes(width, 64, "A", A)), np.add.reduce
+        h = 2.0 * (np.cos if t > 0 else np.sin)(np.pi * np.arange(n) / n) ** 2
+    y, g = t * (h - 1.0), M + Ca * h
+    root = np.sqrt(g * (g + 2.0 * Ba))
+    acc = {k: float(total(_KERNELS[k](y, g, Ba, root).ravel())) for k in kinds}
     out = {k: (sign / s if k in ('m1', 'n1') else 1.0 / s / s) * acc[k] / n for k in kinds}
     return out | {'log': acc['log'] / n + math.log(s)} if 'log' in out else out

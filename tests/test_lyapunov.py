@@ -11,7 +11,7 @@ from harperlab import (RationalFrequency, band_edges, chambers, critical_scan,
                        lyapunov_thouless, lyapunov_trace, lyapunov_transfer,
                        build_rep, hamiltonian)
 from harperlab import lyapunov, spectrum
-from harperlab._torus import GRID_CAP, _psi_count, averages, grid_nodes, nodes, strip
+from harperlab._torus import GRID_CAP, averages, grid_nodes, nodes, strip
 from harperlab.lyapunov import _trace_sum
 from conftest import (center_eigenvalues, oracle_average_inverse, oracle_band_distance,
                       oracle_continuant, oracle_moment, oracle_orbit_transfer,
@@ -882,27 +882,36 @@ def test_shared_evaluation_keeps_each_chambers_data_apart(monkeypatch):
 
 def test_psi_count_with_an_infinite_strip():
     """At 377/610, beta = 0.5, |c2| = 4.7e-184, so margin/|c2| squared
-    overflows and the strip is infinite: the floor of 8 nodes, no warning."""
+    overflows and the strip is infinite: the floor of 8 trapezoid nodes,
+    which sums cos psi to 0 and cos^2 psi to 1/2, so n1 = <y/D> is 0 and
+    k2 = <y^2/D^2> half of m2 = <1/D^2> to roundoff, and no warning."""
     freq, beta = F(377, 610), 0.5
     ch = chambers(freq, beta, verify=False)
     g = widest_gap(freq, beta)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cp = critical_scan(freq, beta, g, ch=ch)
-        assert _psi_count(ch.P(cp.s_star), ch.c1, ch.c2) == 8
+        A = ch.P(cp.s_star)
+        assert strip(A, ch.c1, ch.c2) == math.inf
+        got = averages(A, ch.c1, ch.c2, ("m1", "n1", "m2", "k2"))
+    assert abs(got["n1"]) <= 1e-15 * abs(got["m1"])
+    assert abs(got["k2"] - 0.5 * got["m2"]) <= 1e-15 * got["m2"]
     assert g.lo < cp.s_star < g.hi and cp.g0_residual <= 1e-12
 
 
-def test_averages_refuse_a_strip_above_the_node_cap():
-    """At A = 4 + 1e-13, B = C = -2 the psi strip is 3.2e-7 and the rule asks
-    for 1.3e8 nodes; clipped to 2^22, m1 was 4.0e-2 off, so it is refused.
-    At 4 + 1e-9 (1.3e6 nodes) m1 is within 1e-12 of the 40-digit quadrature:
-    measured 3.3e-13."""
-    with pytest.raises(ValueError, match=r"phase strip 3\.17e-07 needs more than 4194304 nodes"):
-        averages(4 + 1e-13, -2.0, -2.0, ("m1",))
-    A = 4 + 1e-9
-    ref = oracle_torus_kernels(A, -2.0, -2.0)["m1"]
-    assert abs(averages(A, -2.0, -2.0, ("m1",))["m1"] - ref) <= 1e-12 * abs(ref)
+def test_averages_answer_a_strip_of_3e_minus_7():
+    """At A = 4 + 1e-13, B = C = -2 the psi strip is 3.2e-7, where the
+    trapezoid would need 1.3e8 nodes (the old cap of 2^22 refused it): the
+    graded rule's six kernels match the 40-digit quadrature, m1, m2, k2 and
+    log within 1e-14 relative and n1, n2 within 1e-14 of m1, m2.  Measured
+    1.4e-15 at most."""
+    A = 4 + 1e-13
+    assert strip(A, -2.0, -2.0) * 64 < 40.0
+    got = averages(A, -2.0, -2.0, ("m1", "n1", "m2", "n2", "k2", "log"))
+    ref = oracle_torus_kernels(A, -2.0, -2.0)
+    for k, scale in (("m1", "m1"), ("n1", "m1"), ("m2", "m2"), ("n2", "m2"), ("k2", "k2"),
+                     ("log", "log")):
+        assert abs(got[k] - ref[k]) <= 1e-14 * abs(ref[scale]), k
 
 
 # (fraction, beta, widest or narrowest open gap, bound): relative error of
@@ -923,22 +932,31 @@ def test_m1_kernel_against_elliptic_closed_form(pq, beta, pick, bound):
     assert abs(got - ref) <= bound * abs(ref)
 
 
-# (fraction, beta, gaps): s* of the narrowest open gap, or of both 3.9e-7-wide
-# gaps of 8/13 at beta 0.1
+# (fraction, beta, gaps): s* of the narrowest open gap, of both 3.9e-7-wide
+# gaps of 8/13 at beta 0.1, or of gap j.  At beta > 1 |c2| > |c1| = 2, and
+# M = |A| - |c1| - |c2| taken in that order rounded at ulp(|A|): m1 was
+# 1.0e-7 and 2.9e-7 off at 21/34 j = 28 and 34/55 j = 27, and the narrowest
+# gaps there needed more trapezoid nodes than the old cap of 2^22
 KERNEL_ORACLE_POINTS = [((34, 55), 0.5, "narrowest"), ((8, 13), 0.1, "both 3.9e-7 gaps"),
-                        ((21, 34), 1.0, "narrowest"), ((8, 13), 3.0, "narrowest")]
+                        ((21, 34), 1.0, "narrowest"), ((8, 13), 3.0, "narrowest"),
+                        ((21, 34), 3.0, 28), ((34, 55), 2.0, 27),
+                        ((21, 34), 3.0, "narrowest"), ((34, 55), 2.0, "narrowest")]
 
 
 @pytest.mark.parametrize("pq,beta,pick", KERNEL_ORACLE_POINTS)
 def test_torus_kernels_against_40_digit_quadrature(pq, beta, pick):
     """All six kernels at s*, against mpmath fed the same float (A, B, C).
     Measured at most 6.0e-15 relative for m1, m2, k2 and log (8/13, beta 3)
-    and 4.7e-14 for n1 and n2 (34/55), whose sums cancel."""
+    and 4.7e-14 for n1 and n2 (34/55, beta 0.5), whose sums cancel; at the
+    four beta > 1 gaps, where the graded rule answers, at most 1.9e-15."""
     freq = F(*pq)
     ch = chambers(freq, beta, verify=False)
     open_gaps = [g for g in gaps(freq, beta) if g.is_open]
     if pick == "narrowest":
         picked = [min(open_gaps, key=lambda g: g.width)]
+    elif isinstance(pick, int):
+        picked = [g for g in open_gaps if g.j == pick]
+        assert len(picked) == 1
     else:
         picked = [g for g in open_gaps if g.width < 5e-7]
         assert len(picked) == 2
