@@ -61,6 +61,7 @@ def nodes(width: float, cap: int, name: str, value) -> int:
 
 GRID_CAP = 512  # the most strip nodes of a phase grid's narrower axis, the trace's and the sheets'
 _SCALE_EXP = 340  # `averages` scales a larger D into [2^339, 2^340), where root^3 < 2^1020
+_TRAPEZOID_MAX = 64  # the most psi nodes of the trapezoid in `averages`; beyond, the graded rule
 _PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(12)  # on each panel of the graded psi-rule
 
 
@@ -96,18 +97,17 @@ def averages(A: float, B: float, C: float, kinds):
     kinds = tuple(kinds)
     width = strip(A, B, C)
     s = math.ldexp(1.0, max(math.frexp(abs(A) + abs(B) + abs(C))[1] - _SCALE_EXP, 0))
-    sign = math.copysign(1.0, A)
+    sign, Ba, Ca = math.copysign(1.0, A), abs(B) / s, abs(C) / s
     t = 1.0 if sign * C >= 0 else -1.0
-    Ba, Ca = abs(B) / s, abs(C) / s
     M = abs(A) / s - max(Ba, Ca) - min(Ba, Ca)
-    if 0 < width * 64 < STRIP_EFOLDS:  # where the trapezoid would take more than 64 nodes
+    if 0 < width * _TRAPEZOID_MAX < STRIP_EFOLDS:  # the trapezoid would take too many nodes
         d = math.sqrt(2.0 * M / Ca)
         end = math.asinh(math.pi / d)
         u = (np.arange(math.ceil(end))[:, None] + 0.5 * (_PANEL_X + 1.0)) * (end / math.ceil(end))
         h, w = 2.0 * np.sin(0.5 * d * np.sinh(u)) ** 2, _PANEL_W * np.cosh(u)
         n, total = float(w.sum()), w.ravel().dot  # the weights normalised to sum 1
     else:  # h at psi = 2 pi k/n; strip 0, the spectrum, is refused here
-        n, total = max(8, nodes(width, 64, "A", A)), np.add.reduce
+        n, total = max(8, nodes(width, _TRAPEZOID_MAX, "A", A)), np.add.reduce
         h = 2.0 * (np.cos if t > 0 else np.sin)(np.pi * np.arange(n) / n) ** 2
     y, g = t * (h - 1.0), M + Ca * h
     root = np.sqrt(g * (g + 2.0 * Ba))

@@ -899,6 +899,21 @@ def test_psi_count_with_an_infinite_strip():
     assert g.lo < cp.s_star < g.hi and cp.g0_residual <= 1e-12
 
 
+@pytest.mark.parametrize("C", [-0.012, -1e-6])
+def test_psi_floor_of_8_nodes_at_a_wide_strip(C):
+    """At A = 4, B = -2 the strip is 5.8 (C = -0.012) and 15.2 (C = -1e-6),
+    where `nodes` asks for 7 and 3: the floor of 8 keeps n1 within 1e-14 of
+    m1 and k2 within 1e-14 of m2 against the 40-digit quadrature.  Measured
+    9.4e-16 at most; a floor of 7 leaves k2 3.1e-13 off at C = -0.012, a
+    floor of 3 1.9e-7 off at C = -1e-6."""
+    A, B = 4.0, -2.0
+    assert nodes(strip(A, B, C), 64, "A", A) < 8
+    got = averages(A, B, C, ("m1", "n1", "m2", "k2"))
+    ref = oracle_torus_kernels(A, B, C)
+    assert abs(got["n1"] - ref["n1"]) <= 1e-14 * abs(ref["m1"])
+    assert abs(got["k2"] - ref["k2"]) <= 1e-14 * ref["m2"]
+
+
 def test_averages_answer_a_strip_of_3e_minus_7():
     """At A = 4 + 1e-13, B = C = -2 the psi strip is 3.2e-7, where the
     trapezoid would need 1.3e8 nodes (the old cap of 2^22 refused it): the

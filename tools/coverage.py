@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python3 tools/coverage.py --pr N [--out PATH] [--fractions 2/3,3/5] [--betas 0.5,1]
+    python3 tools/coverage.py --pr N [--out PATH]
 
 For every (fraction, beta) cell of the grid it runs `critical_scan` and then
 `hessian` at s* (with the scan's `ch`, edge_distance 0) on every open gap,
@@ -10,15 +10,14 @@ and counts the gaps answered and the gaps refused, by reason:
 
 * `spectrum`: a ValueError that says the point lies in the spectrum (the
   float margin |P| - |c1| - |c2| at s* is not positive);
-* `node_cap`: a ValueError that says the point is too close to the
-  spectrum (a node cap of the strip rule);
 * `float_range`: an ArithmeticError (a number outside the float64 range);
 * `other`: any other ValueError, with its first message kept.
 
-The default grid is the golden convergents 2/3..144/233 at beta 0.1, 0.5,
-1, 1.5, 2 and 3.  The output, COVERAGE_<N>.json by default, holds the
-machine (python, numpy, cpu, nproc), the grid, one record per cell with the
-refused gaps listed as [j, reason], the totals per beta and the run time.
+The grid is the golden convergents 2/3..144/233 at beta 0.1, 0.5, 1, 1.5,
+2 and 3 (`GOLDEN`, `BETAS`; `coverage` takes any other).  The output,
+COVERAGE_<N>.json by default, holds the machine (python, numpy, cpu,
+nproc), the grid, one record per cell with the refused gaps listed as
+[j, reason], the totals per beta and the run time.
 It measures the checkout it sits in; numpy and harperlab only.
 """
 
@@ -35,9 +34,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = "2/3,3/5,5/8,8/13,13/21,21/34,34/55,55/89,89/144,144/233"
-BETAS = "0.1,0.5,1,1.5,2,3"
-REASONS = ("spectrum", "node_cap", "float_range", "other")
+GOLDEN = ["2/3", "3/5", "5/8", "8/13", "13/21", "21/34", "34/55", "55/89", "89/144", "144/233"]
+BETAS = [0.1, 0.5, 1.0, 1.5, 2.0, 3.0]
+REASONS = ("spectrum", "float_range", "other")
 
 
 def machine():
@@ -57,10 +56,7 @@ def reason(exc: Exception) -> str:
     """The refusal reason of an exception raised by the scan or the Hessian."""
     if isinstance(exc, ArithmeticError):
         return "float_range"
-    text = str(exc)
-    if "lies in the spectrum" in text:
-        return "spectrum"
-    return "node_cap" if "too close to the spectrum" in text else "other"
+    return "spectrum" if "lies in the spectrum" in str(exc) else "other"
 
 
 def cell(hl, freq, beta: float):
@@ -106,11 +102,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--out")
-    ap.add_argument("--fractions", default=GOLDEN, help="comma-separated p/q (default: %(default)s)")
-    ap.add_argument("--betas", default=BETAS, help="comma-separated couplings (default: %(default)s)")
     args = ap.parse_args(argv)
-    doc = {"pr": args.pr, "machine": machine()} | coverage(
-        args.fractions.split(","), [float(b) for b in args.betas.split(",")])
+    doc = {"pr": args.pr, "machine": machine()} | coverage(GOLDEN, BETAS)
     out = args.out or f"COVERAGE_{args.pr}.json"
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=1)
