@@ -87,27 +87,29 @@ def averages(A: float, B: float, C: float, kinds):
     the larger of |B|, |C| taken off first, h = 1 + t y = 2 sin^2(v/2), t =
     sign(A C), v the psi-distance from the end where g is least: this keeps
     every digit of a small M, which a^2 - B^2 loses.  psi is the trapezoid of
-    max(8, `nodes`) nodes up to 64, else the sinh map v = d sinh(u), d =
-    (2M/|C|)^(1/2) (Johnston and Elliott 2005), with 12-node Gauss-Legendre
-    on unit panels of u in [0, asinh(pi/d)], weights summing to 1.  Strip 0,
-    the spectrum, raises ValueError.  From |A| + |B| + |C| = 2^340 on, D is
-    divided by the power of 2 s that brings that sum into [2^339, 2^340),
-    and m1, n1 are scaled back by 1/s, m2, n2, k2 by 1/s^2, log by + log s.
+    max(8, ceil(40/strip)) nodes up to 64, else the sinh map v = d sinh(u),
+    d = (2M/|C|)^(1/2) (Johnston and Elliott 2005), 12-node Gauss-Legendre
+    on unit panels of u in [0, asinh(pi/d)], weights summing to 1.  Only
+    strip 0, the spectrum, raises ValueError.  From |A| + |B| + |C| = 2^340
+    on, D is divided by the power of 2 s that brings that sum into [2^339,
+    2^340), and m1, n1 are scaled back by 1/s, m2, n2, k2 by 1/s^2, log by + log s.
     """
     kinds = tuple(kinds)
     width = strip(A, B, C)
+    if width == 0:
+        raise ValueError(f"A={A} lies in the spectrum: its phase strip is 0")
     s = math.ldexp(1.0, max(math.frexp(abs(A) + abs(B) + abs(C))[1] - _SCALE_EXP, 0))
     sign, Ba, Ca = math.copysign(1.0, A), abs(B) / s, abs(C) / s
     t = 1.0 if sign * C >= 0 else -1.0
     M = abs(A) / s - max(Ba, Ca) - min(Ba, Ca)
-    if 0 < width * _TRAPEZOID_MAX < STRIP_EFOLDS:  # the trapezoid would take too many nodes
+    if width * _TRAPEZOID_MAX < STRIP_EFOLDS:  # the trapezoid would take too many nodes
         d = math.sqrt(2.0 * M / Ca)
         end = math.asinh(math.pi / d)
         u = (np.arange(math.ceil(end))[:, None] + 0.5 * (_PANEL_X + 1.0)) * (end / math.ceil(end))
         h, w = 2.0 * np.sin(0.5 * d * np.sinh(u)) ** 2, _PANEL_W * np.cosh(u)
         n, total = float(w.sum()), w.ravel().dot  # the weights normalised to sum 1
-    else:  # h at psi = 2 pi k/n; strip 0, the spectrum, is refused here
-        n, total = max(8, nodes(width, _TRAPEZOID_MAX, "A", A)), np.add.reduce
+    else:  # h at psi = 2 pi k/n
+        n, total = max(8, math.ceil(STRIP_EFOLDS / width)), np.add.reduce
         h = 2.0 * (np.cos if t > 0 else np.sin)(np.pi * np.arange(n) / n) ** 2
     y, g = t * (h - 1.0), M + Ca * h
     root = np.sqrt(g * (g + 2.0 * Ba))

@@ -3,7 +3,8 @@
 The denominator is the unit from solve to file: the corner edges of all its
 missing numerators come from one batched solve and its rows' gap tables from
 one `gap_tables` call.  Each row's file text is made once, by `gap_csv`, for
-the journal and the dataset file alike.  Both hold one band line per
+the journal and the dataset file alike; the mirror rows p/q and (q - p)/q
+share one solve and one float text.  Both hold one band line per
 fraction, read back by one parser that checks all lines at once.  Rows are
 merged in (q, p) order regardless of completion order, so the dataset is
 byte-identical across worker counts and across checkpoint interruptions.
@@ -23,8 +24,8 @@ import numpy as np
 
 from .rationals import RationalFrequency
 from .numbertheory import farey
-from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, edge_array, gap_csv,
-                       gap_records, gap_tables)
+from .spectrum import (_EDGE_TEXT, GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, edge_array,
+                       gap_csv, gap_records, gap_tables)
 
 FORMAT_VERSION = "2"
 
@@ -217,18 +218,21 @@ def _resume_journal(path, digest):
 
 def _flush_checkpoint(path, rows):
     """The journal's one append site: the band or error line of each row, the first line
-    of its `text`."""
+    of its `text`.  The edge text memo of `gap_csv` is cleared when the write ends."""
     with open(path, "a") as fh:
         fh.write("".join([row.text[:row.text.index("\n") + 1] for row in rows]))
+    _EDGE_TEXT.clear()
 
 
 def serialize_dataset(dataset: ButterflyDataset) -> str:
     """Header and gap CSV columns, then each row's text: an error line, or a band line and
-    its gap lines."""
+    its gap lines.  The edge text memo of `gap_csv` is cleared when the text is made."""
     head = (f"# version={FORMAT_VERSION},Q={dataset.order},beta={_fmt(dataset.beta)},"
             f"min_width={_fmt(dataset.min_width)},config={dataset.provenance.get('config', '')},"
             f"convention=farey-(0-1]-plus-zero,label_tiebreak=+q/2\n{GAP_CSV_HEADER}\n")
-    return "".join([head] + [row.text for row in dataset.rows])
+    text = "".join([head] + [row.text for row in dataset.rows])
+    _EDGE_TEXT.clear()
+    return text
 
 
 def parse_dataset(text: str) -> ButterflyDataset:

@@ -241,6 +241,8 @@ def _tridiagonal_eigvalsh(diag, off) -> np.ndarray:
 def corner_edges(q: int, ps, beta: float) -> np.ndarray:
     """The sorted 2q corner eigenvalues of every p/q, p in ps, as a (len(ps), 2q) array.
 
+    Each min(p, q - p) is solved once for p and q - p, whose spectra agree as
+    H(1 - alpha, theta) = H(alpha, -theta), so mirror rows are equal bit for bit.
     A reflection of the site ring splits each corner into two tridiagonal
     blocks of about q/2 sites, solved for all ps in one call per block size.
     Hi corner (every bond +beta), j -> -j: sites 0..q//2 with sqrt(2) beta
@@ -253,7 +255,9 @@ def corner_edges(q: int, ps, beta: float) -> np.ndarray:
     """
     if not 0 <= beta < np.inf:
         raise ValueError(f"coupling must be finite and nonnegative, got {beta}")
-    p, half, odd, b = np.asarray(ps, dtype=np.int64)[:, None], q // 2, q % 2, float(beta)
+    row = {}  # each distinct min(p, q - p), numbered as it first appears; ps[i] reads row back[i]
+    back = [row.setdefault(min(p, q - p), len(row)) for p in ps]
+    p, half, odd, b = np.fromiter(row, np.int64, len(row))[:, None], q // 2, q % 2, float(beta)
     k = np.arange(half + 1)
     v = 2.0 * np.cos(TWO_PI * (k * p % q) / q)  # hi potentials V_0..V_{q//2}
     if q == 1:
@@ -265,11 +269,11 @@ def corner_edges(q: int, ps, beta: float) -> np.ndarray:
         hi = [_tridiagonal_eigvalsh(v + pair, off),
               _tridiagonal_eigvalsh((v - pair)[:, 1:half + odd], b)]
     if odd:
-        return np.sort(np.concatenate(hi + [-x for x in hi], axis=1), axis=1)
+        return np.sort(np.concatenate(hi + [-x for x in hi], axis=1), axis=1)[back]
     w = 2.0 * np.cos(np.pi * ((2 * k[1:] - 1) * p % (2 * q)) / q)  # W_1..W_{q/2}
     ends = b * ((k[1:] == half) - (k[1:] == 1).astype(float))
     lo = _tridiagonal_eigvalsh(np.concatenate([w + ends, w - ends]), b)
-    return np.sort(np.concatenate(hi + np.split(lo, 2), axis=1), axis=1)
+    return np.sort(np.concatenate(hi + np.split(lo, 2), axis=1), axis=1)[back]
 
 
 def corner_bands(freq: RationalFrequency, beta: float) -> BandSet:
@@ -431,24 +435,29 @@ class GapRecord:
 
 
 GAP_CSV_HEADER = "p,q,beta,gap_lo,gap_hi,ids_num,ids_den,m,n,width"
+_EDGE_TEXT = {}  # `gap_csv`'s edge and width text by edge bytes; butterfly writes clear it
 
 
 def gap_csv(freq: RationalFrequency, beta_text: str, bands, table: np.ndarray):
     """The `_fmt` text of the bands' edges, comma-joined, and the `GAP_CSV_HEADER`
-    lines of a `gap_table` of them, each ending in a newline: one %-format each.
+    lines of a `gap_table` of them, each ending in a newline.
 
-    The ends of gap j are band edges 2j - 1 and 2j of `edge_array`, so their
-    text is taken from the edge text; the IDS j/q is written in lowest terms.
+    The edges and all q - 1 gap widths take one %-format each, kept in
+    `_EDGE_TEXT` by their exact bytes until the next row with those edges,
+    the mirror (q - p)/q, takes them out.  Gap j's ends are edges 2j - 1 and
+    2j, their text taken from the edge text; the IDS j/q is in lowest terms.
     """
-    edges = tuple(itertools.chain.from_iterable(bands))
-    text = ",".join(["%.17g"] * len(edges)) % edges
-    parts, q = text.split(","), freq.q
+    edges, q = edge_array(bands), freq.q
+    key = edges.tobytes()
+    text, width_text = _EDGE_TEXT.pop(key, None) or _EDGE_TEXT.setdefault(key, [
+        ",".join(["%.17g"] * len(x)) % tuple(x.tolist()) for x in (edges, np.diff(edges)[1::2])])
+    parts, widths = text.split(","), width_text.split(",")
     j, m, n, _ = table.T
     cut = np.gcd(j, q)
     lo = (2 * j - 1).tolist()
     cols = zip([parts[k] for k in lo], [parts[k + 1] for k in lo], (j // cut).tolist(),
-               (q // cut).tolist(), m.tolist(), n.tolist(), [edges[k + 1] - edges[k] for k in lo])
-    line = f"{freq.p},{q},{beta_text},%s,%s,%d,%d,%d,%d,%.17g\n"
+               (q // cut).tolist(), m.tolist(), n.tolist(), [widths[k // 2] for k in lo])
+    line = f"{freq.p},{q},{beta_text},%s,%s,%d,%d,%d,%d,%s\n"
     return text, line * len(lo) % tuple(itertools.chain.from_iterable(cols))
 
 

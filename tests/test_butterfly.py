@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import json
 import random
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import harperlab.butterfly as butterfly_module
+from harperlab import spectrum
 from harperlab import (ChambersError, RationalFrequency, butterfly_fractions, chambers,
                        component_count, compute_butterfly, hall_color,
                        parse_dataset, phi_cumulative, render,
@@ -257,6 +259,77 @@ def test_checkpointed_batch_formats_each_row_once(tmp_path, monkeypatch, workers
         assert sorted(journal, key=lambda ln: journal_row(ln)[1::-1]) == dataset
     else:
         assert set(journal) == set(dataset) and len(journal) == len(dataset)
+
+
+def test_denominator_solve_takes_one_block_row_per_mirror_pair(monkeypatch):
+    """At Q = 12 each tridiagonal call of a denominator's solve holds one block
+    per distinct min(p, q - p) of its numerators, and the even-q lo corner's
+    stacked call two: no call at q = 1, two at odd q and three at even q."""
+    solves, blocks, tridiagonal = {}, [], spectrum._tridiagonal_eigvalsh
+
+    def counted(diag, off):
+        blocks.append(len(diag))
+        return tridiagonal(diag, off)
+
+    def solved(q, ps, beta):
+        blocks.clear()
+        edges = corner_edges(q, ps, beta)
+        solves[q] = (ps, blocks[:])
+        return edges
+
+    monkeypatch.setattr(spectrum, "_tridiagonal_eigvalsh", counted)
+    monkeypatch.setattr(butterfly_module, "corner_edges", solved)
+    compute_butterfly(12, 1.0)
+    assert sorted(solves) == list(range(1, 13))
+    for q, (ps, got) in solves.items():
+        n = len({min(p, q - p) for p in ps})
+        assert got == ([] if q == 1 else [n, n] if q % 2 else [n, n, 2 * n]), (q, ps)
+
+
+class CountedText(dict):
+    """A `gap_csv` text memo that records the key of every text put in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.made, self.peak = [], 0
+
+    def __setitem__(self, key, value):
+        self.made.append(key)
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+    def setdefault(self, key, value):
+        if key not in self:
+            self.made.append(key)
+        out = super().setdefault(key, value)
+        self.peak = max(self.peak, len(self))
+        return out
+
+
+@pytest.mark.parametrize("workers, checkpoint", [(1, True), (2, False)])
+def test_mirror_rows_format_their_floats_once_per_pair(tmp_path, monkeypatch, workers,
+                                                       checkpoint):
+    """The rows p/q and (q - p)/q of a Q = 12 batch share one band text, formatted
+    once per pair: as the journal is appended with a checkpoint, as the file is
+    made without one.  The memo is empty once each write ends, and in between
+    holds at most half the rows of one denominator and 1/2, its own mirror."""
+    memo = CountedText()
+    monkeypatch.setattr(spectrum, "_EDGE_TEXT", memo)
+    monkeypatch.setattr(butterfly_module, "_EDGE_TEXT", memo)
+    ds = compute_butterfly(12, 1.0, workers=workers,
+                           checkpoint_path=str(tmp_path / "state.jsonl") if checkpoint else None)
+    assert not memo and bool(memo.made) == checkpoint
+    text = serialize_dataset(ds)
+    assert not memo
+    fracs = butterfly_fractions(12)
+    assert len(memo.made) == len(set(memo.made)) == len({(f.q, min(f.p, f.q - f.p))
+                                                         for f in fracs})
+    rows_of = collections.Counter(f.q for f in fracs)
+    assert memo.peak <= 1 + max((n + 1) // 2 for n in rows_of.values())
+    edges = {(int(p), int(q)): rest for p, q, rest in
+             (ln[len("# bands,"):].split(",", 2) for ln in band_lines(text))}
+    assert len(edges) == len(fracs)
+    assert all(rest == edges[(q - p, q)] for (p, q), rest in edges.items())
 
 
 def stop_at_second_flush(monkeypatch):

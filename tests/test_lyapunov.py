@@ -929,6 +929,21 @@ def test_averages_answer_a_strip_of_3e_minus_7():
         assert abs(got[k] - ref[k]) <= 1e-14 * abs(ref[scale]), k
 
 
+def test_averages_refuse_the_spectrum_without_a_node_count():
+    """`averages` has no node cap, so its one refusal, strip 0, names the point
+    and the strip and no node count: at M = 0 with either amplitude the larger,
+    inside the spectrum, and at the critical scan's gap 30 of 34/55, beta 0.5,
+    whose float margin is not positive."""
+    for A, B, C in ((4.0, -2.0, -2.0), (-3.0, -2.0, -1.0), (3.0, -1.0, -2.0), (1.0, -2.0, -2.0)):
+        with pytest.raises(ValueError) as exc:
+            averages(A, B, C, ("m1", "log"))
+        assert str(exc.value) == f"A={A} lies in the spectrum: its phase strip is 0"
+    freq = F(34, 55)
+    g = next(g for g in gaps(freq, 0.5) if g.j == 30)
+    with pytest.raises(ValueError, match=r"^A=\S+ lies in the spectrum: its phase strip is 0$"):
+        critical_scan(freq, 0.5, g)
+
+
 # (fraction, beta, widest or narrowest open gap, bound): relative error of
 # the trapezoid m1 at the gap midpoint against the elliptic closed form.
 # Measured 0, 0, 1.2e-16 and 0 (margins down to 2.5e-12 in the narrow gaps)
@@ -1108,10 +1123,10 @@ PINNED_GAP_POINTS = {
         "dzdbeta=0.32121530233527734, d2beta=-0.30691005016082107)"),
     (13, 21, 1.5, 8): (
         "(-1.3673323958130807, 1.095389539663596e-16, 0.2150897619483469)",
-        "GradientRecord(beta=1.5, z=-1.3252956837439573, g0=-0.01583069403570021, "
-        "g1=0.2104063917879301)",
-        "HessianRecord(beta=1.5, z=-1.3252956837439573, d2z=-0.37523956859932056, "
-        "dzdbeta=-0.21650906629042418, d2beta=-0.26744139320010635)",
+        "GradientRecord(beta=1.5, z=-1.325295683743958, g0=-0.015830694035699994, "
+        "g1=0.21040639178793022)",
+        "HessianRecord(beta=1.5, z=-1.325295683743958, d2z=-0.37523956859932045, "
+        "dzdbeta=-0.2165090662904241, d2beta=-0.26744139320010907)",
         "HessianRecord(beta=1.5, z=-1.3673323958130807, d2z=-0.3784081737710644, "
         "dzdbeta=-0.22944091895684646, d2beta=-0.2800960724927257)"),
 }

@@ -258,6 +258,21 @@ def test_corner_edges_against_40_digit_corners(p, q):
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_mirror_fractions_have_one_band_set(beta):
+    """p/q and (q - p)/q have one spectrum, H(1 - alpha, theta) = H(alpha, -theta):
+    `corner_bands`, each fraction solved alone, gives them equal bands bit for
+    bit for every reduced p/q with q <= 40, and within 1e-12 of one dense
+    eigensolve per corner of the uniform-gauge matrix of p/q itself."""
+    for q in range(1, 41):
+        for p in numerators(q):
+            bands = corner_bands(F(p, q), beta).bands
+            assert bands == corner_bands(F(q - p, q), beta).bands, (p, q)
+            dense = np.sort(np.concatenate([np.linalg.eigvalsh(oracle_harper(p, q, beta, t, t))
+                                            for t in (0.0, np.pi / q)]))
+            assert np.max(np.abs(np.ravel(bands) - dense)) <= 1e-12, (p, q)
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 2.5])
 def test_odd_q_corner_edges_are_exactly_mirror_symmetric(beta):
     """For odd q the lo corner is the negated hi corner, so E -> -E maps
@@ -630,6 +645,16 @@ def test_gap_csv_row_format():
     assert parts == ["2", "5", "0.5", _fmt(g.lo), _fmt(g.hi), "1", "5",
                      str(g.label[0]), str(g.label[1]), _fmt(g.width)]
     assert text.split(",") == [_fmt(x) for lo_hi in bands for x in lo_hi]
+
+
+def test_gap_csv_keeps_the_sign_of_a_zero_edge():
+    """`gap_csv`'s text memo is keyed by the edges' exact bytes: edges that
+    differ only in the sign of a zero keep their own text in one write."""
+    freq = F(1, 2)
+    for bands, want in ((((-2.0, -0.0), (0.0, 2.0)), ("-2,-0,0,2", "0")),
+                        (((-2.0, 0.0), (-0.0, 2.0)), ("-2,0,-0,2", "-0"))):
+        text, lines = gap_csv(freq, "1", bands, gap_table(freq, 1.0, bands, 1e-9))
+        assert (text, lines.rstrip("\n").split(",")[-1]) == want
 
 
 GOLDEN = [(1, 2), (2, 3), (3, 5), (5, 8), (8, 13), (13, 21), (21, 34), (34, 55), (55, 89),
