@@ -4,10 +4,11 @@ The denominator is the unit from solve to file: the corner edges of all its
 missing numerators come from one batched solve and its rows' gap tables from
 one `gap_tables` call.  Each row's file text is made once, by `gap_csv`, for
 the journal and the dataset file alike; the mirror rows p/q and (q - p)/q
-share one solve and one float text.  Both hold one band line per
-fraction, read back by one parser that checks all lines at once.  Rows are
-merged in (q, p) order regardless of completion order, so the dataset is
-byte-identical across worker counts and across checkpoint interruptions.
+share one solve, and one float text through the memo of the rows built with
+them.  Both hold one band line per fraction, read back by one parser that
+checks all lines at once.  Rows are merged in (q, p) order regardless of
+completion order, so the dataset is byte-identical across worker counts and
+across checkpoint interruptions.
 """
 
 from __future__ import annotations
@@ -24,20 +25,22 @@ import numpy as np
 
 from .rationals import RationalFrequency
 from .numbertheory import farey
-from .spectrum import (_EDGE_TEXT, GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, edge_array,
-                       gap_csv, gap_records, gap_tables)
+from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, edge_array, gap_csv,
+                       gap_records, gap_tables)
 
 FORMAT_VERSION = "2"
 
 
 @dataclass(frozen=True)
 class FractionRow:
-    """One fraction's bands and their `gap_table`, which rows leave out of comparisons."""
+    """One fraction's bands and their `gap_table`, and the `gap_csv` text memo of the rows
+    built with it; rows leave both out of comparisons."""
 
     freq: RationalFrequency
     beta: float
     bands: tuple
     table: np.ndarray = field(compare=False, repr=False)
+    memo: dict = field(compare=False, repr=False)
     error: str | None = None
 
     @property
@@ -52,7 +55,7 @@ class FractionRow:
         p, q = self.freq.p, self.freq.q
         if self.error:
             return f"# error,{p},{q},{self.error}\n"
-        edges, gap_lines = gap_csv(self.freq, _fmt(self.beta), self.bands, self.table)
+        edges, gap_lines = gap_csv(self.freq, _fmt(self.beta), self.bands, self.table, self.memo)
         return f"# bands,{p},{q},{edges}\n{gap_lines}"
 
 
@@ -121,8 +124,9 @@ def _read_payloads(lines):
 
 def _build_rows(freqs, payloads, beta, min_width):
     """The rows of the fractions from their payloads keyed by (p, q): per denominator,
-    one `gap_tables` call over the edge block of its band rows."""
-    rows = []
+    one `gap_tables` call over the edge block of its band rows.  The rows share one
+    `gap_csv` text memo, which lives as long as they do."""
+    rows, memo = [], {}
     for q, group in itertools.groupby(freqs, key=lambda f: f.q):
         group = [(f, payloads[(f.p, q)][2:]) for f in group]
         ps = [f.p for f, (_, error) in group if error is None]
@@ -130,7 +134,7 @@ def _build_rows(freqs, payloads, beta, min_width):
         made = dict(zip(ps, zip(block.tolist(), gap_tables(q, ps, beta, block, min_width))))
         for f, (_, error) in group:
             e, table = made[f.p] if error is None else ((), np.zeros((0, 4), dtype=np.int64))
-            rows.append(FractionRow(f, beta, tuple(zip(e[0::2], e[1::2])), table, error))
+            rows.append(FractionRow(f, beta, tuple(zip(e[0::2], e[1::2])), table, memo, error))
     return tuple(rows)
 
 
@@ -218,21 +222,18 @@ def _resume_journal(path, digest):
 
 def _flush_checkpoint(path, rows):
     """The journal's one append site: the band or error line of each row, the first line
-    of its `text`.  The edge text memo of `gap_csv` is cleared when the write ends."""
+    of its `text`."""
     with open(path, "a") as fh:
         fh.write("".join([row.text[:row.text.index("\n") + 1] for row in rows]))
-    _EDGE_TEXT.clear()
 
 
 def serialize_dataset(dataset: ButterflyDataset) -> str:
     """Header and gap CSV columns, then each row's text: an error line, or a band line and
-    its gap lines.  The edge text memo of `gap_csv` is cleared when the text is made."""
+    its gap lines."""
     head = (f"# version={FORMAT_VERSION},Q={dataset.order},beta={_fmt(dataset.beta)},"
             f"min_width={_fmt(dataset.min_width)},config={dataset.provenance.get('config', '')},"
             f"convention=farey-(0-1]-plus-zero,label_tiebreak=+q/2\n{GAP_CSV_HEADER}\n")
-    text = "".join([head] + [row.text for row in dataset.rows])
-    _EDGE_TEXT.clear()
-    return text
+    return "".join([head] + [row.text for row in dataset.rows])
 
 
 def parse_dataset(text: str) -> ButterflyDataset:

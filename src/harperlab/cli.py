@@ -225,7 +225,7 @@ def _dispatch(args, parser) -> int:
         for freq in freqs:
             bands = corner_bands(freq, args.beta).bands
             table = gap_table(freq, args.beta, bands, args.min_width)
-            text.append(gap_csv(freq, _fmt(args.beta), bands, table)[1])
+            text.append(gap_csv(freq, _fmt(args.beta), bands, table, {})[1])
         _emit(args, "".join(text))
         return 0
 

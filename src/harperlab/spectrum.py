@@ -435,21 +435,20 @@ class GapRecord:
 
 
 GAP_CSV_HEADER = "p,q,beta,gap_lo,gap_hi,ids_num,ids_den,m,n,width"
-_EDGE_TEXT = {}  # `gap_csv`'s edge and width text by edge bytes; butterfly writes clear it
 
 
-def gap_csv(freq: RationalFrequency, beta_text: str, bands, table: np.ndarray):
+def gap_csv(freq: RationalFrequency, beta_text: str, bands, table: np.ndarray, memo: dict):
     """The `_fmt` text of the bands' edges, comma-joined, and the `GAP_CSV_HEADER`
     lines of a `gap_table` of them, each ending in a newline.
 
-    The edges and all q - 1 gap widths take one %-format each, kept in
-    `_EDGE_TEXT` by their exact bytes until the next row with those edges,
+    The edges and all q - 1 gap widths take one %-format each, kept in the
+    caller's memo by their exact bytes until the next row with those edges,
     the mirror (q - p)/q, takes them out.  Gap j's ends are edges 2j - 1 and
     2j, their text taken from the edge text; the IDS j/q is in lowest terms.
     """
     edges, q = edge_array(bands), freq.q
     key = edges.tobytes()
-    text, width_text = _EDGE_TEXT.pop(key, None) or _EDGE_TEXT.setdefault(key, [
+    text, width_text = memo.pop(key, None) or memo.setdefault(key, [
         ",".join(["%.17g"] * len(x)) % tuple(x.tolist()) for x in (edges, np.diff(edges)[1::2])])
     parts, widths = text.split(","), width_text.split(",")
     j, m, n, _ = table.T
@@ -504,15 +503,10 @@ def gap_records(freq: RationalFrequency, beta: float, bands, table: np.ndarray):
                       n, bool(is_open)) for j, m, n, is_open in table.tolist()]
 
 
-def gaps(freq: RationalFrequency, beta: float, min_width: float = 1e-9,
-         band_set: BandSet | None = None):
+def gaps(freq: RationalFrequency, beta: float, min_width: float = 1e-9):
     """Labelled gap records at coupling beta, as `gap_table` reports them."""
-    if beta < 0:
-        raise ValueError("coupling must be nonnegative")
-    if band_set is None:
-        band_set = corner_bands(freq, beta)
-    return gap_records(freq, beta, band_set.bands,
-                       gap_table(freq, band_set.beta, band_set.bands, min_width))
+    bands = corner_bands(freq, beta).bands
+    return gap_records(freq, beta, bands, gap_table(freq, beta, bands, min_width))
 
 
 @dataclass(frozen=True)

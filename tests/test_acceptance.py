@@ -76,7 +76,7 @@ def test_criterion_03_gap_labelling_exactness():
             continue
         for beta in (0.25, 0.5, 1.0):
             bands = hl.band_edges(hl.chambers(freq, beta, verify=False))
-            for g in hl.gaps(freq, beta, band_set=bands):
+            for g in hl.gaps(freq, beta):
                 n_records += 1
                 assert (g.hall * freq.p - g.j) % freq.q == 0
                 assert g.ids_value == Fraction(g.j, freq.q)
@@ -109,7 +109,7 @@ def test_criterion_04_flatness_and_three_method_agreement():
             for d in (0.1, 0.5, 1.5):
                 pts.append((freq, beta, bands, hi + d))
                 pts.append((freq, beta, bands, lo - d))
-            for g in hl.gaps(freq, beta, band_set=bands):
+            for g in hl.gaps(freq, beta):
                 if g.is_open and g.width >= 0.15:
                     pts.append((freq, beta, bands, g.midpoint))
     assert len(pts) >= 50

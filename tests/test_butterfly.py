@@ -1,4 +1,3 @@
-import collections
 import contextlib
 import json
 import random
@@ -286,24 +285,17 @@ def test_denominator_solve_takes_one_block_row_per_mirror_pair(monkeypatch):
         assert got == ([] if q == 1 else [n, n] if q % 2 else [n, n, 2 * n]), (q, ps)
 
 
-class CountedText(dict):
-    """A `gap_csv` text memo that records the key of every text put in it."""
+def count_formats(monkeypatch):
+    """The edge arrays whose floats `gap_csv` formats, one entry per format: it takes
+    the gap widths by `np.diff` only when it formats."""
+    made, real = [], np.diff
 
-    def __init__(self):
-        super().__init__()
-        self.made, self.peak = [], 0
+    def counted(x, *args, **kwargs):
+        made.append(x.tobytes())
+        return real(x, *args, **kwargs)
 
-    def __setitem__(self, key, value):
-        self.made.append(key)
-        super().__setitem__(key, value)
-        self.peak = max(self.peak, len(self))
-
-    def setdefault(self, key, value):
-        if key not in self:
-            self.made.append(key)
-        out = super().setdefault(key, value)
-        self.peak = max(self.peak, len(self))
-        return out
+    monkeypatch.setattr(np, "diff", counted)
+    return made
 
 
 @pytest.mark.parametrize("workers, checkpoint", [(1, True), (2, False)])
@@ -311,25 +303,33 @@ def test_mirror_rows_format_their_floats_once_per_pair(tmp_path, monkeypatch, wo
                                                        checkpoint):
     """The rows p/q and (q - p)/q of a Q = 12 batch share one band text, formatted
     once per pair: as the journal is appended with a checkpoint, as the file is
-    made without one.  The memo is empty once each write ends, and in between
-    holds at most half the rows of one denominator and 1/2, its own mirror."""
-    memo = CountedText()
-    monkeypatch.setattr(spectrum, "_EDGE_TEXT", memo)
-    monkeypatch.setattr(butterfly_module, "_EDGE_TEXT", memo)
+    made without one.  Once the write ends, of the memos the rows hold only 1/2's,
+    its own mirror, keeps a text."""
+    made = count_formats(monkeypatch)
     ds = compute_butterfly(12, 1.0, workers=workers,
                            checkpoint_path=str(tmp_path / "state.jsonl") if checkpoint else None)
-    assert not memo and bool(memo.made) == checkpoint
+    assert bool(made) == checkpoint
     text = serialize_dataset(ds)
-    assert not memo
     fracs = butterfly_fractions(12)
-    assert len(memo.made) == len(set(memo.made)) == len({(f.q, min(f.p, f.q - f.p))
-                                                         for f in fracs})
-    rows_of = collections.Counter(f.q for f in fracs)
-    assert memo.peak <= 1 + max((n + 1) // 2 for n in rows_of.values())
+    assert len(made) == len(set(made)) == len({(f.q, min(f.p, f.q - f.p)) for f in fracs})
     edges = {(int(p), int(q)): rest for p, q, rest in
              (ln[len("# bands,"):].split(",", 2) for ln in band_lines(text))}
     assert len(edges) == len(fracs)
     assert all(rest == edges[(q - p, q)] for (p, q), rest in edges.items())
+    half = next(row for row in ds.rows if (row.freq.p, row.freq.q) == (1, 2))
+    memos = {id(row.memo): row.memo for row in ds.rows}
+    assert [key for key, memo in memos.items() if memo] == [id(half.memo)]
+    assert [edge_text for edge_text, _ in half.memo.values()] == [edges[(1, 2)].rstrip("\n")]
+
+
+def test_a_dataset_formats_its_own_floats(monkeypatch):
+    """A row's text read outside a write is not handed to another dataset: after 1/2's
+    text of one Q = 4 batch is read, a second batch formats all its 4 mirror pairs."""
+    first = compute_butterfly(4, 1.0)
+    assert next(row for row in first.rows if row.freq.q == 2).text.startswith("# bands,1,2,")
+    made = count_formats(monkeypatch)
+    serialize_dataset(compute_butterfly(4, 1.0))
+    assert len(made) == 4
 
 
 def stop_at_second_flush(monkeypatch):

@@ -179,8 +179,7 @@ def test_thouless_matches_a_50_digit_lyapunov_exponent():
     c2 = -2 beta^q is exact in float.  Measured 1.5e-12."""
     for (p, q), beta in (((5, 8), 0.5), ((21, 34), 2.0), ((73, 144), 1.0)):
         freq, bands = F(p, q), spectrum.corner_bands(F(p, q), beta)
-        widest = sorted((g for g in gaps(freq, beta, band_set=bands) if g.is_open),
-                        key=lambda g: g.width)[-3:]
+        widest = sorted((g for g in gaps(freq, beta) if g.is_open), key=lambda g: g.width)[-3:]
         for z in [g.midpoint for g in widest] + [bands.hull[1] + 0.5]:
             P = oracle_continuant(p, q, beta, z)
             ref = oracle_torus_kernels(P, -2.0, -2.0 * beta ** q)["log"] / q
@@ -691,7 +690,7 @@ def test_torus_kernels_beyond_the_square_root_of_the_float_range():
     top = bands.hull[1] + 0.5
     assert abs(ch.P(top)) > 1e200
     assert abs(log_potential(ch, top) - lyapunov_transfer(freq, beta, top).value) <= 1e-13
-    g = [g for g in gaps(freq, beta, band_set=bands) if g.j == 233][0]
+    g = [g for g in gaps(freq, beta) if g.j == 233][0]
     A = ch.P(critical_scan(freq, beta, g, ch=ch).s_star)
     assert abs(A) > 1e140
     got = averages(A, ch.c1, ch.c2, ("m1", "n1", "m2", "n2", "k2", "log"))
@@ -709,7 +708,7 @@ def test_shared_evaluation_is_the_same_whichever_call_fills_it(first):
     answer, with the same numbers as cold calls."""
     freq, beta = F(377, 610), 1.0
     ch = chambers(freq, beta, verify=False)
-    z = [g for g in gaps(freq, beta, band_set=band_edges(ch)) if g.j == 233][0].midpoint
+    z = [g for g in gaps(freq, beta) if g.j == 233][0].midpoint
     calls = {"gradient": gradient, "hessian": hessian}
     other = "gradient" if first == "hessian" else "hessian"
     lyapunov._point.cache_clear()
@@ -765,7 +764,7 @@ def test_q_610_transfer_agrees_with_log_potential(beta):
     freq = F(377, 610)
     ch = chambers(freq, beta, verify=False)
     bands = band_edges(ch)
-    widest = max((g for g in gaps(freq, beta, band_set=bands) if g.is_open), key=lambda g: g.width)
+    widest = max((g for g in gaps(freq, beta) if g.is_open), key=lambda g: g.width)
     for z in (bands.hull[1] + 0.5, widest.midpoint):
         assert abs(lyapunov_transfer(freq, beta, z).value - log_potential(ch, z)) <= 1e-13, z
 
@@ -776,7 +775,7 @@ def test_q_610_mirror_gaps_scan_with_their_hessians():
     both, s* opposite, g1 and the Hessian determinant equal."""
     freq, beta = F(377, 610), 1.0
     ch = chambers(freq, beta, verify=False)
-    by_j = {g.j: g for g in gaps(freq, beta, band_set=band_edges(ch))}
+    by_j = {g.j: g for g in gaps(freq, beta)}
     cp, cq = (critical_scan(freq, beta, by_j[j], ch=ch) for j in (233, 377))
     h, k = (hessian(freq, beta, c.s_star, ch=ch, edge_distance=0.0) for c in (cp, cq))
     assert abs(cp.s_star + cq.s_star) <= 1e-15

@@ -37,7 +37,7 @@ def sheet(kind="c", values=None):
     (lambda: phi_cumulative(0), ValueError, "n must be >= 1"),
     (lambda: hamiltonian(build_rep(F13, 0.0, 0.0), 0.0), ValueError, "coupling must be positive"),
     (lambda: build_uv(build_rep(F13, 0.0, 0.0), -1.0), ValueError, "coupling must be positive"),
-    (lambda: gaps(F13, -0.5), ValueError, "coupling must be nonnegative"),
+    (lambda: gaps(F13, -0.5), ValueError, "coupling must be finite and nonnegative, got -0.5"),
     (lambda: dual_check(F13, 0.0), ValueError, "coupling must be positive"),
     (lambda: label_to_index((1, 0), RationalFrequency(2, 5)), ValueError,
      "gives gap index 5 outside 1..q-1"),

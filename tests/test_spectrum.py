@@ -496,7 +496,7 @@ def test_gap_records_carry_gap_label_and_exact_ids():
         recs = gaps(freq, 0.7, min_width=-1.0)
         assert [g.j for g in recs] == list(range(1, freq.q))
         bands = corner_bands(freq, 0.7).bands
-        lines = gap_csv(freq, "0.7", bands, gap_table(freq, 0.7, bands, -1.0))[1].splitlines()
+        lines = gap_csv(freq, "0.7", bands, gap_table(freq, 0.7, bands, -1.0), {})[1].splitlines()
         assert len(lines) == len(recs)
         for g, line in zip(recs, lines):
             label = gap_label(g.j, freq)
@@ -638,7 +638,7 @@ def test_gap_csv_row_format():
     freq, beta = F(2, 5), 0.5
     g = gaps(freq, beta)[0]
     bands = corner_bands(freq, beta).bands
-    text, lines = gap_csv(freq, _fmt(beta), bands, gap_table(freq, beta, bands, 1e-9))
+    text, lines = gap_csv(freq, _fmt(beta), bands, gap_table(freq, beta, bands, 1e-9), {})
     assert lines.endswith("\n")
     parts = lines.splitlines()[0].split(",")
     assert len(parts) == 10
@@ -649,12 +649,13 @@ def test_gap_csv_row_format():
 
 def test_gap_csv_keeps_the_sign_of_a_zero_edge():
     """`gap_csv`'s text memo is keyed by the edges' exact bytes: edges that
-    differ only in the sign of a zero keep their own text in one write."""
-    freq = F(1, 2)
+    differ only in the sign of a zero keep their own text in one memo."""
+    freq, memo = F(1, 2), {}
     for bands, want in ((((-2.0, -0.0), (0.0, 2.0)), ("-2,-0,0,2", "0")),
                         (((-2.0, 0.0), (-0.0, 2.0)), ("-2,0,-0,2", "-0"))):
-        text, lines = gap_csv(freq, "1", bands, gap_table(freq, 1.0, bands, 1e-9))
+        text, lines = gap_csv(freq, "1", bands, gap_table(freq, 1.0, bands, 1e-9), memo)
         assert (text, lines.rstrip("\n").split(",")[-1]) == want
+    assert len(memo) == 2
 
 
 GOLDEN = [(1, 2), (2, 3), (3, 5), (5, 8), (8, 13), (13, 21), (21, 34), (34, 55), (55, 89),
