@@ -1,14 +1,14 @@
 """Batch computation and rendering of the Hofstadter butterfly.
 
 The denominator is the unit from solve to file: the corner edges of all its
-missing numerators come from one batched solve and its rows' gap tables from
-one `gap_tables` call.  Each row's file text is made once, by `gap_csv`, for
-the journal and the dataset file alike; the mirror rows p/q and (q - p)/q
-share one solve, and one float text through the memo of the rows built with
-them.  Both hold one band line per fraction, read back by one parser that
-checks all lines at once.  Rows are merged in (q, p) order regardless of
-completion order, so the dataset is byte-identical across worker counts and
-across checkpoint interruptions.
+missing numerators come from one batched solve, of which each row holds a
+read-only line, and its rows' gap tables from one `gap_tables` call.  Each
+row's file text is made once, by `gap_csv`, for the journal and the dataset
+file alike.  The mirror rows p/q and (q - p)/q share one solve, and their
+file text, band-line parse and SVG coordinates are each made once.  Journal
+and file hold one band line per fraction, read back by one parser.  Rows are
+merged in (q, p) order regardless of completion order, so the dataset is
+byte-identical across worker counts and across checkpoint interruptions.
 """
 
 from __future__ import annotations
@@ -25,23 +25,33 @@ import numpy as np
 
 from .rationals import RationalFrequency
 from .numbertheory import farey
-from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, edge_array, gap_csv,
-                       gap_records, gap_tables)
+from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, gap_csv, gap_records,
+                       gap_tables)
 
 FORMAT_VERSION = "2"
 
 
 @dataclass(frozen=True)
 class FractionRow:
-    """One fraction's bands and their `gap_table`, and the `gap_csv` text memo of the rows
-    built with it; rows leave both out of comparisons."""
+    """One fraction's edges lo1, hi1, ..., loq, hiq, a read-only float64 view into its
+    denominator's edge block, their `gap_table`, and the `gap_csv` text memo of the rows
+    built with it; rows compare by fraction, coupling, error and every edge value."""
 
     freq: RationalFrequency
     beta: float
-    bands: tuple
+    edges: np.ndarray = field(compare=False)
     table: np.ndarray = field(compare=False, repr=False)
     memo: dict = field(compare=False, repr=False)
     error: str | None = None
+
+    def __eq__(self, other):
+        return (isinstance(other, FractionRow) and np.array_equal(self.edges, other.edges)
+                and (self.freq, self.beta, self.error) == (other.freq, other.beta, other.error))
+
+    @property
+    def bands(self):
+        """The edges as a tuple of (lo, hi) float pairs, built on each access."""
+        return tuple(map(tuple, self.edges.reshape(-1, 2).tolist()))
 
     @property
     def gaps(self):
@@ -55,7 +65,7 @@ class FractionRow:
         p, q = self.freq.p, self.freq.q
         if self.error:
             return f"# error,{p},{q},{self.error}\n"
-        edges, gap_lines = gap_csv(self.freq, _fmt(self.beta), self.bands, self.table, self.memo)
+        edges, gap_lines = gap_csv(self.freq, _fmt(self.beta), self.edges, self.table, self.memo)
         return f"# bands,{p},{q},{edges}\n{gap_lines}"
 
 
@@ -80,61 +90,63 @@ def butterfly_fractions(order: int):
 
 
 def _denominator_payloads(args):
-    """Worker body: a payload (p, q, edges, error) per p of (q, ps, beta), edges the list of
-    its corner edges; an exception is recorded, not raised, as an error payload for every p."""
+    """Worker body: a payload (p, q, edges, error) per p of (q, ps, beta), edges the array
+    of its corner edges; an exception is recorded, not raised, as an error payload for every p."""
     q, ps, beta = args
     try:
-        return [(p, q, e, None) for p, e in zip(ps, corner_edges(q, ps, beta).tolist())]
+        return [(p, q, e, None) for p, e in zip(ps, corner_edges(q, ps, beta))]
     except Exception as exc:  # a failed denominator must not abort the batch
         error = " ".join(f"{type(exc).__name__}: {exc}".split())  # its text on one line
         return [(p, q, (), error) for p in ps]
 
 
-def _read_payloads(lines):
-    """The payloads (p, q, edges, error) of band and error lines, keyed by (p, q).
+def _read_payloads(lines, order):
+    """The payloads (p, q, edges, error) of band and error lines, keyed by (p, q); a band
+    text that repeats, as a mirror pair's does, is converted to floats and checked once.
 
-    Band lines must hold 2q finite, non-decreasing edges, checked over all lines
-    at once; the first line that fails, that is neither a band nor an error
-    line, or that repeats a p/q raises ValueError."""
-    payloads = []
+    The first line that is neither a band nor an error line, that is for no fraction
+    of the order, that repeats a p/q, or whose band text is not 2q finite,
+    non-decreasing numbers raises ValueError naming it."""
+    done, parsed = {}, {}
     for ln in lines:
-        kind, *fields = ln.rstrip("\n").split(",", 3)
-        if kind not in ("# bands", "# error") or len(fields) != 3:
+        m = re.fullmatch(r"# (bands|error),(\d+),(\d+),(.+)", ln.rstrip("\n"))
+        if not m:
             raise ValueError(f"{ln[:40].rstrip()!r} is not a band or error line")
-        p, q, rest = int(fields[0]), int(fields[1]), fields[2]
-        payloads.append((p, q, np.array(rest.split(","), dtype=float), None)
-                        if kind == "# bands" else (p, q, (), rest))
-    bands = [payload for payload in payloads if payload[3] is None]
-    flat = np.concatenate([edges for _, _, edges, _ in bands] + [np.zeros(0)])
-    line = np.repeat(np.arange(len(bands)), [len(edges) for _, _, edges, _ in bands])
-    bad = ~np.isfinite(flat) | np.r_[False, (np.diff(flat) < 0) & (np.diff(line) == 0)]
-    failed = [k for k, (_, q, edges, _) in enumerate(bands) if len(edges) != 2 * q]
-    failed += line[bad].tolist()
-    if failed:
-        p, q, edges, _ = bands[min(failed)]
-        raise ValueError(f"band line for {p}/{q} has " + (
-            f"{len(edges)} edges, not {2 * q}" if len(edges) != 2 * q
-            else "edges that are not finite and non-decreasing"))
-    done = {}
-    for payload in payloads:
-        if done.setdefault(payload[:2], payload) is not payload:
-            raise ValueError(f"dataset has two band or error lines for {payload[0]}/{payload[1]}")
+        kind, p, q, rest = m[1].rstrip("s"), int(m[2]), int(m[3]), m[4]
+        if q > order or p > q or np.gcd(p, q) != 1:
+            raise ValueError(f"{kind} line for {p}/{q} is not for a fraction of order {order}")
+        if kind == "band" and rest not in parsed:
+            try:
+                e = parsed[rest] = np.array(rest.split(","), dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"band line for {p}/{q}: {exc}") from None
+            if not (np.isfinite(e).all() and (e[1:] >= e[:-1]).all()):
+                raise ValueError(f"band line for {p}/{q} has edges that are not finite and "
+                                 f"non-decreasing")
+        edges = parsed[rest] if kind == "band" else ()
+        if kind == "band" and len(edges) != 2 * q:
+            raise ValueError(f"band line for {p}/{q} has {len(edges)} edges, not {2 * q}")
+        if (p, q) in done:
+            raise ValueError(f"dataset has two band or error lines for {p}/{q}")
+        done[p, q] = (p, q, edges, None if kind == "band" else rest)
     return done
 
 
 def _build_rows(freqs, payloads, beta, min_width):
     """The rows of the fractions from their payloads keyed by (p, q): per denominator,
-    one `gap_tables` call over the edge block of its band rows.  The rows share one
-    `gap_csv` text memo, which lives as long as they do."""
+    one `gap_tables` call over the read-only edge block of its band rows, each row holding
+    its line (an error row an empty slice) as `edges`, so no band tuple is built.  The
+    rows share one `gap_csv` text memo, which lives as long as they do."""
     rows, memo = [], {}
     for q, group in itertools.groupby(freqs, key=lambda f: f.q):
         group = [(f, payloads[(f.p, q)][2:]) for f in group]
         ps = [f.p for f, (_, error) in group if error is None]
         block = np.array([e for _, (e, error) in group if error is None]).reshape(-1, 2 * q)
-        made = dict(zip(ps, zip(block.tolist(), gap_tables(q, ps, beta, block, min_width))))
+        block.setflags(write=False)
+        made = dict(zip(ps, zip(block, gap_tables(q, ps, beta, block, min_width))))
         for f, (_, error) in group:
-            e, table = made[f.p] if error is None else ((), np.zeros((0, 4), dtype=np.int64))
-            rows.append(FractionRow(f, beta, tuple(zip(e[0::2], e[1::2])), table, memo, error))
+            e, table = made[f.p] if error is None else (block[:0, 0], np.zeros((0, 4), np.int64))
+            rows.append(FractionRow(f, beta, e, table, memo, error))
     return tuple(rows)
 
 
@@ -160,7 +172,7 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
     beta = float(beta)
     digest = _config_hash({"version": FORMAT_VERSION, "Q": order,
                            "beta": _fmt(beta), "min_width": _fmt(min_width)})
-    journalled = _resume_journal(checkpoint_path, digest) if checkpoint_path else {}
+    journalled = _resume_journal(checkpoint_path, digest, order) if checkpoint_path else {}
     done = {(row.freq.p, row.freq.q): row for row in _build_rows(
         [f for f in freqs if (f.p, f.q) in journalled], journalled, beta, min_width)}
     missing = {}
@@ -192,7 +204,7 @@ def compute_butterfly(order: int, beta: float, workers: int = 1,
                                         "complete": not any(row.error for row in rows)})
 
 
-def _resume_journal(path, digest):
+def _resume_journal(path, digest, order):
     """Payloads journalled under this configuration, keyed by (p, q).
 
     The journal is a header line with the configuration digest and the line
@@ -212,7 +224,7 @@ def _resume_journal(path, digest):
         return {}
     whole = [ln for ln in lines[1:] if ln.endswith(b"\n")]
     try:
-        done = _read_payloads([ln.decode() for ln in whole])
+        done = _read_payloads([ln.decode() for ln in whole], order)
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
     if not lines[-1].endswith(b"\n"):  # a torn tail: cut off after the last newline
@@ -241,9 +253,9 @@ def parse_dataset(text: str) -> ButterflyDataset:
 
     Only the header and the lines that start with "# " are read.  A missing
     header, another format version, a fraction with neither a band nor an
-    error line (a truncated file) or with two of them, and a band line whose
-    edges are not finite and non-decreasing (every file `serialize_dataset`
-    writes has sorted edges) raise ValueError.
+    error line (a truncated file), and a line that `_read_payloads` refuses
+    (one for no fraction of the order, a second for one fraction, or band text
+    that is not 2q finite, non-decreasing numbers) raise ValueError.
     """
     head = text[:text.find("\n")] if "\n" in text else text
     meta = dict(kv.split("=", 1) for kv in head[2:].split(",") if "=" in kv)
@@ -253,7 +265,7 @@ def parse_dataset(text: str) -> ButterflyDataset:
         raise ValueError(f"dataset format version {meta['version']} is not {FORMAT_VERSION} "
                          f"and has no band lines; recompute it with `harperlab butterfly`")
     order, beta, min_width = int(meta["Q"]), float(meta["beta"]), float(meta["min_width"])
-    payloads = _read_payloads(m[1] for m in re.finditer(r"\n(# .*)", text))
+    payloads = _read_payloads((m[1] for m in re.finditer(r"\n(# .*)", text)), order)
     freqs = butterfly_fractions(order)
     for freq in freqs:
         if (freq.p, freq.q) not in payloads:
@@ -271,12 +283,12 @@ def _palette_rgb(n: int):
 
 # Hall numbers are clipped to |n| <= 6, so the palette has 13 entries, Hall number n at n + 6
 _PALETTE_RGB = np.array([_palette_rgb(n) for n in range(-6, 7)], dtype=np.uint8)
-_PALETTE_HEX = ["#%02x%02x%02x" % tuple(rgb) for rgb in _PALETTE_RGB.tolist()]
+_PALETTE_HEX = np.array(["#%02x%02x%02x" % tuple(rgb) for rgb in _PALETTE_RGB.tolist()])
 
 
 def hall_color(n: int) -> str:
     """Signed diverging palette: blue for negative, red for positive Hall numbers."""
-    return _PALETTE_HEX[max(-6, min(6, n)) + 6]
+    return str(_PALETTE_HEX[max(-6, min(6, n)) + 6])
 
 
 def render(dataset: ButterflyDataset, path: str, size=(900, 600),
@@ -303,8 +315,8 @@ def render(dataset: ButterflyDataset, path: str, size=(900, 600),
 
 
 def _extent(dataset):
-    lo = min((b[0] for row in dataset.rows for b in row.bands), default=-4.0)
-    hi = max((b[1] for row in dataset.rows for b in row.bands), default=4.0)
+    edges = np.concatenate([row.edges for row in dataset.rows])
+    lo, hi = (float(edges.min()), float(edges.max())) if len(edges) else (-4.0, 4.0)
     pad = 0.02 * (hi - lo)
     return lo - pad, hi + pad
 
@@ -312,7 +324,8 @@ def _extent(dataset):
 def _render_svg(dataset, size, gap_fill):
     """The SVG document piece by piece: the head, each row's gap rectangles, each row's
     band lines (every rectangle is drawn before the first band line) and the closing tag.
-    A row's rectangles, and its lines, are one %-format."""
+    A mirror pair formats its rectangles' and its lines' x text once, one %-format each,
+    with a NUL (no SVG holds one) where each row puts its y and %s where it puts a fill."""
     width, height = size
     elo, ehi = _extent(dataset)
     stroke = max(1.0, height / (2.5 * dataset.order ** 2))
@@ -321,18 +334,25 @@ def _render_svg(dataset, size, gap_fill):
            f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
            f'<!-- config={dataset.provenance.get("config", "")} Q={dataset.order} '
            f'beta={_fmt(dataset.beta)} -->\n')
-    rows = [(row, height - row.freq.alpha * height,
-             (edge_array(row.bands) - elo) / (ehi - elo) * width) for row in dataset.rows]
-    for row, y, x in rows if gap_fill else ():
+    rect = f'<rect x="%.2f" y="\0" width="%.2f" height="{2 * stroke:.2f}" fill="%%s"/>\n'
+    line = (f'<line x1="%.2f" y1="\0" x2="%.2f" y2="\0" stroke="#000000" '
+            f'stroke-width="{stroke:.2f}"/>\n')
+    memo = {}
+
+    def pair_text(key, row, make):  # made for p/q, taken out again by its mirror (q - p)/q
+        return memo.pop(key, None) or memo.setdefault(
+            key, make((row.edges - elo) / (ehi - elo) * width))
+
+    for row in dataset.rows if gap_fill else ():
         j, _, n, _ = row.table[row.table[:, 3] == 1].T
-        rect = (f'<rect x="%.2f" y="{y - stroke:.2f}" width="%.2f" height="{2 * stroke:.2f}" '
-                f'fill="%s"/>\n')
-        yield rect * len(j) % tuple(itertools.chain.from_iterable(zip(
-            x[2 * j - 1].tolist(), (x[2 * j] - x[2 * j - 1]).tolist(),
-            [_PALETTE_HEX[c] for c in (np.clip(n, -6, 6) + 6).tolist()])))
-    for row, y, x in rows:
-        yield (f'<line x1="%.2f" y1="{y:.2f}" x2="%.2f" y2="{y:.2f}" stroke="#000000" '
-               f'stroke-width="{stroke:.2f}"/>\n' * len(row.bands) % tuple(x.tolist()))
+        text = pair_text((row.edges.tobytes(), j.tobytes()), row, lambda x: rect * len(j) % tuple(
+            np.stack([x[2 * j - 1], x[2 * j] - x[2 * j - 1]], axis=1).ravel().tolist()))
+        yield text.replace("\0", f"{height - row.freq.alpha * height - stroke:.2f}") % tuple(
+            _PALETTE_HEX.take(n + 6, mode="clip").tolist())
+    for row in dataset.rows:
+        text = pair_text(row.edges.tobytes(), row,
+                         lambda x: line * (len(x) // 2) % tuple(x.tolist()))
+        yield text.replace("\0", f"{height - row.freq.alpha * height:.2f}")
     yield "</svg>\n"
 
 
@@ -347,7 +367,7 @@ def _render_ppm(dataset, size, gap_fill):
     pixels = np.full((height, width, 3), 255, dtype=np.uint8)
     for row in sorted(dataset.rows, key=lambda r: r.freq.alpha):
         y = int(round((1.0 - row.freq.alpha) * (height - 1)))
-        cols = np.clip(((edge_array(row.bands) - elo) / (ehi - elo) * (width - 1)).astype(int),
+        cols = np.clip(((row.edges - elo) / (ehi - elo) * (width - 1)).astype(int),
                        0, width - 1)
         lo, hi = cols[0::2], cols[1::2]
         if gap_fill:

@@ -437,16 +437,16 @@ class GapRecord:
 GAP_CSV_HEADER = "p,q,beta,gap_lo,gap_hi,ids_num,ids_den,m,n,width"
 
 
-def gap_csv(freq: RationalFrequency, beta_text: str, bands, table: np.ndarray, memo: dict):
-    """The `_fmt` text of the bands' edges, comma-joined, and the `GAP_CSV_HEADER`
-    lines of a `gap_table` of them, each ending in a newline.
+def gap_csv(freq: RationalFrequency, beta_text: str, edges, table: np.ndarray, memo: dict):
+    """The `_fmt` text of the edges lo1, hi1, ..., loq, hiq (an array, or (lo, hi) bands),
+    comma-joined, and the `GAP_CSV_HEADER` lines of a `gap_table` of them, each with a newline.
 
     The edges and all q - 1 gap widths take one %-format each, kept in the
     caller's memo by their exact bytes until the next row with those edges,
     the mirror (q - p)/q, takes them out.  Gap j's ends are edges 2j - 1 and
     2j, their text taken from the edge text; the IDS j/q is in lowest terms.
     """
-    edges, q = edge_array(bands), freq.q
+    edges, q = np.asarray(edges, dtype=float).reshape(-1), freq.q
     key = edges.tobytes()
     text, width_text = memo.pop(key, None) or memo.setdefault(key, [
         ",".join(["%.17g"] * len(x)) % tuple(x.tolist()) for x in (edges, np.diff(edges)[1::2])])

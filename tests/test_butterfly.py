@@ -1,14 +1,16 @@
 import contextlib
+import dataclasses
 import json
 import random
+import re
 
 import numpy as np
 import pytest
 
 import harperlab.butterfly as butterfly_module
 from harperlab import spectrum
-from harperlab import (ChambersError, RationalFrequency, butterfly_fractions, chambers,
-                       component_count, compute_butterfly, hall_color,
+from harperlab import (ChambersError, FractionRow, RationalFrequency, butterfly_fractions,
+                       chambers, component_count, compute_butterfly, hall_color,
                        parse_dataset, phi_cumulative, render,
                        serialize_dataset, track_gap)
 from harperlab.spectrum import GAP_CSV_HEADER, GapRecord, _config_hash, corner_edges, gap_table
@@ -147,11 +149,11 @@ def test_resume_replaces_a_missing_or_foreign_header_in_place(tmp_path):
     header alone, with no other file left in its directory."""
     ck = tmp_path / "state.jsonl"
     header = json.dumps({"config": "0123456789abcdef", "journal": "lines"}) + "\n"
-    assert butterfly_module._resume_journal(str(ck), "0123456789abcdef") == {}
+    assert butterfly_module._resume_journal(str(ck), "0123456789abcdef", 3) == {}
     assert ck.read_text() == header
     ck.write_text(json.dumps({"config": "fedcba9876543210", "journal": "lines"})
                   + "\n# bands,1,2,-2,0,0,2\n# bands,1,3")
-    assert butterfly_module._resume_journal(str(ck), "0123456789abcdef") == {}
+    assert butterfly_module._resume_journal(str(ck), "0123456789abcdef", 3) == {}
     assert ck.read_text() == header
     assert [f.name for f in tmp_path.iterdir()] == [ck.name]
 
@@ -164,7 +166,7 @@ def test_resume_cuts_a_torn_tail_in_place(tmp_path, monkeypatch):
     text = ck.read_text()[:-20]
     ck.write_text(text)
     digest = json.loads(text.splitlines()[0])["config"]
-    done = butterfly_module._resume_journal(str(ck), digest)
+    done = butterfly_module._resume_journal(str(ck), digest, 6)
     assert ck.read_text() == text[:text.rindex("\n") + 1]
     assert sorted(done) == sorted(journal_row(ln)[:2] for ln in text.splitlines()[1:-1])
     assert len(done) == 5
@@ -597,6 +599,67 @@ def test_dataset_paths_build_no_gap_record(tmp_path, monkeypatch):
         back.rows[-1].gaps  # the record view is the one place that builds them
 
 
+def test_dataset_paths_build_no_band_tuple(tmp_path, monkeypatch):
+    """The batch (one worker with a journal, its resume, two workers), the writer, the
+    parser, both renderings and the count read each row's edge array: none of them
+    builds the (lo, hi) tuples of `FractionRow.bands`."""
+    def refuse(self):
+        raise AssertionError("a band tuple was built")
+    monkeypatch.setattr(FractionRow, "bands", property(refuse))
+    ck = str(tmp_path / "state.jsonl")
+    ds = compute_butterfly(12, 1.0, checkpoint_path=ck)
+    text = serialize_dataset(ds)
+    assert serialize_dataset(compute_butterfly(12, 1.0, checkpoint_path=ck)) == text
+    assert serialize_dataset(compute_butterfly(12, 1.0, workers=2)) == text
+    back = parse_dataset(text)
+    render(back, str(tmp_path / "fly.svg"))
+    render(back, str(tmp_path / "fly.ppm"), fmt="ppm")
+    for hall in (1, 2, 3):
+        component_count(back, hall)
+    with pytest.raises(AssertionError, match="band tuple"):
+        back.rows[-1].bands
+
+
+def test_rows_hold_read_only_views_of_their_denominator_block():
+    ds = compute_butterfly(7, 1.0)
+    sevenths = [row for row in ds.rows if row.freq.q == 7]
+    assert len({id(row.edges.base) for row in sevenths}) == 1
+    for row in ds.rows:
+        assert row.edges.dtype == np.float64 and row.edges.shape == (2 * row.freq.q,)
+        assert row.bands == tuple(zip(row.edges.tolist()[0::2], row.edges.tolist()[1::2]))
+        with pytest.raises(ValueError, match="read-only"):
+            row.edges[0] = 0.0
+
+
+def test_one_ulp_in_one_edge_makes_rows_and_datasets_unequal():
+    """Equality compares every edge value: a file whose band line for 2/5 has one edge
+    moved by one ulp parses to a row, and a dataset, unequal to the original."""
+    ds = compute_butterfly(5, 1.0)
+    lines = serialize_dataset(ds).splitlines(keepends=True)
+    at = lines.index(next(ln for ln in lines if ln.startswith("# bands,2,5,")))
+    fields = lines[at].rstrip("\n").split(",")
+    fields[4] = repr(float(np.nextafter(float(fields[4]), np.inf)))  # band 1's hi
+    lines[at] = ",".join(fields) + "\n"
+    back = parse_dataset("".join(lines))
+    moved = [k for k, (a, b) in enumerate(zip(back.rows, ds.rows)) if a != b]
+    assert [str(ds.rows[k].freq) for k in moved] == ["2/5"]
+    assert back != ds
+    assert parse_dataset(serialize_dataset(ds)) == ds
+    row = ds.rows[moved[0]]
+    assert dataclasses.replace(row, edges=row.edges.copy()) == row
+
+
+def test_gap_columns_match_per_gap_oracles_with_only_error_rows(monkeypatch):
+    """With every denominator failed there is no edge at all: the renderings take the
+    (-4, 4) default range, and all writers still match the per-gap oracles."""
+    def failed(q, ps, beta):
+        raise ChambersError("synthetic")
+    monkeypatch.setattr(butterfly_module, "corner_edges", failed)
+    ds = compute_butterfly(5, 1.0)
+    assert all(row.error for row in ds.rows) and butterfly_module._extent(ds) == (-4.16, 4.16)
+    assert_matches_per_gap_oracles(ds)
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_compute_butterfly_refuses_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
@@ -796,6 +859,39 @@ def test_parse_refuses_bad_files(case):
         text, match = "".join(lines), "two band or error lines for 2/5"
     with pytest.raises(ValueError, match=match):
         parse_dataset(text)
+
+
+FOREIGN_LINES = {  # a line the Q = 4 dataset has no row for, and the refusal naming it
+    "not_reduced": ("# bands,2,4,-3,-2,-1,0,0,1,2,3", "band line for 2/4 is not for a fraction "
+                                                      "of order 4"),
+    "p_above_q": ("# error,9,2,ValueError: x", "error line for 9/2 is not for a fraction of order 4"),
+    "q_above_order": ("# bands,1,5,-4,-3,-2,-1,0,0,1,2,3,4",
+                      "band line for 1/5 is not for a fraction of order 4"),
+    "p_not_integer": ("# bands,x,2,-2,0,0,2", "'# bands,x,2,-2,0,0,2' is not a band or error line"),
+    "no_edge_text": ("# bands,1,0,", "'# bands,1,0,' is not a band or error line"),
+    "edge_not_number": ("# bands,1,3,-2,-1,x,0,1,2",
+                        "band line for 1/3: could not convert string to float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_LINES))
+def test_a_line_for_no_row_is_refused_naming_it(tmp_path, capsys, case):
+    """Such a line is never dropped: in a dataset file the parser refuses it (exit 2),
+    and in a journal the batch refuses it, naming the journal."""
+    from harperlab.cli import main
+
+    line, match = FOREIGN_LINES[case]
+    path, ck = tmp_path / "fly.csv", tmp_path / "state.jsonl"
+    path.write_text(serialize_dataset(compute_butterfly(4, 1.0, checkpoint_path=str(ck)))
+                    + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(match)):
+        parse_dataset(path.read_text())
+    assert main(["render", "--dataset", str(path), "--out", str(tmp_path / "fly.svg")]) == 2
+    assert capsys.readouterr().err == f"error: {match}\n"
+    with ck.open("a") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {ck}: {match}")):
+        compute_butterfly(4, 1.0, checkpoint_path=str(ck))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
