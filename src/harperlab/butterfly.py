@@ -25,38 +25,29 @@ import numpy as np
 
 from .rationals import RationalFrequency
 from .numbertheory import farey
-from .spectrum import (GAP_CSV_HEADER, _config_hash, _fmt, corner_edges, gap_csv, gap_records,
-                       gap_tables)
+from .spectrum import (GAP_CSV_HEADER, BandSet, _config_hash, _fmt, corner_edges, gap_csv,
+                       gap_records, gap_tables)
 
 FORMAT_VERSION = "2"
 
 
 @dataclass(frozen=True)
-class FractionRow:
-    """One fraction's edges lo1, hi1, ..., loq, hiq, a read-only float64 view into its
-    denominator's edge block, their `gap_table`, and the `gap_csv` text memo of the rows
-    built with it; rows compare by fraction, coupling, error and every edge value."""
+class FractionRow(BandSet):
+    """One fraction's `BandSet`, its edges a read-only view into its denominator's edge
+    block (empty for an error row), with their `gap_table`, the `gap_csv` text memo of the
+    rows built with it and the error; rows compare as band sets and by error."""
 
-    freq: RationalFrequency
-    beta: float
-    edges: np.ndarray = field(compare=False)
     table: np.ndarray = field(compare=False, repr=False)
     memo: dict = field(compare=False, repr=False)
     error: str | None = None
 
     def __eq__(self, other):
-        return (isinstance(other, FractionRow) and np.array_equal(self.edges, other.edges)
-                and (self.freq, self.beta, self.error) == (other.freq, other.beta, other.error))
-
-    @property
-    def bands(self):
-        """The edges as a tuple of (lo, hi) float pairs, built on each access."""
-        return tuple(map(tuple, self.edges.reshape(-1, 2).tolist()))
+        return super().__eq__(other) and self.error == other.error
 
     @property
     def gaps(self):
         """The table's gaps as `GapRecord`s, built on each access."""
-        return tuple(gap_records(self.freq, self.beta, self.bands, self.table))
+        return tuple(gap_records(self, self.table))
 
     @cached_property
     def text(self):
@@ -65,7 +56,7 @@ class FractionRow:
         p, q = self.freq.p, self.freq.q
         if self.error:
             return f"# error,{p},{q},{self.error}\n"
-        edges, gap_lines = gap_csv(self.freq, _fmt(self.beta), self.edges, self.table, self.memo)
+        edges, gap_lines = gap_csv(self, self.table, self.memo)
         return f"# bands,{p},{q},{edges}\n{gap_lines}"
 
 

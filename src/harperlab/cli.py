@@ -215,17 +215,16 @@ def _dispatch(args, parser) -> int:
     if cmd == "spectrum":
         rows = []
         for freq in freqs:
-            bands = corner_bands(freq, args.beta)
-            for i, (lo, hi) in enumerate(bands.bands, start=1):
+            edges = corner_bands(freq, args.beta).edges.reshape(-1, 2).tolist()
+            for i, (lo, hi) in enumerate(edges, start=1):
                 rows.append(f"{freq.p},{freq.q},{_fmt(args.beta)},{i},{_fmt(lo)},{_fmt(hi)}")
         return _write_csv(args, header, "p,q,beta,band,lo,hi", rows)
 
     if cmd == "gaps":
         text = [f"{header}\n{GAP_CSV_HEADER}\n"]
         for freq in freqs:
-            bands = corner_bands(freq, args.beta).bands
-            table = gap_table(freq, args.beta, bands, args.min_width)
-            text.append(gap_csv(freq, _fmt(args.beta), bands, table, {})[1])
+            bands = corner_bands(freq, args.beta)
+            text.append(gap_csv(bands, gap_table(bands, args.min_width), {})[1])
         _emit(args, "".join(text))
         return 0
 
@@ -432,7 +431,7 @@ def run_selftest() -> int:
             freq = RationalFrequency(p, q)
             ch = chambers(freq, beta)  # verify=True checks phase independence
             bands = band_edges(ch)
-            assert len(bands.bands) == q
+            assert bands.edges.shape == (2 * q,)
             rep = dual_check(freq, beta)
             assert rep.hausdorff < 1e-8, f"duality {rep.hausdorff:.2e}"
             for g in gaps(freq, beta):

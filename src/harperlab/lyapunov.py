@@ -69,9 +69,9 @@ class HessianRecord:
 # the transfer's phase count on the spectrum, where the strip is 0 and sizes nothing
 _SPECTRUM_PHASES = 256
 # the Thouless rule on [0, 1]: `_endpoint_rule(24)` mapped again by u -> (1 - cos pi u)/2
-_PIECE_U, _PIECE_W = _endpoint_rule(24)
-_PIECE_U, _PIECE_W = (np.sin(np.pi * _PIECE_U / 2) ** 2,
-                      np.pi / 2 * np.sin(np.pi * _PIECE_U) * _PIECE_W)
+_THOULESS_U, _THOULESS_W = _endpoint_rule(24)
+_THOULESS_U, _THOULESS_W = (np.sin(np.pi * _THOULESS_U / 2) ** 2,
+                            np.pi / 2 * np.sin(np.pi * _THOULESS_U) * _THOULESS_W)
 
 
 def lyapunov_transfer(freq: RationalFrequency, beta: float, energy) -> LyapunovValue:
@@ -114,10 +114,10 @@ def lyapunov_thouless(bands: BandSet, energy) -> LyapunovValue:
     band of zero float width keeps its step; E on one raises ValueError.
     Cuts at x0, x0 +- |Im E| and the van Hove energies, the eigenvalues of
     the mixed corners H(0, pi/q) and H(pi/q, 0), leave pieces whose 24
-    nodes `_PIECE_U` crowd both ends like u^4, with N from one `ids` call.
+    nodes `_THOULESS_U` crowd both ends like u^4, with N from one `ids` call.
     """
     E, q, y = complex(energy), bands.q, abs(complex(energy).imag)
-    lo, hi = np.asarray(bands.bands, dtype=float).T
+    lo, hi = bands.edges.reshape(-1, 2).T
     if np.any((lo == hi) & (lo == E)):
         raise ValueError(f"E={energy} lies on a band of zero float width")
     x0 = np.clip(E.real, lo, hi)
@@ -127,7 +127,7 @@ def lyapunov_thouless(bands: BandSet, energy) -> LyapunovValue:
                            lo[:, None], hi[:, None]), axis=1)
     width = np.diff(cuts, axis=1)
     band, piece = np.nonzero(width > 0)
-    x = cuts[band, piece, None] + width[band, piece, None] * _PIECE_U
+    x = cuts[band, piece, None] + width[band, piece, None] * _THOULESS_U
     inside = (lo < x0) & (x0 < hi)
     N = ids(bands, np.concatenate([x.ravel(), x0[inside]]))
     c = np.where(x0 < hi, np.arange(q), np.arange(1, q + 1)) / q
@@ -135,7 +135,8 @@ def lyapunov_thouless(bands: BandSet, energy) -> LyapunovValue:
     dx = x - E.real
     den = dx * dx + y * y  # Re 1/(x - E) = dx / den
     f = (N[:x.size].reshape(x.shape) - c[band, None]) * dx
-    inner = width[band, piece] @ (np.divide(f, den, out=np.zeros_like(f), where=den > 0) @ _PIECE_W)
+    f = np.divide(f, den, out=np.zeros_like(f), where=den > 0)
+    inner = width[band, piece] @ (f @ _THOULESS_W)
     w = np.stack([c - np.arange(q) / q, np.arange(1, q + 1) / q - c])
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 at an end of weight 0
         ends = np.where(w > 0, w * np.log(np.abs(E - np.stack([lo, hi]))), 0.0)

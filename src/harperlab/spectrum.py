@@ -196,32 +196,45 @@ def _verify_phase_independence(ch: ChambersData):
 
 @dataclass(frozen=True)
 class BandSet:
-    """Sorted spectral bands, one per monotone branch of P.
+    """Sorted spectral bands, one per monotone branch of P, held as the float64
+    edges lo1, hi1, ..., loq, hiq (read-only from `corner_bands`).
 
     Consecutive bands may share an endpoint (touching); the central pair for
-    even q always does.
+    even q always does.  Sets compare by class, fraction, coupling and every
+    edge value, and hash by fraction and coupling; `bands`, `hull` and
+    `gap_intervals()` are derived from the edges on each access.
     """
 
     freq: RationalFrequency
     beta: float
-    bands: tuple
+    edges: np.ndarray = field(compare=False)  # compared by __eq__, kept out of subclass hashes
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and np.array_equal(self.edges, other.edges)
+                and (self.freq, self.beta) == (other.freq, other.beta))
+
+    def __hash__(self):
+        return hash((self.freq, self.beta))
 
     @property
     def q(self) -> int:
         return self.freq.q
 
     @property
+    def bands(self):  # (lo, hi) float pairs
+        return tuple(map(tuple, self.edges.reshape(-1, 2).tolist()))
+
+    @property
     def hull(self):
-        return self.bands[0][0], self.bands[-1][1]
+        return self.edges[0].item(), self.edges[-1].item()
 
     def gap_intervals(self):
-        return tuple((self.bands[i][1], self.bands[i + 1][0]) for i in range(len(self.bands) - 1))
+        return tuple(map(tuple, self.edges[1:-1].reshape(-1, 2).tolist()))
 
     def distance(self, E) -> float:
         """Distance from (possibly complex) E to the band union."""
         x, y = float(np.real(E)), float(np.imag(E))
-        lo, hi = np.asarray(self.bands, dtype=float).T
-        return float(np.min(np.hypot(_outside(x, lo, hi), y)))
+        return float(np.min(np.hypot(_outside(x, self.edges[0::2], self.edges[1::2]), y)))
 
 
 def _outside(x, lo, hi):
@@ -291,8 +304,8 @@ def corner_bands(freq: RationalFrequency, beta: float) -> BandSet:
     edges = corner_edges(freq.q, [freq.p], beta)[0]
     if beta == 0.0:  # free case: all interior gaps are exactly closed; weld their ends
         edges[1:-1] = np.repeat(0.5 * (edges[1:-1:2] + edges[2::2]), 2)
-    edges = edges.tolist()
-    return BandSet(freq, beta, tuple(zip(edges[0::2], edges[1::2])))
+    edges.setflags(write=False)
+    return BandSet(freq, beta, edges)
 
 
 def band_edges(ch: ChambersData) -> BandSet:
@@ -312,7 +325,7 @@ def _endpoint_rule(n: int):
     return (1.0 - np.cos(theta)) / 2.0, np.pi * w * np.sin(theta) / 4.0
 
 
-_PIECE_U, _PIECE_W = _endpoint_rule(32)
+_MEASURE_U, _MEASURE_W = _endpoint_rule(32)
 
 
 def _band_measure(ch: ChambersData, E: np.ndarray) -> np.ndarray:
@@ -336,7 +349,7 @@ def _band_measure(ch: ChambersData, E: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):  # c2 = 0 or subnormal: an infinite strip
         width = np.arccosh(np.divide(room, m, out=np.ones_like(P), where=room > m))
         n = np.maximum(np.ceil(STRIP_EFOLDS / width), 1.0)  # inf at a kink (width 0)
-    fold = n < 2 * len(_PIECE_U)  # n//2 + 1 <= 32 trapezoid nodes
+    fold = n < 2 * len(_MEASURE_U)  # n//2 + 1 <= 32 trapezoid nodes
     out, k = np.empty_like(P), (n[fold] // 2 + 1).astype(np.intp)
     first = np.cumsum(k) - k
     j, nj = np.arange(k.sum()) - np.repeat(first, k), np.repeat(n[fold], k)  # j = 0..n//2
@@ -347,11 +360,11 @@ def _band_measure(ch: ChambersData, E: np.ndarray) -> np.ndarray:
     a, b = np.arccos(np.clip(np.divide(num, m, out=np.sign(num), where=np.abs(num) < m),
                              -1.0, 1.0))
     length = b - a
-    t = length[:, None] * _PIECE_U  # the one (len, 32) buffer; every step below runs in place
+    t = length[:, None] * _MEASURE_U  # the one (len, 32) buffer; every step below runs in place
     np.cos(np.add(t, a[:, None], out=t), out=t)
     np.add(np.multiply(t, ch.c2, out=t), P[~fold, None], out=t)
     np.arccos(np.clip(np.divide(t, 2.0, out=t), -1.0, 1.0, out=t), out=t)
-    inner = np.multiply(t, _PIECE_W, out=t).sum(axis=-1)
+    inner = np.multiply(t, _MEASURE_W, out=t).sum(axis=-1)
     out[~fold] = (np.pi - a - length * inner / np.pi) / np.pi
     return out
 
@@ -366,19 +379,19 @@ def ids(bands: BandSet, E):
     those edges, whether from `corner_bands`, `band_edges` or a dataset
     file, gives the same values.  Band edges carry exact counting values:
     the bottom of band i counts i - 1 bands and its top counts i, so a
-    point where bands i and i+1 touch counts i.  An array gives an array of
-    the same shape whose entries equal the scalar calls bitwise.  The
-    in-band measure (`_band_measure`) is a strip-sized trapezoid or a
-    kink-split 32-node rule: one `jet` pass over all in-band energies and at
-    most 32 floats each, so a whole graded node set fits one call.
+    point where bands i and i+1 touch counts i; NaN gives NaN.  An array
+    gives an array of the same shape whose entries equal the scalar calls
+    bitwise.  The in-band measure (`_band_measure`) is a strip-sized
+    trapezoid or a kink-split 32-node rule: one `jet` pass over all in-band
+    energies and at most 32 floats each, so a graded node set fits one call.
     """
     q = bands.q
     x = np.asarray(E, dtype=float)
-    edges = np.asarray(bands.bands, dtype=float)
+    edges = bands.edges.reshape(-1, 2)
     k = np.minimum(np.searchsorted(edges[:, 1], x), q - 1)  # first band whose top is >= x
     lo, hi = edges[k, 0], edges[k, 1]
     inside = (lo < x) & (x < hi)
-    frac = np.zeros(x.shape)
+    frac = np.where(np.isnan(x), np.nan, 0.0)  # NaN sorts past every edge: carry it through
     if np.any(inside):
         s = _band_measure(chambers(bands.freq, bands.beta, verify=False), x[inside])
         frac[inside] = np.clip(np.where((q - 1 - k[inside]) % 2 == 0, s, 1.0 - s), 0.0, 1.0)
@@ -437,16 +450,16 @@ class GapRecord:
 GAP_CSV_HEADER = "p,q,beta,gap_lo,gap_hi,ids_num,ids_den,m,n,width"
 
 
-def gap_csv(freq: RationalFrequency, beta_text: str, edges, table: np.ndarray, memo: dict):
-    """The `_fmt` text of the edges lo1, hi1, ..., loq, hiq (an array, or (lo, hi) bands),
-    comma-joined, and the `GAP_CSV_HEADER` lines of a `gap_table` of them, each with a newline.
+def gap_csv(bands: BandSet, table: np.ndarray, memo: dict):
+    """The `_fmt` text of the set's edges lo1, hi1, ..., loq, hiq, comma-joined, and the
+    `GAP_CSV_HEADER` lines of a `gap_table` of it, each with a newline.
 
     The edges and all q - 1 gap widths take one %-format each, kept in the
     caller's memo by their exact bytes until the next row with those edges,
     the mirror (q - p)/q, takes them out.  Gap j's ends are edges 2j - 1 and
     2j, their text taken from the edge text; the IDS j/q is in lowest terms.
     """
-    edges, q = np.asarray(edges, dtype=float).reshape(-1), freq.q
+    edges, q = bands.edges, bands.q
     key = edges.tobytes()
     text, width_text = memo.pop(key, None) or memo.setdefault(key, [
         ",".join(["%.17g"] * len(x)) % tuple(x.tolist()) for x in (edges, np.diff(edges)[1::2])])
@@ -456,7 +469,7 @@ def gap_csv(freq: RationalFrequency, beta_text: str, edges, table: np.ndarray, m
     lo = (2 * j - 1).tolist()
     cols = zip([parts[k] for k in lo], [parts[k + 1] for k in lo], (j // cut).tolist(),
                (q // cut).tolist(), m.tolist(), n.tolist(), [widths[k // 2] for k in lo])
-    line = f"{freq.p},{q},{beta_text},%s,%s,%d,%d,%d,%d,%s\n"
+    line = f"{bands.freq.p},{q},{_fmt(bands.beta)},%s,%s,%d,%d,%d,%d,%s\n"
     return text, line * len(lo) % tuple(itertools.chain.from_iterable(cols))
 
 
@@ -467,11 +480,6 @@ def _fmt(x) -> str:
 def _config_hash(fields: dict) -> str:
     """The one provenance digest: sha256 of sorted-key JSON, 16 hex digits."""
     return hashlib.sha256(json.dumps(fields, sort_keys=True, default=str).encode()).hexdigest()[:16]
-
-
-def edge_array(bands) -> np.ndarray:
-    """The edges lo1, hi1, ..., loq, hiq of a sequence of (lo, hi) bands as one float array."""
-    return np.fromiter(itertools.chain.from_iterable(bands), float, 2 * len(bands))
 
 
 def gap_tables(q: int, ps, beta: float, edges, min_width: float) -> list:
@@ -492,21 +500,22 @@ def gap_tables(q: int, ps, beta: float, edges, min_width: float) -> list:
     return [table[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
-def gap_table(freq: RationalFrequency, beta: float, bands, min_width: float) -> np.ndarray:
-    """The `gap_tables` table of one fraction's bands."""
-    return gap_tables(freq.q, [freq.p], beta, edge_array(bands)[None], min_width)[0]
+def gap_table(bands: BandSet, min_width: float) -> np.ndarray:
+    """The `gap_tables` table of one band set."""
+    return gap_tables(bands.q, [bands.freq.p], bands.beta, bands.edges[None], min_width)[0]
 
 
-def gap_records(freq: RationalFrequency, beta: float, bands, table: np.ndarray):
-    """One `GapRecord` per row of a `gap_table` of the bands."""
-    return [GapRecord(freq, float(beta), j, float(bands[j - 1][1]), float(bands[j][0]), (m, n),
-                      n, bool(is_open)) for j, m, n, is_open in table.tolist()]
+def gap_records(bands: BandSet, table: np.ndarray):
+    """One `GapRecord` per row of a `gap_table` of the band set."""
+    e = bands.edges.tolist()
+    return [GapRecord(bands.freq, float(bands.beta), j, e[2 * j - 1], e[2 * j], (m, n), n,
+                      bool(is_open)) for j, m, n, is_open in table.tolist()]
 
 
 def gaps(freq: RationalFrequency, beta: float, min_width: float = 1e-9):
     """Labelled gap records at coupling beta, as `gap_table` reports them."""
-    bands = corner_bands(freq, beta).bands
-    return gap_records(freq, beta, bands, gap_table(freq, beta, bands, min_width))
+    bands = corner_bands(freq, beta)
+    return gap_records(bands, gap_table(bands, min_width))
 
 
 @dataclass(frozen=True)
@@ -534,10 +543,9 @@ def dual_check(freq: RationalFrequency, beta: float) -> DualityReport:
     """Compare the band set at beta against beta times the set at 1/beta."""
     if beta <= 0:
         raise ValueError("coupling must be positive")
-    bands = corner_bands(freq, beta)
-    dual = corner_bands(freq, 1.0 / beta)
-    scaled = [(beta * lo, beta * hi) for lo, hi in dual.bands]
-    return DualityReport(freq, float(beta), hausdorff_intervals(bands.bands, scaled))
+    bands = corner_bands(freq, beta).edges.reshape(-1, 2)
+    scaled = beta * corner_bands(freq, 1.0 / beta).edges.reshape(-1, 2)
+    return DualityReport(freq, float(beta), hausdorff_intervals(bands, scaled))
 
 
 @dataclass(frozen=True)
@@ -574,9 +582,9 @@ def track_gap(label, freq: RationalFrequency, beta_grid, min_width: float = 1e-9
     j = label_to_index(label, freq)
     widths, flags = [], []
     for beta in grid:
-        bs = corner_bands(freq, beta)
-        lo, hi = bs.gap_intervals()[j - 1]
+        bands = corner_bands(freq, beta)
+        lo, hi = bands.edges[2 * j - 1:2 * j + 1].tolist()
         widths.append(max(hi - lo, 0.0))
-        table = gap_table(freq, beta, bs.bands, min_width)
+        table = gap_table(bands, min_width)
         flags.append(j in table[table[:, 3] == 1, 0])
     return GapTrack(freq, tuple(label), j, tuple(grid), tuple(widths), tuple(flags))

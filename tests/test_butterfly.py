@@ -9,11 +9,13 @@ import pytest
 
 import harperlab.butterfly as butterfly_module
 from harperlab import spectrum
-from harperlab import (ChambersError, FractionRow, RationalFrequency, butterfly_fractions,
-                       chambers, component_count, compute_butterfly, hall_color,
-                       parse_dataset, phi_cumulative, render,
+from harperlab import (BandSet, ChambersError, FractionRow, RationalFrequency,
+                       butterfly_fractions, chambers, component_count, compute_butterfly,
+                       hall_color, parse_dataset, phi_cumulative, render,
                        serialize_dataset, track_gap)
-from harperlab.spectrum import GAP_CSV_HEADER, GapRecord, _config_hash, corner_edges, gap_table
+from harperlab.spectrum import (GAP_CSV_HEADER, GapRecord, _config_hash, corner_bands,
+                                corner_edges, gap_csv, gap_records, gap_table, ids)
+from harperlab.lyapunov import lyapunov_thouless
 from conftest import (oracle_band_sweep, oracle_component_count, oracle_render_ppm,
                       oracle_render_svg, oracle_serialize_dataset, persistence_sweep)
 
@@ -230,9 +232,9 @@ def tag_gap_csv(monkeypatch):
     calls = []
     real = butterfly_module.gap_csv
 
-    def tagged(freq, *args):
-        calls.append((freq.p, freq.q))
-        text, gap_lines = real(freq, *args)
+    def tagged(bands, *args):
+        calls.append((bands.freq.p, bands.freq.q))
+        text, gap_lines = real(bands, *args)
         return text.replace(",", ", "), gap_lines
 
     monkeypatch.setattr(butterfly_module, "gap_csv", tagged)
@@ -649,6 +651,43 @@ def test_one_ulp_in_one_edge_makes_rows_and_datasets_unequal():
     assert dataclasses.replace(row, edges=row.edges.copy()) == row
 
 
+@pytest.mark.parametrize("kind", ["corner_bands", "row"])
+def test_band_sets_compare_by_every_edge_value(kind):
+    """A `corner_bands` set and a dataset row alike: +0.0 and -0.0 edges compare equal,
+    an edge one ulp away does not, equal sets hash alike, a set never equals one of the
+    other class, and writing to the edges raises."""
+    bands = corner_bands(F(2, 5), 1.0)
+    row = next(r for r in compute_butterfly(5, 1.0).rows if r.freq == F(2, 5))
+    other, s = (row, bands) if kind == "corner_bands" else (bands, row)
+    assert np.array_equal(s.edges, other.edges) and s != other
+    plus, minus, moved = s.edges.copy(), s.edges.copy(), s.edges.copy()
+    plus[4], minus[4] = 0.0, -0.0
+    moved[4] = np.nextafter(moved[4], np.inf)
+    assert dataclasses.replace(s, edges=plus) == dataclasses.replace(s, edges=minus)
+    assert dataclasses.replace(s, edges=moved) != s
+    same = dataclasses.replace(s, edges=s.edges.copy())
+    assert same == s and len({s, same}) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        s.edges[0] = 0.0
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_a_parsed_row_is_the_band_set_of_its_fraction(beta):
+    """Every row read back from a dataset file gives the IDS, the Thouless exponent, the
+    gap records and the gap CSV of its fraction's `corner_bands`, bit for bit."""
+    back = parse_dataset(serialize_dataset(compute_butterfly(8, beta)))
+    for row in back.rows:
+        bands = corner_bands(row.freq, beta)
+        table = gap_table(bands, back.min_width)
+        lo, hi = bands.hull
+        E = np.linspace(lo - 0.5, hi + 0.5, 101)
+        assert ids(row, E).tobytes() == ids(bands, E).tobytes()
+        for z in (0.3, hi + 0.5, 0.1 + 0.2j):
+            assert lyapunov_thouless(row, z) == lyapunov_thouless(bands, z)
+        assert gap_records(row, row.table) == gap_records(bands, table)
+        assert gap_csv(row, row.table, {}) == gap_csv(bands, table, {})
+
+
 def test_gap_columns_match_per_gap_oracles_with_only_error_rows(monkeypatch):
     """With every denominator failed there is no edge at all: the renderings take the
     (-4, 4) default range, and all writers still match the per-gap oracles."""
@@ -899,11 +938,11 @@ def test_rows_equal_rows_built_one_at_a_time(workers):
     """Rows built per denominator block equal a one-fraction solve and its `gap_table`."""
     ds = compute_butterfly(30, 1.0, workers=workers)
     for row in ds.rows:
-        e = corner_edges(row.freq.q, [row.freq.p], 1.0)[0].tolist()
-        bands = tuple(zip(e[0::2], e[1::2]))
+        e = corner_edges(row.freq.q, [row.freq.p], 1.0)[0]
+        bands = tuple(zip(e.tolist()[0::2], e.tolist()[1::2]))
         assert row.bands == bands and row.error is None
         assert row.table.dtype == np.int64
-        assert np.array_equal(row.table, gap_table(row.freq, 1.0, bands, ds.min_width))
+        assert np.array_equal(row.table, gap_table(BandSet(row.freq, 1.0, e), ds.min_width))
 
 
 def test_error_rows_keep_an_empty_gap_table(monkeypatch):

@@ -303,7 +303,7 @@ def test_ids_is_the_torus_measure_for_every_band_set(p, q, beta):
     E = np.linspace(lo - 0.3, hi + 0.3, 2001)
     want = ids(via_ch, E).tobytes()
     assert ids(corner_bands(freq, beta), E).tobytes() == want
-    assert ids(BandSet(freq, beta, via_ch.bands), E).tobytes() == want
+    assert ids(BandSet(freq, beta, np.ravel(via_ch.bands)), E).tobytes() == want
 
 
 def test_band_edges_free_case_single_band():
@@ -342,6 +342,17 @@ def test_ids_outside_spectrum():
     bands = band_edges(chambers(F(1, 3), 0.5, verify=False))
     assert ids(bands, -10.0) == 0.0
     assert ids(bands, 10.0) == 1.0
+
+
+def test_ids_at_nan_is_nan():
+    """NaN sorts past every band top, yet it is no energy above the spectrum: it gives
+    NaN, not (q - 1)/q, and an array gives each entry its scalar call bit for bit."""
+    bands = corner_bands(F(2, 5), 1.0)
+    assert math.isnan(ids(bands, math.nan))
+    xs = np.array([np.nan, -np.inf, -1.0, 0.1, np.nan, np.inf, 5.0])
+    got = ids(bands, xs)
+    assert np.isnan(got).tolist() == np.isnan(xs).tolist()
+    assert got.tobytes() == np.array([ids(bands, float(x)) for x in xs]).tobytes()
 
 
 def test_ids_in_gap_is_exact():
@@ -424,7 +435,7 @@ def folded_entries(monkeypatch, measure, *args):
     """Which entries of measure(*args) took the strip-sized trapezoid of
     `_band_measure`: with NaN Gauss-Legendre weights only those stay finite."""
     with monkeypatch.context() as patch:
-        patch.setattr(spectrum, "_PIECE_W", np.full(len(spectrum._PIECE_W), np.nan))
+        patch.setattr(spectrum, "_MEASURE_W", np.full(len(spectrum._MEASURE_W), np.nan))
         return np.isfinite(measure(*args))
 
 
@@ -495,8 +506,8 @@ def test_gap_records_carry_gap_label_and_exact_ids():
     for freq in butterfly_fractions(30):
         recs = gaps(freq, 0.7, min_width=-1.0)
         assert [g.j for g in recs] == list(range(1, freq.q))
-        bands = corner_bands(freq, 0.7).bands
-        lines = gap_csv(freq, "0.7", bands, gap_table(freq, 0.7, bands, -1.0), {})[1].splitlines()
+        bands = corner_bands(freq, 0.7)
+        lines = gap_csv(bands, gap_table(bands, -1.0), {})[1].splitlines()
         assert len(lines) == len(recs)
         for g, line in zip(recs, lines):
             label = gap_label(g.j, freq)
@@ -520,7 +531,7 @@ def test_hall_numbers_are_minus_the_chern_numbers(beta):
     checked = 0
     for q in range(2, 14):
         for p in (p for p in range(1, q) if math.gcd(p, q) == 1):
-            table = gap_table(F(p, q), beta, corner_bands(F(p, q), beta).bands, 1e-9)
+            table = gap_table(corner_bands(F(p, q), beta), 1e-9)
             j, n = _open_gaps(table)
             assert np.array_equal(-oracle_chern_numbers(p, q, beta, 4 * q, 6)[j - 1], n), \
                 (p, q, beta)
@@ -601,7 +612,7 @@ def test_central_gap_closed_at_any_min_width(q):
     its roundoff width (4.4e-17 at 1/4, beta 1), where `width > min_width`
     alone read it open; every other gap is open there."""
     edges = corner_edges(q, [1], 1.0)
-    table = gap_table(F(1, q), 1.0, list(zip(edges[0, 0::2], edges[0, 1::2])), 0.0)
+    table = gap_table(BandSet(F(1, q), 1.0, edges[0]), 0.0)
     assert table[:, 0].tolist() == list(range(1, q))
     assert table[table[:, 3] == 0, 0].tolist() == [q // 2]
 
@@ -616,8 +627,8 @@ def test_gap_tables_equal_gap_table_row_by_row(beta):
         edges = corner_edges(q, ps, beta)
         tables = gap_tables(q, ps, beta, edges, 1e-9)
         assert len(tables) == len(ps)
-        for p, e, table in zip(ps, edges.tolist(), tables):
-            one = gap_table(F(p, q), beta, list(zip(e[0::2], e[1::2])), 1e-9)
+        for p, e, table in zip(ps, edges, tables):
+            one = gap_table(BandSet(F(p, q), beta, e), 1e-9)
             assert table.dtype == one.dtype == np.int64
             assert np.array_equal(table, one), (p, q, beta)
             if beta == 0.0:
@@ -627,8 +638,8 @@ def test_gap_tables_equal_gap_table_row_by_row(beta):
 
 
 def test_gap_table_of_an_error_row_is_empty():
-    for table in (gap_table(F(2, 5), 1.0, (), 1e-9), gap_tables(5, [2], 1.0, np.zeros((1, 0)),
-                                                                 1e-9)[0]):
+    for table in (gap_table(BandSet(F(2, 5), 1.0, np.zeros(0)), 1e-9),
+                  gap_tables(5, [2], 1.0, np.zeros((1, 0)), 1e-9)[0]):
         assert table.shape == (0, 4) and table.dtype == np.int64
 
 
@@ -637,23 +648,24 @@ def test_gap_csv_row_format():
     and the edge text is the text of the band edges."""
     freq, beta = F(2, 5), 0.5
     g = gaps(freq, beta)[0]
-    bands = corner_bands(freq, beta).bands
-    text, lines = gap_csv(freq, _fmt(beta), bands, gap_table(freq, beta, bands, 1e-9), {})
+    bands = corner_bands(freq, beta)
+    text, lines = gap_csv(bands, gap_table(bands, 1e-9), {})
     assert lines.endswith("\n")
     parts = lines.splitlines()[0].split(",")
     assert len(parts) == 10
     assert parts == ["2", "5", "0.5", _fmt(g.lo), _fmt(g.hi), "1", "5",
                      str(g.label[0]), str(g.label[1]), _fmt(g.width)]
-    assert text.split(",") == [_fmt(x) for lo_hi in bands for x in lo_hi]
+    assert text.split(",") == [_fmt(x) for lo_hi in bands.bands for x in lo_hi]
 
 
 def test_gap_csv_keeps_the_sign_of_a_zero_edge():
     """`gap_csv`'s text memo is keyed by the edges' exact bytes: edges that
     differ only in the sign of a zero keep their own text in one memo."""
     freq, memo = F(1, 2), {}
-    for bands, want in ((((-2.0, -0.0), (0.0, 2.0)), ("-2,-0,0,2", "0")),
-                        (((-2.0, 0.0), (-0.0, 2.0)), ("-2,0,-0,2", "-0"))):
-        text, lines = gap_csv(freq, "1", bands, gap_table(freq, 1.0, bands, 1e-9), memo)
+    for edges, want in (((-2.0, -0.0, 0.0, 2.0), ("-2,-0,0,2", "0")),
+                        ((-2.0, 0.0, -0.0, 2.0), ("-2,0,-0,2", "-0"))):
+        bands = BandSet(freq, 1.0, np.array(edges))
+        text, lines = gap_csv(bands, gap_table(bands, 1e-9), memo)
         assert (text, lines.rstrip("\n").split(",")[-1]) == want
     assert len(memo) == 2
 
