@@ -7,10 +7,11 @@ log|D| over the phase torus, with A the characteristic polynomial value and
 remaining psi-integral is a trapezoid sized by the half-width of its
 analyticity strip, one rule (`strip`, `nodes`) that also sizes the phases
 of the transfer route, as `grid_nodes` each axis of the trace and sheet
-grids, and the in-band measure of `spectrum.ids` wherever it has no kink.
-The psi-kernels take at least 8 nodes (for cos psi and cos 2 psi), above
-64 a sinh-graded rule with no cap.  The float range adds no threshold: the
-kernels are homogeneous in D, and `averages` scales a large D back.
+grids (both halved by `fold`), and the in-band measure of `spectrum.ids`
+away from the `kinks`.  The psi-kernels take at least 8 nodes (for cos psi
+and cos 2 psi), above 64 a sinh-graded rule with no cap.  The float range
+adds no threshold: the kernels are homogeneous in D, and `averages` scales
+a large D back.
 """
 
 from __future__ import annotations
@@ -72,6 +73,31 @@ def grid_nodes(ch, z) -> tuple[int, int]:
     widths = strip(P, ch.c2, ch.c1), strip(P, ch.c1, ch.c2)
     nodes(min(widths), GRID_CAP, "z", z)  # the narrower strip refuses, and is named
     return nodes(widths[0], GRID_CAP, "z", z), nodes(widths[1], GRID_CAP, "z", z)
+
+
+def fold(n):
+    """The even fold of the n-node periodic trapezoid, for each count of an int array n:
+    a summand even in 2 pi k/n sums over k = 0..n//2 with weight 1 at k = 0 and 2k = n and
+    2 elsewhere, where k stands for n - k too.  Returns the stacked k, their weights, each
+    node's index into n, and each count's first node, for `np.add.reduceat`."""
+    n = np.atleast_1d(n)
+    size = n // 2 + 1
+    first, owner = np.cumsum(size) - size, np.repeat(np.arange(n.size), size)
+    k = np.arange(owner.size) - first[owner]
+    return k, np.where((k == 0) | (2 * k == n[owner]), 1.0, 2.0), owner, first
+
+
+def kinks(P, c2: float):
+    """(a, b, width) at each P of an array, c2 <= 0: (P + c2 cos psi)/2 is -1 at the kink a
+    and +1 at b, cos psi = (-+2 - P)/c2, placed where |+-2 - P| < |c2|, else at 0 or pi.
+    Where 2 - |P| > |c2| none falls, and its arccos is analytic in a strip of half-width
+    arccosh((2 - |P|)/|c2|), inf at c2 = 0; elsewhere width is 0 (Thouless 1972)."""
+    m, room = abs(c2), 2.0 - np.abs(P)
+    with np.errstate(divide="ignore", over="ignore"):  # c2 = 0 or subnormal: an infinite strip
+        width = np.arccosh(np.divide(room, m, out=np.ones_like(P), where=room > m))
+    num = np.stack([P + 2.0, P - 2.0])  # cos psi = num / |c2| at a, b
+    kink, end = np.abs(num) < m, np.pi / 2 * (1.0 - np.sign(num))  # arccos(sign(num)) elsewhere
+    return (*np.arccos(np.divide(num, m, out=num, where=kink), out=end, where=kink), width)
 
 
 def averages(A: float, B: float, C: float, kinds):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .rationals import TWO_PI, RationalFrequency, pi_fraction_trig
 from .spectrum import chambers, harper_matrix
-from ._torus import grid_nodes, strip
+from ._torus import fold, grid_nodes, strip
 
 SIGN_CONVENTION = "resolvent (h-z)^-1; trace normalized; w(p;qe) = exp(-i pi a p qe) u^p v^qe"
 
@@ -85,25 +85,23 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float,
     matrix traces T[m, s] = (1/q) tr(R Omega^m Sigma^s) against clock/shift
     powers, then a 2-d Fourier average to separate the window indices.  Two
     symmetries of the uniform-gauge matrix cut the inverses to a quarter
-    grid.  For real z, H(t1, -t2) = conj H(t1, t2), so T[m, s](t1, -t2)
-    equals conj T[-m mod q, s](t1, t2): only the nodes t2 = 2 pi b / n2 with
-    b = 0..n2//2 are inverted, and b = n2 - b enters as that conjugate.
-    Each t1 row is contracted with the t2 phases as soon as it is built,
-    into sums S[a, qe, k] over the diagonal qe mod q of R.  The reflection
-    j -> -j mod q maps H(t1, t2) to H(-t1, -t2), which with the conjugation
-    gives S[n1 - a, qe, k] = S[a, -qe, -k mod q]: only the rows
-    a = 0..n1//2 are inverted, and every other row is that index permutation
-    of its mirror, with no conjugation and the same weights:
-    (n1//2 + 1)(n2//2 + 1) inverses on the n1 x n2 grid.  Each axis is sized
-    by its own strip, the trace's `grid_nodes`, plus ceil(window / q) + 1,
-    raised to the first size coprime to q: the grid in t is then a permuted
-    grid in psi = q t, and T[m, s] carries t-frequencies of one residue
-    class mod q, so the window adds only |l| <= window / q + 1 harmonics of
-    psi.  When the narrower strip needs more than `GRID_CAP` nodes, the
-    spectrum included, z is refused and its strip stated.  The sweep keeps
-    one (n1, 2 window + 1, q) array and ends in one matrix product over t1.
-    An imaginary part above 1e-10 of the largest entry raises
-    ArithmeticError.
+    grid, each its `_torus.fold`.  For real z, H(t1, -t2) = conj H(t1, t2), so
+    T[m, s](t1, -t2) equals conj T[-m mod q, s](t1, t2): the mirror n2 - b of
+    a t2 node b enters as that conjugate.  Each t1 row is contracted with the
+    t2 phases as soon as it is built, into sums S[a, qe, k] over the diagonal
+    qe mod q of R.  The reflection j -> -j mod q maps H(t1, t2) to
+    H(-t1, -t2), which with the conjugation gives S[n1 - a, qe, k] =
+    S[a, -qe, -k mod q]: each mirror row is that index permutation, with no
+    conjugation and the same weights: (n1//2 + 1)(n2//2 + 1) inverses on the
+    n1 x n2 grid.  Each axis is sized by its own strip, the trace's
+    `grid_nodes`, plus ceil(window / q) + 1, raised to the first size
+    coprime to q: the grid in t is then a permuted grid in psi = q t, and
+    T[m, s] carries t-frequencies of one residue class mod q, so the window
+    adds only |l| <= window / q + 1 harmonics of psi.  When the narrower
+    strip needs more than `GRID_CAP` nodes, the spectrum included, z is
+    refused and its strip stated.  The sweep keeps one (n1, 2 window + 1, q)
+    array and ends in one matrix product over t1.  An imaginary part above
+    1e-10 of the largest entry raises ArithmeticError.
     """
     if beta <= 0:
         raise ValueError("coupling must be positive")
@@ -114,9 +112,8 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float,
     extra = math.ceil(window / q) + 1
     n1, n2 = (next(m for m in itertools.count(n + extra) if math.gcd(m, q) == 1)
               for n in grid_nodes(chambers(freq, beta, verify=False), z))
-    t1 = TWO_PI * np.arange(n1) / n1
-    b = np.arange(n2 // 2 + 1)
-    t2 = TWO_PI * b / n2
+    (rows1, w1, *_), (b, w2, *_) = fold(n1), fold(n2)
+    t1, t2 = TWO_PI * np.arange(n1) / n1, TWO_PI * b / n2
     j = np.arange(q)
     # harper_matrix carries the hopping phase on the closing bond; the gauge
     # exp(i (k - j) theta2) spreads it over every bond, the gauge of the
@@ -125,18 +122,17 @@ def coefficient_sheet(freq: RationalFrequency, beta: float, z: float,
     k = np.arange(-window, window + 1)
     rows = (j - k[:, None]) % q  # [qe, k]: diagonal qe mod q of R runs over R[(k - qe) % q, k]
     phases2 = np.exp(1j * np.outer(k, t2)) / n2  # [qe, b]
-    # weights of every inverted node, and of those whose mirror n2 - b is another node
-    weights = np.stack([phases2, phases2 * ((b > 0) & (2 * b < n2))], axis=-1)  # [qe, b, 2]
+    # weights of every inverted node, and of its mirror n2 - b where that is another node
+    weights = np.stack([phases2, phases2 * (w2 - 1.0)], axis=-1)  # [qe, b, 2]
     diag_sums = np.empty((n1, k.size, q), dtype=complex)  # S[a, qe, k]
-    for a in range(n1 // 2 + 1):
+    for a in rows1:
         h = harper_matrix(freq, beta, t1[a], t2)
         h[:, j, j] -= z
         R = np.linalg.inv(h * gauge)  # [b, k, j]
         both = R[:, rows, j].transpose(1, 2, 0) @ weights  # [qe, k, 2]
         diag_sums[a] = both[..., 0] + both[..., 1].conj()
-    # the mirror rows: S[n1 - a, qe, k] = S[a, -qe, -k mod q]
-    mirror = np.arange(n1 // 2 + 1, n1)
-    diag_sums[mirror] = diag_sums[n1 - mirror, ::-1][..., -j % q]
+    mirror = rows1[w1 > 1]  # the rows a whose mirror S[n1 - a, qe, k] = S[a, -qe, -k mod q]
+    diag_sums[n1 - mirror] = diag_sums[mirror, ::-1][..., -j % q]
     omega_pow = np.exp(2j * np.pi * ((np.outer(j, j) * freq.p) % q) / q)  # [k, m]
     phases1 = np.exp(1j * np.outer(k, t1)) / n1  # [p, a]
     # traces T[m, s] = (1/q) tr(R Omega^m Sigma^s) averaged against both phases: [p, qe, m]

@@ -28,7 +28,7 @@ import numpy as np
 from .rationals import TWO_PI, RationalFrequency
 from .spectrum import (BandSet, ChambersData, _endpoint_rule, band_edges, chambers, harper_matrix,
                        ids)
-from ._torus import averages, grid_nodes, nodes, strip
+from ._torus import averages, fold, grid_nodes, nodes, strip
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def lyapunov_thouless(bands: BandSet, energy) -> LyapunovValue:
     nodes `_THOULESS_U` crowd both ends like u^4, with N from one `ids` call.
     """
     E, q, y = complex(energy), bands.q, abs(complex(energy).imag)
-    lo, hi = bands.edges.reshape(-1, 2).T
+    lo, hi = bands.checked_edges().reshape(-1, 2).T
     if np.any((lo == hi) & (lo == E)):
         raise ValueError(f"E={energy} lies on a band of zero float width")
     x0 = np.clip(E.real, lo, hi)
@@ -155,9 +155,7 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z) -> LyapunovValue:
     narrower strip needs more than `GRID_CAP` nodes, the spectrum included.
     The spectrum is also even in each phase separately: complex conjugation
     maps H(t1, t2) to H(t1, -t2), and the reflection j -> -j maps t1 to -t1.
-    So on an axis of n nodes indices k and n - k carry the same eigenvalues,
-    and only k = 0..n//2 is factored, with weight 2 on interior indices and
-    1 on k = 0 and, for even n, k = n/2: (n1//2 + 1)(n2//2 + 1)
+    So each axis takes the `_torus.fold` of its n nodes: (n1//2 + 1)(n2//2 + 1)
     determinants instead of n1 n2.
     Neither the LU nor the symmetries use the determinant decomposition,
     which only sizes the grid, so the value stays independent of the other
@@ -169,14 +167,8 @@ def lyapunov_trace(freq: RationalFrequency, beta: float, z) -> LyapunovValue:
 
 def _trace_sum(freq: RationalFrequency, beta: float, z, n1: int, n2: int) -> float:
     """The mirror-folded n1 x n2 grid sum of `lyapunov_trace`."""
-    q = freq.q
-
-    def axis(n):  # nodes k = 0..n//2 of one phase; k and n - k fold onto one node
-        k = np.arange(n // 2 + 1)
-        return TWO_PI * k / (n * q), np.where((k == 0) | (2 * k == n), 1.0, 2.0)
-
-    (t1, w1), (t2, w2) = axis(n1), axis(n2)
-    j = np.arange(q)
+    q, (k1, w1, *_), (k2, w2, *_) = freq.q, fold(n1), fold(n2)
+    t1, t2, j = TWO_PI * k1 / (n1 * q), TWO_PI * k2 / (n2 * q), np.arange(q)
     total = 0.0
     for a, wa in zip(t1, w1):
         h = harper_matrix(freq, beta, a, t2)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._torus import STRIP_EFOLDS
+from ._torus import STRIP_EFOLDS, fold, kinks
 from .rationals import TWO_PI, RationalFrequency
 
 
@@ -201,8 +201,8 @@ class BandSet:
 
     Consecutive bands may share an endpoint (touching); the central pair for
     even q always does.  Sets compare by class, fraction, coupling and every
-    edge value, and hash by fraction and coupling; `bands`, `hull` and
-    `gap_intervals()` are derived from the edges on each access.
+    edge value, and hash by fraction and coupling; `bands` and `hull` are
+    derived from the edges on each access.
     """
 
     freq: RationalFrequency
@@ -226,15 +226,18 @@ class BandSet:
 
     @property
     def hull(self):
-        return self.edges[0].item(), self.edges[-1].item()
+        return tuple(self.checked_edges()[[0, -1]].tolist())
 
-    def gap_intervals(self):
-        return tuple(map(tuple, self.edges[1:-1].reshape(-1, 2).tolist()))
+    def checked_edges(self) -> np.ndarray:
+        """The edges, refused with ValueError for a set with none (a butterfly error row)."""
+        if not self.edges.size:
+            raise ValueError(f"{self.freq} has no band edges: {getattr(self, 'error', None)}")
+        return self.edges
 
     def distance(self, E) -> float:
         """Distance from (possibly complex) E to the band union."""
-        x, y = float(np.real(E)), float(np.imag(E))
-        return float(np.min(np.hypot(_outside(x, self.edges[0::2], self.edges[1::2]), y)))
+        x, y, (lo, hi) = float(np.real(E)), float(np.imag(E)), self.checked_edges().reshape(-1, 2).T
+        return float(np.min(np.hypot(_outside(x, lo, hi), y)))
 
 
 def _outside(x, lo, hi):
@@ -332,40 +335,28 @@ def _band_measure(ch: ChambersData, E: np.ndarray) -> np.ndarray:
     """Torus measure of {D > 0} at each energy of a 1-d array, D = P + c1 x + c2 y.
 
     With c1 = -2 the inner measure over x is 1 - arccos(t)/pi at
-    t = (P + c2 cos psi)/2 clipped to [-1, 1].  cos psi is even, so psi is
-    folded onto [0, pi], where t rises with psi (c2 = -2 beta^q <= 0).  The
-    clip is active up to the kink a where t = -1 (measure 0) and from the
-    kink b where t = +1 (measure 1), at cos psi = (-+2 - P)/c2; those
-    pieces contribute their lengths exactly (Thouless, J. Phys. C 5, 77
-    (1972)).  The piece [a, b] has square-root ends at the kinks and takes
-    32-node Gauss-Legendre after psi = a + (b - a)(1 - cos theta)/2.  A
-    kink is placed only where |+-2 - P| < |c2|.  Without one, t is analytic
-    in a strip arccosh((2 - |P|)/|c2|) wide, and the n-node periodic
-    trapezoid of `_torus.nodes` replaces that rule where n//2 + 1 <= 32.
-    At most 32 arccos per energy, summed per energy: entries are independent.
+    t = (P + c2 cos psi)/2 clipped to [-1, 1], even in psi and rising on
+    [0, pi], measure 0 up to the kink a and 1 from the kink b of
+    `_torus.kinks`; [a, b] has square-root ends and takes 32-node
+    Gauss-Legendre after psi = a + (b - a)(1 - cos theta)/2.  With no kink,
+    the `_torus.fold` of the `_torus.nodes` trapezoid on its strip replaces
+    that rule where it takes at most 32 nodes.  Entries are independent.
     """
     P = ch.P(E)
-    m, room = -ch.c2, 2.0 - np.abs(P)
-    with np.errstate(divide="ignore", over="ignore"):  # c2 = 0 or subnormal: an infinite strip
-        width = np.arccosh(np.divide(room, m, out=np.ones_like(P), where=room > m))
+    a, b, width = kinks(P, ch.c2)
+    with np.errstate(divide="ignore"):
         n = np.maximum(np.ceil(STRIP_EFOLDS / width), 1.0)  # inf at a kink (width 0)
-    fold = n < 2 * len(_MEASURE_U)  # n//2 + 1 <= 32 trapezoid nodes
-    out, k = np.empty_like(P), (n[fold] // 2 + 1).astype(np.intp)
-    first = np.cumsum(k) - k
-    j, nj = np.arange(k.sum()) - np.repeat(first, k), np.repeat(n[fold], k)  # j = 0..n//2
-    t = np.arccos((np.repeat(P[fold], k) + ch.c2 * np.cos(TWO_PI * j / nj)) / 2.0)
-    t *= np.where((j == 0) | (2 * j == nj), 1.0, 2.0)  # psi = 0, pi once, the others twice
-    out[fold] = 1.0 - np.add.reduceat(t, first) / (n[fold] * np.pi)
-    num = np.stack([P[~fold] + 2.0, P[~fold] - 2.0])  # cos psi = num / |c2| at the kinks a, b
-    a, b = np.arccos(np.clip(np.divide(num, m, out=np.sign(num), where=np.abs(num) < m),
-                             -1.0, 1.0))
-    length = b - a
+    even = n < 2 * len(_MEASURE_U)  # n//2 + 1 <= 32 trapezoid nodes
+    out, (k, w, owner, first) = np.empty_like(P), fold(n[even].astype(np.intp))
+    t = np.arccos((P[even][owner] + ch.c2 * np.cos(TWO_PI * k / n[even][owner])) / 2.0)
+    out[even] = 1.0 - np.add.reduceat(np.multiply(t, w, out=t), first) / (n[even] * np.pi)
+    a, length = a[~even], (b - a)[~even]
     t = length[:, None] * _MEASURE_U  # the one (len, 32) buffer; every step below runs in place
     np.cos(np.add(t, a[:, None], out=t), out=t)
-    np.add(np.multiply(t, ch.c2, out=t), P[~fold, None], out=t)
+    np.add(np.multiply(t, ch.c2, out=t), P[~even, None], out=t)
     np.arccos(np.clip(np.divide(t, 2.0, out=t), -1.0, 1.0, out=t), out=t)
     inner = np.multiply(t, _MEASURE_W, out=t).sum(axis=-1)
-    out[~fold] = (np.pi - a - length * inner / np.pi) / np.pi
+    out[~even] = (np.pi - a - length * inner / np.pi) / np.pi
     return out
 
 
@@ -381,13 +372,11 @@ def ids(bands: BandSet, E):
     the bottom of band i counts i - 1 bands and its top counts i, so a
     point where bands i and i+1 touch counts i; NaN gives NaN.  An array
     gives an array of the same shape whose entries equal the scalar calls
-    bitwise.  The in-band measure (`_band_measure`) is a strip-sized
-    trapezoid or a kink-split 32-node rule: one `jet` pass over all in-band
-    energies and at most 32 floats each, so a graded node set fits one call.
+    bitwise.  `_band_measure` takes one `jet` pass over all in-band energies.
     """
     q = bands.q
     x = np.asarray(E, dtype=float)
-    edges = bands.edges.reshape(-1, 2)
+    edges = bands.checked_edges().reshape(-1, 2)
     k = np.minimum(np.searchsorted(edges[:, 1], x), q - 1)  # first band whose top is >= x
     lo, hi = edges[k, 0], edges[k, 1]
     inside = (lo < x) & (x < hi)

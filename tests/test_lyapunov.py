@@ -95,7 +95,7 @@ def test_thouless_makes_one_batched_eigensolve_and_one_ids_call(monkeypatch):
                         lambda *a, f=np.linalg.eigvalsh: calls.append("eigvalsh") or f(*a))
     monkeypatch.setattr(lyapunov, "ids", lambda *a, f=spectrum.ids: calls.append("ids") or f(*a))
     bands = band_edges(chambers(F(8, 13), 0.5, verify=False))
-    lo, hi = max(bands.gap_intervals(), key=lambda g: g[1] - g[0])
+    lo, hi = max(bands.edges[1:-1].reshape(-1, 2), key=lambda g: g[1] - g[0])
     for n, z in enumerate(((lo + hi) / 2, 0.3 + 0.5j), start=1):
         assert lyapunov_thouless(bands, z).value > 0
         assert (calls.count("eigvalsh"), calls.count("ids")) == (2 + n, n)

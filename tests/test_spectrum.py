@@ -11,11 +11,12 @@ from harperlab import spectrum
 from harperlab import (BandSet, ChambersError, RationalFrequency, band_edges, chambers,
                        corner_bands, corner_edges, critical_scan, dual_check, gap_label, gaps,
                        gradient, harper_matrix, hausdorff_intervals, ids,
-                       log_potential, track_gap)
-from harperlab.butterfly import (butterfly_fractions, compute_butterfly, parse_dataset,
-                                 serialize_dataset)
+                       log_potential, lyapunov_thouless, track_gap)
+from harperlab.butterfly import (FractionRow, butterfly_fractions, compute_butterfly,
+                                 parse_dataset, serialize_dataset)
 from harperlab.spectrum import (_band_measure, _fmt, _verify_phase_independence, gap_csv,
                                gap_table, gap_tables)
+from harperlab._torus import fold, kinks
 from conftest import (center_eigenvalues, hausdorff_intervals_loop, interval_union_distance,
                       oracle_band_measure,
                       oracle_band_sweep, oracle_center_jet, oracle_chern_numbers,
@@ -357,7 +358,7 @@ def test_ids_at_nan_is_nan():
 
 def test_ids_in_gap_is_exact():
     bands = band_edges(chambers(F(1, 3), 0.5, verify=False))
-    g = bands.gap_intervals()
+    g = bands.edges[1:-1].reshape(-1, 2)
     assert ids(bands, 0.5 * (g[0][0] + g[0][1])) == 1.0 / 3.0
     assert ids(bands, 0.5 * (g[1][0] + g[1][1])) == 2.0 / 3.0
 
@@ -373,7 +374,7 @@ def test_ids_array_equals_scalar_calls(p, q, beta):
         xs = np.concatenate([
             [lo - 1.0, np.nextafter(lo, -np.inf), hi, np.nextafter(hi, np.inf), hi + 1.0],
             [x for iv in bands.bands for x in iv],
-            [0.5 * (a + b) for a, b in bands.gap_intervals()],
+            [0.5 * (a + b) for a, b in bands.edges[1:-1].reshape(-1, 2)],
             np.concatenate([a + (b - a) * shape for a, b in bands.bands]),
         ])
         got = ids(bands, xs)
@@ -429,6 +430,35 @@ def test_band_measure_without_kinks_is_the_arccos(beta, c2):
     E = graded_nodes(corner_bands(F(2, 5), beta))
     closed = 1.0 - np.arccos(np.clip(ch.P(E) / 2.0, -1.0, 1.0)) / np.pi
     assert np.max(np.abs(_band_measure(ch, E) - closed)) <= 2e-15
+
+
+@pytest.mark.parametrize("c2", [-3.0, -0.5, -1e-300, -0.0, 0.0])  # -2 beta^q: -0.0 at beta 0
+def test_kinks_are_the_clipped_arccos_and_the_strip_where_none_falls(c2):
+    """`_torus.kinks` bit for bit against the clipped closed form: a <= b, each
+    0 or pi where its kink does not fall, and the strip arccosh((2 - |P|)/|c2|)
+    where none falls, 0 elsewhere and inf at c2 = 0."""
+    P = np.concatenate([np.linspace(-6.0, 6.0, 1201), [-2.0, 2.0, 2.0 + c2, -2.0 - c2]])
+    a, b, width = kinks(P, c2)
+    num, m = np.stack([P + 2.0, P - 2.0]), abs(c2)
+    want = np.arccos(np.clip(np.divide(num, m, out=np.sign(num), where=np.abs(num) < m), -1, 1))
+    assert np.stack([a, b]).tobytes() == want.tobytes() and np.all(a <= b)
+    free = 2.0 - np.abs(P) > m
+    assert np.all(width[~free] == 0.0) and np.all(width[free] > 0.0)
+    if c2 == 0.0:
+        assert np.all(np.isinf(width[free]))
+    else:
+        assert width[free].tolist() == np.arccosh((2.0 - np.abs(P[free])) / m).tolist()
+
+
+def test_fold_stacks_the_even_half_of_each_trapezoid():
+    """Each count n gets k = 0..n//2, and its weights sum to n: every node of
+    the n-node trapezoid is counted once, at k or at its mirror n - k."""
+    n = np.array([1, 2, 5, 8, 1])
+    k, w, owner, first = fold(n)
+    for i, size in enumerate(n):
+        assert k[owner == i].tolist() == list(range(size // 2 + 1))
+    assert k[first].tolist() == [0] * len(n)
+    assert np.add.reduceat(w, first).tolist() == n.tolist()
 
 
 def folded_entries(monkeypatch, measure, *args):
@@ -641,6 +671,17 @@ def test_gap_table_of_an_error_row_is_empty():
     for table in (gap_table(BandSet(F(2, 5), 1.0, np.zeros(0)), 1e-9),
                   gap_tables(5, [2], 1.0, np.zeros((1, 0)), 1e-9)[0]):
         assert table.shape == (0, 4) and table.dtype == np.int64
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda row: ids(row, 0.1), lambda row: row.hull, lambda row: row.distance(0.1),
+    lambda row: lyapunov_thouless(row, 0.1)], ids=["ids", "hull", "distance", "thouless"])
+def test_an_error_row_is_refused_by_every_edge_consumer(consumer):
+    """A butterfly error row has no edges: each consumer raises the one ValueError that
+    names the fraction and the row's error."""
+    row = FractionRow(F(2, 5), 1.0, np.zeros(0), np.zeros((0, 4), np.int64), {}, "boom")
+    with pytest.raises(ValueError, match="^2/5 has no band edges: boom$"):
+        consumer(row)
 
 
 def test_gap_csv_row_format():

@@ -42,6 +42,18 @@ def test_surface_prints_metric_lines_and_counts_the_parser_commands():
         for tok in tokenize.generate_tokens(io.StringIO(p.read_text()).readline))
 
 
+def test_repr_battery_prints_a_hash_and_a_count_per_family():
+    """Hash values depend on the BLAS build, so only the names and the format are checked."""
+    out = subprocess.run([sys.executable, str(TOOLS / "repr_battery.py")], capture_output=True,
+                         text=True, check=True).stdout
+    matches = [bench_record.METRIC.match(ln) for ln in out.splitlines()]
+    assert all(matches)
+    families = ["ids", "thouless", "trace", "transfer", "log_potential", "sheet", "recursion"]
+    assert [m.group(1) for m in matches] == [n for f in families for n in (f, f + "_count")]
+    for digest, count in zip(matches[::2], matches[1::2]):
+        assert re.fullmatch(r"[0-9a-f]{16}", digest.group(2)) and int(count.group(2)) > 0
+
+
 def test_unreached_lists_the_statements_a_test_run_never_executes():
     tests = Path(__file__).resolve().parent
     run = subprocess.run([sys.executable, str(TOOLS / "unreached.py"), "-q",
